@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 
 using namespace awam;
 

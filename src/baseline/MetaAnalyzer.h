@@ -29,6 +29,8 @@
 #include "analyzer/Session.h"
 #include "term/Parser.h"
 
+#include <map>
+
 namespace awam {
 
 /// The meta-interpreting dataflow analyzer.

@@ -7,6 +7,8 @@
 #include "term/TermWriter.h"
 #include "wam/Machine.h"
 
+#include <map>
+
 using namespace awam;
 
 namespace {

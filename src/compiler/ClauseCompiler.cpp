@@ -4,9 +4,6 @@
 
 #include "compiler/Builtins.h"
 
-#include <deque>
-#include <map>
-
 using namespace awam;
 
 namespace {
@@ -24,11 +21,48 @@ struct VarInfo {
   bool Seen = false;  // first occurrence already emitted?
 };
 
+/// buildTerm's record of a structure whose nested structures are being
+/// built: the next argument to visit and where its children's registers
+/// start in ChildRegs.
+struct BuildFrame {
+  const Term *T;
+  int NextArg;
+  size_t RegsBase;
+};
+
+} // namespace
+
+/// Working storage kept from one clause to the next, so that compiling a
+/// program does not allocate per clause. The term walks use explicit
+/// stacks and queues from here, so stack depth does not grow with term
+/// size.
+struct ClauseCompiler::Scratch {
+  std::vector<VarInfo> Vars;
+  std::vector<GoalKind> Goals;
+  /// scanTerm's pending subterms.
+  std::vector<const Term *> ScanStack;
+  /// emitGetUnifySequence's FIFO of (structure, register), consumed front
+  /// to back by index.
+  std::vector<std::pair<const Term *, int>> Queue;
+  /// buildTerm's structures under construction, and their children's
+  /// registers by argument.
+  std::vector<BuildFrame> BuildStack;
+  std::vector<int> ChildRegs;
+};
+
+namespace {
+
 class ClauseContext {
 public:
-  ClauseContext(const ParsedClause &Clause, CodeModule &Module)
+  ClauseContext(const ParsedClause &Clause, CodeModule &Module,
+                ClauseCompiler::Scratch &Work)
       : Clause(Clause), Module(Module), Syms(Module.symbols()),
-        Vars(Clause.NumVars) {}
+        Vars(Work.Vars), Goals(Work.Goals), ScanStack(Work.ScanStack),
+        Queue(Work.Queue), BuildStack(Work.BuildStack),
+        ChildRegs(Work.ChildRegs) {
+    Vars.assign(Clause.NumVars, VarInfo());
+    Goals.clear();
+  }
 
   Result<CompiledClause> run();
 
@@ -42,13 +76,12 @@ private:
   void emitHead();
   void emitHeadArg(const Term *Arg, int ArgReg);
   void emitGetUnifySequence(const Term *T, int Reg);
-  void emitUnifyChildren(const Term *T,
-                         std::deque<std::pair<const Term *, int>> &Queue);
+  void emitUnifyChildren(const Term *T);
   Result<bool> emitBody();
   void emitCallArgs(const Term *Goal);
   void emitCallArg(const Term *Arg, int ArgReg);
   int buildTerm(const Term *T);
-  void emitWriteArg(const Term *Arg, int Reg);
+  int emitBuiltStructure(const Term *T, const int *ArgRegs);
   void emitUnifyVar(const Term *Var);
   bool flushVoids(int &Pending);
 
@@ -67,8 +100,12 @@ private:
   const ParsedClause &Clause;
   CodeModule &Module;
   SymbolTable &Syms;
-  std::vector<VarInfo> Vars;
-  std::vector<GoalKind> Goals;
+  std::vector<VarInfo> &Vars;
+  std::vector<GoalKind> &Goals;
+  std::vector<const Term *> &ScanStack;
+  std::vector<std::pair<const Term *, int>> &Queue;
+  std::vector<BuildFrame> &BuildStack;
+  std::vector<int> &ChildRegs;
   int NumUserCalls = 0;
   int FirstUserCallGoal = -1; // goal index of first user call
   bool HasDeepCut = false;
@@ -76,8 +113,6 @@ private:
   int NumPermanent = 0;
   int CutSlot = -1;
   int NextTemp = 0;
-  Diagnostic Error;
-  bool HasError = false;
 };
 
 void ClauseContext::classifyGoals() {
@@ -107,17 +142,22 @@ void ClauseContext::classifyGoals() {
 }
 
 void ClauseContext::scanTerm(const Term *T, int Chunk) {
-  if (T->isVar()) {
-    VarInfo &VI = info(T);
-    ++VI.Occurrences;
-    if (VI.FirstChunk < 0)
-      VI.FirstChunk = Chunk;
-    VI.LastChunk = Chunk;
-    return;
+  // Visit order does not matter: every occurrence is in the same chunk.
+  ScanStack.assign(1, T);
+  while (!ScanStack.empty()) {
+    const Term *Cur = ScanStack.back();
+    ScanStack.pop_back();
+    if (Cur->isVar()) {
+      VarInfo &VI = info(Cur);
+      ++VI.Occurrences;
+      if (VI.FirstChunk < 0)
+        VI.FirstChunk = Chunk;
+      VI.LastChunk = Chunk;
+      continue;
+    }
+    std::span<const Term *const> Args = Cur->args();
+    ScanStack.insert(ScanStack.end(), Args.begin(), Args.end());
   }
-  if (T->isStruct())
-    for (const Term *A : T->args())
-      scanTerm(A, Chunk);
 }
 
 void ClauseContext::classifyVariables() {
@@ -187,23 +227,20 @@ void ClauseContext::emitHeadArg(const Term *Arg, int ArgReg) {
 /// Emits the breadth-first get/unify sequence for a nested structure in the
 /// head, exactly in the style of the paper's Figure 2.
 void ClauseContext::emitGetUnifySequence(const Term *T, int Reg) {
-  std::deque<std::pair<const Term *, int>> Queue;
-  Queue.emplace_back(T, Reg);
-  while (!Queue.empty()) {
-    auto [Cur, CurReg] = Queue.front();
-    Queue.pop_front();
+  Queue.assign(1, {T, Reg});
+  for (size_t QueueHead = 0; QueueHead != Queue.size(); ++QueueHead) {
+    auto [Cur, CurReg] = Queue[QueueHead]; // a copy: emitting appends
     if (Cur->isCons())
       Module.emit({Opcode::GetList, CurReg, 0});
     else
       Module.emit({Opcode::GetStructure, functorIndex(Cur), CurReg});
-    emitUnifyChildren(Cur, Queue);
+    emitUnifyChildren(Cur);
   }
 }
 
 /// Emits the unify_* sequence for the immediate children of \p T, queueing
 /// nested structures for later get_list/get_structure processing.
-void ClauseContext::emitUnifyChildren(
-    const Term *T, std::deque<std::pair<const Term *, int>> &Queue) {
+void ClauseContext::emitUnifyChildren(const Term *T) {
   int PendingVoids = 0;
   for (const Term *Child : T->args()) {
     switch (Child->kind()) {
@@ -295,15 +332,39 @@ void ClauseContext::emitCallArg(const Term *Arg, int ArgReg) {
   }
 }
 
-/// Builds structure \p T on the heap bottom-up and returns the X register
-/// holding it.
-int ClauseContext::buildTerm(const Term *T) {
-  // Build nested structures first so their registers are ready.
-  std::vector<int> ChildRegs(T->arity(), -1);
-  for (int I = 0, E = T->arity(); I != E; ++I)
-    if (T->arg(I)->isStruct())
-      ChildRegs[I] = buildTerm(T->arg(I));
+/// Builds structure \p Root on the heap bottom-up and returns the X
+/// register holding it. The walk is post-order on an explicit stack:
+/// nested structures are built first, left to right, so their registers
+/// are ready, and registers are numbered as a recursive walk would.
+int ClauseContext::buildTerm(const Term *Root) {
+  BuildStack.clear();
+  ChildRegs.clear();
+  auto enter = [&](const Term *T) {
+    BuildStack.push_back({T, 0, ChildRegs.size()});
+    ChildRegs.resize(ChildRegs.size() + T->arity(), -1);
+  };
+  enter(Root);
+  for (;;) {
+    BuildFrame &F = BuildStack.back();
+    if (F.NextArg != F.T->arity()) {
+      const Term *Child = F.T->arg(F.NextArg++);
+      if (Child->isStruct())
+        enter(Child); // invalidates F
+      continue;
+    }
+    int Reg = emitBuiltStructure(F.T, ChildRegs.data() + F.RegsBase);
+    ChildRegs.resize(F.RegsBase);
+    BuildStack.pop_back();
+    if (BuildStack.empty())
+      return Reg;
+    const BuildFrame &Parent = BuildStack.back();
+    ChildRegs[Parent.RegsBase + Parent.NextArg - 1] = Reg;
+  }
+}
 
+/// Emits put_list/put_structure for \p T and its unify_* sequence, with
+/// its nested structures already built in \p ArgRegs (by argument).
+int ClauseContext::emitBuiltStructure(const Term *T, const int *ArgRegs) {
   int Reg = freshTemp();
   if (T->isCons())
     Module.emit({Opcode::PutList, Reg, 0});
@@ -331,7 +392,7 @@ int ClauseContext::buildTerm(const Term *T) {
       continue;
     case TermKind::Struct:
       flushVoids(PendingVoids);
-      Module.emit({Opcode::UnifyValueX, ChildRegs[I], 0});
+      Module.emit({Opcode::UnifyValueX, ArgRegs[I], 0});
       continue;
     }
   }
@@ -427,7 +488,11 @@ Result<CompiledClause> ClauseContext::run() {
 
 } // namespace
 
-Result<CompiledClause> awam::compileClause(const ParsedClause &Clause,
-                                           CodeModule &Module) {
-  return ClauseContext(Clause, Module).run();
+ClauseCompiler::ClauseCompiler(CodeModule &Module)
+    : Module(Module), Work(std::make_unique<Scratch>()) {}
+
+ClauseCompiler::~ClauseCompiler() = default;
+
+Result<CompiledClause> ClauseCompiler::compile(const ParsedClause &Clause) {
+  return ClauseContext(Clause, Module, *Work).run();
 }

@@ -25,6 +25,8 @@
 #include "support/Error.h"
 #include "term/Parser.h"
 
+#include <memory>
+
 namespace awam {
 
 /// Result of compiling one clause.
@@ -34,11 +36,24 @@ struct CompiledClause {
   int MaxXUsed = 0;     ///< highest X register index used + 1
 };
 
-/// Compiles \p Clause, appending its code to \p Module.
-/// Fails on goals the language subset does not support (e.g. variable
-/// goals or ;/2 control).
-Result<CompiledClause> compileClause(const ParsedClause &Clause,
-                                     CodeModule &Module);
+/// Compiles clauses one at a time into one CodeModule, reusing its working
+/// storage from clause to clause.
+class ClauseCompiler {
+public:
+  explicit ClauseCompiler(CodeModule &Module);
+  ~ClauseCompiler();
+
+  /// Compiles \p Clause, appending its code to the module.
+  /// Fails on goals the language subset does not support (e.g. variable
+  /// goals or ;/2 control).
+  Result<CompiledClause> compile(const ParsedClause &Clause);
+
+  struct Scratch;
+
+private:
+  CodeModule &Module;
+  std::unique_ptr<Scratch> Work;
+};
 
 } // namespace awam
 

@@ -23,9 +23,9 @@ int32_t CodeModule::internFunctor(FunctorArity F) {
 }
 
 int32_t CodeModule::predicateId(Symbol Name, int Arity) {
-  auto Key = std::make_pair(Name, static_cast<int32_t>(Arity));
-  auto [It, Inserted] =
-      PredIndex.try_emplace(Key, static_cast<int32_t>(Preds.size()));
+  auto [It, Inserted] = PredIndex.try_emplace(
+      FunctorArity{Name, static_cast<int32_t>(Arity)},
+      static_cast<int32_t>(Preds.size()));
   if (Inserted) {
     PredicateInfo P;
     P.Name = Name;
@@ -36,7 +36,7 @@ int32_t CodeModule::predicateId(Symbol Name, int Arity) {
 }
 
 int32_t CodeModule::findPredicate(Symbol Name, int Arity) const {
-  auto It = PredIndex.find({Name, Arity});
+  auto It = PredIndex.find(FunctorArity{Name, static_cast<int32_t>(Arity)});
   return It == PredIndex.end() ? -1 : It->second;
 }
 

@@ -18,8 +18,8 @@
 #include "support/SymbolTable.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace awam {
@@ -47,6 +47,22 @@ struct ConstOperand {
       default;
   friend auto operator<=>(const ConstOperand &, const ConstOperand &) =
       default;
+};
+
+/// Hashes for the pool indexes. Fibonacci mixing spreads keys whose bits
+/// differ only in a few low positions, as symbol ids and small integers do.
+struct FunctorArityHash {
+  size_t operator()(const FunctorArity &F) const noexcept {
+    return static_cast<size_t>(
+        ((uint64_t(F.Name) << 32) | uint32_t(F.Arity)) *
+        0x9e3779b97f4a7c15ull);
+  }
+};
+struct ConstOperandHash {
+  size_t operator()(const ConstOperand &C) const noexcept {
+    uint64_t V = C.K == ConstOperand::AtomK ? C.Name : uint64_t(C.Int);
+    return static_cast<size_t>((V * 0x9e3779b97f4a7c15ull) ^ C.K);
+  }
 };
 
 /// Targets of a switch_on_term instruction; kFailTarget means "fail".
@@ -107,14 +123,21 @@ public:
 
   const Instruction &at(int32_t Addr) const { return Code[Addr]; }
   int32_t codeSize() const { return static_cast<int32_t>(Code.size()); }
+  /// Makes room for \p N instructions in all, so that emitting up to that
+  /// many does not reallocate.
+  void reserveCode(int32_t N) { Code.reserve(N); }
 
   /// Interns a constant pool entry.
   int32_t internConst(ConstOperand C);
   const ConstOperand &constAt(int32_t Idx) const { return Consts[Idx]; }
+  int32_t numConsts() const { return static_cast<int32_t>(Consts.size()); }
 
   /// Interns a functor pool entry.
   int32_t internFunctor(FunctorArity F);
   const FunctorArity &functorAt(int32_t Idx) const { return Functors[Idx]; }
+  int32_t numFunctors() const {
+    return static_cast<int32_t>(Functors.size());
+  }
 
   int32_t addTermSwitch(TermSwitch S) {
     TermSwitches.push_back(S);
@@ -123,6 +146,9 @@ public:
   const TermSwitch &termSwitchAt(int32_t Idx) const {
     return TermSwitches[Idx];
   }
+  int32_t numTermSwitches() const {
+    return static_cast<int32_t>(TermSwitches.size());
+  }
 
   int32_t addValueSwitch(ValueSwitch S) {
     ValueSwitches.push_back(std::move(S));
@@ -130,6 +156,9 @@ public:
   }
   const ValueSwitch &valueSwitchAt(int32_t Idx) const {
     return ValueSwitches[Idx];
+  }
+  int32_t numValueSwitches() const {
+    return static_cast<int32_t>(ValueSwitches.size());
   }
 
   /// Returns the id of predicate \p Name/\p Arity, creating an undefined
@@ -170,13 +199,14 @@ private:
   SymbolTable *Syms;
   std::vector<Instruction> Code;
   std::vector<ConstOperand> Consts;
-  std::map<ConstOperand, int32_t> ConstIndex;
+  std::unordered_map<ConstOperand, int32_t, ConstOperandHash> ConstIndex;
   std::vector<FunctorArity> Functors;
-  std::map<FunctorArity, int32_t> FunctorIndex;
+  std::unordered_map<FunctorArity, int32_t, FunctorArityHash> FunctorIndex;
   std::vector<TermSwitch> TermSwitches;
   std::vector<ValueSwitch> ValueSwitches;
   std::vector<PredicateInfo> Preds;
-  std::map<std::pair<Symbol, int32_t>, int32_t> PredIndex;
+  /// Predicate ids by (name, arity), hashed as a functor.
+  std::unordered_map<FunctorArity, int32_t, FunctorArityHash> PredIndex;
 };
 
 } // namespace awam

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <tuple>
 
 using namespace awam;
@@ -24,13 +23,19 @@ Result<LinkedProgram> awam::linkPrograms(const std::vector<ModuleUnit> &Units) {
   LinkedProgram Out;
   Out.Program.Module = std::make_unique<CodeModule>(Syms);
   CodeModule &M = *Out.Program.Module;
+  // The linked code is one prologue plus every unit's code after its own.
+  int32_t CodeSize = kProceedAddress + 1;
+  for (const ModuleUnit &U : Units)
+    CodeSize += U.Program->Module->codeSize() - (kProceedAddress + 1);
+  M.reserveCode(CodeSize);
   // The shared prologue every unit also starts with; unit addresses <= 1
   // relocate onto it unchanged.
   M.emit({Opcode::Halt});
   M.emit({Opcode::Proceed});
 
-  // Which unit exports each (name, arity) — for duplicate-export errors.
-  std::map<std::pair<Symbol, int32_t>, size_t> ExportedBy;
+  // The unit that exports each linked predicate id (-1: none so far), for
+  // duplicate-export errors.
+  std::vector<int32_t> ExportedBy;
 
   for (size_t UI = 0; UI != Units.size(); ++UI) {
     const CodeModule &Src = *Units[UI].Program->Module;
@@ -40,19 +45,41 @@ Result<LinkedProgram> awam::linkPrograms(const std::vector<ModuleUnit> &Units) {
     auto Reloc = [Base](int32_t A) {
       return A <= kProceedAddress ? A : Base + (A - (kProceedAddress + 1));
     };
+    // Unit pool index / predicate id -> linked one (-1: not yet used).
+    // Each is interned on first use, in code order, so the linked
+    // numbering is first-reference order across the units.
+    std::vector<int32_t> ConstMap(Src.numConsts(), -1);
+    std::vector<int32_t> FunctorMap(Src.numFunctors(), -1);
+    std::vector<int32_t> PredMap(Src.numPredicates(), -1);
+    auto linkConst = [&](int32_t K) {
+      int32_t &L = ConstMap[K];
+      if (L < 0)
+        L = M.internConst(Src.constAt(K));
+      return L;
+    };
+    auto linkFunctor = [&](int32_t K) {
+      int32_t &L = FunctorMap[K];
+      if (L < 0)
+        L = M.internFunctor(Src.functorAt(K));
+      return L;
+    };
+    // Imports resolve by signature: predicateId creates an undefined entry
+    // that a later (or earlier) unit's export fills in.
+    auto linkPred = [&](int32_t Pid) {
+      int32_t &L = PredMap[Pid];
+      if (L < 0)
+        L = M.predicateId(Src.predicate(Pid).Name, Src.predicate(Pid).Arity);
+      return L;
+    };
 
     for (int32_t Addr = kProceedAddress + 1; Addr != Src.codeSize();
          ++Addr) {
       Instruction I = Src.at(Addr);
       switch (I.Op) {
       case Opcode::Call:
-      case Opcode::Execute: {
-        // Imports resolve by signature: predicateId creates an undefined
-        // entry that a later (or earlier) unit's export fills in.
-        const PredicateInfo &Callee = Src.predicate(I.A);
-        I.A = M.predicateId(Callee.Name, Callee.Arity);
+      case Opcode::Execute:
+        I.A = linkPred(I.A);
         break;
-      }
       case Opcode::Try:
       case Opcode::Retry:
       case Opcode::Trust:
@@ -68,20 +95,12 @@ Result<LinkedProgram> awam::linkPrograms(const std::vector<ModuleUnit> &Units) {
         I.A = M.addTermSwitch(S);
         break;
       }
-      case Opcode::SwitchOnConstant: {
-        ValueSwitch S = Src.valueSwitchAt(I.A);
-        for (auto &[Key, Target] : S.Cases) {
-          Key = M.internConst(Src.constAt(Key));
-          Target = Reloc(Target);
-        }
-        S.Default = Reloc(S.Default);
-        I.A = M.addValueSwitch(std::move(S));
-        break;
-      }
+      case Opcode::SwitchOnConstant:
       case Opcode::SwitchOnStructure: {
+        bool OnConst = I.Op == Opcode::SwitchOnConstant;
         ValueSwitch S = Src.valueSwitchAt(I.A);
         for (auto &[Key, Target] : S.Cases) {
-          Key = M.internFunctor(Src.functorAt(Key));
+          Key = OnConst ? linkConst(Key) : linkFunctor(Key);
           Target = Reloc(Target);
         }
         S.Default = Reloc(S.Default);
@@ -91,12 +110,12 @@ Result<LinkedProgram> awam::linkPrograms(const std::vector<ModuleUnit> &Units) {
       case Opcode::GetConst:
       case Opcode::PutConst:
       case Opcode::UnifyConst:
-        I.A = M.internConst(Src.constAt(I.A));
+        I.A = linkConst(I.A);
         break;
       case Opcode::GetStructure:
       case Opcode::PutStructure:
       case Opcode::GetStructureFused:
-        I.A = M.internFunctor(Src.functorAt(I.A));
+        I.A = linkFunctor(I.A);
         break;
       default:
         break;
@@ -108,15 +127,17 @@ Result<LinkedProgram> awam::linkPrograms(const std::vector<ModuleUnit> &Units) {
       const PredicateInfo &SP = Src.predicate(Pid);
       if (SP.Clauses.empty())
         continue; // an import of this unit; some unit's export resolves it
-      auto Key = std::make_pair(SP.Name, SP.Arity);
-      auto [It, Inserted] = ExportedBy.try_emplace(Key, UI);
-      if (!Inserted)
+      int32_t LinkedPid = linkPred(Pid);
+      if (static_cast<size_t>(LinkedPid) >= ExportedBy.size())
+        ExportedBy.resize(M.numPredicates(), -1);
+      if (ExportedBy[LinkedPid] >= 0)
         return makeError("link: duplicate definition of " +
                          std::string(Syms.name(SP.Name)) + "/" +
                          std::to_string(SP.Arity) + " in '" +
-                         Units[It->second].Label + "' and '" +
+                         Units[ExportedBy[LinkedPid]].Label + "' and '" +
                          Units[UI].Label + "'");
-      PredicateInfo &NP = M.predicate(M.predicateId(SP.Name, SP.Arity));
+      ExportedBy[LinkedPid] = static_cast<int32_t>(UI);
+      PredicateInfo &NP = M.predicate(LinkedPid);
       NP.IndexEntry = Reloc(SP.IndexEntry);
       for (const ClauseInfo &C : SP.Clauses)
         NP.Clauses.push_back({Reloc(C.Entry), C.NumInstr});

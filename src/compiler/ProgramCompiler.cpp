@@ -187,41 +187,59 @@ Result<CompiledProgram> ProgramContext::run() {
   M.emit({Opcode::Halt, 0, 0});
   M.emit({Opcode::Proceed, 0, 0});
 
-  // Group clauses by predicate, preserving source order within a predicate.
-  std::vector<std::pair<int32_t, const ParsedClause *>> ByPred;
-  std::set<std::pair<Symbol, int>> ArgCounter;
-  for (const ParsedClause &C : Program.Clauses) {
+  // Group clauses by predicate in one pass, preserving source order within
+  // a predicate. Every head is interned before any clause is compiled, so
+  // the defined predicates take ids 0..NumDefined-1 in order of first
+  // definition; callees first seen while compiling come after them.
+  const size_t N = Program.Clauses.size();
+  std::vector<int32_t> PidOf(N);
+  for (size_t I = 0; I != N; ++I) {
+    const ParsedClause &C = Program.Clauses[I];
     Symbol Name = C.Head->functor();
     int Arity = C.Head->isStruct() ? C.Head->arity() : 0;
+    const int32_t Known = M.numPredicates();
+    PidOf[I] = M.predicateId(Name, Arity);
+    if (PidOf[I] != Known)
+      continue; // not the predicate's first clause
     if (lookupBuiltin(Syms.name(Name), Arity))
       return makeError("cannot redefine builtin " +
                        std::string(Syms.name(Name)) + "/" +
                        std::to_string(Arity));
-    ByPred.emplace_back(M.predicateId(Name, Arity), &C);
-    ArgCounter.insert({Name, Arity});
-  }
-  for (auto &[Name, Arity] : ArgCounter)
     Out.NumArgs += Arity;
-  Out.NumPreds = static_cast<int>(ArgCounter.size());
+  }
+  const int32_t NumDefined = M.numPredicates();
+  Out.NumPreds = NumDefined;
+
+  // Counting sort of the clauses by predicate: predicate Pid's clauses are
+  // ByPred[First[Pid] .. First[Pid + 1]).
+  std::vector<int32_t> First(NumDefined + 1, 0);
+  for (int32_t Pid : PidOf)
+    ++First[Pid + 1];
+  for (int32_t Pid = 0; Pid != NumDefined; ++Pid)
+    First[Pid + 1] += First[Pid];
+  std::vector<const ParsedClause *> ByPred(N);
+  {
+    std::vector<int32_t> Next(First.begin(), First.end() - 1);
+    for (size_t I = 0; I != N; ++I)
+      ByPred[Next[PidOf[I]]++] = &Program.Clauses[I];
+  }
 
   // Compile clause code blocks predicate by predicate. Note: compiling a
   // clause can intern new (callee) predicates, so never hold a
-  // PredicateInfo reference across compileClause.
-  for (int32_t Pid = 0; Pid != M.numPredicates(); ++Pid) {
+  // PredicateInfo reference across Clauses.compile.
+  ClauseCompiler Clauses(M);
+  for (int32_t Pid = 0; Pid != NumDefined; ++Pid) {
     std::vector<ClauseShape> Shapes;
     std::vector<ClauseInfo> Infos;
-    for (auto &[OwnerPid, C] : ByPred) {
-      if (OwnerPid != Pid)
-        continue;
-      Result<CompiledClause> CC = compileClause(*C, M);
+    for (int32_t K = First[Pid]; K != First[Pid + 1]; ++K) {
+      const ParsedClause *C = ByPred[K];
+      Result<CompiledClause> CC = Clauses.compile(*C);
       if (!CC)
         return CC.diag();
       Infos.push_back(CC->Info);
       Shapes.push_back(shapeOf(C->Head));
       Out.MaxXReg = std::max(Out.MaxXReg, CC->MaxXUsed);
     }
-    if (Infos.empty())
-      continue;
     PredicateInfo &Pred = M.predicate(Pid);
     Pred.Clauses = std::move(Infos);
     buildIndexing(Pred, Shapes);

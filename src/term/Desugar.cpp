@@ -2,68 +2,61 @@
 
 #include "term/Desugar.h"
 
-#include <set>
+#include <algorithm>
 
 using namespace awam;
 
 namespace {
 
-/// Recognizes the control functors.
-bool isDisjunction(const Term *G, const SymbolTable &Syms) {
-  return G->isStruct() && G->arity() == 2 &&
-         Syms.name(G->functor()) == ";";
-}
-bool isIfThen(const Term *G, const SymbolTable &Syms) {
-  return G->isStruct() && G->arity() == 2 &&
-         Syms.name(G->functor()) == "->";
-}
-bool isNaf(const Term *G, const SymbolTable &Syms) {
-  return G->isStruct() && G->arity() == 1 &&
-         Syms.name(G->functor()) == "\\+";
-}
-bool isControl(const Term *G, const SymbolTable &Syms) {
-  return isDisjunction(G, Syms) || isIfThen(G, Syms) || isNaf(G, Syms);
-}
+/// The control functors, looked up (never interned) in one symbol table;
+/// ~0u, which no term carries, stands for a name the table lacks.
+struct ControlSymbols {
+  explicit ControlSymbols(const SymbolTable &Syms)
+      : Or(Syms.lookup(";")), IfThen(Syms.lookup("->")),
+        Not(Syms.lookup("\\+")) {}
 
-/// Collects the distinct variables of \p T in first-occurrence order.
-void collectVars(const Term *T, std::vector<const Term *> &Out,
-                 std::set<int> &Seen) {
-  if (T->isVar()) {
-    if (Seen.insert(T->varId()).second)
-      Out.push_back(T);
-    return;
+  bool any() const { return Or != ~0u || IfThen != ~0u || Not != ~0u; }
+  bool isDisjunction(const Term *G) const { return is(G, Or, 2); }
+  bool isIfThen(const Term *G) const { return is(G, IfThen, 2); }
+  bool isNaf(const Term *G) const { return is(G, Not, 1); }
+  bool isControl(const Term *G) const {
+    return isDisjunction(G) || isIfThen(G) || isNaf(G);
   }
-  if (T->isStruct())
-    for (const Term *A : T->args())
-      collectVars(A, Out, Seen);
-}
+
+private:
+  static bool is(const Term *G, Symbol Name, int Arity) {
+    return G->isStruct() && G->functor() == Name && G->arity() == Arity;
+  }
+
+  Symbol Or, IfThen, Not;
+};
 
 class Desugarer {
 public:
   Desugarer(SymbolTable &Syms, TermArena &Arena)
-      : Syms(Syms), Arena(Arena) {}
+      : Syms(Syms), Arena(Arena), Ctl(Syms) {}
 
-  Result<ParsedProgram> run(const ParsedProgram &Program) {
-    ParsedProgram Out;
-    Out.Directives = Program.Directives;
-    // Worklist: desugaring a clause may spawn auxiliary clauses that
-    // themselves contain control constructs.
-    std::vector<ParsedClause> Work(Program.Clauses.begin(),
-                                   Program.Clauses.end());
-    for (size_t I = 0; I != Work.size(); ++I) {
-      ParsedClause C = Work[I];
-      std::vector<const Term *> NewBody;
-      for (const Term *G : C.Body) {
-        if (!G->isCallable() || !isControl(G, Syms)) {
-          NewBody.push_back(G);
-          continue;
-        }
-        NewBody.push_back(extract(G, C.NumVars, Work));
-      }
-      C.Body = std::move(NewBody);
-      Out.Clauses.push_back(std::move(C));
+  ParsedProgram run(ParsedProgram Program) {
+    if (!Ctl.any())
+      return Program;
+    // Clauses is also the worklist: desugaring a clause appends auxiliary
+    // clauses, which may themselves contain control constructs. Clauses
+    // without control constructs are left as they are.
+    std::vector<ParsedClause> &Clauses = Program.Clauses;
+    for (size_t I = 0; I != Clauses.size(); ++I) {
+      const std::vector<const Term *> &Goals = Clauses[I].Body;
+      if (std::none_of(Goals.begin(), Goals.end(),
+                       [&](const Term *G) { return Ctl.isControl(G); }))
+        continue;
+      // extract() appends to Clauses, so work on a detached body.
+      std::vector<const Term *> Body = std::move(Clauses[I].Body);
+      int NumVars = Clauses[I].NumVars;
+      for (const Term *&G : Body)
+        if (Ctl.isControl(G))
+          G = extract(G, NumVars, Clauses);
+      Clauses[I].Body = std::move(Body);
     }
-    return Out;
+    return Program;
   }
 
 private:
@@ -71,47 +64,61 @@ private:
   /// predicate, appending the auxiliary clauses to \p Work.
   const Term *extract(const Term *G, int NumVars,
                       std::vector<ParsedClause> &Work) {
-    std::vector<const Term *> Vars;
-    std::set<int> Seen;
-    collectVars(G, Vars, Seen);
-
+    collectVars(G, NumVars);
     Symbol AuxName = Syms.intern("$aux" + std::to_string(++Counter));
     const Term *AuxHead =
-        Vars.empty() ? Arena.mkAtom(AuxName)
-                     : Arena.mkStruct(AuxName, Vars);
-    const Term *Call = AuxHead;
-
+        Vars.empty() ? Arena.mkAtom(AuxName) : Arena.mkStruct(AuxName, Vars);
     emitAlternatives(G, AuxHead, NumVars, Work);
-    return Call;
+    return AuxHead;
+  }
+
+  /// Sets Vars to the distinct variables of \p T in first-occurrence
+  /// (depth-first, left-to-right) order; ids are below \p NumVars.
+  void collectVars(const Term *T, int NumVars) {
+    Vars.clear();
+    Seen.assign(NumVars, false);
+    Stack.assign(1, T);
+    while (!Stack.empty()) {
+      const Term *Cur = Stack.back();
+      Stack.pop_back();
+      if (Cur->isVar()) {
+        if (!Seen[Cur->varId()]) {
+          Seen[Cur->varId()] = true;
+          Vars.push_back(Cur);
+        }
+        continue;
+      }
+      std::span<const Term *const> Args = Cur->args();
+      Stack.insert(Stack.end(), Args.rbegin(), Args.rend());
+    }
   }
 
   /// Emits the clauses of the auxiliary predicate for control goal \p G.
   void emitAlternatives(const Term *G, const Term *AuxHead, int NumVars,
                         std::vector<ParsedClause> &Work) {
-    if (isDisjunction(G, Syms)) {
+    // Walk the right spine of a disjunction (a ; b ; c ...) in this loop;
+    // only a parenthesized left operand recurses, and the reader bounds
+    // that nesting.
+    while (Ctl.isDisjunction(G)) {
       const Term *Left = G->arg(0);
-      const Term *Right = G->arg(1);
-      if (isIfThen(Left, Syms)) {
+      if (Ctl.isIfThen(Left))
         // (C -> T ; E): first clause commits on C.
         emitClause(AuxHead,
                    {Left->arg(0), Arena.mkAtom(SymbolTable::SymCut),
                     Left->arg(1)},
                    NumVars, Work);
-        emitAlternatives(Right, AuxHead, NumVars, Work);
-        return;
-      }
-      emitAlternatives(Left, AuxHead, NumVars, Work);
-      emitAlternatives(Right, AuxHead, NumVars, Work);
-      return;
+      else
+        emitAlternatives(Left, AuxHead, NumVars, Work);
+      G = G->arg(1);
     }
-    if (isIfThen(G, Syms)) {
+    if (Ctl.isIfThen(G)) {
       // Bare (C -> T) is (C -> T ; fail).
       emitClause(AuxHead,
                  {G->arg(0), Arena.mkAtom(SymbolTable::SymCut), G->arg(1)},
                  NumVars, Work);
       return;
     }
-    if (isNaf(G, Syms)) {
+    if (Ctl.isNaf(G)) {
       emitClause(AuxHead,
                  {G->arg(0), Arena.mkAtom(SymbolTable::SymCut),
                   Arena.mkAtom(SymbolTable::SymFail)},
@@ -125,7 +132,7 @@ private:
   }
 
   /// Appends one auxiliary clause, flattening conjunctions in \p Goals.
-  void emitClause(const Term *Head, std::vector<const Term *> Goals,
+  void emitClause(const Term *Head, std::initializer_list<const Term *> Goals,
                   int NumVars, std::vector<ParsedClause> &Work) {
     ParsedClause C;
     C.Head = Head;
@@ -135,27 +142,39 @@ private:
     Work.push_back(std::move(C));
   }
 
+  /// Appends the conjuncts of \p G to \p Out, left to right, dropping
+  /// `true`.
   void flattenInto(const Term *G, std::vector<const Term *> &Out) {
-    if (G->isStruct() && G->functor() == SymbolTable::SymComma &&
-        G->arity() == 2) {
-      flattenInto(G->arg(0), Out);
-      flattenInto(G->arg(1), Out);
-      return;
+    Stack.assign(1, G);
+    while (!Stack.empty()) {
+      const Term *Cur = Stack.back();
+      Stack.pop_back();
+      if (Cur->isStruct() && Cur->functor() == SymbolTable::SymComma &&
+          Cur->arity() == 2) {
+        Stack.push_back(Cur->arg(1));
+        Stack.push_back(Cur->arg(0));
+        continue;
+      }
+      if (Cur->isAtom() && Cur->functor() == SymbolTable::SymTrue)
+        continue;
+      Out.push_back(Cur);
     }
-    if (G->isAtom() && G->functor() == SymbolTable::SymTrue)
-      return;
-    Out.push_back(G);
   }
 
   SymbolTable &Syms;
   TermArena &Arena;
+  ControlSymbols Ctl;
   int Counter = 0;
+  // Scratch space, reused across calls.
+  std::vector<const Term *> Stack;
+  std::vector<const Term *> Vars;
+  std::vector<bool> Seen;
 };
 
 } // namespace
 
-Result<ParsedProgram> awam::desugarControl(const ParsedProgram &Program,
+Result<ParsedProgram> awam::desugarControl(ParsedProgram Program,
                                            SymbolTable &Syms,
                                            TermArena &Arena) {
-  return Desugarer(Syms, Arena).run(Program);
+  return Desugarer(Syms, Arena).run(std::move(Program));
 }

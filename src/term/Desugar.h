@@ -37,9 +37,10 @@
 namespace awam {
 
 /// Rewrites the control constructs of \p Program into auxiliary
-/// predicates. New terms are created in \p Arena; clause lists are
-/// rebuilt. Programs without ';', '->' or '\\+' pass through unchanged.
-Result<ParsedProgram> desugarControl(const ParsedProgram &Program,
+/// predicates, appended after the source clauses in the order they are
+/// created ('$aux1', '$aux2', ...). New terms are created in \p Arena;
+/// only the bodies of clauses with ';', '->' or '\\+' goals are rebuilt.
+Result<ParsedProgram> desugarControl(ParsedProgram Program,
                                      SymbolTable &Syms, TermArena &Arena);
 
 } // namespace awam

@@ -7,12 +7,30 @@
 using namespace awam;
 
 static bool isSymbolChar(char C) {
-  static constexpr std::string_view SymbolChars = "+-*/\\^<>=~:.?@#&$";
-  return SymbolChars.find(C) != std::string_view::npos;
+  switch (C) {
+  case '+': case '-': case '*': case '/': case '\\': case '^':
+  case '<': case '>': case '=': case '~': case ':': case '.':
+  case '?': case '@': case '#': case '&': case '$':
+    return true;
+  default:
+    return false;
+  }
 }
 
 static bool isAlnumChar(char C) {
   return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
+}
+
+/// The character a backslash escape \p E stands for in quoted text.
+static char unescape(char E, bool InCharCode) {
+  switch (E) {
+  case 'n': return '\n';
+  case 't': return '\t';
+  case 'a': return InCharCode ? '\a' : E;
+  case 'b': return InCharCode ? '\b' : E;
+  case 'r': return InCharCode ? '\r' : E;
+  default: return E;
+  }
 }
 
 Lexer::Lexer(std::string_view Source) : Src(Source) {}
@@ -29,11 +47,23 @@ void Lexer::advance() {
   ++Pos;
 }
 
-void Lexer::skipLayout() {
+template <typename Pred> std::string_view Lexer::takeRun(Pred InRun) {
+  size_t Start = Pos;
+  while (Pos < Src.size() && InRun(Src[Pos]))
+    ++Pos;
+  Column += static_cast<int>(Pos - Start);
+  return Src.substr(Start, Pos - Start);
+}
+
+std::string_view Lexer::own(std::string Text) {
+  return Owned.emplace_back(std::move(Text));
+}
+
+bool Lexer::skipLayout() {
   for (;;) {
     char C = cur();
     if (C == '\0')
-      return;
+      return true;
     if (std::isspace(static_cast<unsigned char>(C))) {
       advance();
       continue;
@@ -44,15 +74,14 @@ void Lexer::skipLayout() {
       continue;
     }
     if (C == '/' && lookahead() == '*') {
-      advance();
-      advance();
-      while (cur() != '\0' && !(cur() == '*' && lookahead() == '/'))
+      size_t Close = Src.find("*/", Pos + 2);
+      if (Close == std::string_view::npos)
+        return false; // stay on the '/*' so the error points at it
+      while (Pos != Close + 2)
         advance();
-      advance(); // '*'
-      advance(); // '/'
       continue;
     }
-    return;
+    return true;
   }
 }
 
@@ -84,10 +113,16 @@ Token Lexer::lex() {
     return T;
   }
 
-  skipLayout();
+  bool LayoutOk = skipLayout();
   Token T;
   T.Line = Line;
   T.Column = Column;
+  if (!LayoutOk) {
+    T.Kind = TokenKind::Error;
+    T.Text = "unterminated block comment";
+    Pos = Src.size();
+    return T;
+  }
   char C = cur();
 
   if (C == '\0') {
@@ -107,11 +142,15 @@ Token Lexer::lex() {
     }
   }
 
-  if (std::string_view("()[]{},|").find(C) != std::string_view::npos) {
+  switch (C) {
+  case '(': case ')': case '[': case ']': case '{': case '}': case ',':
+  case '|':
     T.Kind = TokenKind::Punct;
-    T.Text = std::string(1, C);
+    T.Text = Src.substr(Pos, 1);
     advance();
     return T;
+  default:
+    break;
   }
 
   // Character code 0'c (also 0'\\n style escapes).
@@ -121,17 +160,12 @@ Token Lexer::lex() {
     char V = cur();
     if (V == '\\') {
       advance();
-      char E = cur();
-      switch (E) {
-      case 'n': V = '\n'; break;
-      case 't': V = '\t'; break;
-      case 'a': V = '\a'; break;
-      case 'b': V = '\b'; break;
-      case 'r': V = '\r'; break;
-      case '\\': V = '\\'; break;
-      case '\'': V = '\''; break;
-      default: V = E; break;
-      }
+      V = cur() == '\0' ? '\0' : unescape(cur(), /*InCharCode=*/true);
+    }
+    if (cur() == '\0') {
+      T.Kind = TokenKind::Error;
+      T.Text = "missing character after 0'";
+      return T;
     }
     advance();
     T.Kind = TokenKind::Int;
@@ -142,14 +176,14 @@ Token Lexer::lex() {
   if (std::isdigit(static_cast<unsigned char>(C))) {
     int64_t Value = 0;
     bool Overflow = false;
-    while (std::isdigit(static_cast<unsigned char>(cur()))) {
+    for (char D : takeRun([](char X) {
+           return std::isdigit(static_cast<unsigned char>(X)) != 0;
+         }))
       // Accumulate with overflow checks (signed overflow is UB); keep
       // consuming the remaining digits either way so the error token
       // covers the whole literal.
       Overflow |= __builtin_mul_overflow(Value, 10, &Value) ||
-                  __builtin_add_overflow(Value, cur() - '0', &Value);
-      advance();
-    }
+                  __builtin_add_overflow(Value, D - '0', &Value);
     if (Overflow) {
       T.Kind = TokenKind::Error;
       T.Text = "integer literal overflows 64 bits";
@@ -162,32 +196,31 @@ Token Lexer::lex() {
   }
 
   if (std::islower(static_cast<unsigned char>(C))) {
-    std::string Name;
-    while (isAlnumChar(cur())) {
-      Name.push_back(cur());
-      advance();
-    }
     T.Kind = TokenKind::Atom;
-    T.Text = std::move(Name);
+    T.Text = takeRun(isAlnumChar);
     PrevWasName = true;
     return T;
   }
 
   if (std::isupper(static_cast<unsigned char>(C)) || C == '_') {
-    std::string Name;
-    while (isAlnumChar(cur())) {
-      Name.push_back(cur());
-      advance();
-    }
     T.Kind = TokenKind::Var;
-    T.Text = std::move(Name);
+    T.Text = takeRun(isAlnumChar);
     PrevWasName = true;
     return T;
   }
 
   if (C == '\'') {
     advance();
+    // The atom is a slice of the source until the first escape; from
+    // there on it is rebuilt in Name and owned by the lexer.
+    size_t Start = Pos;
+    bool Escaped = false;
     std::string Name;
+    auto startEscaped = [&] {
+      if (!Escaped)
+        Name.assign(Src.substr(Start, Pos - Start));
+      Escaped = true;
+    };
     for (;;) {
       char V = cur();
       if (V == '\0') {
@@ -196,58 +229,50 @@ Token Lexer::lex() {
         return T;
       }
       if (V == '\'') {
+        if (lookahead() != '\'')
+          break;
+        startEscaped(); // escaped quote ''
+        Name.push_back('\'');
         advance();
-        if (cur() == '\'') { // escaped quote ''
-          Name.push_back('\'');
-          advance();
-          continue;
-        }
-        break;
-      }
-      if (V == '\\') {
-        advance();
-        char E = cur();
-        switch (E) {
-        case 'n': Name.push_back('\n'); break;
-        case 't': Name.push_back('\t'); break;
-        case '\\': Name.push_back('\\'); break;
-        case '\'': Name.push_back('\''); break;
-        default: Name.push_back(E); break;
-        }
         advance();
         continue;
       }
-      Name.push_back(V);
+      if (V == '\\') {
+        startEscaped();
+        advance();
+        Name.push_back(unescape(cur(), /*InCharCode=*/false));
+        advance();
+        continue;
+      }
+      if (Escaped)
+        Name.push_back(V);
       advance();
     }
+    std::string_view Plain = Src.substr(Start, Pos - Start);
+    advance(); // closing quote
     T.Kind = TokenKind::Atom;
-    T.Text = std::move(Name);
+    T.Text = Escaped ? own(std::move(Name)) : Plain;
     PrevWasName = true;
     return T;
   }
 
   if (C == '!' || C == ';') {
     T.Kind = TokenKind::Atom;
-    T.Text = std::string(1, C);
+    T.Text = Src.substr(Pos, 1);
     advance();
     PrevWasName = true;
     return T;
   }
 
   if (isSymbolChar(C)) {
-    std::string Name;
-    while (isSymbolChar(cur())) {
-      Name.push_back(cur());
-      advance();
-    }
     T.Kind = TokenKind::Atom;
-    T.Text = std::move(Name);
+    T.Text = takeRun(isSymbolChar);
     PrevWasName = true;
     return T;
   }
 
   T.Kind = TokenKind::Error;
-  T.Text = std::string("unexpected character '") + C + "'";
+  T.Text = own(std::string("unexpected character '") + C + "'");
   advance();
   return T;
 }

@@ -18,6 +18,7 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
 
@@ -36,15 +37,22 @@ enum class TokenKind : uint8_t {
 };
 
 /// A single token with its source position.
+///
+/// Text is a view: into the source buffer for names and punctuation, or
+/// into storage the Lexer owns for quoted atoms with escapes and for
+/// error messages. Either way it stays valid while both the source and
+/// the Lexer that produced the token are alive.
 struct Token {
   TokenKind Kind = TokenKind::EndOfFile;
-  std::string Text;   // atom/var name, punct char, or error message
-  int64_t IntVal = 0; // integer value
+  std::string_view Text; // atom/var name, punct char, or error message
+  int64_t IntVal = 0;    // integer value
   int Line = 1;
   int Column = 1;
 };
 
-/// Incremental tokenizer over an in-memory buffer.
+/// Incremental tokenizer over an in-memory buffer. Malformed input
+/// (including an unterminated block comment or quoted atom, and a 0'
+/// character code cut off by the end of input) yields an Error token.
 class Lexer {
 public:
   explicit Lexer(std::string_view Source);
@@ -57,12 +65,19 @@ public:
 
 private:
   Token lex();
-  void skipLayout();
+  /// Skips whitespace and comments; false on an unterminated block
+  /// comment, with the position left on its '/*'.
+  bool skipLayout();
   char cur() const { return Pos < Src.size() ? Src[Pos] : '\0'; }
   char lookahead(size_t N = 1) const {
     return Pos + N < Src.size() ? Src[Pos + N] : '\0';
   }
   void advance();
+  /// Consumes the run of characters from the current position for which
+  /// \p InRun holds (none of them a newline) and returns it as a view.
+  template <typename Pred> std::string_view takeRun(Pred InRun);
+  /// Stores \p Text for the Lexer's lifetime and returns a view of it.
+  std::string_view own(std::string Text);
 
   std::string_view Src;
   size_t Pos = 0;
@@ -71,6 +86,8 @@ private:
   bool HasPeeked = false;
   Token Peeked;
   bool PrevWasName = false; // for OpenCT detection
+  /// Texts that are not slices of Src; a deque never moves its strings.
+  std::deque<std::string> Owned;
 };
 
 } // namespace awam

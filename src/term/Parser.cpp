@@ -10,23 +10,40 @@ using namespace awam;
 Parser::Parser(std::string_view Source, SymbolTable &Syms, TermArena &Arena)
     : Lex(Source), Syms(Syms), Arena(Arena) {}
 
-Diagnostic Parser::errorAt(const Token &T, std::string Message) const {
-  return makeError(std::move(Message), T.Line, T.Column);
+Diagnostic Parser::errorAt(const Token &T, std::string_view Message) const {
+  return makeError(std::string(Message), T.Line, T.Column);
 }
 
-const Term *Parser::internVar(const std::string &Name) {
+Result<Parser::Parsed> Parser::fail(const Token &T,
+                                    std::string_view Message) const {
+  return errorAt(T, Message);
+}
+
+Result<Parser::Parsed> Parser::failUnexpected(const Token &T) const {
+  return errorAt(T, "unexpected '" + std::string(T.Text) + "'");
+}
+
+Result<Parser::Parsed> Parser::failTooDeep(const Token &T) const {
+  return errorAt(T, "term nesting exceeds " +
+                        std::to_string(kMaxTermNesting) + " levels");
+}
+
+const Term *Parser::internVar(std::string_view Name) {
+  Symbol S = Syms.intern(Name);
   if (Name == "_")
-    return Arena.mkVar(Syms.intern("_"), NumVars++);
-  auto It = VarMap.find(Name);
-  if (It != VarMap.end())
-    return It->second;
-  const Term *V = Arena.mkVar(Syms.intern(Name), NumVars++);
-  VarMap.emplace(Name, V);
-  return V;
+    return Arena.mkVar(S, NumVars++);
+  if (S >= VarBySymbol.size())
+    VarBySymbol.resize(Syms.size());
+  auto &[Stamp, Var] = VarBySymbol[S];
+  if (Stamp != TermStamp) {
+    Stamp = TermStamp;
+    Var = Arena.mkVar(S, NumVars++);
+  }
+  return Var;
 }
 
 Result<const Term *> Parser::readTerm() {
-  VarMap.clear();
+  ++TermStamp;
   NumVars = 0;
   if (Lex.peek().Kind == TokenKind::EndOfFile)
     return static_cast<const Term *>(nullptr);
@@ -78,169 +95,229 @@ static bool startsTerm(const Token &T) {
   }
 }
 
+static bool isPunct(const Token &T, std::string_view P) {
+  return T.Kind == TokenKind::Punct && T.Text == P;
+}
+
+// Stack use. The reader recurses once per level of bracket, argument-list
+// or prefix-operator nesting (parse -> parsePrimary -> one of its helpers
+// -> parse), which kMaxTermNesting bounds. Each construct has its own
+// helper and errors are built out of line (fail*), so the frames on that
+// path hold only the locals of one construct; sanitizer builds, which
+// give every local its own stack slot, then still fit kMaxTermNesting
+// levels in the default stack.
+
 Result<Parser::Parsed> Parser::parse(int MaxPriority) {
-  Result<Parsed> LeftOr = parsePrimary(MaxPriority);
-  if (!LeftOr)
-    return LeftOr;
-  Parsed Left = *LeftOr;
-
-  for (;;) {
-    const Token &T = Lex.peek();
-    std::string OpName;
-    if (T.Kind == TokenKind::Atom)
-      OpName = T.Text;
-    else if (T.Kind == TokenKind::Punct && (T.Text == "," || T.Text == "|"))
-      OpName = T.Text == "|" ? ";" : ","; // '|' as disjunction separator
-    else
-      break;
-
-    std::optional<OpDef> Op = lookupInfixOp(OpName);
-    if (!Op || Op->Priority > MaxPriority || Left.Priority > leftArgMax(*Op))
-      break;
-
-    Token OpTok = Lex.next();
-    Result<Parsed> RightOr = parse(rightArgMax(*Op));
-    if (!RightOr)
-      return RightOr;
-    Left.T = Arena.mkStruct(Syms.intern(OpName), {Left.T, RightOr->T});
-    Left.Priority = Op->Priority;
-    (void)OpTok;
-  }
-  return Left;
-}
-
-Result<const Term *> Parser::parseArgList(std::vector<const Term *> &Args) {
-  for (;;) {
-    Result<Parsed> Arg = parse(999);
-    if (!Arg)
-      return Arg.diag();
-    Args.push_back(Arg->T);
-    Token T = Lex.next();
-    if (T.Kind == TokenKind::Punct && T.Text == ",")
+  // An xfy operator's right operand is parsed in this same loop rather
+  // than by recursion: the operator waits on Pending, and folds with its
+  // completed right operand once the next operator does not fit inside
+  // that operand. So `a, b, c, ...` and `X^Y^Z...` cost heap, not stack.
+  // Other operators recurse for their right operand, but only at a lower
+  // priority, which bounds that recursion by the number of priorities.
+  const size_t Base = Pending.size();
+  int Max = MaxPriority;
+  Result<Parsed> Cur = parsePrimary(Max);
+  while (Cur) {
+    std::optional<InfixOp> Op = peekInfixOp();
+    if (Op && Op->Def.Priority <= Max &&
+        Cur->Priority <= leftArgMax(Op->Def)) {
+      Lex.next();
+      if (Op->Def.Type == OpType::XFY) {
+        Pending.push_back({Cur->T, Op->Name, Op->Def.Priority, Max});
+        Max = rightArgMax(Op->Def);
+        Cur = parsePrimary(Max);
+      } else {
+        Cur = parseInfixRight(Cur->T, Op->Name, Op->Def);
+      }
       continue;
-    if (T.Kind == TokenKind::Punct && T.Text == ")")
-      return Args.back();
-    return errorAt(T, "expected ',' or ')' in argument list");
-  }
-}
-
-Result<const Term *> Parser::parseListTail() {
-  // Called after '['; handles elements, '|' tail and ']'.
-  std::vector<const Term *> Elements;
-  for (;;) {
-    Result<Parsed> E = parse(999);
-    if (!E)
-      return E.diag();
-    Elements.push_back(E->T);
-    Token T = Lex.next();
-    if (T.Kind == TokenKind::Punct && T.Text == ",")
-      continue;
-    if (T.Kind == TokenKind::Punct && T.Text == "|") {
-      Result<Parsed> Tail = parse(999);
-      if (!Tail)
-        return Tail.diag();
-      Token Close = Lex.next();
-      if (Close.Kind != TokenKind::Punct || Close.Text != "]")
-        return errorAt(Close, "expected ']' after list tail");
-      return Arena.mkList(Elements, Tail->T);
     }
-    if (T.Kind == TokenKind::Punct && T.Text == "]")
-      return Arena.mkList(Elements, Arena.mkAtom(SymbolTable::SymNil));
-    return errorAt(T, "expected ',', '|' or ']' in list");
+    if (Pending.size() == Base)
+      return Cur;
+    // The innermost pending operator's right operand is complete.
+    Max = Pending.back().OuterMax;
+    Cur = foldPending(Cur->T);
   }
+  Pending.resize(Base);
+  return Cur;
+}
+
+std::optional<Parser::InfixOp> Parser::peekInfixOp() {
+  const Token &T = Lex.peek();
+  std::string_view Name;
+  if (T.Kind == TokenKind::Atom)
+    Name = T.Text;
+  else if (isPunct(T, ","))
+    Name = ",";
+  else if (isPunct(T, "|"))
+    Name = ";"; // '|' as disjunction separator
+  else
+    return std::nullopt;
+  if (std::optional<OpDef> Def = lookupInfixOp(Name))
+    return InfixOp{Name, *Def};
+  return std::nullopt;
+}
+
+Result<Parser::Parsed> Parser::foldPending(const Term *Right) {
+  PendingOp P = Pending.back();
+  Pending.pop_back();
+  return Parsed{Arena.mkStruct(Syms.intern(P.Name), {P.Left, Right}),
+                P.Priority};
+}
+
+Result<Parser::Parsed> Parser::parseInfixRight(const Term *Left,
+                                               std::string_view Name,
+                                               const OpDef &Op) {
+  Result<Parsed> Right = parse(rightArgMax(Op));
+  if (!Right)
+    return Right;
+  return Parsed{Arena.mkStruct(Syms.intern(Name), {Left, Right->T}),
+                Op.Priority};
 }
 
 Result<Parser::Parsed> Parser::parsePrimary(int MaxPriority) {
   Token T = Lex.next();
+  // This depth is the reader's recursion depth (see above).
+  struct DepthScope {
+    int &D;
+    ~DepthScope() { --D; }
+  } Scope{++Depth};
+  if (Depth > kMaxTermNesting)
+    return failTooDeep(T);
+
   switch (T.Kind) {
   case TokenKind::Error:
-    return errorAt(T, T.Text);
+    return fail(T, T.Text);
   case TokenKind::EndOfFile:
   case TokenKind::End:
-    return errorAt(T, "unexpected end of clause");
+    return fail(T, "unexpected end of clause");
   case TokenKind::Int:
     return Parsed{Arena.mkInt(T.IntVal), 0};
   case TokenKind::Var:
     return Parsed{internVar(T.Text), 0};
   case TokenKind::OpenCT: // can only follow an atom; handled below
-  case TokenKind::Punct: {
-    if (T.Text == "(" ) {
-      Result<Parsed> Inner = parse(1200);
-      if (!Inner)
-        return Inner;
-      Token Close = Lex.next();
-      if (Close.Kind != TokenKind::Punct || Close.Text != ")")
-        return errorAt(Close, "expected ')'");
-      return Parsed{Inner->T, 0};
-    }
-    if (T.Text == "[") {
-      const Token &Next = Lex.peek();
-      if (Next.Kind == TokenKind::Punct && Next.Text == "]") {
-        Lex.next();
-        return Parsed{Arena.mkAtom(SymbolTable::SymNil), 0};
-      }
-      Result<const Term *> L = parseListTail();
-      if (!L)
-        return L.diag();
-      return Parsed{*L, 0};
-    }
-    if (T.Text == "{") {
-      const Token &Next = Lex.peek();
-      if (Next.Kind == TokenKind::Punct && Next.Text == "}") {
-        Lex.next();
-        return Parsed{Arena.mkAtom(SymbolTable::SymCurly), 0};
-      }
-      Result<Parsed> Inner = parse(1200);
-      if (!Inner)
-        return Inner;
-      Token Close = Lex.next();
-      if (Close.Kind != TokenKind::Punct || Close.Text != "}")
-        return errorAt(Close, "expected '}'");
-      return Parsed{
-          Arena.mkStruct(SymbolTable::SymCurly, {Inner->T}), 0};
-    }
-    return errorAt(T, "unexpected '" + T.Text + "'");
-  }
-  case TokenKind::Atom: {
+  case TokenKind::Punct:
+    if (T.Text == "(" || T.Text == "{")
+      return parseBracketed(T.Text == "{");
+    if (T.Text == "[")
+      return parseList();
+    return failUnexpected(T);
+  case TokenKind::Atom:
     // Functor application: atom immediately followed by '('.
     if (Lex.peek().Kind == TokenKind::OpenCT) {
       Lex.next();
-      std::vector<const Term *> Args;
-      Result<const Term *> R = parseArgList(Args);
-      if (!R)
-        return R.diag();
-      return Parsed{Arena.mkStruct(Syms.intern(T.Text), std::move(Args)), 0};
+      return parseArgs(T.Text);
     }
-    // Negative integer literal.
-    if (T.Text == "-" && Lex.peek().Kind == TokenKind::Int) {
-      Token N = Lex.next();
-      return Parsed{Arena.mkInt(-N.IntVal), 0};
-    }
-    // Prefix operator application.
-    if (std::optional<OpDef> Op = lookupPrefixOp(T.Text)) {
-      const Token &Next = Lex.peek();
-      bool NextIsInfixAtom =
-          Next.Kind == TokenKind::Atom && lookupInfixOp(Next.Text) &&
-          !lookupPrefixOp(Next.Text);
-      if (Op->Priority <= MaxPriority && startsTerm(Next) &&
-          !NextIsInfixAtom) {
-        Result<Parsed> Operand = parse(rightArgMax(*Op));
-        if (!Operand)
-          return Operand;
-        return Parsed{Arena.mkStruct(Syms.intern(T.Text), {Operand->T}),
-                      Op->Priority};
-      }
-    }
-    // Plain atom. An operator name used as an atom carries its priority.
-    int Priority = 0;
-    if (std::optional<OpDef> Op = lookupInfixOp(T.Text))
-      Priority = Op->Priority;
-    else if (std::optional<OpDef> Op2 = lookupPrefixOp(T.Text))
-      Priority = Op2->Priority;
-    return Parsed{Arena.mkAtom(Syms.intern(T.Text)), Priority};
+    return parseAtom(T, MaxPriority);
   }
+  return fail(T, "unexpected token");
+}
+
+Result<Parser::Parsed> Parser::parseBracketed(bool Curly) {
+  // Called after '(' or '{'.
+  std::string_view Close = Curly ? "}" : ")";
+  if (Curly && isPunct(Lex.peek(), Close)) {
+    Lex.next();
+    return Parsed{Arena.mkAtom(SymbolTable::SymCurly), 0};
   }
-  return errorAt(T, "unexpected token");
+  Result<Parsed> Inner = parse(1200);
+  if (!Inner)
+    return Inner;
+  Token End = Lex.next();
+  if (!isPunct(End, Close))
+    return fail(End, Curly ? "expected '}'" : "expected ')'");
+  if (Curly)
+    return Parsed{Arena.mkStruct(SymbolTable::SymCurly, {Inner->T}), 0};
+  return Parsed{Inner->T, 0};
+}
+
+Result<Parser::Parsed> Parser::parseArgs(std::string_view Functor) {
+  // Called after '('; reads arguments up to ')' and builds the structure.
+  // The functor is interned after its arguments, as symbols are numbered
+  // in the order the reader completes them.
+  const size_t Base = Operands.size();
+  for (;;) {
+    Result<Parsed> Arg = parse(999);
+    if (!Arg) {
+      Operands.resize(Base);
+      return Arg;
+    }
+    Operands.push_back(Arg->T);
+    Token T = Lex.next();
+    if (isPunct(T, ","))
+      continue;
+    if (isPunct(T, ")")) {
+      const Term *S = Arena.mkStruct(
+          Syms.intern(Functor), std::span(Operands).subspan(Base));
+      Operands.resize(Base);
+      return Parsed{S, 0};
+    }
+    Operands.resize(Base);
+    return fail(T, "expected ',' or ')' in argument list");
+  }
+}
+
+Result<Parser::Parsed> Parser::parseList() {
+  // Called after '['; handles '[]', elements, '|' tail and ']'.
+  if (isPunct(Lex.peek(), "]")) {
+    Lex.next();
+    return Parsed{Arena.mkAtom(SymbolTable::SymNil), 0};
+  }
+  const size_t Base = Operands.size();
+  auto list = [&](const Term *Tail) -> Result<Parsed> {
+    return Parsed{Arena.mkList(std::span(Operands).subspan(Base), Tail), 0};
+  };
+  // Elements, up to the first token after one that is not ','.
+  Result<Parsed> R = parse(999);
+  Token T;
+  while (R) {
+    Operands.push_back(R->T);
+    T = Lex.next();
+    if (!isPunct(T, ","))
+      break;
+    R = parse(999);
+  }
+  if (R) {
+    if (isPunct(T, "]")) {
+      R = list(Arena.mkAtom(SymbolTable::SymNil));
+    } else if (!isPunct(T, "|")) {
+      R = fail(T, "expected ',', '|' or ']' in list");
+    } else if (R = parse(999); R) {
+      const Term *Tail = R->T;
+      T = Lex.next();
+      R = isPunct(T, "]") ? list(Tail)
+                          : fail(T, "expected ']' after list tail");
+    }
+  }
+  Operands.resize(Base);
+  return R;
+}
+
+Result<Parser::Parsed> Parser::parseAtom(const Token &T, int MaxPriority) {
+  // Negative integer literal.
+  if (T.Text == "-" && Lex.peek().Kind == TokenKind::Int)
+    return Parsed{Arena.mkInt(-Lex.next().IntVal), 0};
+  // Prefix operator application.
+  if (std::optional<OpDef> Op = lookupPrefixOp(T.Text)) {
+    const Token &Next = Lex.peek();
+    bool NextIsInfixAtom =
+        Next.Kind == TokenKind::Atom && lookupInfixOp(Next.Text) &&
+        !lookupPrefixOp(Next.Text);
+    if (Op->Priority <= MaxPriority && startsTerm(Next) &&
+        !NextIsInfixAtom) {
+      Result<Parsed> Operand = parse(rightArgMax(*Op));
+      if (!Operand)
+        return Operand;
+      return Parsed{Arena.mkStruct(Syms.intern(T.Text), {Operand->T}),
+                    Op->Priority};
+    }
+  }
+  // Plain atom. An operator name used as an atom carries its priority.
+  int Priority = 0;
+  if (std::optional<OpDef> Op = lookupInfixOp(T.Text))
+    Priority = Op->Priority;
+  else if (std::optional<OpDef> Op2 = lookupPrefixOp(T.Text))
+    Priority = Op2->Priority;
+  return Parsed{Arena.mkAtom(Syms.intern(T.Text)), Priority};
 }
 
 Result<ParsedClause> awam::makeClause(const Term *ClauseTerm, int NumVars,
@@ -294,7 +371,7 @@ Result<ParsedProgram> awam::parseProgram(std::string_view Source,
     const Term *T = *TermOr;
     if (!T)
       // Rewrite ;/->/\+ into auxiliary predicates (see term/Desugar.h).
-      return desugarControl(Prog, Syms, Arena);
+      return desugarControl(std::move(Prog), Syms, Arena);
     // ":- Goal" directives are collected but not compiled.
     if (T->isStruct() && T->functor() == SymbolTable::SymNeck &&
         T->arity() == 1) {

@@ -20,9 +20,13 @@
 
 #include "support/SymbolTable.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <initializer_list>
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -57,17 +61,19 @@ public:
   /// Number of arguments (0 for atoms).
   int arity() const {
     assert(isCallable() && "arity() on non-callable term");
-    return static_cast<int>(ArgList.size());
+    return static_cast<int>(Arity);
   }
 
   /// The i-th argument of a structure (0-based).
   const Term *arg(int I) const {
     assert(isStruct() && I >= 0 && I < arity() && "arg() out of range");
-    return ArgList[I];
+    return Args[I];
   }
 
-  /// All arguments of a structure.
-  std::span<const Term *const> args() const { return ArgList; }
+  /// All arguments of a structure (empty for other nodes).
+  std::span<const Term *const> args() const {
+    return {isStruct() ? Args : nullptr, Arity};
+  }
 
   /// Integer value; valid for Int nodes.
   int64_t intValue() const {
@@ -94,56 +100,68 @@ public:
 
   /// True for a "."/2 structure (a list cell).
   bool isCons() const {
-    return isStruct() && Name == SymbolTable::SymDot && arity() == 2;
+    return isStruct() && Name == SymbolTable::SymDot && Arity == 2;
   }
-
-  /// Default-constructs an atom node; only TermArena should create terms
-  /// (the constructor is public because container emplacement requires it).
-  Term() = default;
 
 private:
   friend class TermArena;
+  Term() = default;
 
   TermKind Kind = TermKind::Atom;
+  uint32_t Arity = 0; // argument count of a Struct, else 0
   Symbol Name = 0;    // atom/functor name or variable name
-  int64_t IntVal = 0; // integer value or variable id
-  std::vector<const Term *> ArgList;
+  union {
+    int64_t IntVal = 0;       // integer value or variable id
+    const Term *const *Args; // a Struct's arguments, stored in the arena
+  };
 };
 
 /// Owns Term nodes; all terms created by an arena die with it.
+///
+/// Nodes and structure argument arrays are bump-allocated from chunks the
+/// arena owns. The first chunk is small, because many short-lived arenas
+/// (one per program, goal or solution) can be alive at once; each further
+/// chunk doubles, up to 256 KB, so a large program takes few allocations.
+/// Nothing is freed before the arena.
 class TermArena {
 public:
+  TermArena() = default;
+  TermArena(const TermArena &) = delete;
+  TermArena &operator=(const TermArena &) = delete;
+
   /// Creates a variable node. \p VarId must be dense within the enclosing
   /// clause (the parser guarantees this).
   const Term *mkVar(Symbol DisplayName, int VarId) {
-    Term &T = Nodes.emplace_back();
-    T.Kind = TermKind::Var;
-    T.Name = DisplayName;
-    T.IntVal = VarId;
-    return &T;
+    Term *T = newNode(TermKind::Var, DisplayName);
+    T->IntVal = VarId;
+    return T;
   }
 
   const Term *mkInt(int64_t Value) {
-    Term &T = Nodes.emplace_back();
-    T.Kind = TermKind::Int;
-    T.IntVal = Value;
-    return &T;
+    Term *T = newNode(TermKind::Int, 0);
+    T->IntVal = Value;
+    return T;
   }
 
-  const Term *mkAtom(Symbol Name) {
-    Term &T = Nodes.emplace_back();
-    T.Kind = TermKind::Atom;
-    T.Name = Name;
-    return &T;
-  }
+  const Term *mkAtom(Symbol Name) { return newNode(TermKind::Atom, Name); }
 
-  const Term *mkStruct(Symbol Name, std::vector<const Term *> Args) {
+  /// Creates \p Name(Args...); the arguments are copied into the arena.
+  const Term *mkStruct(Symbol Name, std::span<const Term *const> Args) {
     assert(!Args.empty() && "structure must have at least one argument");
-    Term &T = Nodes.emplace_back();
-    T.Kind = TermKind::Struct;
-    T.Name = Name;
-    T.ArgList = std::move(Args);
-    return &T;
+    // One allocation holds the node and, right behind it, its arguments.
+    void *Mem = allocate(sizeof(Term) + Args.size() * sizeof(const Term *));
+    Term *T = new (Mem) Term();
+    auto **ArgMem = reinterpret_cast<const Term **>(T + 1);
+    std::copy(Args.begin(), Args.end(), ArgMem);
+    T->Kind = TermKind::Struct;
+    T->Name = Name;
+    T->Arity = static_cast<uint32_t>(Args.size());
+    T->Args = ArgMem;
+    return T;
+  }
+  const Term *mkStruct(Symbol Name, std::initializer_list<const Term *> Args) {
+    return mkStruct(Name, std::span<const Term *const>(Args.begin(),
+                                                        Args.size()));
   }
 
   /// Builds a list cell [Head|Tail].
@@ -152,7 +170,7 @@ public:
   }
 
   /// Builds a proper list of \p Elements.
-  const Term *mkList(const std::vector<const Term *> &Elements,
+  const Term *mkList(std::span<const Term *const> Elements,
                      const Term *Tail) {
     const Term *T = Tail;
     for (size_t I = Elements.size(); I != 0; --I)
@@ -160,10 +178,43 @@ public:
     return T;
   }
 
-  size_t size() const { return Nodes.size(); }
-
 private:
-  std::deque<Term> Nodes;
+  static constexpr size_t kFirstChunkBytes = 512;
+  static constexpr size_t kMaxChunkBytes = size_t(256) << 10;
+
+  Term *newNode(TermKind Kind, Symbol Name) {
+    Term *T = new (allocate(sizeof(Term))) Term();
+    T->Kind = Kind;
+    T->Name = Name;
+    return T;
+  }
+
+  /// Returns \p Bytes (a multiple of the pointer size) of chunk memory.
+  void *allocate(size_t Bytes) {
+    if (static_cast<size_t>(End - Cur) < Bytes)
+      grow(Bytes);
+    void *P = Cur;
+    Cur += Bytes;
+    return P;
+  }
+
+  void grow(size_t Bytes) {
+    NextChunkBytes = std::min(NextChunkBytes * 2, kMaxChunkBytes);
+    size_t Size = std::max(NextChunkBytes, Bytes);
+    // operator new[] aligns for any fundamental type, which covers Term.
+    Chunks.push_back(std::make_unique_for_overwrite<std::byte[]>(Size));
+    Cur = Chunks.back().get();
+    End = Cur + Size;
+  }
+
+  // Every allocation is a node plus pointers, so pointer-size steps keep
+  // every node aligned.
+  static_assert(alignof(Term) <= alignof(const Term *));
+
+  std::vector<std::unique_ptr<std::byte[]>> Chunks;
+  std::byte *Cur = nullptr;
+  std::byte *End = nullptr;
+  size_t NextChunkBytes = kFirstChunkBytes / 2;
 };
 
 /// Structural equality of two terms (variables compare by identity).

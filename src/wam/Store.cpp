@@ -66,7 +66,7 @@ const Term *Store::readTerm(Cell C, TermArena &Arena, SymbolTable &Syms,
     for (int I = 1; I <= F.funArity(); ++I)
       Args.push_back(readTerm(Cell::ref(D.C.V + I), Arena, Syms,
                               MaxDepth - 1));
-    return Arena.mkStruct(static_cast<Symbol>(F.V), std::move(Args));
+    return Arena.mkStruct(static_cast<Symbol>(F.V), Args);
   }
   case Tag::Abs: {
     // Abstract cells print as their kind name; parameterized lists print

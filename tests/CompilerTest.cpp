@@ -202,4 +202,65 @@ TEST_F(CompilerTest, ConstPoolDeduplicates) {
   EXPECT_EQ(Pool.size(), 2u);
 }
 
+// Stack safety: the compiler walks terms with explicit stacks, so term
+// size is bounded by memory, not by the stack. These run under the
+// default stack.
+
+/// "[1,1,...,1]" with \p N elements.
+std::string longList(int N) {
+  std::string S = "[";
+  for (int I = 0; I != N; ++I)
+    S += I ? ",1" : "1";
+  return S + "]";
+}
+
+int countOps(const CodeModule &M, Opcode Op) {
+  int N = 0;
+  for (int32_t A = 0; A != M.codeSize(); ++A)
+    N += M.at(A).Op == Op;
+  return N;
+}
+
+TEST_F(CompilerTest, MillionElementListInHeadCompiles) {
+  constexpr int N = 1000000;
+  Result<CompiledProgram> P =
+      compileSource("p(" + longList(N) + ").", Syms, Arena);
+  ASSERT_TRUE(P) << P.diag().str();
+  EXPECT_EQ(countOps(*P->Module, Opcode::GetList), N);
+  EXPECT_EQ(countOps(*P->Module, Opcode::UnifyConst), N + 1);
+}
+
+TEST_F(CompilerTest, MillionElementListInBodyCompiles) {
+  constexpr int N = 1000000;
+  Result<CompiledProgram> P = compileSource(
+      "p :- q(" + longList(N) + ").\nq(_).", Syms, Arena);
+  ASSERT_TRUE(P) << P.diag().str();
+  EXPECT_EQ(countOps(*P->Module, Opcode::PutList), N);
+  EXPECT_EQ(countOps(*P->Module, Opcode::UnifyValueX), N - 1);
+}
+
+TEST_F(CompilerTest, LongArithmeticSumCompiles) {
+  constexpr int N = 100000;
+  std::string S = "p(X) :- X is 1";
+  for (int I = 1; I != N; ++I)
+    S += "+1";
+  Result<CompiledProgram> P = compileSource(S + ".", Syms, Arena);
+  ASSERT_TRUE(P) << P.diag().str();
+  EXPECT_EQ(countOps(*P->Module, Opcode::PutStructure), N - 1);
+}
+
+TEST_F(CompilerTest, NestedBodyStructuresBuildInnermostFirst) {
+  // Post-order: g(a) and h(b) are built (left to right) before f/2, so
+  // f's unify_values name their registers.
+  std::string D = compilePred("p :- q(f(g(a), h(b))).\nq(_).", "p", 0);
+  size_t G = D.find("put_structure       g/1");
+  size_t H = D.find("put_structure       h/1");
+  size_t F = D.find("put_structure       f/2");
+  ASSERT_NE(G, std::string::npos) << D;
+  ASSERT_NE(H, std::string::npos) << D;
+  ASSERT_NE(F, std::string::npos) << D;
+  EXPECT_LT(G, H) << D;
+  EXPECT_LT(H, F) << D;
+}
+
 } // namespace

@@ -17,6 +17,14 @@
 
 using namespace awam;
 
+namespace awam {
+/// gtest writes a value parameter into each listed test name, and for a
+/// pointer it writes the address, which moves with every load of the
+/// binary. Print the domain's name so the names stay the same between
+/// builds.
+void PrintTo(const Domain *D, std::ostream *OS) { *OS << D->name(); }
+} // namespace awam
+
 namespace {
 
 /// Builds the I-th sample value in \p St; the generator covers every cell

@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 using namespace awam;
 
 namespace {
 
 std::vector<Token> lexAll(std::string_view Source) {
-  Lexer L(Source);
+  // A token's text can live in its lexer (escaped quoted atoms, error
+  // messages), so every lexer made here stays alive until the test exits.
+  static std::deque<Lexer> Lexers;
+  Lexer &L = Lexers.emplace_back(Source);
   std::vector<Token> Out;
   for (;;) {
     Token T = L.next();
@@ -150,6 +155,44 @@ TEST(LexerTest, PunctuationInventory) {
   ASSERT_EQ(Ts.size(), 6u);
   for (const Token &T : Ts)
     EXPECT_EQ(T.Kind, TokenKind::Punct);
+}
+
+TEST(LexerTest, UnterminatedBlockCommentIsAnError) {
+  // The rest of the input must not be dropped silently.
+  auto Ts = lexAll("p. /* oops\nq. r.");
+  ASSERT_EQ(Ts.size(), 3u);
+  EXPECT_EQ(Ts[2].Kind, TokenKind::Error);
+  EXPECT_EQ(Ts[2].Text, "unterminated block comment");
+  EXPECT_EQ(Ts[2].Line, 1);
+  EXPECT_EQ(Ts[2].Column, 4);
+  // "/*/" does not close itself.
+  auto Ts2 = lexAll("a /*/");
+  ASSERT_EQ(Ts2.size(), 2u);
+  EXPECT_EQ(Ts2[1].Kind, TokenKind::Error);
+}
+
+TEST(LexerTest, CharacterCodeCutOffByEndOfInputIsAnError) {
+  // Not the integer 0.
+  for (std::string_view Src : {"X = 0'", "X = 0'\\"}) {
+    auto Ts = lexAll(Src);
+    ASSERT_EQ(Ts.size(), 3u) << Src;
+    EXPECT_EQ(Ts[2].Kind, TokenKind::Error) << Src;
+    EXPECT_EQ(Ts[2].Text, "missing character after 0'") << Src;
+    EXPECT_EQ(Ts[2].Column, 5) << Src;
+  }
+}
+
+TEST(LexerTest, QuotedAtomTextOutlivesLaterTokens) {
+  // Escaped atoms are rebuilt into storage the lexer owns; the text stays
+  // valid while the lexer reads on.
+  Lexer L("'a''b' 'c\\nd' 'plain' x");
+  Token A = L.next();
+  Token B = L.next();
+  Token C = L.next();
+  L.next();
+  EXPECT_EQ(A.Text, "a'b");
+  EXPECT_EQ(B.Text, "c\nd");
+  EXPECT_EQ(C.Text, "plain");
 }
 
 TEST(LexerTest, PeekDoesNotConsume) {

@@ -61,6 +61,12 @@ TEST_F(ParserTest, OperatorPrecedence) {
   EXPECT_EQ(canon("2 ** 3"), "**(2,3)");
   EXPECT_EQ(canon("- (3)"), "-(3)");
   EXPECT_EQ(canon("a = b"), "=(a,b)");
+  // xfy chains mixed with other priorities and prefix operators.
+  EXPECT_EQ(canon("a :- b, c ; d -> e , f ; g"),
+            ":-(a,;(','(b,c),;(->(d,','(e,f)),g)))");
+  EXPECT_EQ(canon("X = a ^ b ^ c + d"), "=(X,+(^(a,^(b,c)),d))");
+  EXPECT_EQ(canon("a , \\+ b , c"), "','(a,','(\\+(b),c))");
+  EXPECT_EQ(canon("(a , b) , c"), "','(','(a,b),c)");
 }
 
 TEST_F(ParserTest, ClauseNeck) {
@@ -151,6 +157,119 @@ TEST_F(ParserTest, TrueFilteredFromBody) {
 TEST_F(ParserTest, NonCallableHeadRejected) {
   Result<ParsedProgram> P = parseProgram("42 :- g.", Syms, Arena);
   EXPECT_FALSE(P);
+}
+
+TEST_F(ParserTest, UnterminatedBlockCommentRejected) {
+  // The rest of the input must not be dropped silently.
+  Result<ParsedProgram> P = parseProgram("p. /* oops\nq. r.", Syms, Arena);
+  ASSERT_FALSE(P);
+  EXPECT_NE(P.diag().Message.find("unterminated block comment"),
+            std::string::npos)
+      << P.diag().str();
+}
+
+TEST_F(ParserTest, CharacterCodeAtEndOfInputRejected) {
+  // Not the integer 0.
+  Result<ParsedProgram> P = parseProgram("p(X) :- X = 0'", Syms, Arena);
+  ASSERT_FALSE(P);
+  EXPECT_NE(P.diag().Message.find("0'"), std::string::npos)
+      << P.diag().str();
+}
+
+// Stack safety: operator chains fold in a loop, so their length is not
+// bounded by the stack; nesting is bounded by kMaxTermNesting. All of
+// these run under the default stack.
+
+/// "Head :- g, g, ..., g." with \p N goals.
+std::string longConjunction(int N) {
+  std::string S = "p :- ";
+  for (int I = 0; I != N; ++I)
+    S += I ? ", g" : "g";
+  return S + ".";
+}
+
+TEST_F(ParserTest, LongConjunctionParses) {
+  constexpr int N = 200000;
+  Result<ParsedProgram> P = parseProgram(longConjunction(N), Syms, Arena);
+  ASSERT_TRUE(P) << P.diag().str();
+  ASSERT_EQ(P->Clauses.size(), 1u);
+  EXPECT_EQ(P->Clauses[0].Body.size(), static_cast<size_t>(N));
+}
+
+TEST_F(ParserTest, LongCaretChainParses) {
+  constexpr int N = 200000;
+  std::string S = "X = a";
+  for (int I = 1; I != N; ++I)
+    S += "^a";
+  Parser Reader(S, Syms, Arena);
+  Result<const Term *> T = Reader.readTerm();
+  ASSERT_TRUE(T) << T.diag().str();
+  // =(X, ^(a, ^(a, ...))): walk the right spine.
+  const Term *Cur = (*T)->arg(1);
+  int Length = 1;
+  Symbol Caret = Syms.intern("^");
+  while (Cur->isStruct() && Cur->functor() == Caret) {
+    EXPECT_TRUE(Cur->arg(0)->isAtom());
+    Cur = Cur->arg(1);
+    ++Length;
+  }
+  EXPECT_EQ(Length, N);
+}
+
+TEST_F(ParserTest, DeepNestingIsAnErrorNotACrash) {
+  constexpr int N = 100000;
+  std::string S;
+  for (int I = 0; I != N; ++I)
+    S += "f(";
+  S += "a";
+  S.append(N, ')');
+  Parser Reader(S, Syms, Arena);
+  Result<const Term *> T = Reader.readTerm();
+  ASSERT_FALSE(T);
+  EXPECT_NE(T.diag().Message.find("nesting exceeds"), std::string::npos)
+      << T.diag().str();
+  // The same holds for brackets, lists and prefix operators.
+  for (std::string_view Open : {"(", "[", "{", "\\+ ", "- "}) {
+    std::string Deep;
+    for (int I = 0; I != N; ++I)
+      Deep += Open;
+    Deep += "a";
+    Parser R(Deep, Syms, Arena);
+    Result<const Term *> D = R.readTerm();
+    ASSERT_FALSE(D) << Open;
+    EXPECT_NE(D.diag().Message.find("nesting exceeds"), std::string::npos)
+        << Open << ": " << D.diag().str();
+  }
+}
+
+TEST_F(ParserTest, NestingUpToTheLimitParses) {
+  // kMaxTermNesting counts the primaries on the reader's path, the
+  // innermost atom included. Every kind of nesting reaches the limit
+  // (the sanitizer CI job runs this under the default stack too).
+  struct Nesting {
+    std::string_view Open, Close;
+  };
+  for (Nesting N : {Nesting{"f(", ")"}, Nesting{"(", ")"},
+                    Nesting{"[", "]"}, Nesting{"{", "}"},
+                    Nesting{"\\+ ", ""}, Nesting{"[a|", "]"}}) {
+    auto nested = [&](int Levels) {
+      std::string S;
+      for (int I = 1; I != Levels; ++I)
+        S += N.Open;
+      S += "a";
+      for (int I = 1; I != Levels; ++I)
+        S += N.Close;
+      return S;
+    };
+    // The reader keeps a view of its source, so the text outlives it.
+    std::string Deepest = nested(kMaxTermNesting);
+    Parser AtLimit(Deepest, Syms, Arena);
+    Result<const Term *> T = AtLimit.readTerm();
+    EXPECT_TRUE(T) << N.Open << ": " << (T ? "" : T.diag().str());
+    std::string TooDeepText = nested(kMaxTermNesting + 1);
+    Parser TooDeep(TooDeepText, Syms, Arena);
+    EXPECT_FALSE(TooDeep.readTerm()) << N.Open;
+  }
 }
 
 // Round-trip: parse, pretty-print, re-parse, canonical forms must match.
