@@ -5,11 +5,10 @@
 //
 // The store's contract is that warmth is observationally free: every
 // query's report through a warm store is byte-identical to a fresh
-// scratch analyze() of that entry alone, at every thread count. The bench
-// verifies that before timing — entry spec plus every defined predicate
-// of every benchmark, sequentially and at 4 threads — and exits nonzero
-// on any divergence (the same property the CI batch gate checks via
-// examples/analyze_file's repeated --entry).
+// scratch analyze() of that entry alone. The bench verifies that before
+// timing — entry spec plus every defined predicate of every benchmark —
+// and exits nonzero on any divergence (the same property the CI batch
+// gate checks via examples/analyze_file's repeated --entry).
 //
 // The timed comparison is the store's headline number: ColdMs is a fresh
 // persistent session answering the benchmark's entry spec from nothing;
@@ -92,14 +91,12 @@ int main(int argc, char **argv) {
         Specs.push_back(std::move(S));
     Row.Specs = Specs.size();
 
-    // Identity gate first, sequentially and at 4 threads: every answer
-    // through the warm store must match a from-scratch session on that
-    // spec byte-for-byte.
+    // Identity gate first: every answer through the warm store must
+    // match a from-scratch session on that spec byte-for-byte.
     bool Diverged = false;
-    for (int Threads : {1, 4}) {
+    {
       AnalyzerOptions O;
       O.Persistent = true;
-      O.NumThreads = Threads;
 
       AnalysisSession Warm(*P.Compiled, O);
       for (const std::string &Spec : Specs) {
@@ -107,21 +104,18 @@ int main(int argc, char **argv) {
         AnalysisSession Scratch(*P.Compiled, O);
         Result<AnalysisResult> RS = Scratch.analyze(Spec);
         if (!RW || !RS) {
-          std::fprintf(stderr, "%s: analysis error on '%s' at %d threads: "
-                               "%s\n",
-                       Row.Name.c_str(), Spec.c_str(), Threads,
+          std::fprintf(stderr, "%s: analysis error on '%s': %s\n",
+                       Row.Name.c_str(), Spec.c_str(),
                        (RW ? RS : RW).diag().str().c_str());
           return 1;
         }
         if (formatAnalysis(*RW, *P.Syms) != formatAnalysis(*RS, *P.Syms)) {
-          std::fprintf(stderr,
-                       "%s: WARM DIVERGENCE vs scratch on '%s' at %d "
-                       "threads\n",
-                       Row.Name.c_str(), Spec.c_str(), Threads);
+          std::fprintf(stderr, "%s: WARM DIVERGENCE vs scratch on '%s'\n",
+                       Row.Name.c_str(), Spec.c_str());
           Diverged = true;
         }
       }
-      if (Threads == 1 && Warm.store()) {
+      if (Warm.store()) {
         const AnalysisStore::Stats &St = Warm.store()->stats();
         Row.Entries = Warm.store()->table().size();
         Row.ReplayActs = St.ReplayedActivations;

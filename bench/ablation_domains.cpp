@@ -9,10 +9,8 @@
 // Identity gates (the bench exits nonzero on any violation):
 //
 //  * the default domain selected by name is byte-identical — report and
-//    facts — to a session with default options, at every thread count
-//    (the domain interface costs the paper's analysis nothing);
-//  * every domain is byte-identical between 1 and 4 threads (the
-//    parallel determinism contract extends to new domains);
+//    facts — to a session with default options (the domain interface
+//    costs the paper's analysis nothing);
 //  * the det domain's pattern table equals the modes table (det only
 //    derives facts on top of the default fixpoint).
 //
@@ -90,27 +88,17 @@ int main(int argc, char **argv) {
 
     std::vector<std::string> Reports;
     for (const Domain *D : Domains) {
-      AnalyzerOptions O1, O4;
-      O1.DomainName = O4.DomainName = std::string(D->name());
-      O4.NumThreads = 4;
+      AnalyzerOptions O1;
+      O1.DomainName = std::string(D->name());
 
       AnalysisSession A1(*P.Compiled, O1);
       Result<AnalysisResult> R1 = A1.analyze(B.EntrySpec);
-      AnalysisSession A4(*P.Compiled, O4);
-      Result<AnalysisResult> R4 = A4.analyze(B.EntrySpec);
-      if (!R1 || !R4) {
+      if (!R1) {
         std::fprintf(stderr, "%s/%s: analysis error\n", Row.Name.c_str(),
                      std::string(D->name()).c_str());
         return 1;
       }
-      std::string Rep1 = reportOf(*R1, P);
-      if (Rep1 != reportOf(*R4, P)) {
-        std::fprintf(stderr,
-                     "%s/%s: THREAD DIVERGENCE between 1 and 4 threads\n",
-                     Row.Name.c_str(), std::string(D->name()).c_str());
-        ++Violations;
-      }
-      Reports.push_back(Rep1);
+      Reports.push_back(reportOf(*R1, P));
 
       DomainCell Cell;
       Cell.Entries = R1->Items.size();

@@ -8,8 +8,8 @@
 //
 // The incremental contract is that re-analysis is observationally free:
 // the report of reanalyze() is byte-identical to a scratch analyze() of
-// the edited program, sequentially and under the parallel driver. The
-// bench verifies that before timing and exits nonzero on any divergence
+// the edited program. The bench verifies that before timing and exits
+// nonzero on any divergence
 // — the same check the CI incremental gate performs via
 // examples/analyze_file --edit.
 //
@@ -84,13 +84,12 @@ int main(int argc, char **argv) {
     }
     CompiledProgram Edited = EditedR.take();
 
-    // Identity gate first, sequentially and at 4 threads: reanalyze on
-    // the edited program must match a scratch session byte-for-byte.
+    // Identity gate first: reanalyze on the edited program must match a
+    // scratch session byte-for-byte.
     bool Diverged = false;
-    for (int Threads : {1, 4}) {
+    {
       AnalyzerOptions O;
       O.Incremental = true;
-      O.NumThreads = Threads;
 
       AnalysisSession Inc(*P.Compiled, O);
       Result<AnalysisResult> R0 = Inc.analyze(B.EntrySpec);
@@ -99,19 +98,15 @@ int main(int argc, char **argv) {
       AnalysisSession Scratch(Edited, O);
       Result<AnalysisResult> RScr = Scratch.analyze(B.EntrySpec);
       if (!RInc || !RScr) {
-        std::fprintf(stderr, "%s: analysis error at %d threads: %s\n",
-                     Row.Name.c_str(), Threads,
+        std::fprintf(stderr, "%s: analysis error: %s\n", Row.Name.c_str(),
                      (RInc ? RScr : RInc).diag().str().c_str());
         return 1;
       }
       if (formatAnalysis(*RInc, *P.Syms) != formatAnalysis(*RScr, *P.Syms)) {
-        std::fprintf(stderr,
-                     "%s: REANALYZE DIVERGENCE vs scratch at %d threads\n",
-                     Row.Name.c_str(), Threads);
+        std::fprintf(stderr, "%s: REANALYZE DIVERGENCE vs scratch\n",
+                     Row.Name.c_str());
         Diverged = true;
-        continue;
-      }
-      if (Threads == 1) {
+      } else {
         Row.Entries = RScr->Items.size();
         Row.ScratchActs = RScr->Counters.ActivationRuns;
         const IncrementalScheduler::ReanalyzeStats &RS =

@@ -35,18 +35,6 @@
 //                  --entry (file specs run after the flag specs). All
 //                  specs are validated before any analysis runs.
 //   --depth K      term-depth restriction (default 4, K >= 1)
-//   --threads N    worklist driver threads (default 1, N >= 1; the table
-//                  is byte-identical for every N — the CI determinism
-//                  gate diffs this tool's output across thread counts)
-//   --spec-batch-min N / --spec-batch-max N
-//                  bounds of the parallel driver's adaptive speculation
-//                  batch (defaults 2 / 32, N >= 1, min <= max enforced
-//                  downstream by clamping; the result is identical for
-//                  any bounds — only speculation effectiveness varies)
-//   --warm-threads N
-//                  threads for warm drains (reanalyze / store warm
-//                  queries; default 0 = follow --threads, N >= 0;
-//                  byte-identical output at every value)
 //   --edit P/A     mark predicate P/A edited and re-analyze incrementally
 //                  after the initial run; repeatable (one chained
 //                  reanalyze per flag). The final report is byte-identical
@@ -102,11 +90,9 @@ int usage() {
       "usage: analyze_file (<file.pl> | bench:<name>) [--lib MOD.pl]... "
       "[--entry SPEC]...\n                    [--entries FILE] "
       "[--export-summaries FILE] [--import-summaries FILE]\n"
-      "                    [--depth K] [--threads N] "
-      "[--spec-batch-min N] [--spec-batch-max N]\n                    "
-      "[--warm-threads N] [--edit P/A]... [--domain NAME] [--wam] "
-      "[--modes]\n                    [--optimize] [--baseline] [--trace] "
-      "[--dead]\n");
+      "                    [--depth K] [--edit P/A]... [--domain NAME] "
+      "[--wam] [--modes]\n                    [--optimize] [--baseline] "
+      "[--trace] [--dead]\n");
   return 2;
 }
 
@@ -150,8 +136,6 @@ int main(int argc, char **argv) {
   std::vector<std::string> Entries;
   bool UsedEntriesFile = false;
   int Depth = kDefaultDepthLimit;
-  int Threads = 1;
-  int SpecBatchMin = 2, SpecBatchMax = 32, WarmThreads = 0;
   bool ShowWam = false, ShowModes = false, UseBaseline = false,
        Trace = false, ShowDead = false, Optimize = false;
   std::string DomainName = "modes";
@@ -187,33 +171,6 @@ int main(int argc, char **argv) {
     } else if (Arg == "--depth" && I + 1 < argc) {
       if (!parseIntArg(argv[++I], 1, Depth)) {
         std::fprintf(stderr, "bad --depth '%s': expected an integer >= 1\n",
-                     argv[I]);
-        return usage();
-      }
-    } else if (Arg == "--threads" && I + 1 < argc) {
-      if (!parseIntArg(argv[++I], 1, Threads)) {
-        std::fprintf(stderr, "bad --threads '%s': expected an integer >= 1\n",
-                     argv[I]);
-        return usage();
-      }
-    } else if (Arg == "--spec-batch-min" && I + 1 < argc) {
-      if (!parseIntArg(argv[++I], 1, SpecBatchMin)) {
-        std::fprintf(stderr,
-                     "bad --spec-batch-min '%s': expected an integer >= 1\n",
-                     argv[I]);
-        return usage();
-      }
-    } else if (Arg == "--spec-batch-max" && I + 1 < argc) {
-      if (!parseIntArg(argv[++I], 1, SpecBatchMax)) {
-        std::fprintf(stderr,
-                     "bad --spec-batch-max '%s': expected an integer >= 1\n",
-                     argv[I]);
-        return usage();
-      }
-    } else if (Arg == "--warm-threads" && I + 1 < argc) {
-      if (!parseIntArg(argv[++I], 0, WarmThreads)) {
-        std::fprintf(stderr,
-                     "bad --warm-threads '%s': expected an integer >= 0\n",
                      argv[I]);
         return usage();
       }
@@ -339,10 +296,6 @@ int main(int argc, char **argv) {
 
   AnalyzerOptions Options;
   Options.DepthLimit = Depth;
-  Options.NumThreads = Threads;
-  Options.SpecBatchMin = SpecBatchMin;
-  Options.SpecBatchMax = SpecBatchMax;
-  Options.WarmThreads = WarmThreads;
   Options.Incremental = !Edits.empty();
   Options.DomainName = DomainName;
 

@@ -19,15 +19,11 @@
 //    run of that client's script alone. Byte-identity of those slices at
 //    every worker count is the concurrency contract.
 //
-//   analyze_server [--threads N] [--spec-batch-min N] [--spec-batch-max N]
-//                  [--warm-threads N] [--workers N] [--max-store-bytes N]
-//                  [--clients N]
+//   analyze_server [--workers N] [--max-store-bytes N] [--clients N]
 //
-// --threads / --spec-batch-* / --warm-threads configure every store the
-// server creates (cold-drain parallelism, speculation batch bounds, warm
-// replay-validation threads). --workers sizes the request worker pool;
-// --max-store-bytes bounds total store memory by LRU eviction (0 =
-// unbounded). Results are byte-identical at every setting.
+// --workers sizes the request worker pool; --max-store-bytes bounds total
+// store memory by LRU eviction (0 = unbounded; any value up to 2^64 - 1).
+// Results are byte-identical at every setting.
 //
 // Loaded programs are keyed by CodeModule::fingerprint() *and* the active
 // abstract domain, shared across clients: two clients loading the same
@@ -40,6 +36,7 @@
 #include "analyzer/Server.h"
 #include "programs/Benchmarks.h"
 
+#include <cctype>
 #include <cerrno>
 #include <condition_variable>
 #include <cstdio>
@@ -66,6 +63,21 @@ bool parseIntArg(const char *Text, int Min, int &Out) {
       V > std::numeric_limits<int>::max())
     return false;
   Out = static_cast<int>(V);
+  return true;
+}
+
+/// Parses \p Text as an unsigned 64-bit integer. Only decimal digits are
+/// accepted, so a sign, trailing junk or a value past UINT64_MAX fails
+/// (std::strtoull alone would wrap "-1" to UINT64_MAX).
+bool parseU64Arg(const char *Text, uint64_t &Out) {
+  if (!std::isdigit(static_cast<unsigned char>(*Text)))
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  unsigned long long V = std::strtoull(Text, &End, 10);
+  if (*End != '\0' || errno == ERANGE)
+    return false;
+  Out = V;
   return true;
 }
 
@@ -174,39 +186,19 @@ int main(int argc, char **argv) {
   AnalysisServer::Config Cfg;
   Cfg.LoadSource = loadSource;
   int NumClients = 0;
-  int MaxStoreBytes = -1;
   for (int I = 1; I < argc; ++I) {
     std::string_view Arg = argv[I];
     bool Ok = false;
-    if (Arg == "--threads" && I + 1 < argc) {
-      if (!(Ok = parseIntArg(argv[++I], 1, Cfg.Options.NumThreads)))
-        std::fprintf(stderr, "bad --threads '%s': expected an integer >= 1\n",
-                     argv[I]);
-    } else if (Arg == "--spec-batch-min" && I + 1 < argc) {
-      if (!(Ok = parseIntArg(argv[++I], 1, Cfg.Options.SpecBatchMin)))
-        std::fprintf(stderr,
-                     "bad --spec-batch-min '%s': expected an integer >= 1\n",
-                     argv[I]);
-    } else if (Arg == "--spec-batch-max" && I + 1 < argc) {
-      if (!(Ok = parseIntArg(argv[++I], 1, Cfg.Options.SpecBatchMax)))
-        std::fprintf(stderr,
-                     "bad --spec-batch-max '%s': expected an integer >= 1\n",
-                     argv[I]);
-    } else if (Arg == "--warm-threads" && I + 1 < argc) {
-      if (!(Ok = parseIntArg(argv[++I], 0, Cfg.Options.WarmThreads)))
-        std::fprintf(stderr,
-                     "bad --warm-threads '%s': expected an integer >= 0\n",
-                     argv[I]);
-    } else if (Arg == "--workers" && I + 1 < argc) {
+    if (Arg == "--workers" && I + 1 < argc) {
       if (!(Ok = parseIntArg(argv[++I], 1, Cfg.Workers)))
         std::fprintf(stderr, "bad --workers '%s': expected an integer >= 1\n",
                      argv[I]);
     } else if (Arg == "--max-store-bytes" && I + 1 < argc) {
-      if (!(Ok = parseIntArg(argv[++I], 0, MaxStoreBytes)))
-        std::fprintf(
-            stderr,
-            "bad --max-store-bytes '%s': expected an integer >= 0\n",
-            argv[I]);
+      if (!(Ok = parseU64Arg(argv[++I], Cfg.MaxStoreBytes)))
+        std::fprintf(stderr,
+                     "bad --max-store-bytes '%s': expected an integer in "
+                     "[0, 2^64)\n",
+                     argv[I]);
     } else if (Arg == "--clients" && I + 1 < argc) {
       if (!(Ok = parseIntArg(argv[++I], 1, NumClients)))
         std::fprintf(stderr, "bad --clients '%s': expected an integer >= 1\n",
@@ -215,17 +207,11 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "unknown option '%s'\n", argv[I]);
     }
     if (!Ok) {
-      std::fprintf(
-          stderr,
-          "usage: analyze_server [--threads N] [--spec-batch-min N] "
-          "[--spec-batch-max N]\n                      [--warm-threads N] "
-          "[--workers N] [--max-store-bytes N]\n                      "
-          "[--clients N]\n");
+      std::fprintf(stderr, "usage: analyze_server [--workers N] "
+                           "[--max-store-bytes N] [--clients N]\n");
       return 2;
     }
   }
-  if (MaxStoreBytes >= 0)
-    Cfg.MaxStoreBytes = static_cast<uint64_t>(MaxStoreBytes);
 
   AnalysisServer Server(Cfg);
   return NumClients > 0 ? runFramed(Server, NumClients) : runPlain(Server);

@@ -372,21 +372,17 @@ void AbstractMachine::doCall(int32_t PredId, int32_t ContinueAt) {
     return;
   }
 
-  // Exploration mutates the entry (EverExplored now, Success as clauses
-  // succeed) and stores a pointer to it in the frame; on an overlay table
-  // that requires privatizing the entry first (a no-op elsewhere).
-  ETEntry &WEntry = Table.writable(Entry);
   if (Deps) {
     if (Journal)
-      Journal->enterCall(WEntry, Created);
-    Deps->beginActivation(WEntry);
-    WEntry.EverExplored = true;
+      Journal->enterCall(Entry, Created);
+    Deps->beginActivation(Entry);
+    Entry.EverExplored = true;
   } else {
-    WEntry.Explored = true;
+    Entry.Explored = true;
   }
   ++Activations;
   AnalysisFrame F;
-  F.Entry = &WEntry;
+  F.Entry = &Entry;
   F.PredId = PredId;
   F.CallerArgs = ArgsBuf;
   F.SavedCP = ContinueAt;
@@ -394,7 +390,7 @@ void AbstractMachine::doCall(int32_t PredId, int32_t ContinueAt) {
   // See runIteration: instantiate the calling pattern once, below the
   // marks, so every clause attempt reuses the restored cells.
   if (Interner)
-    instantiate(St, WEntry.Call, CellOfBuf, F.CalleeArgs);
+    instantiate(St, Entry.Call, CellOfBuf, F.CalleeArgs);
   F.TrailMark = St.trailMark();
   F.HeapMark = St.heapTop();
   F.EnvMark = Envs.size();

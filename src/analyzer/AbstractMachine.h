@@ -147,11 +147,9 @@ public:
   /// metric — the worklist scheduler exists to shrink this number.
   uint64_t activationsExplored() const { return Activations; }
 
-  /// Adds externally executed work to this machine's counters. The
-  /// parallel driver runs activations on worker machines and charges the
-  /// committed runs here, so counters reflect exactly the committed
-  /// schedule — identical to a sequential run — regardless of how much
-  /// speculative work was discarded.
+  /// Adds the recorded cost of a replayed activation run to this
+  /// machine's counters (the incremental driver's journal replay, see
+  /// analyzer/Incremental.h), so counters match an executed drain.
   void charge(uint64_t StepsRun, uint64_t ActivationsRun) {
     Steps += StepsRun;
     Activations += ActivationsRun;

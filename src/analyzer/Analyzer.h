@@ -58,24 +58,6 @@ struct AnalyzerOptions {
   /// sound partial table with Converged = false.
   int MaxIterations = 1000;
   uint64_t MaxSteps = 200'000'000;
-  /// Worklist driver only: total threads running activations (the calling
-  /// thread included). 1 = the sequential WorklistScheduler; > 1 = the
-  /// deterministic speculative ParallelScheduler, which computes the
-  /// byte-identical table (see analyzer/ParallelScheduler.h). Values < 1
-  /// behave like 1 (the pool clamps); the CLI rejects them up front.
-  int NumThreads = 1;
-  /// Parallel driver only: bounds of the adaptive speculation batch size.
-  /// The batch doubles after a full batch of clean commits and halves on
-  /// any discard, staying within [SpecBatchMin, SpecBatchMax]. The
-  /// computed result is identical for any bounds; only speculation
-  /// effectiveness (and hence wall-clock) varies.
-  int SpecBatchMin = 2;
-  int SpecBatchMax = 32;
-  /// Warm-drain threads for reanalyze() and the persistent store's warm
-  /// batch queries (parallel replay validation; see Incremental.h).
-  /// 0 = follow NumThreads; 1 = sequential warm drains. Byte-identical
-  /// output at every value.
-  int WarmThreads = 0;
   /// Record a replayable trace of every activation run (worklist driver
   /// only), enabling AnalysisSession::reanalyze() afterwards. Off by
   /// default: recording copies calling/success patterns per table event,
@@ -87,7 +69,7 @@ struct AnalyzerOptions {
   /// dependency graph, repeat queries are answered from the store's result
   /// cache, and new entries warm-start from the accumulated run journals —
   /// with each query's per-root projection byte-identical to a scratch
-  /// analyze() of that entry at every thread count. reanalyze() then
+  /// analyze() of that entry. reanalyze() then
   /// invalidates only the edit's reverse-dependency cone inside the store.
   /// Requires the worklist driver with interning on the compiled backend.
   bool Persistent = false;
@@ -128,16 +110,6 @@ struct PerfCounters {
   uint64_t ActivationRuns = 0;
   uint64_t SchedulerRuns = 0;     ///< activations launched from the queue
   uint64_t DepEdges = 0;          ///< dependency edges recorded
-  // Parallel driver only (zero otherwise). Unlike everything above, these
-  // depend on the thread count — they measure speculation effectiveness,
-  // not the (thread-count-invariant) committed schedule.
-  uint64_t SpecBatches = 0;   ///< speculation fan-outs
-  uint64_t SpecRuns = 0;      ///< activation runs executed speculatively
-  uint64_t SpecCommitted = 0; ///< speculations committed by replay
-  uint64_t SpecDiscarded = 0; ///< speculations invalidated or orphaned
-  uint64_t SpecBypassed = 0;  ///< pops that skipped speculation (batch of 1)
-  uint64_t SpecPagesCopied = 0; ///< overlay pages privatized (COW clones)
-  uint64_t SpecBaseTouches = 0; ///< base entries touched by speculations
 };
 
 /// Final analysis output: the extension table plus statistics.

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The abstract-domain interface: everything the engine (abstract machine,
-/// pattern interner, worklist / parallel / incremental schedulers, the
+/// pattern interner, naive / worklist / incremental drivers, the
 /// persistent store) needs from an analysis, factored behind one virtual
 /// class so new analyses reuse the whole driver stack.
 ///
@@ -26,8 +26,8 @@
 /// The default implementation (name "modes") is the paper's mode/type/
 /// aliasing domain: its hook bodies are exactly the code the engine ran
 /// before the interface existed, so analyses under the default domain are
-/// byte-identical to the pre-refactor analyzer at every thread count — the
-/// contract the CI determinism gates enforce.
+/// byte-identical to the pre-refactor analyzer — the contract the CI
+/// domain smoke enforces.
 ///
 /// Domains that need per-run bookkeeping beyond the machine's cell store
 /// (the Pos domain's groundness-dependency constraints) return a
@@ -35,8 +35,8 @@
 /// lockstep with its trail so domain state backtracks with the analysis.
 ///
 /// All Domain instances are stateless singletons (makeRunState carries the
-/// mutable part), so one `const Domain *` is shared freely across threads,
-/// sessions and stores.
+/// mutable part), so one `const Domain *` is shared freely across the
+/// server's worker threads, sessions and stores.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,73 +6,14 @@
 
 using namespace awam;
 
-// Index maps store table *positions*; position == ETEntry::Idx on ordinary
-// tables and overlays alike (overlay creations continue past the base
-// size). Overlay lookups probe the local indexes (created entries only)
-// and then the base's frozen indexes read-only, resolving every position
-// through the overlay's pages so privatized copies are seen transparently.
-
-ETEntry &ExtensionTable::appendEntry() {
-  ETEntry &E = Owned.emplace_back();
-  size_t Pos = Count++;
-  E.Idx = static_cast<int32_t>(Pos);
-  if (Base && Pos >= BaseSize) {
-    CreatedSlots.push_back(&E);
-    return E;
-  }
-  size_t Pg = Pos >> kPageShift;
-  if (Pg == Pages.size()) {
-    Pages.push_back(std::make_shared<Page>());
-    Pages.back()->Owner = this;
-  }
-  Pages[Pg]->Slots[Pos & kPageMask] = &E;
-  return E;
-}
-
-void ExtensionTable::recordTouch(size_t Pos) {
-  assert(Base && Pos < BaseSize);
-  if (TouchMark[Pos] == TouchGen)
-    return;
-  TouchMark[Pos] = TouchGen;
-  // Privatization always touches first, so the slot still shows the state
-  // the base held when this speculation first observed the entry.
-  const ETEntry &E = *slotAt(Pos);
-  TouchLog.push_back({E.Idx, E.SuccessVersion, E.EverExplored});
-}
-
-ETEntry &ExtensionTable::writableAt(size_t Pos) {
-  assert(Pos < Count);
-  if (!Base || Pos >= BaseSize)
-    return *slotAt(Pos);
-  recordTouch(Pos);
-  size_t Pg = Pos >> kPageShift;
-  size_t Off = Pos & kPageMask;
-  if (Pages[Pg]->Owner != this) {
-    // First write into a shared page: clone it (COW). The clone still
-    // points at base entries in its other slots — they privatize
-    // individually on their own first write.
-    auto Clone = std::make_shared<Page>(*Pages[Pg]);
-    Clone->Owner = this;
-    Pages[Pg] = std::move(Clone);
-    ++PagesCopiedCount;
-  }
-  if (PrivMark[Pos] != TouchGen) {
-    Owned.push_back(*Pages[Pg]->Slots[Off]);
-    Pages[Pg]->Slots[Off] = &Owned.back();
-    PrivMark[Pos] = TouchGen;
-  }
-  return *Pages[Pg]->Slots[Off];
-}
+// Index maps store table positions; position == ETEntry::Idx.
 
 ETEntry *ExtensionTable::find(int32_t PredId, const Pattern &Call) {
   if (WhichImpl == Impl::LinearList) {
-    // One scan over the overlay view: base positions first (in Idx order,
-    // like the base's own scan), then locally created entries.
-    for (size_t Pos = 0; Pos != Count; ++Pos) {
+    for (ETEntry &E : Owned) {
       ++Probes;
-      ETEntry &E = *slotAt(Pos);
       if (E.PredId == PredId && E.Call == Call)
-        return Base && Pos < BaseSize ? &resolveBaseHit(Pos) : &E;
+        return &E;
     }
     return nullptr;
   }
@@ -82,80 +23,55 @@ ETEntry *ExtensionTable::find(int32_t PredId, const Pattern &Call) {
     uint64_t K = structKey(PredId, Call.hash());
     ++Probes; // index consultation (counted on hits and misses alike)
     bool First = true;
-    auto Match = [&](uint32_t Pos) {
+    uint32_t V = StructIndex.findIf(K, [&](uint32_t Pos) {
       if (!First)
         ++Probes;
       First = false;
-      const ETEntry &E = *slotAt(Pos);
+      const ETEntry &E = Owned[Pos];
       return E.PredId == PredId && E.Call == Call;
-    };
-    uint32_t V = StructIndex.findIf(K, Match);
-    if (V != detail::FlatMap64::kEmpty)
-      return &*slotAt(V);
-    if (Base) {
-      uint32_t BV = Base->StructIndex.findIf(K, Match);
-      if (BV != detail::FlatMap64::kEmpty)
-        return &resolveBaseHit(BV);
-    }
-    return nullptr;
+    });
+    return V == detail::FlatMap64::kEmpty ? nullptr : &Owned[V];
   }
   uint64_t H = (static_cast<uint64_t>(PredId) << 32) ^ Call.hash();
   ++Probes; // index consultation (counted on hits and misses alike)
+  auto It = Index.find(H);
+  if (It == Index.end())
+    return nullptr;
   bool First = true;
-  auto Scan = [&](const std::vector<uint32_t> &Bucket) -> int64_t {
-    for (uint32_t Pos : Bucket) {
-      if (!First)
-        ++Probes;
-      First = false;
-      const ETEntry &E = *slotAt(Pos);
-      if (E.PredId == PredId && E.Call == Call)
-        return Pos;
-    }
-    return -1;
-  };
-  if (auto It = Index.find(H); It != Index.end())
-    if (int64_t Pos = Scan(It->second); Pos >= 0)
-      return &*slotAt(static_cast<size_t>(Pos));
-  if (Base)
-    if (auto It = Base->Index.find(H); It != Base->Index.end())
-      if (int64_t Pos = Scan(It->second); Pos >= 0)
-        return &resolveBaseHit(static_cast<size_t>(Pos));
+  for (uint32_t Pos : It->second) {
+    if (!First)
+      ++Probes;
+    First = false;
+    ETEntry &E = Owned[Pos];
+    if (E.PredId == PredId && E.Call == Call)
+      return &E;
+  }
   return nullptr;
 }
 
 const ETEntry *ExtensionTable::findExisting(int32_t PredId,
                                             const Pattern &Call) const {
   if (WhichImpl == Impl::LinearList) {
-    for (size_t Pos = 0; Pos != Count; ++Pos) {
-      const ETEntry &E = *slotAt(Pos);
+    for (const ETEntry &E : Owned)
       if (E.PredId == PredId && E.Call == Call)
         return &E;
-    }
     return nullptr;
   }
   if (Interner) {
-    uint64_t K = structKey(PredId, Call.hash());
-    auto Match = [&](uint32_t Pos) {
-      const ETEntry &E = *slotAt(Pos);
-      return E.PredId == PredId && E.Call == Call;
-    };
-    uint32_t V = StructIndex.findIf(K, Match);
-    if (V == detail::FlatMap64::kEmpty && Base)
-      V = Base->StructIndex.findIf(K, Match);
-    return V == detail::FlatMap64::kEmpty ? nullptr : slotAt(V);
+    uint32_t V = StructIndex.findIf(
+        structKey(PredId, Call.hash()), [&](uint32_t Pos) {
+          const ETEntry &E = Owned[Pos];
+          return E.PredId == PredId && E.Call == Call;
+        });
+    return V == detail::FlatMap64::kEmpty ? nullptr : &Owned[V];
   }
-  uint64_t H = (static_cast<uint64_t>(PredId) << 32) ^ Call.hash();
-  for (const ExtensionTable *T : {this, Base}) {
-    if (!T)
-      continue;
-    auto It = T->Index.find(H);
-    if (It == T->Index.end())
-      continue;
-    for (uint32_t Pos : It->second) {
-      const ETEntry &E = *slotAt(Pos);
-      if (E.PredId == PredId && E.Call == Call)
-        return &E;
-    }
+  auto It = Index.find((static_cast<uint64_t>(PredId) << 32) ^ Call.hash());
+  if (It == Index.end())
+    return nullptr;
+  for (uint32_t Pos : It->second) {
+    const ETEntry &E = Owned[Pos];
+    if (E.PredId == PredId && E.Call == Call)
+      return &E;
   }
   return nullptr;
 }
@@ -200,24 +116,16 @@ ETEntry &ExtensionTable::findOrCreateByPattern(int32_t PredId,
     uint64_t K = structKey(PredId, Call.hash());
     ++Probes; // index consultation (counted on hits and misses alike)
     bool First = true;
-    auto Match = [&](uint32_t Pos) {
+    uint32_t V = StructIndex.findIf(K, [&](uint32_t Pos) {
       if (!First)
         ++Probes;
       First = false;
-      const ETEntry &E = *slotAt(Pos);
+      const ETEntry &E = Owned[Pos];
       return E.PredId == PredId && E.Call == Call;
-    };
-    uint32_t V = StructIndex.findIf(K, Match);
+    });
     if (V != detail::FlatMap64::kEmpty) {
       Created = false;
-      return *slotAt(V);
-    }
-    if (Base) {
-      uint32_t BV = Base->StructIndex.findIf(K, Match);
-      if (BV != detail::FlatMap64::kEmpty) {
-        Created = false;
-        return resolveBaseHit(BV);
-      }
+      return Owned[V];
     }
   }
   Created = true;
@@ -235,7 +143,6 @@ ETEntry &ExtensionTable::findOrCreateByPattern(int32_t PredId,
 
 ETEntry *ExtensionTable::find(int32_t PredId, PatternId CallId) {
   assert(Interner && "id-keyed lookup requires an interner");
-  assert(!Base && "id-keyed lookup is not defined on overlays");
   if (WhichImpl == Impl::LinearList) {
     for (ETEntry &E : Owned) {
       ++Probes;
@@ -246,7 +153,7 @@ ETEntry *ExtensionTable::find(int32_t PredId, PatternId CallId) {
   }
   ++Probes;
   uint32_t V = IdIndex.lookup(idKey(PredId, CallId));
-  return V == detail::FlatMap64::kEmpty ? nullptr : slotAt(V);
+  return V == detail::FlatMap64::kEmpty ? nullptr : &Owned[V];
 }
 
 ETEntry &ExtensionTable::findOrCreate(int32_t PredId, PatternId CallId,
@@ -256,7 +163,7 @@ ETEntry &ExtensionTable::findOrCreate(int32_t PredId, PatternId CallId,
     return *E;
   }
   Created = true;
-  ETEntry &E = appendEntry(); // find() asserted !Base
+  ETEntry &E = appendEntry();
   E.PredId = PredId;
   E.CallId = CallId;
   E.Call = Interner->pattern(CallId);
@@ -266,35 +173,4 @@ ETEntry &ExtensionTable::findOrCreate(int32_t PredId, PatternId CallId,
     StructIndex.insert(structKey(PredId, E.Call.hash()), Pos);
   }
   return E;
-}
-
-void ExtensionTable::attachBase(const ExtensionTable &B) {
-  assert(Owned.empty() && Count == 0 && "attachBase requires an empty overlay");
-  assert(B.WhichImpl == WhichImpl && "overlay must mirror the base impl");
-  assert(!B.Base && "bases do not stack");
-  assert(&B != this);
-  Base = &B;
-  resetOverlay();
-}
-
-void ExtensionTable::resetOverlay() {
-  assert(Base && "resetOverlay is an overlay operation");
-  // Re-share the base's pages wholesale: any page this overlay privatized
-  // last round is dropped here (its shared_ptr replaced by the base's),
-  // and entries the base appended since last round come into view. This is
-  // the O(pages) snapshot the speculation loop pays per run.
-  Pages.assign(Base->Pages.begin(), Base->Pages.end());
-  CreatedSlots.clear();
-  Owned.clear();
-  Index.clear();
-  IdIndex.clear();
-  StructIndex.clear();
-  TouchLog.clear();
-  BaseSize = Base->Count;
-  Count = BaseSize;
-  ++TouchGen;
-  if (TouchMark.size() < BaseSize) {
-    TouchMark.resize(BaseSize, 0);
-    PrivMark.resize(BaseSize, 0);
-  }
 }

@@ -17,13 +17,8 @@
 /// O(1) map lookup — the default fast path of the analyzer. The
 /// structural (pattern-compared) API remains as the ablation baseline.
 ///
-/// Entry storage is paged: positions map to entries through a vector of
-/// shared, fixed-size pages of entry pointers, while the entries
-/// themselves live in a stable-address deque. On an ordinary table the
-/// pages are an implementation detail (position == ETEntry::Idx, exactly
-/// as before); they exist so overlays can snapshot a table by copying the
-/// page-pointer vector — O(entries / kPageSize) — instead of touching any
-/// entry, and privatize individual pages copy-on-write.
+/// Entries live in a stable-address deque in creation order, so an
+/// entry's position in it is its ETEntry::Idx.
 ///
 /// The table itself is a passive memo. Scheduling state lives elsewhere:
 /// the naive driver uses the per-iteration Explored flags (reset by
@@ -45,10 +40,8 @@
 
 #include "analyzer/PatternInterner.h"
 
-#include <array>
 #include <cassert>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -68,9 +61,7 @@ struct ETEntry {
   /// Creation position: a dense key for per-entry side tables (the
   /// worklist scheduler's dependency graph) and the creation order (which
   /// for the naive driver is the DFS first-call order). Equal to the
-  /// entry's table position on ordinary tables *and* overlays (an overlay
-  /// creation continues past the base size, i.e. gets exactly the index
-  /// the live table would assign if the speculation committed first).
+  /// entry's table position.
   int32_t Idx = -1;
   /// Naive driver: set while / after the entry was explored in the current
   /// iteration (reset by beginIteration).
@@ -91,21 +82,6 @@ struct ETEntry {
 };
 
 /// The memo table.
-///
-/// Overlay mode (the parallel driver's snapshot-read discipline): a table
-/// may be attached to a frozen base table with attachBase. resetOverlay
-/// re-snapshots the base by copying its page-pointer vector; lookups
-/// resolve base positions through the shared pages *read-only* and record
-/// every first touch (Idx, SuccessVersion, EverExplored as observed) so a
-/// speculative run can later be validated against the live table. Writes
-/// go through writableAt/writable, which clones the containing page
-/// (copy-on-write, counted in pagesCopied) and privatizes the one entry —
-/// sibling overlays and the base never observe the mutation. Entries
-/// created by the overlay live past the base size in a separate slot
-/// vector (never forcing a page clone), at exactly the indices the live
-/// table would assign if the speculation committed first. The base table
-/// is never written through — concurrent overlay readers over one frozen
-/// base are safe by construction.
 class ExtensionTable {
 public:
   /// Lookup structure used to find entries.
@@ -122,53 +98,8 @@ public:
   /// baseline path).
   PatternInterner *interner() const { return Interner; }
 
-  /// The lookup structure this table was built with.
-  Impl impl() const { return WhichImpl; }
-
-  /// A base-entry access recorded by an overlay (see class comment): the
-  /// summary state the speculation observed when it first touched Idx.
-  struct BaseTouch {
-    int32_t Idx;
-    uint32_t SuccessVersion;
-    bool EverExplored;
-  };
-
-  /// Turns this (empty) table into an overlay of \p B. The base must use
-  /// the same Impl. The base must not be mutated while the overlay reads
-  /// it (the parallel driver guarantees this temporally: overlays run only
-  /// between master mutations).
-  void attachBase(const ExtensionTable &B);
-
-  /// Re-snapshots the base: re-shares its pages (dropping any privatized
-  /// copies), drops locally created entries and the touch log. O(base
-  /// pages + local entries dropped), not O(base entries). Called between
-  /// speculations; the attached base and interner are kept.
-  void resetOverlay();
-
-  const ExtensionTable *base() const { return Base; }
-  size_t baseSize() const { return BaseSize; }
-  const std::vector<BaseTouch> &touchLog() const { return TouchLog; }
-
-  /// Pages privatized by copy-on-write since construction (overlay
-  /// effectiveness metric; never exceeds the number of entries touched).
-  uint64_t pagesCopied() const { return PagesCopiedCount; }
-
-  /// A mutable reference to the entry at \p Pos. On an ordinary table this
-  /// is entryAt. On an overlay, a base-owned entry is privatized first:
-  /// the containing page is cloned if still shared, the entry copied into
-  /// local storage, and the touch recorded — callers must privatize before
-  /// storing a mutable entry pointer (AnalysisFrame::Entry) or writing any
-  /// field. Overlay-created entries are returned as-is.
-  ETEntry &writableAt(size_t Pos);
-  ETEntry &writable(ETEntry &E) {
-    assert(E.Idx >= 0);
-    return writableAt(static_cast<size_t>(E.Idx));
-  }
-
-  /// Structural lookup that neither creates, privatizes, records touches,
-  /// nor counts probes. On overlays it resolves through the overlay's
-  /// pages (seeing privatized copies); on ordinary tables it is the plain
-  /// read-only lookup the incremental driver's simulation uses.
+  /// Structural lookup that neither creates nor counts probes: the
+  /// read-only lookup the incremental driver's replay simulation uses.
   const ETEntry *findExisting(int32_t PredId, const Pattern &Call) const;
 
   /// Returns the entry for (\p PredId, \p Call), creating it if missing;
@@ -196,7 +127,6 @@ public:
 
   /// Clears the per-iteration Explored flags (naive driver only).
   void beginIteration() {
-    assert(!Base && "the naive driver never runs on an overlay");
     for (ETEntry &E : Owned)
       E.Explored = false;
   }
@@ -204,95 +134,45 @@ public:
   /// Records that \p E's success pattern changed.
   void noteSuccessChanged(ETEntry &E) { ++E.SuccessVersion; }
 
-  /// The entries of an ordinary table in creation (== Idx) order.
-  /// Overlays expose entries through entryAt instead (their privatized
-  /// copies and created entries interleave in the deque).
-  const std::deque<ETEntry> &entries() const {
-    assert(!Base && "overlay entries are position-keyed; use entryAt");
-    return Owned;
-  }
-  size_t size() const { return Count; }
+  /// The entries in creation (== Idx) order.
+  const std::deque<ETEntry> &entries() const { return Owned; }
+  size_t size() const { return Owned.size(); }
 
-  /// The entry at position \p Pos (== ETEntry::Idx). On overlays this
-  /// resolves through the shared pages: a privatized copy where one
-  /// exists, the base's entry otherwise (read-only use only — mutation
-  /// goes through writableAt).
+  /// The entry at position \p Pos (== ETEntry::Idx).
   ETEntry &entryAt(size_t Pos) {
-    assert(Pos < Count);
-    return *slotAt(Pos);
+    assert(Pos < Owned.size());
+    return Owned[Pos];
   }
   const ETEntry &entryAt(size_t Pos) const {
-    assert(Pos < Count);
-    return *slotAt(Pos);
+    assert(Pos < Owned.size());
+    return Owned[Pos];
   }
 
-  /// Approximate heap bytes this table holds: owned entries (including
-  /// their pattern payloads and root tags), the page spine, and the lookup
-  /// indexes. The table term of the store eviction accounting
-  /// (analyzer/Server.h); shared base pages of an overlay are the base's
-  /// to count.
+  /// Approximate heap bytes this table holds: the entries (including
+  /// their pattern payloads and root tags) and the lookup indexes. The
+  /// table term of the store eviction accounting (analyzer/Server.h).
   size_t bytesUsed() const {
-    size_t B = Pages.capacity() * sizeof(std::shared_ptr<Page>) +
-               CreatedSlots.capacity() * sizeof(ETEntry *) +
-               IdIndex.bytesUsed() + StructIndex.bytesUsed();
-    for (const ETEntry &E : Owned) {
+    size_t B = IdIndex.bytesUsed() + StructIndex.bytesUsed();
+    for (const ETEntry &E : Owned)
       B += sizeof(ETEntry) + patternHeapBytes(E.Call) +
            (E.Success ? patternHeapBytes(*E.Success) : 0) +
            E.Roots.capacity() * sizeof(int32_t);
-      // One page exists per kPageSize owned entries (plus clones, already
-      // rare); charge it amortized per entry.
-      B += sizeof(Page) / kPageSize;
-    }
     for (const auto &[H, Cands] : Index)
       B += sizeof(H) + Cands.capacity() * sizeof(uint32_t);
     return B;
   }
 
   /// Number of lookup probes performed (ablation metric; see file comment
-  /// for the per-variant definition). Under the parallel driver the count
-  /// is approximate: committed speculations charge their overlay probes
-  /// here, whose bucket layout need not match the live table's.
+  /// for the per-variant definition).
   uint64_t probeCount() const { return Probes; }
 
-  /// Adds externally performed probes (overlay commit accounting).
-  void chargeProbes(uint64_t N) { Probes += N; }
-
 private:
-  /// Entries-per-page; positions split into (page, offset) by shift/mask.
-  static constexpr size_t kPageShift = 6;
-  static constexpr size_t kPageSize = size_t(1) << kPageShift;
-  static constexpr size_t kPageMask = kPageSize - 1;
-
-  /// One page of entry-pointer slots. Owner tags which table last wrote
-  /// the page: an overlay writes only pages it owns (cloning shared ones
-  /// first), so sibling overlays and the base never see its mutations.
-  struct Page {
-    const ExtensionTable *Owner = nullptr;
-    std::array<ETEntry *, kPageSize> Slots{};
-  };
-
-  ETEntry *slotAt(size_t Pos) const {
-    if (Base && Pos >= BaseSize)
-      return CreatedSlots[Pos - BaseSize];
-    return Pages[Pos >> kPageShift]->Slots[Pos & kPageMask];
-  }
-
-  /// Appends a fresh entry at position size(), growing the page spine (or,
-  /// on overlays, the created-slot vector — creations never clone a base
-  /// page). Returns it with Idx/position assigned; the caller fills the
-  /// key fields and indexes it.
-  ETEntry &appendEntry();
-
-  /// Records the first touch of base position \p Pos this speculation
-  /// (subsequent touches are deduplicated by generation mark). Must run
-  /// before any mutation — the log captures the state the run observed.
-  void recordTouch(size_t Pos);
-
-  /// Resolution of a lookup that hit base position \p Pos: records the
-  /// touch and returns the overlay view (privatized copy if one exists).
-  ETEntry &resolveBaseHit(size_t Pos) {
-    recordTouch(Pos);
-    return *slotAt(Pos);
+  /// Appends a fresh entry at position size() and returns it with Idx
+  /// assigned; the caller fills the key fields and indexes it.
+  ETEntry &appendEntry() {
+    ETEntry &E = Owned.emplace_back();
+    E.Idx = static_cast<int32_t>(Owned.size() - 1);
+    return E;
   }
 
   static uint64_t idKey(int32_t PredId, PatternId CallId) {
@@ -307,38 +187,16 @@ private:
 
   Impl WhichImpl;
   PatternInterner *Interner;
-  /// Entry storage (stable addresses): an ordinary table's entries in
-  /// creation order; an overlay's privatized copies and created entries
-  /// in touch/creation order.
+  /// Entry storage (stable addresses) in creation order.
   std::deque<ETEntry> Owned;
-  /// Position spine: page P covers positions [P << kPageShift, ...). An
-  /// overlay starts each speculation sharing the base's pages and clones
-  /// on first write (see writableAt).
-  std::vector<std::shared_ptr<Page>> Pages;
-  /// Overlay mode: slots of locally created entries, position BaseSize+I.
-  std::vector<ETEntry *> CreatedSlots;
-  size_t Count = 0; ///< total positions (base snapshot + created)
   /// HashMap impl, structural path: pattern hash -> candidate positions.
   std::unordered_map<uint64_t, std::vector<uint32_t>> Index;
   /// HashMap impl, interned path: exact (PredId, PatternId) -> position.
   detail::FlatMap64 IdIndex;
   /// HashMap impl, interned path: (PredId, structural hash) -> position
-  /// for the fused one-probe call lookup. On overlays the local index
-  /// covers created entries only; base positions resolve through the
-  /// base's own (frozen) index.
+  /// for the fused one-probe call lookup.
   detail::FlatMap64 StructIndex;
   uint64_t Probes = 0;
-
-  // Overlay state (see class comment); null/empty on ordinary tables.
-  const ExtensionTable *Base = nullptr;
-  size_t BaseSize = 0;             ///< base size at the last resetOverlay
-  std::vector<BaseTouch> TouchLog; ///< base entries touched, in touch order
-  /// Generation marks per base position, reset in O(1) by bumping TouchGen
-  /// (a mark is live iff it equals the current generation).
-  std::vector<uint64_t> TouchMark; ///< touch recorded this speculation
-  std::vector<uint64_t> PrivMark;  ///< privatized this speculation
-  uint64_t TouchGen = 1;
-  uint64_t PagesCopiedCount = 0;
 };
 
 } // namespace awam

@@ -6,13 +6,10 @@
 
 #include "analyzer/Incremental.h"
 
-#include "analyzer/ParallelScheduler.h"
 #include "compiler/ProgramCompiler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <unordered_set>
 
 using namespace awam;
 
@@ -123,9 +120,9 @@ int32_t resolveSig(const CodeModule &M, const PredSig &Sig) {
 IncrementalScheduler::IncrementalScheduler(
     ExtensionTable &Table, AbstractMachine &Machine, const CodeModule &Module,
     const RunJournal &Prev, const std::vector<PredSig> &Edited,
-    RunJournal *Out, uint64_t MaxSteps, SpecPool *Pool)
+    RunJournal *Out, uint64_t MaxSteps)
     : Table(Table), Machine(Machine), Module(Module), Prev(Prev),
-      OutJournal(Out), MaxSteps(MaxSteps), Pool(Pool) {
+      OutJournal(Out), MaxSteps(MaxSteps) {
   // Resolve every recorded predicate id against the (possibly recompiled)
   // module by name/arity. Ids that no longer resolve stay -1: their traces
   // can never replay, and roots keyed on them can never be popped either.
@@ -206,64 +203,29 @@ const RunTrace *IncrementalScheduler::takeTrace(const ETEntry &Root,
   return nullptr;
 }
 
-const RunTrace *IncrementalScheduler::peekTrace(const ETEntry &Root,
-                                                size_t &TraceIdxOut,
-                                                size_t &CursorAtOut,
-                                                RootGroup *&GroupOut) {
-  auto It = Groups.find(groupKey(Root.PredId, Root.Call));
-  if (It == Groups.end())
-    return nullptr;
-  for (RootGroup &G : It->second) {
-    if (G.Pid != Root.PredId || !(*G.Call == Root.Call))
-      continue;
-    if (G.Cursor >= G.TraceIdx.size())
-      return nullptr;
-    CursorAtOut = G.Cursor;
-    TraceIdxOut = G.TraceIdx[G.Cursor];
-    GroupOut = &G;
-    return Prev.runs()[TraceIdxOut].get();
-  }
-  return nullptr;
-}
-
-/// One validated transition: both a schedule event (replayed against a
-/// live-core clone to re-check query answers at the pop) and an apply-plan
-/// op. Pattern pointers point into the owning trace, which the journal
-/// keeps alive past the scheduler.
+/// One validated transition of an apply plan. Pattern pointers point into
+/// the owning trace, which the journal keeps alive past the scheduler.
 struct IncrementalScheduler::ReplayOp {
   enum Kind : uint8_t {
     Begin,  ///< A = entry idx: beginActivation + EverExplored
     Create, ///< A = pid, B = expected idx, Pat = calling pattern
-    Read,   ///< A = reader, B = dep, Ver = version seen (apply reads live)
-    Grow,   ///< A = entry idx, Ver = new version, Pat = new summary
-    Query,  ///< A = entry idx, Answer = shouldReexplore result observed
+    Read,   ///< A = reader, B = dep (apply reads the live version)
+    Grow,   ///< A = entry idx, Pat = new summary
   } K;
   int32_t A = -1;
   int32_t B = -1;
-  uint32_t Ver = 0;
-  bool Answer = false;
   const Pattern *Pat = nullptr;
 };
 
-/// A simulated replay: everything needed to decide, at the root's pop,
-/// whether a from-scratch validation would succeed with this very plan.
-struct IncrementalScheduler::ReplaySpec {
-  int32_t RootIdx = -1;
-  size_t TraceIdx = 0;    ///< into Prev.runs()
-  size_t CursorAt = 0;    ///< group cursor the simulation assumed
-  RootGroup *Group = nullptr;
-  size_t BaseSize = 0;    ///< live table size at the freeze
-  bool Valid = false;     ///< the simulation itself succeeded
-  bool HasCreate = false; ///< the plan creates entries (size-sensitive)
+/// A validated replay: the trace it came from and the transitions that
+/// applying it performs, with every index resolved.
+struct IncrementalScheduler::ReplayPlan {
+  size_t TraceIdx = 0; ///< into Prev.runs()
   std::vector<ReplayOp> Ops;
-  /// Live entries whose summary state the simulation consumed, with the
-  /// (version, explored) observed — all must be unchanged at the pop.
-  std::vector<ExtensionTable::BaseTouch> Touched;
 };
 
 bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
-                                    uint64_t TargetSweep,
-                                    ReplaySpec &Out) const {
+                                    ReplayPlan &Out) const {
   if (!(Root.Success == T.PreSuccess))
     return false;
 
@@ -273,9 +235,7 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
   // decisions are answered exactly as the machine's shouldReexplore query
   // would be — at cost proportional to the trace, not the core.
   const size_t LiveSize = Table.size();
-  Out.BaseSize = LiveSize;
   SchedulerCore::Overlay Clone(Core);
-  Clone.setCurrentSweep(TargetSweep);
 
   struct SimNew {
     int32_t Pid;
@@ -287,36 +247,9 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
   std::unordered_map<int32_t, uint32_t> VerOverride;
   std::unordered_map<int32_t, char> ExplOverride;
 
-  // Record the (version, explored) state of every live entry consulted;
-  // speculative revalidation checks these against the live table at the
-  // pop. A whole-program driver's trace touches thousands of entries, so
-  // dedup through a set rather than a scan of the touch list.
-  std::unordered_set<int32_t> TouchedSet;
-  auto Touch = [&](int32_t Idx) {
-    if (static_cast<size_t>(Idx) >= LiveSize)
-      return;
-    if (!TouchedSet.insert(Idx).second)
-      return;
-    const ETEntry &E = Table.entryAt(static_cast<size_t>(Idx));
-    Out.Touched.push_back({Idx, E.SuccessVersion, E.EverExplored});
-  };
-  // Record each schedule-query answer; revalidation replays the op
-  // sequence against a clone of the live core and requires equal answers.
-  auto Query = [&](int32_t Idx) {
-    bool Answer = Clone.shouldReexplore(Idx);
-    ReplayOp Op;
-    Op.K = ReplayOp::Query;
-    Op.A = Idx;
-    Op.Answer = Answer;
-    Out.Ops.push_back(Op);
-    return Answer;
-  };
-
   auto FindSim = [&](int32_t Pid, const Pattern &Call) -> int32_t {
-    if (const ETEntry *E = Table.findExisting(Pid, Call)) {
-      Touch(E->Idx);
+    if (const ETEntry *E = Table.findExisting(Pid, Call))
       return E->Idx;
-    }
     auto It = SimByPid.find(Pid);
     if (It != SimByPid.end())
       for (size_t I : It->second)
@@ -329,7 +262,6 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
     if (It != SuccOverride.end())
       return It->second;
     if (static_cast<size_t>(Idx) < LiveSize) {
-      Touch(Idx);
       const std::optional<Pattern> &S = Table.entryAt(Idx).Success;
       return S ? &*S : nullptr;
     }
@@ -339,10 +271,8 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
     auto It = VerOverride.find(Idx);
     if (It != VerOverride.end())
       return It->second;
-    if (static_cast<size_t>(Idx) < LiveSize) {
-      Touch(Idx);
+    if (static_cast<size_t>(Idx) < LiveSize)
       return Table.entryAt(Idx).SuccessVersion;
-    }
     return 0;
   };
   auto SimExplored = [&](int32_t Idx) -> bool {
@@ -351,7 +281,6 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
       return It->second != 0;
     if (static_cast<size_t>(Idx) >= LiveSize)
       return false;
-    Touch(Idx);
     return Table.entryAt(Idx).EverExplored;
   };
   auto SummaryMatches = [&](int32_t Idx, const std::optional<Pattern> &Want) {
@@ -364,10 +293,9 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
   std::vector<int32_t> Stack;
 
   // runActivation's preamble: the root activation begins.
-  Touch(Root.Idx);
   Clone.beginActivation(Root.Idx);
   ExplOverride[Root.Idx] = 1;
-  Out.Ops.push_back({ReplayOp::Begin, Root.Idx, -1, 0, false, nullptr});
+  Out.Ops.push_back({ReplayOp::Begin, Root.Idx, -1, nullptr});
   Stack.push_back(Root.Idx);
 
   for (const TraceOp &Op : T.Ops) {
@@ -376,14 +304,12 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
       int32_t Idx = FindSim(resolvePid(Op.Pred), Op.Call);
       if (Idx < 0)
         return false; // execution would create-and-explore, not memo
-      if (!SimExplored(Idx) || Query(Idx))
+      if (!SimExplored(Idx) || Clone.shouldReexplore(Idx))
         return false; // execution would explore inline here
       if (!SummaryMatches(Idx, Op.Summary))
         return false; // the summary the run consumed has changed
-      uint32_t Ver = SimVer(Idx);
-      Clone.noteRead(Stack.back(), Idx, Ver);
-      Out.Ops.push_back({ReplayOp::Read, Stack.back(), Idx, Ver, false,
-                         nullptr});
+      Clone.noteRead(Stack.back(), Idx, SimVer(Idx));
+      Out.Ops.push_back({ReplayOp::Read, Stack.back(), Idx, nullptr});
       break;
     }
     case TraceOp::Enter: {
@@ -395,19 +321,18 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
         Idx = static_cast<int32_t>(LiveSize + SimCreated.size());
         SimByPid[Pid].push_back(SimCreated.size());
         SimCreated.push_back({Pid, &Op.Call});
-        Out.Ops.push_back({ReplayOp::Create, Pid, Idx, 0, false, &Op.Call});
-        Out.HasCreate = true;
+        Out.Ops.push_back({ReplayOp::Create, Pid, Idx, &Op.Call});
       } else {
         if (Idx < 0)
           return false; // execution would create it (Created mismatch)
-        if (SimExplored(Idx) && !Query(Idx))
+        if (SimExplored(Idx) && !Clone.shouldReexplore(Idx))
           return false; // execution would answer from the memo here
       }
       if (!SummaryMatches(Idx, Op.Summary))
         return false; // pre-exploration memo differs: clause runs diverge
       Clone.beginActivation(Idx);
       ExplOverride[Idx] = 1;
-      Out.Ops.push_back({ReplayOp::Begin, Idx, -1, 0, false, nullptr});
+      Out.Ops.push_back({ReplayOp::Begin, Idx, -1, nullptr});
       Stack.push_back(Idx);
       break;
     }
@@ -418,10 +343,8 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
       // returnFromFrame: the parent's continuation reads the child's final
       // summary. The root's own exit has no parent and records no read.
       if (!Stack.empty()) {
-        uint32_t Ver = SimVer(Child);
-        Clone.noteRead(Stack.back(), Child, Ver);
-        Out.Ops.push_back({ReplayOp::Read, Stack.back(), Child, Ver, false,
-                           nullptr});
+        Clone.noteRead(Stack.back(), Child, SimVer(Child));
+        Out.Ops.push_back({ReplayOp::Read, Stack.back(), Child, nullptr});
       }
       break;
     }
@@ -432,8 +355,7 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
       SuccOverride[Idx] = &*Op.Summary;
       VerOverride[Idx] = NewVer;
       Clone.noteChanged(Idx, NewVer);
-      Out.Ops.push_back({ReplayOp::Grow, Idx, -1, NewVer, false,
-                         &*Op.Summary});
+      Out.Ops.push_back({ReplayOp::Grow, Idx, -1, &*Op.Summary});
       break;
     }
     }
@@ -441,63 +363,8 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
   return Stack.empty();
 }
 
-bool IncrementalScheduler::revalidate(const ReplaySpec &S) const {
-  // The next trace for this root must still be the one simulated (the
-  // Nth pop consumes the Nth trace; anything else broke FIFO pairing).
-  if (!S.Group || S.Group->Cursor != S.CursorAt)
-    return false;
-  const RunTrace &T = *Prev.runs()[S.TraceIdx];
-  // Budget, against the machine's *live* charged total.
-  if (Machine.stepsExecuted() + T.Steps > MaxSteps)
-    return false;
-  // Creations claim positions [BaseSize, ...); a grown table took them.
-  if (S.HasCreate && Table.size() != S.BaseSize)
-    return false;
-  // Every live entry the simulation consulted must be unchanged — this
-  // covers the root's PreSuccess check and every summary-value and
-  // explored-flag comparison the simulation made.
-  for (const ExtensionTable::BaseTouch &B : S.Touched) {
-    const ETEntry &E = Table.entryAt(static_cast<size_t>(B.Idx));
-    if (E.SuccessVersion != B.SuccessVersion ||
-        E.EverExplored != B.EverExplored)
-      return false;
-  }
-  // Replay the schedule interactions against a clone of the live core:
-  // every query answer must be the answer a from-scratch simulation at
-  // this pop would observe (queue state can drift with no version change).
-  bool AnyQuery = false;
-  for (const ReplayOp &Op : S.Ops)
-    if (Op.K == ReplayOp::Query) {
-      AnyQuery = true;
-      break;
-    }
-  if (!AnyQuery)
-    return true;
-  SchedulerCore::Overlay Clone(Core); // scratch replay; base never written
-  for (const ReplayOp &Op : S.Ops) {
-    switch (Op.K) {
-    case ReplayOp::Begin:
-      Clone.beginActivation(Op.A);
-      break;
-    case ReplayOp::Create:
-      break; // position bookkeeping only; Begin follows
-    case ReplayOp::Read:
-      Clone.noteRead(Op.A, Op.B, Op.Ver);
-      break;
-    case ReplayOp::Grow:
-      Clone.noteChanged(Op.A, Op.Ver);
-      break;
-    case ReplayOp::Query:
-      if (Clone.shouldReexplore(Op.A) != Op.Answer)
-        return false;
-      break;
-    }
-  }
-  return true;
-}
-
-void IncrementalScheduler::applySpec(const ReplaySpec &S) {
-  for (const ReplayOp &Op : S.Ops) {
+void IncrementalScheduler::applyPlan(const ReplayPlan &Plan) {
+  for (const ReplayOp &Op : Plan.Ops) {
     switch (Op.K) {
     case ReplayOp::Begin: {
       ETEntry &E = Table.entryAt(static_cast<size_t>(Op.A));
@@ -529,124 +396,17 @@ void IncrementalScheduler::applySpec(const ReplaySpec &S) {
       Core.noteChanged(E.Idx, E.SuccessVersion);
       break;
     }
-    case ReplayOp::Query:
-      break;
     }
   }
-  const RunTrace &T = *Prev.runs()[S.TraceIdx];
+  const RunTrace &T = *Prev.runs()[Plan.TraceIdx];
   Machine.charge(T.Steps, T.Activations);
   if (OutJournal)
-    OutJournal->appendRemapped(Prev.runs()[S.TraceIdx], PidMap);
+    OutJournal->appendRemapped(Prev.runs()[Plan.TraceIdx], PidMap);
   ++RStats.ReplayedRuns;
   RStats.ReplayedActivations += T.Activations;
 }
 
-void IncrementalScheduler::speculateReady(int32_t PoppedIdx) {
-  // Candidate roots: the popped entry plus the rest of the sequential
-  // drain's prefix, extended into the next sweep when the current ready
-  // set is narrow. Only roots with a usable next trace are simulated —
-  // the others take the sequential path at their pop regardless.
-  struct Job {
-    int32_t Idx;
-    uint64_t Sweep;
-    size_t TI;
-    size_t CursorAt;
-    RootGroup *Group;
-    const RunTrace *T;
-  };
-  constexpr size_t kWarmBatch = 32;
-  std::vector<Job> Jobs;
-  auto Consider = [&](int32_t Idx, uint64_t Sweep) {
-    Job J{Idx, Sweep, 0, 0, nullptr, nullptr};
-    const ETEntry &Root = Table.entryAt(static_cast<size_t>(Idx));
-    J.T = peekTrace(Root, J.TI, J.CursorAt, J.Group);
-    if (J.T && Usable[J.TI])
-      Jobs.push_back(J);
-  };
-  Consider(PoppedIdx, Core.currentSweep());
-  for (int32_t R : Core.collectReady(Core.currentSweep(), kWarmBatch))
-    if (R != PoppedIdx && Jobs.size() < kWarmBatch)
-      Consider(R, Core.currentSweep());
-  if (Jobs.size() < kWarmBatch)
-    for (int32_t R : Core.collectReady(Core.currentSweep() + 1,
-                                       kWarmBatch - Jobs.size()))
-      Consider(R, Core.currentSweep() + 1);
-  // A batch of one would simulate at the pop it serves — that is just the
-  // sequential path with extra bookkeeping; skip the fan-out.
-  if (Jobs.size() < 2)
-    return;
-
-  ++RStats.ReplayBatches;
-  RStats.SpecReplays += Jobs.size();
-  size_t Threads = static_cast<size_t>(Pool->threads());
-  RStats.CriticalUnits += (Jobs.size() + Threads - 1) / Threads;
-
-  SpecCache.clear();
-  SpecCache.resize(Jobs.size());
-  std::atomic<size_t> Next{0};
-  Pool->runBatch([&](int) {
-    for (size_t I = Next.fetch_add(1); I < Jobs.size();
-         I = Next.fetch_add(1)) {
-      ReplaySpec &S = SpecCache[I];
-      const Job &J = Jobs[I];
-      S.RootIdx = J.Idx;
-      S.TraceIdx = J.TI;
-      S.CursorAt = J.CursorAt;
-      S.Group = J.Group;
-      S.Valid = simulate(Table.entryAt(static_cast<size_t>(J.Idx)), *J.T,
-                         J.Sweep, S);
-    }
-  });
-  // Simulations that failed outright can never commit; drop them now so
-  // the cache only holds plans awaiting their pop.
-  for (size_t I = 0; I != SpecCache.size();) {
-    if (!SpecCache[I].Valid) {
-      SpecCache.erase(SpecCache.begin() + static_cast<long>(I));
-      ++RStats.SpecDiscarded;
-      continue;
-    }
-    ++I;
-  }
-}
-
-bool IncrementalScheduler::takeCachedSpec(int32_t RootIdx, ReplaySpec &Out) {
-  for (size_t I = 0; I != SpecCache.size(); ++I)
-    if (SpecCache[I].RootIdx == RootIdx) {
-      Out = std::move(SpecCache[I]);
-      SpecCache.erase(SpecCache.begin() + static_cast<long>(I));
-      return true;
-    }
-  return false;
-}
-
-void IncrementalScheduler::purgeDeadSpecs() {
-  // A spec whose root's pending run was consumed inline by an executed
-  // run will never be popped; drop it so a stale cache cannot block
-  // further fan-outs.
-  for (size_t I = 0; I != SpecCache.size();) {
-    if (!Core.isQueued(SpecCache[I].RootIdx)) {
-      SpecCache.erase(SpecCache.begin() + static_cast<long>(I));
-      ++RStats.SpecDiscarded;
-      continue;
-    }
-    ++I;
-  }
-}
-
 bool IncrementalScheduler::tryReplay(ETEntry &Root) {
-  // Speculative path: a pool-simulated plan for this root commits if it
-  // still describes exactly what a from-scratch validation would do.
-  ReplaySpec Spec;
-  if (takeCachedSpec(Root.Idx, Spec)) {
-    if (revalidate(Spec)) {
-      ++Spec.Group->Cursor; // consume the trace, exactly as takeTrace would
-      applySpec(Spec);
-      ++RStats.SpecCommitted;
-      return true;
-    }
-    ++RStats.SpecDiscarded; // fall through to the sequential path
-  }
-
   size_t TI = 0;
   const RunTrace *T = takeTrace(Root, TI);
   if (!T || !Usable[TI])
@@ -656,12 +416,11 @@ bool IncrementalScheduler::tryReplay(ETEntry &Root) {
   if (Machine.stepsExecuted() + T->Steps > MaxSteps)
     return false;
 
-  ReplaySpec Fresh;
-  Fresh.RootIdx = Root.Idx;
-  Fresh.TraceIdx = TI;
-  if (!simulate(Root, *T, Core.currentSweep(), Fresh))
+  ReplayPlan Plan;
+  Plan.TraceIdx = TI;
+  if (!simulate(Root, *T, Plan))
     return false;
-  applySpec(Fresh);
+  applyPlan(Plan);
   return true;
 }
 
@@ -690,14 +449,8 @@ IncrementalScheduler::Status IncrementalScheduler::run(ETEntry &Root,
       }
       ++Core.statsMut().Runs;
       ETEntry &E = Table.entryAt(static_cast<size_t>(Idx));
-      // Parallel warm drain: with no simulation in flight, freeze here
-      // and fan the ready set's replay validation out to the pool.
-      if (Pool && Pool->threads() > 1 && SpecCache.empty())
-        speculateReady(Idx);
-      if (tryReplay(E)) {
-        purgeDeadSpecs();
+      if (tryReplay(E))
         continue;
-      }
       uint64_t Acts0 = Machine.activationsExplored();
       if (Machine.runActivation(E) == AbsRunStatus::Error) {
         Out = Status::Error;
@@ -705,12 +458,9 @@ IncrementalScheduler::Status IncrementalScheduler::run(ETEntry &Root,
       }
       ++RStats.ExecutedRuns;
       RStats.ExecutedActivations += Machine.activationsExplored() - Acts0;
-      purgeDeadSpecs();
     }
   }
   Core.statsMut().Sweeps = MaxSweeps < 1 ? 0 : Core.currentSweep();
-  RStats.SpecDiscarded += SpecCache.size(); // orphaned in-flight simulations
-  SpecCache.clear();
   Machine.setDependencySink(nullptr);
   return Out;
 }

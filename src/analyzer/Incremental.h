@@ -39,24 +39,6 @@
 ///     machine, which also records a fresh trace for the next reanalyze in
 ///     the chain.
 ///
-/// Parallel warm drains: validation (step 2) is a pure read of the live
-/// table and core, so with a SpecPool attached the driver fans it out
-/// speculatively — on a pop with no cached simulation it collects the
-/// ready set, peeks each root's next recorded trace, and simulates them
-/// all concurrently against the frozen live state. Each simulation
-/// records, besides its apply plan, the (version, explored) state of
-/// every live entry it consulted and every schedule-query answer it
-/// observed. At the root's actual pop the master *revalidates* cheaply —
-/// cursor position, step budget, table size (when the trace creates
-/// entries), touched versions, and the query answers against a clone of
-/// the now-live core — and applies the plan on success. Every check a
-/// passing revalidation makes is implied by what a from-scratch
-/// validation at that pop would establish, so a committed speculative
-/// replay is indistinguishable from a sequential one; a failing
-/// revalidation falls back to the sequential path verbatim. Replay /
-/// execute decisions — and hence every reported statistic — are
-/// therefore thread-count invariant, like the parallel analysis driver.
-///
 /// Byte-identity with a from-scratch analyze() of the edited program
 /// follows by induction over the drain: with equal core and table states
 /// both drains pop the same activation; an executed run behaves
@@ -89,7 +71,6 @@
 namespace awam {
 
 struct CompiledProgram;
-class SpecPool;
 
 /// The predicates whose *clause code* differs between \p Old and \p New,
 /// by name/arity: changed bodies, changed clause counts, additions, and
@@ -118,16 +99,6 @@ public:
     uint64_t ReplayedRuns = 0;  ///< queue pops satisfied by trace replay
     uint64_t ExecutedActivations = 0; ///< clause-list explorations executed
     uint64_t ReplayedActivations = 0; ///< clause-list explorations replayed
-    // Parallel warm-drain effectiveness (thread-count dependent; the
-    // replay/execute split above is not). CriticalUnits counts the
-    // validation work units on the fan-out critical path — one unit per
-    // ceil(batch size / threads) — the machine-independent denominator of
-    // the warm-drain parallel-efficiency metric.
-    uint64_t ReplayBatches = 0;  ///< speculative validation fan-outs
-    uint64_t SpecReplays = 0;    ///< trace simulations run on the pool
-    uint64_t SpecCommitted = 0;  ///< simulations committed at their pop
-    uint64_t SpecDiscarded = 0;  ///< simulations invalidated or orphaned
-    uint64_t CriticalUnits = 0;  ///< sum of per-batch critical-path units
   };
 
   /// \p Edited names the predicates whose clause code changed between
@@ -136,14 +107,10 @@ public:
   /// new run's traces: replays carry their trace over (remapped to
   /// \p Module's ids), executed runs record fresh ones via the machine's
   /// attached journal.
-  /// \p Pool, when non-null with more than one thread, enables parallel
-  /// warm drains (see file comment): replay validation is fanned out
-  /// speculatively and revalidated at each pop. Output is byte-identical
-  /// at every thread count; only the Spec* statistics vary.
   IncrementalScheduler(ExtensionTable &Table, AbstractMachine &Machine,
                        const CodeModule &Module, const RunJournal &Prev,
                        const std::vector<PredSig> &Edited, RunJournal *Out,
-                       uint64_t MaxSteps, SpecPool *Pool = nullptr);
+                       uint64_t MaxSteps);
   ~IncrementalScheduler() override;
 
   /// Drains the worklist from \p Root exactly like WorklistScheduler::run.
@@ -187,40 +154,19 @@ private:
   /// Consumes the next recorded trace for \p Root's key, if any.
   const RunTrace *takeTrace(const ETEntry &Root, size_t &TraceIdxOut);
 
-  /// Reads the next recorded trace for \p Root's key without consuming it
-  /// (the speculative fan-out peeks; only a pop advances the cursor).
-  const RunTrace *peekTrace(const ETEntry &Root, size_t &TraceIdxOut,
-                            size_t &CursorAtOut, RootGroup *&GroupOut);
-
   struct ReplayOp;   ///< one validated transition of an apply plan
-  struct ReplaySpec; ///< a simulated replay awaiting its pop
+  struct ReplayPlan; ///< a validated replay, ready to apply
 
-  /// Pass 1 of a replay: simulates \p T against the live table and a clone
-  /// of the live core (set to \p TargetSweep), writing the apply plan,
-  /// touched-entry versions and query answers into \p Out. Pure read of
-  /// shared state — safe to run concurrently on the pool while the master
-  /// is quiescent. Returns false when execution would diverge from the
-  /// trace (the spec is then unusable).
-  bool simulate(const ETEntry &Root, const RunTrace &T, uint64_t TargetSweep,
-                ReplaySpec &Out) const;
+  /// Pass 1 of a replay: simulates \p T against the live table and a
+  /// copy-on-write overlay of the live core, writing the apply plan into
+  /// \p Out. Writes no shared state. Returns false when execution would
+  /// diverge from the trace (the plan is then unusable).
+  bool simulate(const ETEntry &Root, const RunTrace &T,
+                ReplayPlan &Out) const;
 
-  /// Re-checks a frozen-state simulation against the live state at its
-  /// pop: cursor position, step budget, table size (creations), touched
-  /// versions, and query answers against a live-core clone. A pass implies
-  /// a from-scratch simulation at this pop would succeed identically.
-  bool revalidate(const ReplaySpec &S) const;
-
-  /// Pass 2: applies \p S's validated plan to the live table and core and
-  /// charges the recorded cost (shared by sequential and speculative
-  /// replays; the caller has already consumed the trace cursor).
-  void applySpec(const ReplaySpec &S);
-
-  /// Fans replay simulation of the ready set (headed by \p PoppedIdx) out
-  /// to the pool, filling SpecCache.
-  void speculateReady(int32_t PoppedIdx);
-
-  bool takeCachedSpec(int32_t RootIdx, ReplaySpec &Out);
-  void purgeDeadSpecs();
+  /// Pass 2: applies \p Plan to the live table and core and charges the
+  /// recorded cost (the caller has already consumed the trace cursor).
+  void applyPlan(const ReplayPlan &Plan);
 
   /// Validates the next trace for \p Root and applies it; false means the
   /// caller must execute the activation on the machine.
@@ -232,14 +178,12 @@ private:
   const RunJournal &Prev;
   RunJournal *OutJournal;
   uint64_t MaxSteps;
-  SpecPool *Pool; ///< warm-drain fan-out threads (nullptr = sequential)
   SchedulerCore Core;
   ReanalyzeStats RStats;
   std::vector<int32_t> PidMap; ///< prev-module pid -> new pid (-1 = gone)
   std::vector<char> EditedNew; ///< new pid -> clause code changed?
   std::vector<char> Usable;    ///< per trace: structurally replayable
   std::unordered_map<uint64_t, std::vector<RootGroup>> Groups;
-  std::vector<ReplaySpec> SpecCache; ///< simulations awaiting their pop
 };
 
 } // namespace awam

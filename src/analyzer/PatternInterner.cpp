@@ -5,45 +5,10 @@
 #include "absdom/AbsOps.h"
 #include "analyzer/Domain.h"
 
-#include <cassert>
-
 using namespace awam;
-
-void PatternInterner::attachBase(const PatternInterner &B) {
-  assert(Recs.empty() && "attachBase requires an empty overlay");
-  assert(B.DepthLimit == DepthLimit && "lub results depend on the depth");
-  assert(B.Dom == Dom && "lub results depend on the domain");
-  assert(!B.Base && "bases do not stack");
-  assert(&B != this);
-  Base = &B;
-  resetOverlay();
-}
-
-void PatternInterner::resetOverlay() {
-  assert(Base && "resetOverlay is an overlay operation");
-  Recs.clear();
-  ArenaNodes.clear();
-  ArenaChildren.clear();
-  ArenaRoots.clear();
-  Buckets.clear();
-  LubMemo.clear();
-  LeqMemo.clear();
-  BaseCount = static_cast<PatternId>(Base->size());
-}
 
 PatternId PatternInterner::intern(const PatternRef &P) {
   uint64_t H = P.hash();
-  if (Base) {
-    // Shared id space first: a hit is an id the master thread can use
-    // directly when this speculation commits. The base's buckets hold
-    // only ids below the frozen BaseCount snapshot.
-    PatternId BaseHit = Base->Buckets.findIf(
-        H, [&](PatternId Id) { return Id < BaseCount && pattern(Id) == P; });
-    if (BaseHit != detail::FlatMap64::kEmpty) {
-      ++Stats.InternHits;
-      return BaseHit;
-    }
-  }
   PatternId Hit =
       Buckets.findIf(H, [&](PatternId Id) { return pattern(Id) == P; });
   if (Hit != detail::FlatMap64::kEmpty) {
@@ -51,7 +16,7 @@ PatternId PatternInterner::intern(const PatternRef &P) {
     return Hit;
   }
   ++Stats.InternMisses;
-  PatternId Id = static_cast<PatternId>(BaseCount + Recs.size());
+  PatternId Id = static_cast<PatternId>(Recs.size());
   Rec R;
   R.NodeB = static_cast<uint32_t>(ArenaNodes.size());
   R.NodeN = static_cast<uint32_t>(P.NumNodes);
@@ -91,16 +56,6 @@ PatternId PatternInterner::lub(PatternId A, PatternId B) {
   // lub is commutative: normalize the key to the unordered pair.
   uint64_t Key = A < B ? (static_cast<uint64_t>(A) << 32) | B
                        : (static_cast<uint64_t>(B) << 32) | A;
-  if (Base && A < BaseCount && B < BaseCount) {
-    // The base's memo outlives local resets: every pair the master
-    // already computed stays a hit in every speculation round. Base memo
-    // values are base ids (the base only ever interned below BaseCount).
-    PatternId BaseMemo = Base->LubMemo.lookup(Key);
-    if (BaseMemo != detail::FlatMap64::kEmpty) {
-      ++Stats.LubCacheHits;
-      return BaseMemo;
-    }
-  }
   PatternId Memo = LubMemo.lookup(Key);
   if (Memo != detail::FlatMap64::kEmpty) {
     ++Stats.LubCacheHits;
@@ -136,13 +91,6 @@ bool PatternInterner::leq(PatternId A, PatternId B) {
     return true;
   }
   uint64_t Key = (static_cast<uint64_t>(A) << 32) | B;
-  if (Base && A < BaseCount && B < BaseCount) {
-    uint32_t BaseMemo = Base->LeqMemo.lookup(Key);
-    if (BaseMemo != detail::FlatMap64::kEmpty) {
-      ++Stats.LeqCacheHits;
-      return BaseMemo != 0;
-    }
-  }
   uint32_t Memo = LeqMemo.lookup(Key);
   if (Memo != detail::FlatMap64::kEmpty) {
     ++Stats.LeqCacheHits;

@@ -90,14 +90,6 @@ public:
            Vals.capacity() * sizeof(uint32_t);
   }
 
-  /// Drops every entry, releasing the storage (overlay tables rebuild
-  /// their indexes from scratch each speculation).
-  void clear() {
-    Keys.clear();
-    Vals.clear();
-    Count = 0;
-  }
-
 private:
   static size_t mix(uint64_t K) {
     // splitmix64 finalizer.
@@ -147,17 +139,6 @@ struct InternerStats {
 /// serves one analysis run (ids are only meaningful relative to their
 /// interner); the depth limit is fixed at construction because lub results
 /// depend on it.
-///
-/// Overlay mode (the parallel driver's workers): an interner attached to a
-/// frozen base interner shares the base's id space read-only — ids below
-/// baseCount() resolve through the base's arenas and memo caches — and
-/// appends only locally new patterns past it. A base id is therefore
-/// directly meaningful to the base's owner (the master thread), so
-/// speculative summary growth whose result id is below baseCount() commits
-/// without rematerializing or re-interning the pattern. resetOverlay drops
-/// the local extension and re-snapshots baseCount; the base must not be
-/// mutated while the overlay reads it (guaranteed temporally by the
-/// speculation protocol, like the table overlay).
 class PatternInterner {
 public:
   /// \p Dom routes the lattice operations (lub misses, entry
@@ -171,19 +152,6 @@ public:
   /// The domain this interner's lattice operations run under (null =
   /// default inline path).
   const Domain *domain() const { return Dom; }
-
-  /// Turns this (empty) interner into an overlay of \p B (same depth
-  /// limit required — lub results depend on it).
-  void attachBase(const PatternInterner &B);
-
-  /// Drops every locally interned pattern and memo entry and re-snapshots
-  /// the base id space (which may have grown while the overlay was
-  /// dormant). Local ids from before the reset are invalidated.
-  void resetOverlay();
-
-  /// First id past the shared base id space (0 on ordinary interners):
-  /// ids below are the base's and valid across the overlay boundary.
-  PatternId baseCount() const { return BaseCount; }
 
   /// Interns \p P (which must already be in canonical first-visit-order
   /// form, as produced by canonicalize). A miss appends the pattern to the
@@ -201,22 +169,18 @@ public:
   /// subsequent interning (including lub misses) can reallocate the
   /// arenas, so materialize with Pattern(ref) before holding on to one.
   PatternRef pattern(PatternId Id) const {
-    if (Base && Id < BaseCount)
-      return Base->pattern(Id);
-    const Rec &R = Recs[Id - BaseCount];
+    const Rec &R = Recs[Id];
     return PatternRef(ArenaNodes.data() + R.NodeB, R.NodeN,
                       ArenaChildren.data() + R.ChildB,
                       ArenaRoots.data() + R.RootB, R.RootN);
   }
 
-  /// Number of distinct patterns interned so far (shared base ids
-  /// included on overlays).
-  size_t size() const { return BaseCount + Recs.size(); }
+  /// Number of distinct patterns interned so far.
+  size_t size() const { return Recs.size(); }
 
   /// Approximate heap bytes this interner holds: the three pattern arenas,
-  /// the record table, and the hash/memo maps. Shared base storage is the
-  /// base's to count, not the overlay's. This is the interner term of the
-  /// store eviction accounting (analyzer/Server.h).
+  /// the record table, and the hash/memo maps. This is the interner term
+  /// of the store eviction accounting (analyzer/Server.h).
   size_t bytesUsed() const {
     return Recs.capacity() * sizeof(Rec) +
            ArenaNodes.capacity() * sizeof(PatNode) +
@@ -246,11 +210,6 @@ private:
   int DepthLimit;
   /// Lattice-operation provider; null = the default domain's inline code.
   const Domain *Dom = nullptr;
-  /// Overlay mode (see class comment): the shared read-only base and the
-  /// size of its id space at the last resetOverlay. Local Recs hold ids
-  /// BaseCount, BaseCount+1, ...
-  const PatternInterner *Base = nullptr;
-  PatternId BaseCount = 0;
   /// Arena-backed pattern storage: all interned patterns' nodes, child
   /// slices and roots live in three shared vectors, so a miss appends
   /// (amortized no allocation) instead of copying three vectors per

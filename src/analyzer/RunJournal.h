@@ -168,8 +168,8 @@ public:
   // --- replay-side API ---------------------------------------------------
 
   /// Appends \p T, whose predicate ids are already this journal's module
-  /// ids (e.g. a trace recorded by a parallel worker over the same
-  /// module), registering their sigs.
+  /// ids (e.g. a trace banked by another query over the same module),
+  /// registering their sigs.
   void append(std::shared_ptr<const RunTrace> T) {
     rememberSig(T->Pred);
     for (const TraceOp &Op : T->Ops)
@@ -203,16 +203,6 @@ public:
       if (Op.Pred >= 0)
         Op.Pred = MapOf(Op.Pred);
     append(std::move(Copy));
-  }
-
-  /// Removes and returns the most recently recorded trace (the parallel
-  /// driver harvests each worker run this way), or nullptr if none.
-  std::shared_ptr<const RunTrace> takeLast() {
-    if (Runs.empty())
-      return nullptr;
-    std::shared_ptr<const RunTrace> T = std::move(Runs.back());
-    Runs.pop_back();
-    return T;
   }
 
   const std::vector<std::shared_ptr<const RunTrace>> &runs() const {

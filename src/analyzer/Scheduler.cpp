@@ -3,7 +3,6 @@
 #include "analyzer/Scheduler.h"
 
 #include <cassert>
-#include <functional>
 
 using namespace awam;
 
@@ -24,15 +23,13 @@ void SchedulerCore::enqueue(int32_t Idx, uint64_t Sweep) {
   InQueue[Idx] = 1;
   QueuedSweep[Idx] = Sweep;
   ++S.Enqueues;
-  Heap.emplace_back(Sweep, Idx);
-  std::push_heap(Heap.begin(), Heap.end(), std::greater<>());
+  Heap.emplace(Sweep, Idx);
 }
 
 std::optional<SchedulerCore::QNode> SchedulerCore::popLive() {
   while (!Heap.empty()) {
-    QNode N = Heap.front();
-    std::pop_heap(Heap.begin(), Heap.end(), std::greater<>());
-    Heap.pop_back();
+    QNode N = Heap.top();
+    Heap.pop();
     if (InQueue[N.second] && QueuedSweep[N.second] == N.first)
       return N;
     // else: consumed inline or re-queued; lazy deletion
@@ -116,34 +113,12 @@ SchedulerCore::reverseClosure(const std::vector<int32_t> &Seeds) const {
   return Mark;
 }
 
-bool SchedulerCore::hasReaderEdge(int32_t Dep, int32_t Reader) const {
-  if (static_cast<size_t>(Dep) >= Readers.size())
-    return false;
-  for (const Edge &Ed : Readers[Dep])
-    if (Ed.Reader == Reader)
-      return true;
-  return false;
-}
-
 std::vector<std::pair<int32_t, int32_t>> SchedulerCore::edgePairs() const {
   std::vector<std::pair<int32_t, int32_t>> Out;
   for (size_t Dep = 0; Dep != Readers.size(); ++Dep)
     for (const Edge &Ed : Readers[Dep])
       Out.emplace_back(static_cast<int32_t>(Dep), Ed.Reader);
   return Out;
-}
-
-std::vector<int32_t> SchedulerCore::collectReady(uint64_t Sweep,
-                                                 size_t Max) const {
-  std::vector<int32_t> Ready;
-  for (const QNode &N : Heap)
-    if (N.first == Sweep && InQueue[N.second] && QueuedSweep[N.second] == Sweep)
-      Ready.push_back(N.second);
-  std::sort(Ready.begin(), Ready.end());
-  Ready.erase(std::unique(Ready.begin(), Ready.end()), Ready.end());
-  if (Ready.size() > Max)
-    Ready.resize(Max);
-  return Ready;
 }
 
 SchedulerCore::Overlay::EntryState &SchedulerCore::Overlay::touch(int32_t Idx) {

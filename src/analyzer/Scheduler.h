@@ -48,13 +48,12 @@
 ///  * an entry is enqueued for at most one sweep at a time (the earliest).
 ///
 /// The queue/edge state machine lives in SchedulerCore, a plain value
-/// type keyed on ETEntry::Idx. WorklistScheduler drives one core
-/// sequentially; the parallel driver (analyzer/ParallelScheduler.h)
-/// clones cores so speculative activation runs can emulate — and later
-/// validate against — the exact transitions the sequential drain would
-/// perform. Every behavioural decision (inline re-exploration, dirty
-/// targeting, edge retirement) is a core method, so both drivers share
-/// one definition of the schedule.
+/// type keyed on ETEntry::Idx. WorklistScheduler drives one core; the
+/// incremental driver (analyzer/Incremental.h) drives another and
+/// validates each journal replay against a copy-on-write Overlay of it.
+/// Every behavioural decision (inline re-exploration, dirty targeting,
+/// edge retirement) is a core method, so every drain shares one
+/// definition of the schedule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,9 +62,10 @@
 
 #include "analyzer/AbstractMachine.h"
 
-#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <queue>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -74,8 +74,6 @@ namespace awam {
 
 /// The worklist state machine: per-entry scheduling state, the reverse
 /// dependency edges, and the ready heap, with one method per transition.
-/// Copyable by design — a copy is an independent simulation of the same
-/// schedule, which is what speculative execution validates against.
 class SchedulerCore {
 public:
   struct Stats {
@@ -111,11 +109,6 @@ public:
            QueuedSweep[Idx] <= CurSweep;
   }
 
-  /// True while entry \p Idx has a pending queued run (for any sweep).
-  bool isQueued(int32_t Idx) const {
-    return static_cast<size_t>(Idx) < InQueue.size() && InQueue[Idx];
-  }
-
   /// Entry \p Idx's clauses are about to be (re)explored: consumes any
   /// pending queued run and supersedes the previous run's recorded reads.
   void beginActivation(int32_t Idx);
@@ -137,25 +130,11 @@ public:
   /// the entries whose recorded inputs could reach an edited predicate.
   std::vector<char> reverseClosure(const std::vector<int32_t> &Seeds) const;
 
-  /// True if entry \p Reader has a recorded read of \p Dep's summary
-  /// (edges of superseded runs included — a reader re-reads everything
-  /// when it next runs, so an old edge still predicts the next one). The
-  /// parallel driver uses this to keep doomed speculations out of a
-  /// batch: when an earlier batch member's commit grows \p Dep, a
-  /// speculation of one of its readers cannot validate.
-  bool hasReaderEdge(int32_t Dep, int32_t Reader) const;
-
   /// All recorded reader edges, as (Dep, Reader) pairs in no particular
   /// order. Superseded runs' edges are included, matching reverseClosure's
   /// conservative semantics — this is what the persistent AnalysisStore
   /// merges into its long-lived dependency graph after each query drain.
   std::vector<std::pair<int32_t, int32_t>> edgePairs() const;
-
-  /// Collects the live ready set of \p Sweep in ascending Idx order —
-  /// the prefix of the drain order the sequential driver would execute
-  /// next, which is exactly what the parallel driver speculates on.
-  /// Duplicate heap nodes are deduplicated; at most \p Max are returned.
-  std::vector<int32_t> collectReady(uint64_t Sweep, size_t Max) const;
 
   uint64_t currentSweep() const { return CurSweep; }
   void setCurrentSweep(uint64_t S) { CurSweep = S; }
@@ -178,10 +157,8 @@ private:
   std::vector<char> InQueue;
   std::vector<uint64_t> LastRunSweep;     ///< sweep of the last run (0 = never)
 
-  /// Min-heap on (sweep, Idx) with lazy deletion, kept as a raw vector
-  /// (std::push_heap/pop_heap with std::greater) so collectReady can scan
-  /// the pending nodes without draining them.
-  std::vector<QNode> Heap;
+  /// Min-heap on (sweep, Idx) with lazy deletion.
+  std::priority_queue<QNode, std::vector<QNode>, std::greater<>> Heap;
 
   uint64_t CurSweep = 1;
   Stats S;
@@ -199,7 +176,7 @@ public:
   /// (re-processing one only re-issues an enqueue that keep-earliest
   /// already absorbs), duplicate-edge collapse may differ (multiplicity
   /// never changes an answer), there is no heap (simulations never pop),
-  /// and stats are not kept (both cloning call sites discarded them).
+  /// and stats are not kept (a simulation has no use for them).
   /// shouldReexplore — the only output a simulation reads — matches a
   /// true copy exactly.
   class Overlay {

@@ -863,8 +863,6 @@ void AnalysisServer::doStats(ClientState &CS, Response &R) {
       "queries: %llu (cache hits %llu, cold %llu, warm %llu)\n"
       "runs: %llu replayed, %llu executed; activations: %llu "
       "replayed, %llu executed\n"
-      "warm drains: %llu batches, %llu spec replays (%llu "
-      "committed, %llu discarded), %llu critical units\n"
       "store: %llu roots, %llu entries (%llu new, %llu shared)\n"
       "reanalyses: %llu (roots invalidated %llu, entries "
       "invalidated %llu, last cone %llu)\n"
@@ -874,11 +872,6 @@ void AnalysisServer::doStats(ClientState &CS, Response &R) {
       (unsigned long long)SS.ReplayedRuns, (unsigned long long)SS.ExecutedRuns,
       (unsigned long long)SS.ReplayedActivations,
       (unsigned long long)SS.ExecutedActivations,
-      (unsigned long long)SS.WarmReplayBatches,
-      (unsigned long long)SS.WarmSpecReplays,
-      (unsigned long long)SS.WarmSpecCommitted,
-      (unsigned long long)SS.WarmSpecDiscarded,
-      (unsigned long long)SS.WarmCriticalUnits,
       (unsigned long long)St->numRoots(), (unsigned long long)St->table().size(),
       (unsigned long long)SS.NewEntries, (unsigned long long)SS.SharedEntries,
       (unsigned long long)SS.Reanalyses, (unsigned long long)SS.InvalidatedRoots,

@@ -27,7 +27,7 @@
 ///
 /// Determinism is inherited, not re-proven: every store answer is
 /// byte-identical to a scratch analysis of that entry under the current
-/// program at every thread count (analyzer/Store.h), and `edit` commands
+/// program (analyzer/Store.h), and `edit` commands
 /// are touches — the program text never changes — so a query's response
 /// depends only on (module, domain, verb, report toggle), never on which
 /// other clients ran what in between. That is what makes the concurrency
@@ -88,10 +88,10 @@ namespace awam {
 class AnalysisServer {
 public:
   struct Config {
-    /// Driver configuration of every store the server creates (threads,
-    /// speculation bounds, warm-drain threads, initial domain ignored —
-    /// the domain is per client). Persistent and the worklist/interning
-    /// requirements are forced on.
+    /// Driver configuration of every store the server creates (budgets,
+    /// depth limit; the initial domain is ignored — the domain is per
+    /// client). Persistent and the worklist/interning requirements are
+    /// forced on.
     AnalyzerOptions Options;
     /// Worker threads executing requests. 1 serializes everything (the
     /// reference transcript mode); the byte-identity contract holds at

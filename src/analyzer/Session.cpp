@@ -24,13 +24,7 @@ AnalysisSession::~AnalysisSession() = default;
 const WorklistScheduler::Stats *AnalysisSession::schedulerStats() const {
   if (IncSched)
     return &IncSched->stats();
-  if (ParSched)
-    return &ParSched->stats();
   return Scheduler ? &Scheduler->stats() : nullptr;
-}
-
-const ParallelScheduler::SpecStats *AnalysisSession::specStats() const {
-  return ParSched ? &ParSched->specStats() : nullptr;
 }
 
 const IncrementalScheduler::ReanalyzeStats *
@@ -41,8 +35,6 @@ AnalysisSession::reanalyzeStats() const {
 const SchedulerCore *AnalysisSession::lastCore() const {
   if (IncSched)
     return &IncSched->core();
-  if (ParSched)
-    return &ParSched->core();
   return Scheduler ? &Scheduler->core() : nullptr;
 }
 
@@ -172,7 +164,6 @@ AnalysisSession::analyzeCompiled(std::string_view Name,
   // Fresh run state: each analyze() computes its fixpoint from scratch.
   Interner.reset();
   Scheduler.reset();
-  ParSched.reset();
   IncSched.reset();
   if (Options.UseInterning)
     Interner = std::make_unique<PatternInterner>(Options.DepthLimit, Dom);
@@ -212,43 +203,16 @@ AnalysisSession::analyzeCompiled(std::string_view Name,
         Interner ? Table->findOrCreate(
                        Pid, Interner->internNormalized(Entry), Created)
                  : Table->findOrCreate(Pid, Entry, Created);
-    WorklistScheduler::Status Status;
-    if (Options.NumThreads > 1) {
-      // Parallel driver: speculative execution with sequential-order
-      // commits — the table (and every committed-work counter) is
-      // byte-identical to the one-thread run.
-      if (!Pool || Pool->threads() != Options.NumThreads)
-        Pool = std::make_unique<SpecPool>(Options.NumThreads);
-      ParSched = std::make_unique<ParallelScheduler>(
-          *Table, *Machine, *Program, MachineOptions, *Pool, Journal.get(),
-          ParallelScheduler::Tuning(Options.SpecBatchMin,
-                                    Options.SpecBatchMax));
-      Status = ParSched->run(Root, Options.MaxIterations);
-      if (Status == WorklistScheduler::Status::Error)
-        return makeError("abstract machine error: " +
-                         ParSched->errorMessage());
-    } else {
-      Scheduler = std::make_unique<WorklistScheduler>(*Table, *Machine);
-      Status = Scheduler->run(Root, Options.MaxIterations);
-      if (Status == WorklistScheduler::Status::Error)
-        return makeError("abstract machine error: " +
-                         Machine->errorMessage());
-    }
-    const WorklistScheduler::Stats &SS = *schedulerStats();
+    Scheduler = std::make_unique<WorklistScheduler>(*Table, *Machine);
+    WorklistScheduler::Status Status =
+        Scheduler->run(Root, Options.MaxIterations);
+    if (Status == WorklistScheduler::Status::Error)
+      return makeError("abstract machine error: " + Machine->errorMessage());
+    const WorklistScheduler::Stats &SS = Scheduler->stats();
     R.Converged = Status == WorklistScheduler::Status::Converged;
     R.Iterations = static_cast<int>(SS.Sweeps);
     R.Counters.SchedulerRuns = SS.Runs;
     R.Counters.DepEdges = SS.EdgesRecorded;
-    if (ParSched) {
-      const ParallelScheduler::SpecStats &PS = ParSched->specStats();
-      R.Counters.SpecBatches = PS.Batches;
-      R.Counters.SpecRuns = PS.Speculated;
-      R.Counters.SpecCommitted = PS.Committed;
-      R.Counters.SpecDiscarded = PS.Discarded;
-      R.Counters.SpecBypassed = PS.Bypassed;
-      R.Counters.SpecPagesCopied = PS.PagesCopied;
-      R.Counters.SpecBaseTouches = PS.BaseTouches;
-    }
   }
 
   finishResult(R);
@@ -393,7 +357,6 @@ AnalysisSession::reanalyzeCompiled(const std::vector<PredSig> &Edited,
   Dom = *D;
   Interner.reset();
   Scheduler.reset();
-  ParSched.reset();
   IncSched.reset();
   if (Options.UseInterning)
     Interner = std::make_unique<PatternInterner>(Options.DepthLimit, Dom);
@@ -413,17 +376,9 @@ AnalysisSession::reanalyzeCompiled(const std::vector<PredSig> &Edited,
       Interner ? Table->findOrCreate(Pid, Interner->internNormalized(LastEntry),
                                      Created)
                : Table->findOrCreate(Pid, LastEntry, Created);
-  // The re-drain's output is thread-invariant (replay/execute decisions
-  // are revalidated at each pop; see Incremental.h); with more than one
-  // warm-drain thread, replay validation itself is fanned out on the
-  // session's pool.
-  int WarmThreads =
-      Options.WarmThreads > 0 ? Options.WarmThreads : Options.NumThreads;
-  if (WarmThreads > 1 && (!Pool || Pool->threads() != WarmThreads))
-    Pool = std::make_unique<SpecPool>(WarmThreads);
   IncSched = std::make_unique<IncrementalScheduler>(
       *Table, *Machine, M, *PrevJournal, Edited, Journal.get(),
-      Options.MaxSteps, WarmThreads > 1 ? Pool.get() : nullptr);
+      Options.MaxSteps);
   IncSched->reanalyzeStats().PrevEntries = PrevEntries;
   IncSched->reanalyzeStats().ConeEntries = ConeEntries;
   WorklistScheduler::Status Status = IncSched->run(Root, Options.MaxIterations);

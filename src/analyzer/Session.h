@@ -31,7 +31,6 @@
 
 #include "analyzer/Analyzer.h"
 #include "analyzer/Incremental.h"
-#include "analyzer/ParallelScheduler.h"
 #include "analyzer/Scheduler.h"
 #include "analyzer/Store.h"
 
@@ -149,13 +148,9 @@ public:
   /// AnalyzerOptions::Persistent).
   const AnalysisStore *store() const { return PStore.get(); }
 
-  /// Scheduler statistics of the most recent worklist run — sequential or
-  /// parallel (nullptr under the naive driver or a custom backend).
+  /// Scheduler statistics of the most recent worklist run (nullptr under
+  /// the naive driver or a custom backend).
   const WorklistScheduler::Stats *schedulerStats() const;
-
-  /// Speculation statistics of the most recent parallel run (nullptr when
-  /// the last run used one thread, the naive driver, or a custom backend).
-  const ParallelScheduler::SpecStats *specStats() const;
 
   /// Replay statistics of the most recent reanalyze() (nullptr when the
   /// last run was a plain analyze() or fell back to one).
@@ -192,7 +187,6 @@ private:
   std::unique_ptr<ExtensionTable> Table;
   std::unique_ptr<AbstractMachine> Machine;
   std::unique_ptr<WorklistScheduler> Scheduler;
-  std::unique_ptr<ParallelScheduler> ParSched;
   std::unique_ptr<IncrementalScheduler> IncSched;
   /// Trace log of the most recent run (AnalyzerOptions::Incremental under
   /// the worklist driver only) — what the next reanalyze() replays from.
@@ -201,10 +195,6 @@ private:
   std::string LastEntryName;
   Pattern LastEntry;
   bool HaveEntry = false;
-  /// Worker threads, created on the first NumThreads > 1 analyze() and
-  /// reused across analyze() calls (thread spawn costs would otherwise
-  /// dwarf these sub-millisecond analyses).
-  std::unique_ptr<SpecPool> Pool;
   /// The persistent analysis store (AnalyzerOptions::Persistent, or an
   /// analyzeBatch() on a store-capable configuration). Named PStore: the
   /// WAM heap type awam::Store (wam/Store.h) already owns the plain name.

@@ -138,20 +138,11 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   const SchedulerCore *QCore = nullptr;
   std::unique_ptr<IncrementalScheduler> Inc;
   std::unique_ptr<WorklistScheduler> Seq;
-  std::unique_ptr<ParallelScheduler> Par;
   if (!PrevRuns.runs().empty()) {
     ++St.WarmQueries;
-    // The warm drain's output is thread-invariant (replay decisions are
-    // revalidated at each pop; see Incremental.h); with more than one
-    // warm-drain thread, replay validation fans out on the store's pool.
-    int WarmThreads =
-        Options.WarmThreads > 0 ? Options.WarmThreads : Options.NumThreads;
-    if (WarmThreads > 1 && (!Pool || Pool->threads() != WarmThreads))
-      Pool = std::make_unique<SpecPool>(WarmThreads);
     Inc = std::make_unique<IncrementalScheduler>(
         QTable, Machine, M, PrevRuns, std::vector<PredSig>{},
-        OutJournal.get(), Options.MaxSteps,
-        WarmThreads > 1 ? Pool.get() : nullptr);
+        OutJournal.get(), Options.MaxSteps);
     Inc->reanalyzeStats().PrevEntries = Table->size();
     Status = Inc->run(Root, Options.MaxIterations);
     if (Status == WorklistScheduler::Status::Error)
@@ -162,48 +153,20 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
     St.ExecutedRuns += RS.ExecutedRuns;
     St.ReplayedActivations += RS.ReplayedActivations;
     St.ExecutedActivations += RS.ExecutedActivations;
-    St.WarmReplayBatches += RS.ReplayBatches;
-    St.WarmSpecReplays += RS.SpecReplays;
-    St.WarmSpecCommitted += RS.SpecCommitted;
-    St.WarmSpecDiscarded += RS.SpecDiscarded;
-    St.WarmCriticalUnits += RS.CriticalUnits;
   } else {
     ++St.ColdQueries;
-    if (Options.NumThreads > 1) {
-      if (!Pool || Pool->threads() != Options.NumThreads)
-        Pool = std::make_unique<SpecPool>(Options.NumThreads);
-      Par = std::make_unique<ParallelScheduler>(
-          QTable, Machine, *Program, MachineOptions, *Pool,
-          OutJournal.get(),
-          ParallelScheduler::Tuning(Options.SpecBatchMin,
-                                    Options.SpecBatchMax));
-      Status = Par->run(Root, Options.MaxIterations);
-      if (Status == WorklistScheduler::Status::Error)
-        return makeError("abstract machine error: " + Par->errorMessage());
-      QCore = &Par->core();
-    } else {
-      Seq = std::make_unique<WorklistScheduler>(QTable, Machine);
-      Status = Seq->run(Root, Options.MaxIterations);
-      if (Status == WorklistScheduler::Status::Error)
-        return makeError("abstract machine error: " +
-                         Machine.errorMessage());
-      QCore = &Seq->core();
-    }
+    Seq = std::make_unique<WorklistScheduler>(QTable, Machine);
+    Status = Seq->run(Root, Options.MaxIterations);
+    if (Status == WorklistScheduler::Status::Error)
+      return makeError("abstract machine error: " + Machine.errorMessage());
+    QCore = &Seq->core();
   }
 
-  const WorklistScheduler::Stats &SS =
-      Inc ? Inc->stats() : (Par ? Par->stats() : Seq->stats());
+  const WorklistScheduler::Stats &SS = Inc ? Inc->stats() : Seq->stats();
   R.Converged = Status == WorklistScheduler::Status::Converged;
   R.Iterations = static_cast<int>(SS.Sweeps);
   R.Counters.SchedulerRuns = SS.Runs;
   R.Counters.DepEdges = SS.EdgesRecorded;
-  if (Par) {
-    const ParallelScheduler::SpecStats &PS = Par->specStats();
-    R.Counters.SpecBatches = PS.Batches;
-    R.Counters.SpecRuns = PS.Speculated;
-    R.Counters.SpecCommitted = PS.Committed;
-    R.Counters.SpecDiscarded = PS.Discarded;
-  }
   R.Instructions = Machine.stepsExecuted();
   R.TableProbes = QTable.probeCount();
   R.Counters.Instructions = R.Instructions;

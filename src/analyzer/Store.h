@@ -19,14 +19,14 @@
 ///     result cache — the second query of an entry is a table lookup.
 ///  2. New query: the drain runs over a *fresh* per-query table that
 ///     shares only the store's interner. Cold (no journals banked yet) it
-///     is the ordinary worklist / parallel driver with trace recording on;
+///     is the ordinary worklist driver with trace recording on;
 ///     warm it is the IncrementalScheduler replaying the store's banked
 ///     run journals with an empty edit set — every recorded trace whose
 ///     value-level validation holds is applied instead of executed, and
 ///     the rest fall back to real execution. Replay validation makes the
 ///     drain byte-identical to a scratch analyze() of that entry (see
 ///     analyzer/Incremental.h for the induction), so the per-root
-///     projection equals the scratch report at every thread count.
+///     projection equals the scratch report.
 ///  3. Merge: only a *converged* query merges. Each query-table entry is
 ///     installed into the store table under its interned key (or found —
 ///     converged summaries of a shared key are equal, both being the least
@@ -59,7 +59,6 @@
 
 #include "analyzer/Analyzer.h"
 #include "analyzer/Incremental.h"
-#include "analyzer/ParallelScheduler.h"
 #include "analyzer/Scheduler.h"
 #include "analyzer/SummaryBundle.h"
 
@@ -87,13 +86,6 @@ public:
     uint64_t ExecutedRuns = 0;  ///< warm drains: queue pops executed
     uint64_t ReplayedActivations = 0;
     uint64_t ExecutedActivations = 0;
-    // Parallel warm drains (thread-count dependent; the replay/execute
-    // split above is not — see Incremental.h).
-    uint64_t WarmReplayBatches = 0; ///< speculative validation fan-outs
-    uint64_t WarmSpecReplays = 0;   ///< trace simulations run on the pool
-    uint64_t WarmSpecCommitted = 0; ///< simulations committed at their pop
-    uint64_t WarmSpecDiscarded = 0; ///< simulations invalidated or orphaned
-    uint64_t WarmCriticalUnits = 0; ///< per-batch critical-path units
     uint64_t MergedRoots = 0;   ///< converged queries merged into the store
     uint64_t NewEntries = 0;    ///< merged entries new to the store
     uint64_t SharedEntries = 0; ///< merged entries another root already owned
@@ -130,7 +122,7 @@ public:
 
   /// Analyzes entry \p Name with calling pattern \p Entry against the
   /// store. The result is byte-identical (per formatAnalysis) to a scratch
-  /// analyze() of the same entry at every thread count; converged results
+  /// analyze() of the same entry; converged results
   /// are merged and cached, failing queries leave the store untouched.
   Result<AnalysisResult> query(std::string_view Name, const Pattern &Entry);
 
@@ -274,8 +266,6 @@ private:
   /// replay source alongside the roots' own journals. Pure warmth: replay
   /// validation re-derives everything it applies.
   std::unique_ptr<RunJournal> Imported;
-  /// Worker threads for cold parallel queries, created on first use.
-  std::unique_ptr<SpecPool> Pool;
   std::string LastName;
   Pattern LastEntry;
   bool HaveLast = false;

@@ -1,9 +1,9 @@
 //===- tests/BatchSessionTest.cpp - Persistent store / batch tests --------===//
 //
 // The persistent AnalysisStore must be invisible in every answer: a warm
-// query's per-root projection — report, modes, thread-invariant counters —
-// is byte-identical to a from-scratch analyze() of that entry at every
-// thread count, the final store contents are independent of query order,
+// query's per-root projection — report, modes, schedule counters — is
+// byte-identical to a from-scratch analyze() of that entry, the final
+// store contents are independent of query order,
 // and failing queries (bad specs, budget hits) leave the store untouched.
 // This suite pins those contracts on all Table 1 benchmarks (querying
 // every defined predicate through one warm store), on randomized programs
@@ -27,15 +27,14 @@ using namespace awam;
 
 namespace {
 
-AnalyzerOptions persistentOptions(int Threads) {
+AnalyzerOptions persistentOptions() {
   AnalyzerOptions O;
   O.Persistent = true;
-  O.NumThreads = Threads;
   return O;
 }
 
 /// Everything the per-root identity contract covers: the formatted
-/// reports plus the thread-count-invariant counters. Probe and interner
+/// reports plus the schedule counters. Probe and interner
 /// statistics are deliberately absent (a shared interner reports
 /// per-query deltas; the report does not print them).
 std::string fingerprint(const AnalysisResult &R, const SymbolTable &Syms) {
@@ -82,14 +81,11 @@ std::vector<std::string> definedPredSpecs(const CompiledProgram &P,
   return Specs;
 }
 
-class BatchSessionTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(BatchSessionTest, WarmQueriesMatchScratchOnAllBenchmarks) {
+TEST(BatchSessionTest, WarmQueriesMatchScratchOnAllBenchmarks) {
   // Every Table 1 benchmark: push the entry spec plus every defined
   // predicate through one warm persistent session; each answer must match
   // a from-scratch session on that spec byte-for-byte, and re-asking the
   // first spec must come from the result cache unchanged.
-  const int Threads = GetParam();
   int Checked = 0;
   uint64_t TotalWarm = 0, TotalReplayed = 0;
   for (const BenchmarkProgram &B : benchmarkPrograms()) {
@@ -104,14 +100,12 @@ TEST_P(BatchSessionTest, WarmQueriesMatchScratchOnAllBenchmarks) {
       if (S != B.EntrySpec)
         Specs.push_back(std::move(S));
 
-    AnalysisSession Warm(*P, persistentOptions(Threads));
+    AnalysisSession Warm(*P, persistentOptions());
     std::string FirstOutcome;
     for (const std::string &Spec : Specs) {
       Result<AnalysisResult> RWarm = Warm.analyze(Spec);
 
-      AnalyzerOptions ScratchOpts;
-      ScratchOpts.NumThreads = Threads;
-      AnalysisSession Scratch(*P, ScratchOpts);
+      AnalysisSession Scratch(*P);
       Result<AnalysisResult> RScr = Scratch.analyze(Spec);
 
       EXPECT_EQ(outcomeOf(RScr, Syms), outcomeOf(RWarm, Syms))
@@ -138,8 +132,7 @@ TEST_P(BatchSessionTest, WarmQueriesMatchScratchOnAllBenchmarks) {
   EXPECT_GT(TotalReplayed, 0u);
 }
 
-TEST_P(BatchSessionTest, AnalyzeBatchMatchesIndividualScratchRuns) {
-  const int Threads = GetParam();
+TEST(BatchSessionTest, AnalyzeBatchMatchesIndividualScratchRuns) {
   const BenchmarkProgram &B = benchmarkPrograms().front();
   SymbolTable Syms;
   TermArena Arena;
@@ -152,14 +145,12 @@ TEST_P(BatchSessionTest, AnalyzeBatchMatchesIndividualScratchRuns) {
     if (S != B.EntrySpec)
       Specs.push_back(std::move(S));
 
-  AnalysisSession S(*P, persistentOptions(Threads));
+  AnalysisSession S(*P, persistentOptions());
   Result<std::vector<AnalysisResult>> Batch = S.analyzeBatch(Specs);
   ASSERT_TRUE(Batch) << Batch.diag().str();
   ASSERT_EQ(Batch->size(), Specs.size());
   for (size_t I = 0; I != Specs.size(); ++I) {
-    AnalyzerOptions ScratchOpts;
-    ScratchOpts.NumThreads = Threads;
-    AnalysisSession Scratch(*P, ScratchOpts);
+    AnalysisSession Scratch(*P);
     Result<AnalysisResult> RScr = Scratch.analyze(Specs[I]);
     ASSERT_TRUE(RScr) << Specs[I] << ": " << RScr.diag().str();
     EXPECT_EQ(fingerprint(*RScr, Syms), fingerprint((*Batch)[I], Syms))
@@ -176,7 +167,7 @@ TEST_P(BatchSessionTest, AnalyzeBatchMatchesIndividualScratchRuns) {
         << Specs[I];
 }
 
-TEST_P(BatchSessionTest, BatchValidatesEverySpecUpFront) {
+TEST(BatchSessionTest, BatchValidatesEverySpecUpFront) {
   // A bad spec anywhere in the list aborts before any analysis: the store
   // is exactly as it was — same contents, same query statistics.
   const BenchmarkProgram &B = benchmarkPrograms().front();
@@ -186,7 +177,7 @@ TEST_P(BatchSessionTest, BatchValidatesEverySpecUpFront) {
       compileOrDie(std::string(B.Source), Syms, Arena);
   ASSERT_NE(P, nullptr);
 
-  AnalysisSession S(*P, persistentOptions(GetParam()));
+  AnalysisSession S(*P, persistentOptions());
   ASSERT_TRUE(S.analyze(B.EntrySpec));
   ASSERT_NE(S.store(), nullptr);
   std::string DumpBefore = S.store()->canonicalDump(Syms);
@@ -205,7 +196,7 @@ TEST_P(BatchSessionTest, BatchValidatesEverySpecUpFront) {
   EXPECT_EQ(QueriesBefore, S.store()->stats().Queries);
 }
 
-TEST_P(BatchSessionTest, FailingQueriesLeaveTheStoreUntouched) {
+TEST(BatchSessionTest, FailingQueriesLeaveTheStoreUntouched) {
   // Interleave succeeding and failing queries: unknown entries error,
   // budget-hit queries return sound partial results but never merge, and
   // neither disturbs the merged state or the cached answers.
@@ -217,7 +208,7 @@ TEST_P(BatchSessionTest, FailingQueriesLeaveTheStoreUntouched) {
   std::unique_ptr<CompiledProgram> P = compileOrDie(Src, Syms, Arena);
   ASSERT_NE(P, nullptr);
 
-  AnalysisSession S(*P, persistentOptions(GetParam()));
+  AnalysisSession S(*P, persistentOptions());
   Result<AnalysisResult> R0 = S.analyze("app(glist, glist, var)");
   ASSERT_TRUE(R0) << R0.diag().str();
   ASSERT_NE(S.store(), nullptr);
@@ -257,11 +248,10 @@ TEST_P(BatchSessionTest, FailingQueriesLeaveTheStoreUntouched) {
   EXPECT_EQ(Fp0, fingerprint(*RCache, Syms));
 }
 
-TEST_P(BatchSessionTest, QueryOrderIndependenceOnRandomPrograms) {
+TEST(BatchSessionTest, QueryOrderIndependenceOnRandomPrograms) {
   // >= 30 random programs: run the same query set in three different
   // orders through three fresh stores. Every per-spec outcome and the
   // canonical store dump must be identical across orders.
-  const int Threads = GetParam();
   int Programs = 0;
   for (unsigned Seed = 0; Seed != 30; ++Seed) {
     SymbolTable Syms;
@@ -287,7 +277,7 @@ TEST_P(BatchSessionTest, QueryOrderIndependenceOnRandomPrograms) {
     std::vector<std::string> Dumps;
     std::vector<std::vector<std::string>> Outcomes;
     for (const std::vector<std::string> &Order : Orders) {
-      AnalysisSession S(*P, persistentOptions(Threads));
+      AnalysisSession S(*P, persistentOptions());
       std::vector<std::string> Got(Specs.size());
       for (const std::string &Spec : Order) {
         Result<AnalysisResult> R = S.analyze(Spec);
@@ -310,11 +300,10 @@ TEST_P(BatchSessionTest, QueryOrderIndependenceOnRandomPrograms) {
   EXPECT_GE(Programs, 30);
 }
 
-TEST_P(BatchSessionTest, ReanalyzeInvalidatesOnlyTheEditCone) {
+TEST(BatchSessionTest, ReanalyzeInvalidatesOnlyTheEditCone) {
   // Two independent subtrees queried as two roots; editing one side must
   // leave the other root's cached answer intact (cone invalidation) while
   // both sides match scratch sessions on the edited program.
-  const int Threads = GetParam();
   SymbolTable Syms;
   TermArena Arena0, Arena1;
   const std::string Src = "a1(x). a2(X) :- a1(X).\n"
@@ -322,7 +311,7 @@ TEST_P(BatchSessionTest, ReanalyzeInvalidatesOnlyTheEditCone) {
   std::unique_ptr<CompiledProgram> P0 = compileOrDie(Src, Syms, Arena0);
   ASSERT_NE(P0, nullptr);
 
-  AnalysisSession S(*P0, persistentOptions(Threads));
+  AnalysisSession S(*P0, persistentOptions());
   Result<AnalysisResult> RA = S.analyze("a2(var)");
   ASSERT_TRUE(RA) << RA.diag().str();
   Result<AnalysisResult> RB = S.analyze("b2(var)");
@@ -350,73 +339,13 @@ TEST_P(BatchSessionTest, ReanalyzeInvalidatesOnlyTheEditCone) {
   EXPECT_EQ(FpA, fingerprint(*RA2, Syms));
 
   for (const char *Spec : {"a2(var)", "b2(var)"}) {
-    AnalyzerOptions ScratchOpts;
-    ScratchOpts.NumThreads = Threads;
-    AnalysisSession Scratch(*P1, ScratchOpts);
+    AnalysisSession Scratch(*P1);
     Result<AnalysisResult> RScr = Scratch.analyze(Spec);
     ASSERT_TRUE(RScr) << Spec << ": " << RScr.diag().str();
     Result<AnalysisResult> RStore = S.analyze(Spec);
     ASSERT_TRUE(RStore) << Spec << ": " << RStore.diag().str();
     EXPECT_EQ(fingerprint(*RScr, Syms), fingerprint(*RStore, Syms)) << Spec;
   }
-}
-
-TEST(WarmDrainTest, StoreWarmDrainsByteIdenticalAcrossWarmThreads) {
-  // Tentpole: a warm query's validated journal replay fans out across the
-  // warm pool. Every per-spec answer, the final store dump, and the
-  // thread-invariant replay/execute split must be independent of
-  // WarmThreads, and the speculative-validation accounting must balance.
-  uint64_t TotalBatches = 0, TotalSpecReplays = 0;
-  for (const BenchmarkProgram &B : benchmarkPrograms()) {
-    std::vector<std::string> Outcomes1;
-    std::string Dump1;
-    uint64_t Warm1 = 0, Replayed1 = 0, Executed1 = 0;
-    for (int WarmThreads : {1, 4}) {
-      SymbolTable Syms;
-      TermArena Arena;
-      std::unique_ptr<CompiledProgram> P =
-          compileOrDie(std::string(B.Source), Syms, Arena);
-      ASSERT_NE(P, nullptr) << B.Name;
-
-      std::vector<std::string> Specs{std::string(B.EntrySpec)};
-      for (std::string &S : definedPredSpecs(*P, Syms))
-        if (S != B.EntrySpec)
-          Specs.push_back(std::move(S));
-
-      AnalyzerOptions O = persistentOptions(1);
-      O.WarmThreads = WarmThreads;
-      AnalysisSession S(*P, O);
-      std::vector<std::string> Outcomes;
-      for (const std::string &Spec : Specs)
-        Outcomes.push_back(outcomeOf(S.analyze(Spec), Syms));
-
-      ASSERT_NE(S.store(), nullptr) << B.Name;
-      const AnalysisStore::Stats &St = S.store()->stats();
-      EXPECT_EQ(St.WarmSpecCommitted + St.WarmSpecDiscarded,
-                St.WarmSpecReplays)
-          << B.Name << " warm=" << WarmThreads;
-      if (WarmThreads == 1) {
-        Outcomes1 = std::move(Outcomes);
-        Dump1 = S.store()->canonicalDump(Syms);
-        Warm1 = St.WarmQueries;
-        Replayed1 = St.ReplayedRuns;
-        Executed1 = St.ExecutedRuns;
-      } else {
-        // Same source through a fresh symbol table: the formatted outcome
-        // strings are deterministic, so equality is byte identity.
-        EXPECT_EQ(Outcomes1, Outcomes) << B.Name;
-        EXPECT_EQ(Dump1, S.store()->canonicalDump(Syms)) << B.Name;
-        EXPECT_EQ(Warm1, St.WarmQueries) << B.Name;
-        EXPECT_EQ(Replayed1, St.ReplayedRuns) << B.Name;
-        EXPECT_EQ(Executed1, St.ExecutedRuns) << B.Name;
-        TotalBatches += St.WarmReplayBatches;
-        TotalSpecReplays += St.WarmSpecReplays;
-      }
-    }
-  }
-  // The fan-out must engage somewhere in the suite.
-  EXPECT_GT(TotalBatches, 0u);
-  EXPECT_GT(TotalSpecReplays, 0u);
 }
 
 TEST(BatchSessionErrorTest, PersistentRequiresWorklistWithInterning) {
@@ -442,15 +371,8 @@ TEST(BatchSessionErrorTest, PersistentReanalyzeBeforeAnalyzeIsAnError) {
   TermArena Arena;
   Result<CompiledProgram> P = compileSource("p(a).\n", Syms, Arena);
   ASSERT_TRUE(P) << P.diag().str();
-  AnalysisSession S(*P, persistentOptions(1));
+  AnalysisSession S(*P, persistentOptions());
   EXPECT_FALSE(S.reanalyze({PredSig{"p", 1}}));
 }
-
-std::string threadName(const ::testing::TestParamInfo<int> &Info) {
-  return "Threads" + std::to_string(Info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(SequentialAndParallel, BatchSessionTest,
-                         ::testing::Values(1, 4), threadName);
 
 } // namespace

@@ -5,9 +5,8 @@
 //  * the registry resolves names, rejects unknown ones with the registered
 //    list, and the session surfaces that error;
 //  * every registered domain runs through the whole driver stack on all
-//    Table 1 benchmarks — worklist, parallel (byte-identical at 1/2/4
-//    threads), incremental (reanalyze == scratch) and the persistent
-//    store (warm == scratch);
+//    Table 1 benchmarks — worklist, incremental (reanalyze == scratch)
+//    and the persistent store (warm == scratch);
 //  * the det domain's fixpoint is exactly the default domain's (it only
 //    derives facts), and its listing is pinned against a golden;
 //  * the pos domain is strictly more precise than a plain ground/any
@@ -60,10 +59,9 @@ std::string reportOf(const AnalysisResult &R, const Compiled &C) {
   return Out;
 }
 
-AnalyzerOptions domainOptions(const std::string &Domain, int Threads = 1) {
+AnalyzerOptions domainOptions(const std::string &Domain) {
   AnalyzerOptions O;
   O.DomainName = Domain;
-  O.NumThreads = Threads;
   return O;
 }
 
@@ -124,25 +122,6 @@ TEST(DomainRegistryTest, SessionRejectsUnknownAndUninternedDomains) {
 
 class DomainDriverTest : public ::testing::TestWithParam<const char *> {};
 
-TEST_P(DomainDriverTest, ParallelDriversAreByteIdentical) {
-  std::string Domain = GetParam();
-  for (const char *Bench : kBenchNames) {
-    Compiled C(Bench);
-    ASSERT_TRUE(C.Program);
-    std::string Reports[3];
-    int Threads[3] = {1, 2, 4};
-    for (int I = 0; I != 3; ++I) {
-      AnalysisSession A(*C.Program, domainOptions(Domain, Threads[I]));
-      Result<AnalysisResult> R = A.analyze("main");
-      ASSERT_TRUE(R) << Bench << ": " << R.diag().str();
-      EXPECT_EQ(R->Dom, findDomain(Domain));
-      Reports[I] = reportOf(*R, C);
-    }
-    EXPECT_EQ(Reports[0], Reports[1]) << Domain << " " << Bench;
-    EXPECT_EQ(Reports[0], Reports[2]) << Domain << " " << Bench;
-  }
-}
-
 TEST_P(DomainDriverTest, ReanalyzeMatchesScratch) {
   std::string Domain = GetParam();
   for (const char *Bench : kBenchNames) {
@@ -151,6 +130,7 @@ TEST_P(DomainDriverTest, ReanalyzeMatchesScratch) {
     AnalysisSession Scratch(*C.Program, domainOptions(Domain));
     Result<AnalysisResult> S = Scratch.analyze("main");
     ASSERT_TRUE(S) << Bench << ": " << S.diag().str();
+    EXPECT_EQ(S->Dom, findDomain(Domain));
 
     AnalyzerOptions O = domainOptions(Domain);
     O.Incremental = true;

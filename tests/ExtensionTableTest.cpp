@@ -121,116 +121,4 @@ TEST(ExtensionTableTest, FusedAndIdKeyedLookupsAgree) {
   EXPECT_FALSE(Created);
 }
 
-// --- Overlay page aliasing -------------------------------------------------
-//
-// The COW contract the parallel driver's discard accounting rests on:
-// reads through an overlay resolve to the base's own entries (pointer
-// identity, zero pages copied), a write privatizes exactly one page and is
-// invisible to the base and to sibling overlays, and resetOverlay restores
-// full page sharing. kPageSize is 64, so 70 entries span two pages.
-
-constexpr int kTwoPages = 70;
-
-void fillBase(ExtensionTable &T, int N) {
-  bool Created = false;
-  for (int I = 0; I != N; ++I) {
-    ETEntry &E = T.findOrCreate(I, arity1(PatKind::AnyP), Created);
-    E.Success = arity1(PatKind::AnyP);
-    T.noteSuccessChanged(E);
-  }
-}
-
-TEST(ExtensionTableOverlayTest, ReadsSharePagesWithoutCopying) {
-  ExtensionTable Base(ExtensionTable::Impl::HashMap);
-  fillBase(Base, kTwoPages);
-  ExtensionTable O(ExtensionTable::Impl::HashMap);
-  O.attachBase(Base);
-  ASSERT_EQ(O.size(), Base.size());
-  // Lookups and position reads resolve to the base's entry objects.
-  EXPECT_EQ(O.find(3, arity1(PatKind::AnyP)), &Base.entryAt(3));
-  for (int I = 0; I != kTwoPages; ++I)
-    EXPECT_EQ(&O.entryAt(static_cast<size_t>(I)),
-              &Base.entryAt(static_cast<size_t>(I)));
-  EXPECT_EQ(O.pagesCopied(), 0u);
-  // The lookup recorded a validatable touch (observed version state).
-  ASSERT_FALSE(O.touchLog().empty());
-  EXPECT_EQ(O.touchLog().front().Idx, 3);
-  EXPECT_EQ(O.touchLog().front().SuccessVersion, 1u);
-}
-
-TEST(ExtensionTableOverlayTest, WriteDoesNotLeakIntoBaseOrSiblings) {
-  ExtensionTable Base(ExtensionTable::Impl::HashMap);
-  fillBase(Base, kTwoPages);
-  ExtensionTable A(ExtensionTable::Impl::HashMap);
-  ExtensionTable B(ExtensionTable::Impl::HashMap);
-  A.attachBase(Base);
-  B.attachBase(Base);
-
-  ETEntry &W = A.writableAt(3);
-  EXPECT_NE(&W, &Base.entryAt(3)); // privatized copy, not the base entry
-  W.Success = arity1(PatKind::GroundP);
-  A.noteSuccessChanged(W);
-
-  // A sees its copy; the base and the sibling still see the original.
-  EXPECT_EQ(&A.entryAt(3), &W);
-  EXPECT_EQ(&B.entryAt(3), &Base.entryAt(3));
-  EXPECT_EQ(Base.entryAt(3).SuccessVersion, 1u);
-  EXPECT_EQ(A.entryAt(3).SuccessVersion, 2u);
-  EXPECT_EQ(B.pagesCopied(), 0u);
-
-  // Exactly one page was cloned, and the clone copies slot pointers, not
-  // entries: same-page neighbours and the whole second page still alias
-  // the base.
-  EXPECT_EQ(A.pagesCopied(), 1u);
-  EXPECT_EQ(&A.entryAt(4), &Base.entryAt(4));
-  EXPECT_EQ(&A.entryAt(kTwoPages - 1), &Base.entryAt(kTwoPages - 1));
-}
-
-TEST(ExtensionTableOverlayTest, ResetRestoresPageIdentity) {
-  ExtensionTable Base(ExtensionTable::Impl::HashMap);
-  fillBase(Base, kTwoPages);
-  ExtensionTable O(ExtensionTable::Impl::HashMap);
-  O.attachBase(Base);
-
-  O.writableAt(5).Success = arity1(PatKind::GroundP);
-  bool Created = false;
-  ETEntry &New = O.findOrCreate(999, arity1(PatKind::AnyP), Created);
-  ASSERT_TRUE(Created);
-  // Overlay creations live past the base size at exactly the index the
-  // live table would assign, and never clone a base page.
-  EXPECT_EQ(New.Idx, kTwoPages);
-  EXPECT_EQ(O.size(), static_cast<size_t>(kTwoPages) + 1);
-  uint64_t CopiedBefore = O.pagesCopied();
-
-  O.resetOverlay();
-  EXPECT_EQ(O.size(), Base.size());
-  EXPECT_TRUE(O.touchLog().empty());
-  EXPECT_EQ(O.pagesCopied(), CopiedBefore); // cumulative; reset is free
-  // The privatized page was dropped: full aliasing again.
-  EXPECT_EQ(&O.entryAt(5), &Base.entryAt(5));
-  // And the created entry is gone from lookup.
-  EXPECT_EQ(O.find(999, arity1(PatKind::AnyP)), nullptr);
-}
-
-TEST(ExtensionTableOverlayTest, PagesCopiedBoundedByEntriesTouched) {
-  ExtensionTable Base(ExtensionTable::Impl::HashMap);
-  fillBase(Base, kTwoPages);
-  ExtensionTable O(ExtensionTable::Impl::HashMap);
-  O.attachBase(Base);
-
-  // Privatize several entries on each page; the bound the bench gate
-  // enforces (pages copied <= base entries touched) must hold here by
-  // construction, and in fact two pages suffice for all six writes.
-  for (size_t Pos : {0u, 1u, 2u, 64u, 65u, 69u})
-    O.writableAt(Pos).Success = arity1(PatKind::GroundP);
-  EXPECT_EQ(O.pagesCopied(), 2u);
-  EXPECT_LE(O.pagesCopied(), O.touchLog().size());
-
-  // Creations grow the created-slot vector, never the copy count.
-  bool Created = false;
-  O.findOrCreate(500, arity1(PatKind::AnyP), Created);
-  ASSERT_TRUE(Created);
-  EXPECT_EQ(O.pagesCopied(), 2u);
-}
-
 } // namespace

@@ -2,9 +2,9 @@
 //
 // AnalysisSession::reanalyze() must be invisible in the result: on every
 // edit, the re-analysis — table, counters, formatted report — is
-// byte-identical to a from-scratch analyze() of the edited program, at
-// one thread and under the parallel driver, while replaying (not
-// executing) the activations the edit did not disturb. This suite pins
+// byte-identical to a from-scratch analyze() of the edited program,
+// while replaying (not executing) the activations the edit did not
+// disturb. This suite pins
 // that identity on all Table 1 benchmarks, on chained edits, and on
 // randomized clause-level edit sequences, plus the replay-savings
 // acceptance bar (strictly fewer executed activations than scratch on
@@ -26,15 +26,14 @@ using namespace awam;
 
 namespace {
 
-AnalyzerOptions incOptions(int Threads) {
+AnalyzerOptions incOptions() {
   AnalyzerOptions O;
   O.Incremental = true;
-  O.NumThreads = Threads;
   return O;
 }
 
 /// Everything the identity contract covers: the formatted reports plus
-/// the thread-count-invariant counters. Probe and interner statistics are
+/// the schedule counters. Probe and interner statistics are
 /// deliberately absent (replay probes the table less; the report does not
 /// print them).
 std::string fingerprint(const AnalysisResult &R, const SymbolTable &Syms) {
@@ -59,14 +58,11 @@ std::unique_ptr<CompiledProgram> compileOrDie(const std::string &Source,
   return std::make_unique<CompiledProgram>(P.take());
 }
 
-class IncrementalTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(IncrementalTest, TouchEditIdentityOnAllBenchmarks) {
+TEST(IncrementalTest, TouchEditIdentityOnAllBenchmarks) {
   // Re-analysis after marking main/0 edited (every benchmark defines it)
   // with the program unchanged: the report and counters must match the
   // original run exactly, and — since only main's own traces invalidate —
   // most of the drain must replay.
-  const int Threads = GetParam();
   int Checked = 0, StrictlyFewer = 0;
   uint64_t TotalReplayed = 0;
   for (const BenchmarkProgram &B : benchmarkPrograms()) {
@@ -76,7 +72,7 @@ TEST_P(IncrementalTest, TouchEditIdentityOnAllBenchmarks) {
         compileOrDie(std::string(B.Source), Syms, Arena);
     ASSERT_NE(P, nullptr) << B.Name;
 
-    AnalysisSession S(*P, incOptions(Threads));
+    AnalysisSession S(*P, incOptions());
     Result<AnalysisResult> R0 = S.analyze(B.EntrySpec);
     ASSERT_TRUE(R0) << B.Name << ": " << R0.diag().str();
 
@@ -102,11 +98,10 @@ TEST_P(IncrementalTest, TouchEditIdentityOnAllBenchmarks) {
   EXPECT_GT(TotalReplayed, 0u);
 }
 
-TEST_P(IncrementalTest, RealEditIdentityOnAllBenchmarks) {
+TEST(IncrementalTest, RealEditIdentityOnAllBenchmarks) {
   // Append a clause to main/0 of every benchmark and reanalyze through
   // the program-diffing overload; must match a scratch session on the
   // edited program byte-for-byte.
-  const int Threads = GetParam();
   for (const BenchmarkProgram &B : benchmarkPrograms()) {
     SymbolTable Syms;
     TermArena Arena;
@@ -114,7 +109,7 @@ TEST_P(IncrementalTest, RealEditIdentityOnAllBenchmarks) {
         compileOrDie(std::string(B.Source), Syms, Arena);
     ASSERT_NE(P0, nullptr) << B.Name;
 
-    AnalysisSession S(*P0, incOptions(Threads));
+    AnalysisSession S(*P0, incOptions());
     Result<AnalysisResult> R0 = S.analyze(B.EntrySpec);
     ASSERT_TRUE(R0) << B.Name << ": " << R0.diag().str();
 
@@ -127,14 +122,14 @@ TEST_P(IncrementalTest, RealEditIdentityOnAllBenchmarks) {
     Result<AnalysisResult> RInc = S.reanalyze(*P1);
     ASSERT_TRUE(RInc) << B.Name << ": " << RInc.diag().str();
 
-    AnalysisSession Scratch(*P1, incOptions(Threads));
+    AnalysisSession Scratch(*P1, incOptions());
     Result<AnalysisResult> RScr = Scratch.analyze(B.EntrySpec);
     ASSERT_TRUE(RScr) << B.Name << ": " << RScr.diag().str();
     EXPECT_EQ(fingerprint(*RScr, Syms), fingerprint(*RInc, Syms)) << B.Name;
   }
 }
 
-TEST_P(IncrementalTest, UneditedRecompileReplaysEverything) {
+TEST(IncrementalTest, UneditedRecompileReplaysEverything) {
   // Recompiling the identical source against the same symbol table diffs
   // to an empty edit set; every single pop must then replay.
   SymbolTable Syms;
@@ -147,7 +142,7 @@ TEST_P(IncrementalTest, UneditedRecompileReplaysEverything) {
   ASSERT_NE(P0, nullptr);
   ASSERT_NE(P1, nullptr);
 
-  AnalysisSession S(*P0, incOptions(GetParam()));
+  AnalysisSession S(*P0, incOptions());
   Result<AnalysisResult> R0 = S.analyze("nrev(glist, var)");
   ASSERT_TRUE(R0) << R0.diag().str();
 
@@ -160,56 +155,7 @@ TEST_P(IncrementalTest, UneditedRecompileReplaysEverything) {
   EXPECT_EQ(S.reanalyzeStats()->ConeEntries, 0u);
 }
 
-TEST(IncrementalWarmDrainTest, ParallelWarmDrainByteIdenticalOnAllBenchmarks) {
-  // Tentpole: reanalyze's journal-replay validation fans out across the
-  // warm pool. At every WarmThreads setting the reanalysis answer and the
-  // thread-invariant replay/execute split must be identical, and the
-  // speculative-validation accounting must balance.
-  uint64_t TotalBatches = 0, TotalSpecReplays = 0;
-  for (const BenchmarkProgram &B : benchmarkPrograms()) {
-    std::string Fp1;
-    uint64_t Replayed1 = 0, Executed1 = 0;
-    for (int WarmThreads : {1, 4}) {
-      SymbolTable Syms;
-      TermArena Arena;
-      std::unique_ptr<CompiledProgram> P =
-          compileOrDie(std::string(B.Source), Syms, Arena);
-      ASSERT_NE(P, nullptr) << B.Name;
-
-      AnalyzerOptions O = incOptions(1);
-      O.WarmThreads = WarmThreads;
-      AnalysisSession S(*P, O);
-      Result<AnalysisResult> R0 = S.analyze(B.EntrySpec);
-      ASSERT_TRUE(R0) << B.Name << ": " << R0.diag().str();
-      Result<AnalysisResult> R1 = S.reanalyze({PredSig{"main", 0}});
-      ASSERT_TRUE(R1) << B.Name << ": " << R1.diag().str();
-
-      ASSERT_NE(S.reanalyzeStats(), nullptr) << B.Name;
-      const IncrementalScheduler::ReanalyzeStats &RS = *S.reanalyzeStats();
-      EXPECT_EQ(RS.SpecCommitted + RS.SpecDiscarded, RS.SpecReplays)
-          << B.Name << " warm=" << WarmThreads;
-      if (WarmThreads == 1) {
-        Fp1 = fingerprint(*R1, Syms);
-        Replayed1 = RS.ReplayedRuns;
-        Executed1 = RS.ExecutedRuns;
-      } else {
-        // Same source, fresh symbol table: the formatted fingerprint is
-        // deterministic, so string equality is byte identity.
-        EXPECT_EQ(Fp1, fingerprint(*R1, Syms)) << B.Name;
-        EXPECT_EQ(Replayed1, RS.ReplayedRuns) << B.Name;
-        EXPECT_EQ(Executed1, RS.ExecutedRuns) << B.Name;
-        TotalBatches += RS.ReplayBatches;
-        TotalSpecReplays += RS.SpecReplays;
-      }
-    }
-  }
-  // The fan-out must actually engage somewhere in the suite — otherwise
-  // this tests only the sequential drain.
-  EXPECT_GT(TotalBatches, 0u);
-  EXPECT_GT(TotalSpecReplays, 0u);
-}
-
-TEST_P(IncrementalTest, ChainedEditsMatchScratchEachStep) {
+TEST(IncrementalTest, ChainedEditsMatchScratchEachStep) {
   // A chain of reanalyze() calls, each recording for the next: every step
   // must match a scratch analysis of that step's program.
   SymbolTable Syms;
@@ -230,7 +176,7 @@ TEST_P(IncrementalTest, ChainedEditsMatchScratchEachStep) {
                            "main(L, N) :- dup(L, D), len(D, N).\n";
   CompiledProgram *P0 = compileKeep(Base);
   ASSERT_NE(P0, nullptr);
-  AnalysisSession S(*P0, incOptions(GetParam()));
+  AnalysisSession S(*P0, incOptions());
   Result<AnalysisResult> R = S.analyze("main(glist, var)");
   ASSERT_TRUE(R) << R.diag().str();
 
@@ -248,14 +194,14 @@ TEST_P(IncrementalTest, ChainedEditsMatchScratchEachStep) {
     Result<AnalysisResult> RInc = S.reanalyze(*P);
     ASSERT_TRUE(RInc) << RInc.diag().str();
 
-    AnalysisSession Scratch(*P, incOptions(GetParam()));
+    AnalysisSession Scratch(*P, incOptions());
     Result<AnalysisResult> RScr = Scratch.analyze("main(glist, var)");
     ASSERT_TRUE(RScr) << RScr.diag().str();
     EXPECT_EQ(fingerprint(*RScr, Syms), fingerprint(*RInc, Syms)) << Src;
   }
 }
 
-TEST_P(IncrementalTest, ReanalyzeWithoutJournalFallsBackToScratch) {
+TEST(IncrementalTest, ReanalyzeWithoutJournalFallsBackToScratch) {
   // Incremental off: reanalyze() must still give the right (scratch)
   // answer — just without replay savings.
   SymbolTable Syms;
@@ -263,9 +209,7 @@ TEST_P(IncrementalTest, ReanalyzeWithoutJournalFallsBackToScratch) {
   std::unique_ptr<CompiledProgram> P =
       compileOrDie("p(a). q(X) :- p(X).\n", Syms, Arena);
   ASSERT_NE(P, nullptr);
-  AnalyzerOptions O;
-  O.NumThreads = GetParam(); // Incremental left off
-  AnalysisSession S(*P, O);
+  AnalysisSession S(*P, AnalyzerOptions{}); // Incremental left off
   Result<AnalysisResult> R0 = S.analyze("q(var)");
   ASSERT_TRUE(R0) << R0.diag().str();
   Result<AnalysisResult> R1 = S.reanalyze({PredSig{"p", 1}});
@@ -279,16 +223,15 @@ TEST(IncrementalErrorTest, ReanalyzeBeforeAnalyzeIsAnError) {
   TermArena Arena;
   Result<CompiledProgram> P = compileSource("p(a).\n", Syms, Arena);
   ASSERT_TRUE(P) << P.diag().str();
-  AnalysisSession S(*P, incOptions(1));
+  AnalysisSession S(*P, incOptions());
   Result<AnalysisResult> R = S.reanalyze({PredSig{"p", 1}});
   EXPECT_FALSE(R);
 }
 
-TEST_P(IncrementalTest, RandomEditSequencesMatchScratch) {
+TEST(IncrementalTest, RandomEditSequencesMatchScratch) {
   // >= 30 random clause-level edit sequences: generate a program, chain
   // three mutations through one incremental session, and require
   // byte-identity with a scratch session at every step.
-  const int Threads = GetParam();
   int Sequences = 0;
   uint64_t TotalReplayed = 0;
   for (unsigned Seed = 0; Seed != 12; ++Seed) {
@@ -314,7 +257,7 @@ TEST_P(IncrementalTest, RandomEditSequencesMatchScratch) {
     ASSERT_GE(Arity, 1) << "seed " << Seed;
     const std::string Entry = "p0/" + std::to_string(Arity);
 
-    AnalysisSession S(*Programs.back(), incOptions(Threads));
+    AnalysisSession S(*Programs.back(), incOptions());
     Result<AnalysisResult> R = S.analyze(Entry);
     ASSERT_TRUE(R) << "seed " << Seed << ": " << R.diag().str();
 
@@ -335,7 +278,7 @@ TEST_P(IncrementalTest, RandomEditSequencesMatchScratch) {
       ASSERT_NE(S.reanalyzeStats(), nullptr);
       TotalReplayed += S.reanalyzeStats()->ReplayedRuns;
 
-      AnalysisSession Scratch(*Programs.back(), incOptions(Threads));
+      AnalysisSession Scratch(*Programs.back(), incOptions());
       Result<AnalysisResult> RScr = Scratch.analyze(Entry);
       ASSERT_TRUE(RScr) << "seed " << Seed << " step " << Step << ": "
                         << RScr.diag().str();
@@ -348,12 +291,5 @@ TEST_P(IncrementalTest, RandomEditSequencesMatchScratch) {
   EXPECT_GE(Sequences, 30);
   EXPECT_GT(TotalReplayed, 0u);
 }
-
-std::string threadName(const ::testing::TestParamInfo<int> &Info) {
-  return "Threads" + std::to_string(Info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(SequentialAndParallel, IncrementalTest,
-                         ::testing::Values(1, 4), threadName);
 
 } // namespace

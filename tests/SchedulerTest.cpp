@@ -3,8 +3,9 @@
 // The dependency-driven worklist driver must be a pure scheduling
 // optimization: on every benchmark it computes the byte-identical
 // extension-table fixpoint of the naive restart loop while replaying
-// fewer activations. This suite pins that equivalence, the replay
-// savings, the iteration-budget contract of both drivers, and the
+// fewer activations. This suite pins that equivalence (on the benchmarks
+// and on a seeded random-program sweep), the replay savings, the
+// iteration- and step-budget contracts of both drivers, and the
 // scheduler's bookkeeping invariants.
 //
 //===----------------------------------------------------------------------===//
@@ -12,6 +13,7 @@
 #include "analyzer/Session.h"
 #include "baseline/MetaAnalyzer.h"
 #include "programs/Benchmarks.h"
+#include "RandomProgramGen.h"
 
 #include <gtest/gtest.h>
 
@@ -88,6 +90,45 @@ TEST_F(SchedulerTest, GoldenWorklistMatchesNaiveOnAllBenchmarks) {
   EXPECT_EQ(Checked, 11);
   EXPECT_GE(Strict, 6) << "worklist should beat naive replay counts on "
                           "most benchmarks";
+}
+
+TEST_F(SchedulerTest, WorklistMatchesNaiveOnRandomPrograms) {
+  // 30 seeded random programs, one all-any entry per generated clause
+  // head (so a predicate is checked once per clause, each time from fresh
+  // sessions): the worklist table equals the naive one in creation order,
+  // and the worklist never replays more activations.
+  int Entries = 0;
+  for (unsigned Seed = 0; Seed != 30; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    SymbolTable S;
+    TermArena A;
+    Result<ParsedProgram> Parsed =
+        parseProgram(testgen::generateProgram(Seed), S, A);
+    ASSERT_TRUE(Parsed) << Parsed.diag().str();
+    Result<CompiledProgram> P = compileProgram(*Parsed, S);
+    ASSERT_TRUE(P) << P.diag().str();
+    for (const ParsedClause &C : Parsed->Clauses) {
+      std::string Name(S.name(C.Head->functor()));
+      if (Name.starts_with("$"))
+        continue; // desugaring artifacts are analyzed transitively
+      int Arity = C.Head->isStruct() ? C.Head->arity() : 0;
+      Pattern Entry =
+          makeEntryPattern(std::vector<PatKind>(Arity, PatKind::AnyP));
+
+      AnalysisSession Naive(*P, driverOptions(DriverKind::Naive));
+      Result<AnalysisResult> RN = Naive.analyze(Name, Entry);
+      ASSERT_TRUE(RN) << Name << ": " << RN.diag().str();
+      AnalysisSession Worklist(*P, driverOptions(DriverKind::Worklist));
+      Result<AnalysisResult> RW = Worklist.analyze(Name, Entry);
+      ASSERT_TRUE(RW) << Name << ": " << RW.diag().str();
+
+      EXPECT_EQ(tableLines(*RN, S), tableLines(*RW, S)) << Name;
+      EXPECT_LE(RW->Counters.ActivationRuns, RN->Counters.ActivationRuns)
+          << Name;
+      ++Entries;
+    }
+  }
+  EXPECT_EQ(Entries, 222);
 }
 
 TEST_F(SchedulerTest, WorklistMatchesNaiveWithoutInterning) {
@@ -224,6 +265,20 @@ TEST_P(BudgetHitTest, MaxIterationsBudgetHitIsReportedAndSound) {
     }
     EXPECT_TRUE(FoundMatch) << Partial.PredLabel;
   }
+}
+
+TEST_P(BudgetHitTest, StepBudgetExhaustionIsAnError) {
+  // Unlike the iteration budget, running out of abstract instructions
+  // mid-activation leaves no sound partial table: it is an error.
+  compile(kSlowConvergence);
+  AnalyzerOptions O = driverOptions(GetParam());
+  O.MaxSteps = 10;
+  AnalysisSession A(*Program, O);
+  Result<AnalysisResult> R = A.analyze("count(var)");
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.diag().str().find("abstract instruction budget exceeded"),
+            std::string::npos)
+      << R.diag().str();
 }
 
 TEST_P(BudgetHitTest, ZeroIterationBudgetYieldsEmptyUnconvergedResult) {
