@@ -124,11 +124,11 @@ inline Table1Row measureBenchmark(const PreparedBenchmark &P,
         MinTotalMs);
   }
 
-  // Baseline meta-interpreting analyzer (equal-host ablation), driven
-  // through the same session façade as the compiled analyzer.
+  // Baseline meta-interpreting analyzer (equal-host ablation), fresh per
+  // run like the compiled analyzer's session.
   Row.BaselineMs = measureMs(
       [&] {
-        AnalysisSession B = makeBaselineSession(*P.Parsed, *P.Syms, Options);
+        MetaAnalyzer B(*P.Parsed, *P.Syms, Options);
         (void)B.analyze(Spec);
       },
       MinTotalMs);

@@ -37,8 +37,10 @@
 //   --depth K      term-depth restriction (default 4, K >= 1)
 //   --edit P/A     mark predicate P/A edited and re-analyze incrementally
 //                  after the initial run; repeatable (one chained
-//                  reanalyze per flag). The final report is byte-identical
-//                  to the plain run — the CI incremental gate diffs it.
+//                  reanalyze per flag). Implies a persistent store: each
+//                  re-analysis replays the recorded runs the edit left
+//                  valid. The final report is byte-identical to the plain
+//                  run — the CI incremental gate diffs it.
 //   --domain NAME  abstract domain to analyze under (default "modes", the
 //                  paper's mode/type/aliasing domain; "pos" infers
 //                  groundness dependencies, "det" derives per-predicate
@@ -296,7 +298,6 @@ int main(int argc, char **argv) {
 
   AnalyzerOptions Options;
   Options.DepthLimit = Depth;
-  Options.Incremental = !Edits.empty();
   Options.DomainName = DomainName;
 
   if (DomainName != "modes" && (UseBaseline || Trace)) {
@@ -327,8 +328,9 @@ int main(int argc, char **argv) {
                  "compiled worklist analyzer (no --baseline / --trace)\n");
     return usage();
   }
-  // Summary bundles live in the persistent store's replay bank.
-  if (!ExportPath.empty() || !ImportPath.empty())
+  // Summary bundles live in the persistent store's replay bank, and
+  // re-analysis replays from it.
+  if (!ExportPath.empty() || !ImportPath.empty() || !Edits.empty())
     Options.Persistent = true;
 
   // Loads the --import-summaries bundle into the session store before any
@@ -446,7 +448,7 @@ int main(int argc, char **argv) {
 
   Result<AnalysisResult> R = makeError("unreachable");
   if (UseBaseline) {
-    AnalysisSession B = makeBaselineSession(*Parsed, Syms, Options);
+    MetaAnalyzer B(*Parsed, Syms, Options);
     R = B.analyze(Entry);
   } else if (Trace) {
     Result<std::pair<std::string, Pattern>> Spec = parseEntrySpec(Entry);

@@ -119,10 +119,13 @@ public:
   void setDependencySink(DependencySink *S) { Deps = S; }
 
   /// Attaches (or clears) a trace journal: every runActivation then
-  /// records a replayable RunTrace of its table interactions (the
-  /// incremental re-analysis feed; see analyzer/RunJournal.h). Activation
-  /// protocol only — runIteration ignores the journal.
+  /// records a replayable RunTrace of its table interactions (the journal
+  /// replay feed; see analyzer/RunJournal.h). Activation protocol only —
+  /// runIteration ignores the journal.
   void setRunJournal(RunJournal *J) { Journal = J; }
+
+  /// The attached journal, where a replayed run's trace carries over too.
+  RunJournal *runJournal() const { return Journal; }
 
   /// Runs one naive iteration from entry predicate \p PredId with calling
   /// pattern \p Entry. Returns Completed normally; table growth is
@@ -142,14 +145,17 @@ public:
   /// (the paper's "Exec" column in Table 1).
   uint64_t stepsExecuted() const { return Steps; }
 
+  /// The instruction budget (AbsMachineOptions::MaxSteps).
+  uint64_t maxSteps() const { return Options.MaxSteps; }
+
   /// Activation replays: how many times some entry's clause list was
   /// (re)explored, accumulated over all runs. The driver-comparison
   /// metric — the worklist scheduler exists to shrink this number.
   uint64_t activationsExplored() const { return Activations; }
 
   /// Adds the recorded cost of a replayed activation run to this
-  /// machine's counters (the incremental driver's journal replay, see
-  /// analyzer/Incremental.h), so counters match an executed drain.
+  /// machine's counters (journal replay, see analyzer/Incremental.h), so
+  /// counters match an executed drain.
   void charge(uint64_t StepsRun, uint64_t ActivationsRun) {
     Steps += StepsRun;
     Activations += ActivationsRun;
@@ -204,7 +210,7 @@ private:
   PatternInterner *Interner;
   /// Non-null switches doCall to the activation protocol (worklist mode).
   DependencySink *Deps = nullptr;
-  /// Non-null records a RunTrace per activation run (incremental mode).
+  /// Non-null records a RunTrace per activation run (store queries).
   RunJournal *Journal = nullptr;
   AbsMachineOptions Options;
   /// The abstract domain (Options.Dom resolved; never null). Drives the

@@ -10,7 +10,8 @@
 /// specs (parseEntrySpec), and report formatting. The drivers themselves
 /// live behind the AnalysisSession façade (analyzer/Session.h) — the naive
 /// restart loop of the paper and the dependency-driven worklist scheduler
-/// (analyzer/Scheduler.h).
+/// (analyzer/Scheduler.h), which also drives every AnalysisStore query
+/// (analyzer/Store.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,20 +59,14 @@ struct AnalyzerOptions {
   /// sound partial table with Converged = false.
   int MaxIterations = 1000;
   uint64_t MaxSteps = 200'000'000;
-  /// Record a replayable trace of every activation run (worklist driver
-  /// only), enabling AnalysisSession::reanalyze() afterwards. Off by
-  /// default: recording copies calling/success patterns per table event,
-  /// which perturbs the timing benches. The computed result is identical
-  /// either way.
-  bool Incremental = false;
-  /// Keep a long-lived AnalysisStore behind the session (analyzer/Store.h):
-  /// repeated analyze() calls share one interner + multi-root table +
-  /// dependency graph, repeat queries are answered from the store's result
-  /// cache, and new entries warm-start from the accumulated run journals —
-  /// with each query's per-root projection byte-identical to a scratch
-  /// analyze() of that entry. reanalyze() then
-  /// invalidates only the edit's reverse-dependency cone inside the store.
-  /// Requires the worklist driver with interning on the compiled backend.
+  /// Answer analyze() through the session's long-lived AnalysisStore
+  /// (analyzer/Store.h) instead of a scratch run: repeated analyze() calls
+  /// share one interner + multi-root table + dependency graph, repeat
+  /// queries are answered from the store's result cache, and new entries
+  /// warm-start from the accumulated run journals — with each query's
+  /// per-root projection byte-identical to a scratch analyze() of that
+  /// entry. (reanalyze() always runs on the store, whatever this says.)
+  /// Requires the worklist driver with interning.
   bool Persistent = false;
   /// Abstract domain to analyze under (see analyzer/Domain.h): "modes"
   /// (the paper's mode/type/aliasing domain, default), "pos" (groundness

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The abstract-domain interface: everything the engine (abstract machine,
-/// pattern interner, naive / worklist / incremental drivers, the
+/// pattern interner, naive / worklist drivers, journal replay, the
 /// persistent store) needs from an analysis, factored behind one virtual
 /// class so new analyses reuse the whole driver stack.
 ///

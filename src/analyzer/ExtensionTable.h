@@ -99,7 +99,7 @@ public:
   PatternInterner *interner() const { return Interner; }
 
   /// Structural lookup that neither creates nor counts probes: the
-  /// read-only lookup the incremental driver's replay simulation uses.
+  /// read-only lookup journal replay's simulation uses.
   const ETEntry *findExisting(int32_t PredId, const Pattern &Call) const;
 
   /// Returns the entry for (\p PredId, \p Call), creating it if missing;

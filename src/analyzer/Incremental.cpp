@@ -1,4 +1,4 @@
-//===- analyzer/Incremental.cpp - Incremental re-analysis driver ----------===//
+//===- analyzer/Incremental.cpp - Validated journal replay ----------------===//
 //
 // Validated journal replay: see the protocol description in Incremental.h.
 //
@@ -8,7 +8,6 @@
 
 #include "compiler/ProgramCompiler.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace awam;
@@ -110,85 +109,33 @@ uint64_t groupKey(int32_t Pid, const Pattern &Call) {
           0x9e3779b97f4a7c15ull);
 }
 
-int32_t resolveSig(const CodeModule &M, const PredSig &Sig) {
-  Symbol Sym = M.symbols().lookup(Sig.Name);
-  return Sym == ~0u ? -1 : M.findPredicate(Sym, Sig.Arity);
-}
-
 } // namespace
 
-IncrementalScheduler::IncrementalScheduler(
-    ExtensionTable &Table, AbstractMachine &Machine, const CodeModule &Module,
-    const RunJournal &Prev, const std::vector<PredSig> &Edited,
-    RunJournal *Out, uint64_t MaxSteps)
-    : Table(Table), Machine(Machine), Module(Module), Prev(Prev),
-      OutJournal(Out), MaxSteps(MaxSteps) {
-  // Resolve every recorded predicate id against the (possibly recompiled)
-  // module by name/arity. Ids that no longer resolve stay -1: their traces
-  // can never replay, and roots keyed on them can never be popped either.
-  int32_t MaxOld = -1;
-  for (const auto &KV : Prev.sigs())
-    MaxOld = std::max(MaxOld, KV.first);
-  PidMap.assign(static_cast<size_t>(MaxOld + 1), -1);
-  for (const auto &KV : Prev.sigs())
-    PidMap[KV.first] = resolveSig(Module, KV.second);
-
-  EditedNew.assign(static_cast<size_t>(Module.numPredicates()), 0);
-  for (const PredSig &Sig : Edited) {
-    int32_t Pid = resolveSig(Module, Sig);
-    if (Pid >= 0)
-      EditedNew[Pid] = 1;
-  }
-
-  // Group the traces by root key in recording order. Every root-resolvable
-  // trace is registered — even unusable ones — so the Nth pop of a key
+TraceReplay::TraceReplay(const TraceBank &Bank, ExtensionTable &Table,
+                         SchedulerCore &Core, AbstractMachine &Machine)
+    : Bank(Bank), Table(Table), Core(Core), Machine(Machine) {
+  // Group the traces by root key in bank order, so the Nth pop of a key
   // consumes the trace of the Nth committed run of that key; replays and
   // executions interleave without sliding the correspondence.
-  const auto &Runs = Prev.runs();
-  Usable.assign(Runs.size(), 0);
-  for (size_t I = 0; I != Runs.size(); ++I) {
-    const RunTrace &T = *Runs[I];
-    int32_t RootPid = resolvePid(T.Pred);
-    if (RootPid < 0)
-      continue;
-    std::vector<RootGroup> &Bucket = Groups[groupKey(RootPid, T.Call)];
+  for (size_t I = 0; I != Bank.size(); ++I) {
+    const RunTrace &T = *Bank[I];
+    std::vector<RootGroup> &Bucket = Groups[groupKey(T.Pred, T.Call)];
     RootGroup *G = nullptr;
     for (RootGroup &Cand : Bucket)
-      if (Cand.Pid == RootPid && *Cand.Call == T.Call) {
+      if (Cand.Pid == T.Pred && *Cand.Call == T.Call) {
         G = &Cand;
         break;
       }
     if (!G) {
-      Bucket.push_back(RootGroup{RootPid, &T.Call, {}, 0});
+      Bucket.push_back(RootGroup{T.Pred, &T.Call, {}, 0});
       G = &Bucket.back();
     }
     G->TraceIdx.push_back(I);
-
-    // Structural usability: errored/unbalanced runs never replay; a run
-    // that *executed* an edited predicate's clauses (as root or inline) is
-    // stale by definition; and every referenced predicate must resolve, so
-    // the trace's effects — and its carry-over into the next journal — are
-    // expressible in the new module. Memo reads of edited predicates are
-    // fine: validation compares the summary value, which is what the
-    // recorded execution actually consumed.
-    bool OK = !T.Error && !EditedNew[RootPid];
-    for (const TraceOp &Op : T.Ops) {
-      if (!OK)
-        break;
-      if (Op.Pred < 0)
-        continue;
-      int32_t NewPid = resolvePid(Op.Pred);
-      if (NewPid < 0 || (Op.K == TraceOp::Enter && EditedNew[NewPid]))
-        OK = false;
-    }
-    Usable[I] = OK ? 1 : 0;
   }
 }
 
-IncrementalScheduler::~IncrementalScheduler() = default;
-
-const RunTrace *IncrementalScheduler::takeTrace(const ETEntry &Root,
-                                                size_t &TraceIdxOut) {
+const RunTrace *TraceReplay::takeTrace(const ETEntry &Root,
+                                       size_t &TraceIdxOut) {
   auto It = Groups.find(groupKey(Root.PredId, Root.Call));
   if (It == Groups.end())
     return nullptr;
@@ -198,14 +145,14 @@ const RunTrace *IncrementalScheduler::takeTrace(const ETEntry &Root,
     if (G.Cursor >= G.TraceIdx.size())
       return nullptr;
     TraceIdxOut = G.TraceIdx[G.Cursor++];
-    return Prev.runs()[TraceIdxOut].get();
+    return Bank[TraceIdxOut].get();
   }
   return nullptr;
 }
 
 /// One validated transition of an apply plan. Pattern pointers point into
-/// the owning trace, which the journal keeps alive past the scheduler.
-struct IncrementalScheduler::ReplayOp {
+/// the owning trace, which the bank keeps alive past the replay.
+struct TraceReplay::ReplayOp {
   enum Kind : uint8_t {
     Begin,  ///< A = entry idx: beginActivation + EverExplored
     Create, ///< A = pid, B = expected idx, Pat = calling pattern
@@ -219,13 +166,13 @@ struct IncrementalScheduler::ReplayOp {
 
 /// A validated replay: the trace it came from and the transitions that
 /// applying it performs, with every index resolved.
-struct IncrementalScheduler::ReplayPlan {
-  size_t TraceIdx = 0; ///< into Prev.runs()
+struct TraceReplay::ReplayPlan {
+  size_t TraceIdx = 0; ///< into the bank
   std::vector<ReplayOp> Ops;
 };
 
-bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
-                                    ReplayPlan &Out) const {
+bool TraceReplay::simulate(const ETEntry &Root, const RunTrace &T,
+                           ReplayPlan &Out) const {
   if (!(Root.Success == T.PreSuccess))
     return false;
 
@@ -301,7 +248,7 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
   for (const TraceOp &Op : T.Ops) {
     switch (Op.K) {
     case TraceOp::Memo: {
-      int32_t Idx = FindSim(resolvePid(Op.Pred), Op.Call);
+      int32_t Idx = FindSim(Op.Pred, Op.Call);
       if (Idx < 0)
         return false; // execution would create-and-explore, not memo
       if (!SimExplored(Idx) || Clone.shouldReexplore(Idx))
@@ -313,15 +260,14 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
       break;
     }
     case TraceOp::Enter: {
-      int32_t Pid = resolvePid(Op.Pred);
-      int32_t Idx = FindSim(Pid, Op.Call);
+      int32_t Idx = FindSim(Op.Pred, Op.Call);
       if (Op.Created) {
         if (Idx >= 0)
           return false; // execution would find the entry, not create it
         Idx = static_cast<int32_t>(LiveSize + SimCreated.size());
-        SimByPid[Pid].push_back(SimCreated.size());
-        SimCreated.push_back({Pid, &Op.Call});
-        Out.Ops.push_back({ReplayOp::Create, Pid, Idx, &Op.Call});
+        SimByPid[Op.Pred].push_back(SimCreated.size());
+        SimCreated.push_back({Op.Pred, &Op.Call});
+        Out.Ops.push_back({ReplayOp::Create, Op.Pred, Idx, &Op.Call});
       } else {
         if (Idx < 0)
           return false; // execution would create it (Created mismatch)
@@ -337,7 +283,7 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
       break;
     }
     case TraceOp::Exit: {
-      assert(!Stack.empty() && "balanced trace (unbalanced are unusable)");
+      assert(!Stack.empty() && "balanced trace (unbalanced ones never bank)");
       int32_t Child = Stack.back();
       Stack.pop_back();
       // returnFromFrame: the parent's continuation reads the child's final
@@ -363,7 +309,7 @@ bool IncrementalScheduler::simulate(const ETEntry &Root, const RunTrace &T,
   return Stack.empty();
 }
 
-void IncrementalScheduler::applyPlan(const ReplayPlan &Plan) {
+void TraceReplay::applyPlan(const ReplayPlan &Plan) {
   for (const ReplayOp &Op : Plan.Ops) {
     switch (Op.K) {
     case ReplayOp::Begin: {
@@ -398,22 +344,23 @@ void IncrementalScheduler::applyPlan(const ReplayPlan &Plan) {
     }
     }
   }
-  const RunTrace &T = *Prev.runs()[Plan.TraceIdx];
-  Machine.charge(T.Steps, T.Activations);
-  if (OutJournal)
-    OutJournal->appendRemapped(Prev.runs()[Plan.TraceIdx], PidMap);
-  ++RStats.ReplayedRuns;
-  RStats.ReplayedActivations += T.Activations;
+  const std::shared_ptr<const RunTrace> &T = Bank[Plan.TraceIdx];
+  Machine.charge(T->Steps, T->Activations);
+  if (RunJournal *Out = Machine.runJournal())
+    Out->append(T);
+  ++Core.statsMut().ReplayedRuns;
+  Core.statsMut().ReplayedActivations += T->Activations;
 }
 
-bool IncrementalScheduler::tryReplay(ETEntry &Root) {
+bool TraceReplay::tryReplay(ETEntry &Root) {
   size_t TI = 0;
   const RunTrace *T = takeTrace(Root, TI);
-  if (!T || !Usable[TI])
+  if (!T)
     return false;
   // A run that would trip the instruction budget errors partway through
   // with partial effects; only real execution reproduces that exactly.
-  if (Machine.stepsExecuted() + T->Steps > MaxSteps)
+  // (Steps never exceeds the budget inside a drain that is still going.)
+  if (T->Steps > Machine.maxSteps() - Machine.stepsExecuted())
     return false;
 
   ReplayPlan Plan;
@@ -422,45 +369,4 @@ bool IncrementalScheduler::tryReplay(ETEntry &Root) {
     return false;
   applyPlan(Plan);
   return true;
-}
-
-IncrementalScheduler::Status IncrementalScheduler::run(ETEntry &Root,
-                                                       int MaxSweeps) {
-  assert(Root.Idx >= 0 && "root entry must live in the table");
-  // The sink stays installed for the whole drain: executed fallbacks run
-  // on the machine, which reports through it (and records fresh traces
-  // into the session's attached journal).
-  Machine.setDependencySink(this);
-  Core.setCurrentSweep(1);
-  Status Out = Status::Converged;
-  if (MaxSweeps < 1) {
-    Out = Status::BudgetHit;
-  } else {
-    Core.ensure(Table.size());
-    Core.enqueue(Root.Idx, Core.currentSweep());
-    while (std::optional<SchedulerCore::QNode> N = Core.popLive()) {
-      auto [Sweep, Idx] = *N;
-      if (Sweep > Core.currentSweep()) {
-        if (Sweep > static_cast<uint64_t>(MaxSweeps)) {
-          Out = Status::BudgetHit;
-          break;
-        }
-        Core.setCurrentSweep(Sweep);
-      }
-      ++Core.statsMut().Runs;
-      ETEntry &E = Table.entryAt(static_cast<size_t>(Idx));
-      if (tryReplay(E))
-        continue;
-      uint64_t Acts0 = Machine.activationsExplored();
-      if (Machine.runActivation(E) == AbsRunStatus::Error) {
-        Out = Status::Error;
-        break;
-      }
-      ++RStats.ExecutedRuns;
-      RStats.ExecutedActivations += Machine.activationsExplored() - Acts0;
-    }
-  }
-  Core.statsMut().Sweeps = MaxSweeps < 1 ? 0 : Core.currentSweep();
-  Machine.setDependencySink(nullptr);
-  return Out;
 }

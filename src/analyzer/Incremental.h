@@ -1,60 +1,55 @@
-//===- analyzer/Incremental.h - Incremental re-analysis driver --*- C++ -*-===//
+//===- analyzer/Incremental.h - Validated journal replay --------*- C++ -*-===//
 //
 // Part of the AWAM project (PLDI 1992 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The incremental worklist driver behind AnalysisSession::reanalyze().
+/// Validated journal replay: the optional step WorklistScheduler's drain
+/// loop takes before executing a popped activation. Every AnalysisStore
+/// query records one RunTrace per activation run (analyzer/RunJournal.h);
+/// a later query of the store — a new entry, or the re-query after an
+/// edit (AnalysisSession::reanalyze) — drains over a fresh table with the
+/// store's pooled traces as its *bank*, and each popped activation first
+/// tries to *replay* a banked trace instead of executing clause code:
 ///
-/// Strategy: *validated journal replay*. A from-scratch analysis under
-/// AnalyzerOptions::Incremental records one RunTrace per activation run
-/// (analyzer/RunJournal.h). reanalyze() re-drains the worklist over a
-/// fresh table in exactly WorklistScheduler::run's order, but each popped
-/// activation first tries to *replay* a matching recorded trace instead of
-/// executing clause code:
-///
-///  1. Trace lookup. Traces are grouped by (root predicate, calling
-///     pattern) — predicates matched by name/arity so a recompiled module
-///     with shifted PredIds still resolves — and consumed FIFO per group,
-///     mirroring the order in which runs with equal roots committed.
+///  1. Trace lookup. Banked traces are grouped by (root predicate, calling
+///     pattern) and consumed FIFO per group, mirroring the order in which
+///     runs with equal roots committed.
 ///  2. Validation. The trace is simulated against the live table plus a
-///     clone of the live SchedulerCore, without writing anything. Every
-///     observable input the recorded execution consumed must match what
-///     execution would see now: the root's pre-run summary; each callee's
-///     created-vs-found status; each memo-vs-explore decision (answered by
-///     the core clone exactly as the machine's shouldReexplore query would
-///     be); each memo'd or pre-exploration summary *value*; and the
-///     cumulative step budget. Traces that executed an *edited*
-///     predicate's clauses (as root or by inline exploration) are invalid
-///     up front; memo reads of edited predicates are fine — the summary
-///     value is what matters. Validation emits an apply plan with all
-///     indices resolved.
+///     copy-on-write overlay of the live SchedulerCore, without writing
+///     anything. Every observable input the recorded execution consumed
+///     must match what execution would see now: the root's pre-run
+///     summary; each callee's created-vs-found status; each memo-vs-explore
+///     decision (answered by the overlay exactly as the machine's
+///     shouldReexplore query would be); each memo'd or pre-exploration
+///     summary *value*; and the cumulative step budget. Validation emits an
+///     apply plan with all indices resolved.
 ///  3. Apply or execute. A validated plan is applied — entry creations,
 ///     beginActivation / noteRead / noteChanged transitions, summary
 ///     growth — and the recorded step/activation cost charged to the
 ///     machine, which is observationally identical to having executed the
-///     run (the machine is deterministic between table interactions). An
-///     invalid trace falls back to executing the activation on the
-///     machine, which also records a fresh trace for the next reanalyze in
-///     the chain.
+///     run (the machine is deterministic between table interactions). The
+///     trace carries over into the machine's attached journal for the next
+///     query. An invalid trace falls back to executing the activation on
+///     the machine, which records a fresh trace instead.
 ///
-/// Byte-identity with a from-scratch analyze() of the edited program
-/// follows by induction over the drain: with equal core and table states
-/// both drains pop the same activation; an executed run behaves
-/// identically on equal state, and a replayed run applies exactly the
-/// effects execution would have produced (which is what validation
-/// established) — so the next states are equal too, and every quantity the
-/// report prints (entry creation order, summaries, sweeps, runs,
-/// instructions) matches. Only probe and interner statistics may drift
-/// (replay probes the table less), and those are not part of the report.
+/// A bank holds no code that changed: the store re-keys every bank to the
+/// current module's predicate ids when it invalidates or imports, and
+/// drops each trace that executed an *edited* predicate's clauses (as its
+/// root or by inline exploration) or names a predicate that no longer
+/// resolves. Memo reads of edited predicates stay — validation compares
+/// the summary value, which is what the recorded execution consumed.
 ///
-/// The previous run's dependency edges still earn their keep as the
-/// *invalidation cone*: ReanalyzeStats::ConeEntries is the reverse
-/// dependency closure of the edited predicates' entries over the previous
-/// SchedulerCore — the entries whose recorded reads could transitively
-/// reach the edit. Validation is value-level and therefore finer: a cone
-/// member whose inputs did not actually change still replays.
+/// Byte-identity with a from-scratch analyze() follows by induction over
+/// the drain: with equal core and table states both drains pop the same
+/// activation; an executed run behaves identically on equal state, and a
+/// replayed run applies exactly the effects execution would have produced
+/// (which is what validation established) — so the next states are equal
+/// too, and every quantity the report prints (entry creation order,
+/// summaries, sweeps, runs, instructions) matches. Only probe and interner
+/// statistics may drift (replay probes the table less), and those are not
+/// part of the report.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,70 +71,33 @@ struct CompiledProgram;
 /// by name/arity: changed bodies, changed clause counts, additions, and
 /// removals. Both modules should share one SymbolTable; with distinct
 /// tables the comparison is meaningless (Symbols and hence patterns are
-/// incomparable), so every predicate of both programs is reported — a
-/// re-drain then (correctly) replays nothing and a persistent store
-/// invalidates everything. Used by AnalysisSession::reanalyze and the
-/// AnalysisStore's cone invalidation.
+/// incomparable), so every predicate of both programs is reported and the
+/// AnalysisStore invalidates everything. Used by the store's cone
+/// invalidation on a recompiled program.
 std::vector<PredSig> diffPrograms(const CompiledProgram &Old,
                                   const CompiledProgram &New);
 
-/// Worklist driver that satisfies activations from a previous run's
-/// journal where valid and executes the rest. One instance drives one
-/// reanalyze() to its fixpoint.
-class IncrementalScheduler final : public DependencySink {
+/// The replay step of one drain: groups a bank of recorded traces by root
+/// key and satisfies popped activations from it wherever validation holds.
+/// WorklistScheduler owns one when it is given a bank.
+class TraceReplay {
 public:
-  using Status = WorklistScheduler::Status;
+  /// Replays \p Bank into the drain over \p Table and \p Core, charging
+  /// replayed cost to \p Machine and carrying each replayed trace into the
+  /// machine's attached journal. Every trace must be error-free, use
+  /// \p Table's module ids and run no edited code (see the file comment);
+  /// all four must outlive the replay.
+  TraceReplay(const TraceBank &Bank, ExtensionTable &Table,
+              SchedulerCore &Core, AbstractMachine &Machine);
 
-  /// How much of the drain was replayed vs re-executed (the bench and CI
-  /// gate metrics; byte-identity of the result itself is the contract).
-  struct ReanalyzeStats {
-    uint64_t PrevEntries = 0; ///< previous run's table size
-    uint64_t ConeEntries = 0; ///< entries in the reverse-dependency cone
-    uint64_t ExecutedRuns = 0;  ///< queue pops that ran the machine
-    uint64_t ReplayedRuns = 0;  ///< queue pops satisfied by trace replay
-    uint64_t ExecutedActivations = 0; ///< clause-list explorations executed
-    uint64_t ReplayedActivations = 0; ///< clause-list explorations replayed
-  };
-
-  /// \p Edited names the predicates whose clause code changed between
-  /// \p Prev's module and \p Module (matched by name/arity; a deleted
-  /// predicate simply never resolves). \p Out, when non-null, receives the
-  /// new run's traces: replays carry their trace over (remapped to
-  /// \p Module's ids), executed runs record fresh ones via the machine's
-  /// attached journal.
-  IncrementalScheduler(ExtensionTable &Table, AbstractMachine &Machine,
-                       const CodeModule &Module, const RunJournal &Prev,
-                       const std::vector<PredSig> &Edited, RunJournal *Out,
-                       uint64_t MaxSteps);
-  ~IncrementalScheduler() override;
-
-  /// Drains the worklist from \p Root exactly like WorklistScheduler::run.
-  Status run(ETEntry &Root, int MaxSweeps);
-
-  const SchedulerCore::Stats &stats() const { return Core.stats(); }
-  const SchedulerCore &core() const { return Core; }
-  ReanalyzeStats &reanalyzeStats() { return RStats; }
-  const ReanalyzeStats &reanalyzeStats() const { return RStats; }
-
-  // --- DependencySink (live fallback runs on the machine) ---
-  bool shouldReexplore(const ETEntry &E) override {
-    return Core.shouldReexplore(E.Idx);
-  }
-  void beginActivation(const ETEntry &E) override {
-    Core.beginActivation(E.Idx);
-  }
-  void noteRead(const ETEntry &Reader, const ETEntry &Dep,
-                uint32_t VersionSeen) override {
-    Core.noteRead(Reader.Idx, Dep.Idx, VersionSeen);
-  }
-  void noteChanged(const ETEntry &E) override {
-    Core.noteChanged(E.Idx, E.SuccessVersion);
-  }
+  /// Validates the next banked trace for \p Root's key and applies it;
+  /// false means the caller must execute the activation on the machine.
+  bool tryReplay(ETEntry &Root);
 
 private:
   /// Traces sharing one (root pid, calling pattern), consumed in FIFO
   /// order. Call points into the first trace (traces are shared-owned by
-  /// the journal and outlive the scheduler).
+  /// the bank and outlive the replay).
   struct RootGroup {
     int32_t Pid = -1;
     const Pattern *Call = nullptr;
@@ -147,11 +105,7 @@ private:
     size_t Cursor = 0;
   };
 
-  int32_t resolvePid(int32_t OldPid) const {
-    return static_cast<size_t>(OldPid) < PidMap.size() ? PidMap[OldPid] : -1;
-  }
-
-  /// Consumes the next recorded trace for \p Root's key, if any.
+  /// Consumes the next banked trace for \p Root's key, if any.
   const RunTrace *takeTrace(const ETEntry &Root, size_t &TraceIdxOut);
 
   struct ReplayOp;   ///< one validated transition of an apply plan
@@ -168,21 +122,10 @@ private:
   /// recorded cost (the caller has already consumed the trace cursor).
   void applyPlan(const ReplayPlan &Plan);
 
-  /// Validates the next trace for \p Root and applies it; false means the
-  /// caller must execute the activation on the machine.
-  bool tryReplay(ETEntry &Root);
-
+  const TraceBank &Bank;
   ExtensionTable &Table;
+  SchedulerCore &Core;
   AbstractMachine &Machine;
-  const CodeModule &Module;
-  const RunJournal &Prev;
-  RunJournal *OutJournal;
-  uint64_t MaxSteps;
-  SchedulerCore Core;
-  ReanalyzeStats RStats;
-  std::vector<int32_t> PidMap; ///< prev-module pid -> new pid (-1 = gone)
-  std::vector<char> EditedNew; ///< new pid -> clause code changed?
-  std::vector<char> Usable;    ///< per trace: structurally replayable
   std::unordered_map<uint64_t, std::vector<RootGroup>> Groups;
 };
 

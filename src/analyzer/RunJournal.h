@@ -5,21 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Recording substrate of incremental re-analysis (analyzer/Incremental.h).
-/// While an analysis runs under the worklist driver with
-/// AnalyzerOptions::Incremental set, the abstract machine appends one
+/// Recording substrate of journal replay (analyzer/Incremental.h). While
+/// an AnalysisStore query drains, the abstract machine appends one
 /// RunTrace per activation run: the ordered sequence of extension-table
 /// interactions the run performed (memo reads, inline clause explorations,
 /// frame returns, summary growth) plus its instruction/activation cost.
 /// The machine is deterministic between table interactions, so a trace
-/// whose recorded table answers still hold *is* the run — a later
-/// reanalyze() validates each trace against the live state and applies its
+/// whose recorded table answers still hold *is* the run — a later query
+/// validates each banked trace against the live state and applies its
 /// effects instead of re-executing clause code (see Incremental.h for the
 /// validation protocol).
 ///
 /// Traces reference predicates by the recording module's PredId; the
-/// journal eagerly resolves every referenced id to its (name, arity) so a
-/// trace can be re-resolved against a *recompiled* module, whose ids may
+/// journal eagerly resolves every referenced id to its (name, arity) so the
+/// store can re-key a journal to a *recompiled* module, whose ids may
 /// differ (CodeModule assigns ids in first-reference order, which clause
 /// edits can shift). Patterns are stored by value for the same reason —
 /// interner ids are run-local.
@@ -91,9 +90,13 @@ inline size_t traceHeapBytes(const RunTrace &T) {
   return B;
 }
 
+/// Recorded traces one drain may replay from (see TraceReplay), in bank
+/// order. Traces are shared by handle across journals and banks.
+using TraceBank = std::vector<std::shared_ptr<const RunTrace>>;
+
 /// The trace log of one analysis run, in activation commit order. Owns
 /// shared handles so replayed traces carry over to the next journal
-/// without copying (a reanalyze chain keeps one journal per run).
+/// without copying (each store root keeps the journal of its last drain).
 class RunJournal {
 public:
   explicit RunJournal(const CodeModule &M) : Module(&M) {}
@@ -178,16 +181,17 @@ public:
     Runs.push_back(std::move(T));
   }
 
-  /// Appends a trace recorded against another module. \p PidMap maps that
-  /// module's ids to this module's (every id \p T uses must map, which
-  /// replay validation established). The trace is shared when the mapping
+  /// Appends a trace recorded against another module. \p MapPid maps that
+  /// module's ids to this module's (every id \p T uses must map, which the
+  /// store checks before re-keying). The trace is shared when the mapping
   /// is the identity on those ids, and copied/rewritten otherwise.
+  template <typename MapPidFn>
   void appendRemapped(const std::shared_ptr<const RunTrace> &T,
-                      const std::vector<int32_t> &PidMap) {
-    auto MapOf = [&PidMap](int32_t Pid) {
-      assert(static_cast<size_t>(Pid) < PidMap.size() && PidMap[Pid] >= 0 &&
-             "replayed trace ids must resolve in the new module");
-      return PidMap[Pid];
+                      MapPidFn MapPid) {
+    auto MapOf = [&MapPid](int32_t Pid) {
+      int32_t NewPid = MapPid(Pid);
+      assert(NewPid >= 0 && "re-keyed trace ids must resolve");
+      return NewPid;
     };
     bool Identity = MapOf(T->Pred) == T->Pred;
     for (const TraceOp &Op : T->Ops)
@@ -205,9 +209,7 @@ public:
     append(std::move(Copy));
   }
 
-  const std::vector<std::shared_ptr<const RunTrace>> &runs() const {
-    return Runs;
-  }
+  const TraceBank &runs() const { return Runs; }
 
   /// Heap bytes of this journal's handle vector and sig map, plus every
   /// referenced trace whose address is new to \p Seen. Traces are shared
@@ -235,7 +237,7 @@ private:
   }
 
   const CodeModule *Module;
-  std::vector<std::shared_ptr<const RunTrace>> Runs;
+  TraceBank Runs;
   std::shared_ptr<RunTrace> Open; ///< run currently being recorded
   int Depth = 0;                  ///< open frames (balance check)
   std::unordered_map<int32_t, PredSig> Sigs;

@@ -2,6 +2,8 @@
 
 #include "analyzer/Scheduler.h"
 
+#include "analyzer/Incremental.h"
+
 #include <cassert>
 
 using namespace awam;
@@ -203,6 +205,16 @@ void SchedulerCore::Overlay::noteChanged(int32_t Idx,
       Scan(Ed);
 }
 
+WorklistScheduler::WorklistScheduler(ExtensionTable &Table,
+                                     AbstractMachine &Machine,
+                                     const TraceBank *Bank)
+    : Table(Table), Machine(Machine) {
+  if (Bank)
+    Replay = std::make_unique<TraceReplay>(*Bank, Table, Core, Machine);
+}
+
+WorklistScheduler::~WorklistScheduler() = default;
+
 WorklistScheduler::Status WorklistScheduler::run(ETEntry &Root,
                                                  int MaxSweeps) {
   assert(Root.Idx >= 0 && "root entry must live in the table");
@@ -224,8 +236,10 @@ WorklistScheduler::Status WorklistScheduler::run(ETEntry &Root,
         Core.setCurrentSweep(Sweep);
       }
       ++Core.statsMut().Runs;
-      if (Machine.runActivation(Table.entryAt(static_cast<size_t>(Idx))) ==
-          AbsRunStatus::Error) {
+      ETEntry &E = Table.entryAt(static_cast<size_t>(Idx));
+      if (Replay && Replay->tryReplay(E))
+        continue;
+      if (Machine.runActivation(E) == AbsRunStatus::Error) {
         Out = Status::Error;
         break;
       }

@@ -48,12 +48,13 @@
 ///  * an entry is enqueued for at most one sweep at a time (the earliest).
 ///
 /// The queue/edge state machine lives in SchedulerCore, a plain value
-/// type keyed on ETEntry::Idx. WorklistScheduler drives one core; the
-/// incremental driver (analyzer/Incremental.h) drives another and
-/// validates each journal replay against a copy-on-write Overlay of it.
-/// Every behavioural decision (inline re-exploration, dirty targeting,
-/// edge retirement) is a core method, so every drain shares one
-/// definition of the schedule.
+/// type keyed on ETEntry::Idx, and WorklistScheduler's one drain loop
+/// drives it. Given a bank of recorded traces, the loop first tries to
+/// replay each popped activation (analyzer/Incremental.h), validating the
+/// replay against a copy-on-write Overlay of the core, and executes it
+/// only when that fails. Every behavioural decision (inline
+/// re-exploration, dirty targeting, edge retirement) is a core method, so
+/// replayed and executed runs share one definition of the schedule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,9 +62,11 @@
 #define AWAM_ANALYZER_SCHEDULER_H
 
 #include "analyzer/AbstractMachine.h"
+#include "analyzer/RunJournal.h"
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <unordered_map>
@@ -71,6 +74,8 @@
 #include <vector>
 
 namespace awam {
+
+class TraceReplay;
 
 /// The worklist state machine: per-entry scheduling state, the reverse
 /// dependency edges, and the ready heap, with one method per transition.
@@ -82,6 +87,8 @@ public:
     uint64_t Enqueues = 0;     ///< re-enqueue requests accepted
     uint64_t EdgesRecorded = 0;///< dependency edges recorded
     uint64_t EdgesRetired = 0; ///< edges dropped as superseded or consumed
+    uint64_t ReplayedRuns = 0; ///< runs satisfied by journal replay
+    uint64_t ReplayedActivations = 0; ///< clause-list explorations replayed
   };
 
   /// A ready-heap node: (sweep, entry Idx).
@@ -126,8 +133,8 @@ public:
   /// every entry that (transitively) read a seed entry's summary, seeds
   /// included. Conservative — edges of superseded runs still count, since
   /// such a reader re-reads everything when it next runs anyway. This is
-  /// the incremental driver's invalidation cone (analyzer/Incremental.h):
-  /// the entries whose recorded inputs could reach an edited predicate.
+  /// the AnalysisStore's invalidation cone (analyzer/Store.h): the
+  /// entries whose recorded inputs could reach an edited predicate.
   std::vector<char> reverseClosure(const std::vector<int32_t> &Seeds) const;
 
   /// All recorded reader edges, as (Dep, Reader) pairs in no particular
@@ -167,7 +174,7 @@ public:
   /// A sparse copy-on-write view of a core: behaves like a private copy
   /// for the transitions a replay simulation performs, at cost
   /// proportional to the entries the simulation touches instead of the
-  /// size of the base core. A true copy is O(edges), and the incremental
+  /// size of the base core. A true copy is O(edges), and a replaying
   /// drain simulates once per replayed trace while the base accumulates
   /// every committed trace's edges — copying made warm replay quadratic
   /// in program size. The divergences from a true copy are limited to
@@ -234,8 +241,13 @@ public:
     Error,     ///< the machine reported an error (message on the machine)
   };
 
-  WorklistScheduler(ExtensionTable &Table, AbstractMachine &Machine)
-      : Table(Table), Machine(Machine) {}
+  /// \p Bank, when non-null, holds recorded traces the drain replays
+  /// wherever they validate (analyzer/Incremental.h states what a bank may
+  /// hold); it must outlive the scheduler. Without one every popped
+  /// activation executes.
+  WorklistScheduler(ExtensionTable &Table, AbstractMachine &Machine,
+                    const TraceBank *Bank = nullptr);
+  ~WorklistScheduler() override;
 
   /// Drains the worklist starting from \p Root's activation, running at
   /// most \p MaxSweeps sweeps. Installs itself as the machine's
@@ -244,8 +256,8 @@ public:
 
   const Stats &stats() const { return Core.stats(); }
 
-  /// The core after the drain — the dependency-edge set an incremental
-  /// session snapshots for its invalidation cone.
+  /// The core after the drain — the dependency edges the AnalysisStore
+  /// merges into its invalidation graph.
   const SchedulerCore &core() const { return Core; }
 
   // --- DependencySink (called by the machine during activation runs) ---
@@ -267,6 +279,8 @@ private:
   ExtensionTable &Table;
   AbstractMachine &Machine;
   SchedulerCore Core;
+  /// The optional replay step (non-null when constructed with a bank).
+  std::unique_ptr<TraceReplay> Replay;
 };
 
 } // namespace awam

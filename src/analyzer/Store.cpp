@@ -80,9 +80,6 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   if (Pid < 0)
     return makeError(undefinedPredicateMessage(M, "entry", Name, Arity));
   ++St.Queries;
-  LastName.assign(Name);
-  LastEntry = Entry;
-  HaveLast = true;
 
   PatternId CallId = Interner->internNormalized(Entry);
   if (int Slot = findRootSlot(Name, CallId);
@@ -110,59 +107,28 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   bool Created = false;
   ETEntry &Root = QTable.findOrCreate(Pid, CallId, Created);
 
-  // Pool every valid root's banked journal as the replay source. The drain
-  // validates each trace against the live query table before applying it,
-  // so banked runs act as pre-verified memo hits wherever they still hold
-  // and fall back to execution wherever they don't — which is what makes
-  // the warm result byte-identical to a scratch run of this entry. Roots
-  // share replayed traces by handle, so the pool dedupes by trace address
-  // (and skips error traces, which never validate) — the second handle to
-  // a trace could only re-validate what the first already applied.
-  RunJournal PrevRuns(M);
-  std::unordered_set<const RunTrace *> Pooled;
-  for (const RootInfo &RI : Roots)
-    if (RI.Valid && RI.Journal)
-      for (const std::shared_ptr<const RunTrace> &T : RI.Journal->runs())
-        if (!T->Error && Pooled.insert(T.get()).second)
-          PrevRuns.append(T);
-  // Imported bundle traces join the pool after the store's own: they are
-  // just more pre-verified candidates for the drain to validate, so a
-  // fresh store that imported a library's bundle runs its first query warm.
-  if (Imported)
-    for (const std::shared_ptr<const RunTrace> &T : Imported->runs())
-      if (!T->Error && Pooled.insert(T.get()).second)
-        PrevRuns.append(T);
-
-  AnalysisResult R;
-  WorklistScheduler::Status Status;
-  const SchedulerCore *QCore = nullptr;
-  std::unique_ptr<IncrementalScheduler> Inc;
-  std::unique_ptr<WorklistScheduler> Seq;
-  if (!PrevRuns.runs().empty()) {
-    ++St.WarmQueries;
-    Inc = std::make_unique<IncrementalScheduler>(
-        QTable, Machine, M, PrevRuns, std::vector<PredSig>{},
-        OutJournal.get(), Options.MaxSteps);
-    Inc->reanalyzeStats().PrevEntries = Table->size();
-    Status = Inc->run(Root, Options.MaxIterations);
-    if (Status == WorklistScheduler::Status::Error)
-      return makeError("abstract machine error: " + Machine.errorMessage());
-    QCore = &Inc->core();
-    const IncrementalScheduler::ReanalyzeStats &RS = Inc->reanalyzeStats();
-    St.ReplayedRuns += RS.ReplayedRuns;
-    St.ExecutedRuns += RS.ExecutedRuns;
-    St.ReplayedActivations += RS.ReplayedActivations;
-    St.ExecutedActivations += RS.ExecutedActivations;
-  } else {
-    ++St.ColdQueries;
-    Seq = std::make_unique<WorklistScheduler>(QTable, Machine);
-    Status = Seq->run(Root, Options.MaxIterations);
-    if (Status == WorklistScheduler::Status::Error)
-      return makeError("abstract machine error: " + Machine.errorMessage());
-    QCore = &Seq->core();
+  // Replay from the store's pool (see pool()). The drain validates each
+  // trace against the live query table before applying it, so banked runs
+  // act as pre-verified memo hits wherever they still hold and fall back
+  // to execution wherever they don't — which is what makes the warm
+  // result byte-identical to a scratch run of this entry.
+  TraceBank Bank = pool();
+  const bool Warm = !Bank.empty();
+  ++(Warm ? St.WarmQueries : St.ColdQueries);
+  WorklistScheduler Sched(QTable, Machine, Warm ? &Bank : nullptr);
+  WorklistScheduler::Status Status = Sched.run(Root, Options.MaxIterations);
+  if (Status == WorklistScheduler::Status::Error)
+    return makeError("abstract machine error: " + Machine.errorMessage());
+  const WorklistScheduler::Stats &SS = Sched.stats();
+  if (Warm) {
+    St.ReplayedRuns += SS.ReplayedRuns;
+    St.ExecutedRuns += SS.Runs - SS.ReplayedRuns;
+    St.ReplayedActivations += SS.ReplayedActivations;
+    St.ExecutedActivations +=
+        Machine.activationsExplored() - SS.ReplayedActivations;
   }
 
-  const WorklistScheduler::Stats &SS = Inc ? Inc->stats() : Seq->stats();
+  AnalysisResult R;
   R.Converged = Status == WorklistScheduler::Status::Converged;
   R.Iterations = static_cast<int>(SS.Sweeps);
   R.Counters.SchedulerRuns = SS.Runs;
@@ -188,7 +154,8 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   // Only a converged fixpoint merges: a budget-hit table is a sound
   // partial answer for *this* query but not a reusable memo.
   if (R.Converged) {
-    mergeQuery(Name, Pid, CallId, QTable, *QCore, std::move(OutJournal), R);
+    mergeQuery(Name, Pid, CallId, QTable, Sched.core(),
+               std::move(OutJournal), R);
     // Bank hygiene: a warm drain re-banks every replayed trace as a shared
     // handle, so a long query chain accumulates one handle per (root,
     // trace) pair while the distinct traces stay near-constant. Compact
@@ -197,18 +164,37 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
     constexpr size_t kCompactionMinHandles = 64;
     constexpr size_t kCompactionFactor = 2;
     size_t Handles = 0;
-    std::unordered_set<const RunTrace *> Distinct;
-    for (const RootInfo &RI : Roots)
-      if (RI.Valid && RI.Journal)
-        for (const std::shared_ptr<const RunTrace> &T : RI.Journal->runs()) {
-          ++Handles;
-          Distinct.insert(T.get());
-        }
+    size_t Distinct = pool(&Handles).size();
     if (Handles > kCompactionMinHandles &&
-        Handles > kCompactionFactor * Distinct.size())
+        Handles > kCompactionFactor * Distinct)
       compactJournals();
   }
   return R;
+}
+
+TraceBank AnalysisStore::pool(size_t *Handles) const {
+  // Roots share replayed traces by handle, so the pool dedupes by trace
+  // address — a second handle could only re-validate what the first already
+  // applied — and skips error traces, which never validate. Imported traces
+  // come last: they are just more candidates for the drain to validate, so
+  // a fresh store that imported a library's bundle runs its first query
+  // warm.
+  TraceBank Out;
+  std::unordered_set<const RunTrace *> Seen;
+  auto Add = [&](const std::unique_ptr<RunJournal> &J) {
+    if (!J)
+      return;
+    for (const std::shared_ptr<const RunTrace> &T : J->runs()) {
+      if (Handles)
+        ++*Handles;
+      if (!T->Error && Seen.insert(T.get()).second)
+        Out.push_back(T);
+    }
+  };
+  for (const RootInfo &RI : Roots)
+    Add(RI.Journal);
+  Add(Imported);
+  return Out;
 }
 
 uint64_t AnalysisStore::bytesUsed() const {
@@ -233,18 +219,22 @@ uint64_t AnalysisStore::compactJournals() {
   const CodeModule &M = *Program->Module;
   uint64_t Dropped = 0;
   std::unordered_set<const RunTrace *> Kept;
-  for (RootInfo &RI : Roots) {
-    if (!RI.Valid || !RI.Journal)
-      continue;
+  auto Compact = [&](std::unique_ptr<RunJournal> &J) {
+    if (!J)
+      return;
     auto NewJ = std::make_unique<RunJournal>(M);
-    for (const std::shared_ptr<const RunTrace> &T : RI.Journal->runs()) {
+    for (const std::shared_ptr<const RunTrace> &T : J->runs()) {
       if (!T->Error && Kept.insert(T.get()).second)
         NewJ->append(T);
       else
         ++Dropped;
     }
-    RI.Journal = std::move(NewJ);
-  }
+    J = std::move(NewJ);
+  };
+  for (RootInfo &RI : Roots)
+    Compact(RI.Journal);
+  Compact(Imported);
+  St.ImportedTraces = Imported ? Imported->runs().size() : 0;
   ++St.Compactions;
   St.CompactedTraces += Dropped;
   return Dropped;
@@ -275,36 +265,29 @@ SummaryBundle AnalysisStore::exportBundle() const {
     B.Summaries.push_back(std::move(S));
   }
 
-  // Traces: the same pooled dedup query() replays from (error traces
-  // never validate, so they don't ship). Re-exporting a store that itself
-  // imported includes the surviving foreign traces — bundles compose.
-  std::unordered_set<const RunTrace *> Pooled;
-  std::unordered_map<int32_t, PredSig> Sigs;
-  auto Harvest = [&](const RunJournal &J) {
-    for (const std::shared_ptr<const RunTrace> &T : J.runs())
-      if (!T->Error && Pooled.insert(T.get()).second)
-        B.Traces.push_back(T);
-    for (const auto &[Pid, Sig] : J.sigs())
-      Sigs.emplace(Pid, Sig);
-  };
-  for (const RootInfo &RI : Roots)
-    if (RI.Valid && RI.Journal)
-      Harvest(*RI.Journal);
-  if (Imported)
-    Harvest(*Imported);
+  // Traces: the pool query() replays from. Re-exporting a store that
+  // itself imported includes the surviving foreign traces — bundles
+  // compose.
+  B.Traces = pool();
 
   // Deterministic bytes: the sig table sorts by pid. Every referenced
   // predicate gets a clause-code fingerprint — including undefined ones,
   // whose "no clauses" hash only matches another module where the call
   // also fails, which is exactly the staleness check's job.
-  std::vector<int32_t> Pids;
-  Pids.reserve(Sigs.size());
-  for (const auto &[Pid, Sig] : Sigs)
-    Pids.push_back(Pid);
-  std::sort(Pids.begin(), Pids.end());
-  for (int32_t Pid : Pids) {
-    B.TraceSigs.emplace_back(Pid, Sigs[Pid]);
-    B.PredCodes.push_back({Sigs[Pid], M.predicateFingerprint(Pid)});
+  std::vector<char> Referenced(static_cast<size_t>(M.numPredicates()), 0);
+  for (const std::shared_ptr<const RunTrace> &T : B.Traces) {
+    Referenced[static_cast<size_t>(T->Pred)] = 1;
+    for (const TraceOp &Op : T->Ops)
+      if (Op.Pred >= 0)
+        Referenced[static_cast<size_t>(Op.Pred)] = 1;
+  }
+  for (int32_t Pid = 0; Pid != M.numPredicates(); ++Pid) {
+    if (!Referenced[static_cast<size_t>(Pid)])
+      continue;
+    const PredicateInfo &P = M.predicate(Pid);
+    PredSig Sig{std::string(M.symbols().name(P.Name)), P.Arity};
+    B.PredCodes.push_back({Sig, M.predicateFingerprint(Pid)});
+    B.TraceSigs.emplace_back(Pid, std::move(Sig));
   }
   return B;
 }
@@ -330,26 +313,29 @@ AnalysisStore::importBundle(const SummaryBundle &B) {
   IS.Summaries = B.Summaries.size();
 
   // Resolve the bundle's pid space against this module and precompute the
-  // staleness verdict per pid. A missing fingerprint entry counts as
-  // stale — the guard must be positive evidence of unchanged code.
-  int32_t MaxPid = -1;
-  for (const auto &[Pid, Sig] : B.TraceSigs)
-    MaxPid = std::max(MaxPid, Pid);
-  std::vector<int32_t> PidMap(static_cast<size_t>(MaxPid + 1), -1);
-  std::vector<char> Stale(static_cast<size_t>(MaxPid + 1), 1);
+  // staleness verdict per pid. The bundle's ids are whatever its bytes
+  // say, so they only key a hash index into the sig table and size
+  // nothing. A missing fingerprint entry counts as stale — the guard must
+  // be positive evidence of unchanged code.
+  detail::FlatMap64 SigIndex; // bundle pid -> TraceSigs position
+  std::vector<int32_t> NewPids;
+  std::vector<char> Stale;
   std::map<std::pair<std::string, int32_t>, uint64_t> Fps;
   for (const SummaryBundle::PredCode &PC : B.PredCodes)
     Fps[{PC.Sig.Name, PC.Sig.Arity}] = PC.CodeFp;
   for (const auto &[Pid, Sig] : B.TraceSigs) {
     Symbol Sym = M.symbols().lookup(Sig.Name);
     int32_t NewPid = Sym == ~0u ? -1 : M.findPredicate(Sym, Sig.Arity);
-    PidMap[static_cast<size_t>(Pid)] = NewPid;
-    if (NewPid < 0)
-      continue;
     auto It = Fps.find({Sig.Name, Sig.Arity});
-    Stale[static_cast<size_t>(Pid)] =
-        It == Fps.end() || It->second != M.predicateFingerprint(NewPid);
+    SigIndex.insert(static_cast<uint32_t>(Pid),
+                    static_cast<uint32_t>(NewPids.size()));
+    NewPids.push_back(NewPid);
+    Stale.push_back(NewPid < 0 || It == Fps.end() ||
+                    It->second != M.predicateFingerprint(NewPid));
   }
+  auto SigAt = [&](int32_t Pid) {
+    return SigIndex.lookup(static_cast<uint32_t>(Pid));
+  };
 
   if (!Imported)
     Imported = std::make_unique<RunJournal>(M);
@@ -358,10 +344,10 @@ AnalysisStore::importBundle(const SummaryBundle &B) {
       continue;
     bool Unresolved = false, IsStale = false;
     auto Check = [&](int32_t Pid) {
-      if (static_cast<size_t>(Pid) >= PidMap.size() ||
-          PidMap[static_cast<size_t>(Pid)] < 0)
+      uint32_t I = SigAt(Pid);
+      if (I == detail::FlatMap64::kEmpty || NewPids[I] < 0)
         Unresolved = true;
-      else if (Stale[static_cast<size_t>(Pid)])
+      else if (Stale[I])
         IsStale = true;
     };
     Check(T->Pred);
@@ -373,7 +359,8 @@ AnalysisStore::importBundle(const SummaryBundle &B) {
     else if (IsStale)
       ++IS.DroppedStale;
     else {
-      Imported->appendRemapped(T, PidMap);
+      Imported->appendRemapped(
+          T, [&](int32_t Pid) { return NewPids[SigAt(Pid)]; });
       ++IS.Banked;
     }
   }
@@ -459,14 +446,6 @@ void AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
 }
 
 Result<AnalysisResult>
-AnalysisStore::reanalyze(const std::vector<PredSig> &EditedPreds) {
-  if (!HaveLast)
-    return makeError("reanalyze requires a prior analyze()");
-  invalidate(*Program, EditedPreds);
-  return query(LastName, LastEntry);
-}
-
-Result<AnalysisResult>
 AnalysisStore::reanalyze(const std::vector<PredSig> &EditedPreds,
                          std::string_view Name, const Pattern &Entry) {
   invalidate(*Program, EditedPreds);
@@ -474,14 +453,59 @@ AnalysisStore::reanalyze(const std::vector<PredSig> &EditedPreds,
 }
 
 Result<AnalysisResult>
-AnalysisStore::reanalyze(const CompiledProgram &Edited) {
-  if (!HaveLast)
-    return makeError("reanalyze requires a prior analyze()");
+AnalysisStore::reanalyze(const CompiledProgram &Edited, std::string_view Name,
+                         const Pattern &Entry) {
   // Diffed against the outgoing program, before the edited one installs.
   std::vector<PredSig> Edits = diffPrograms(*Program, Edited);
   invalidate(Edited, Edits);
-  return query(LastName, LastEntry);
+  return query(Name, Entry);
 }
+
+namespace {
+
+/// The traces of \p J that still resolve in \p MNew (by name/arity, through
+/// J's sig table) and never run edited clause code — neither as their root
+/// nor by Enter-ing an edited predicate (\p IsEdited is indexed by J's ids)
+/// — re-keyed to MNew's ids; nullptr when none survive. Memo reads of
+/// edited predicates stay: replay validates the summary value they
+/// observed.
+std::unique_ptr<RunJournal> keepUnedited(const RunJournal &J,
+                                         const CodeModule &MNew,
+                                         const std::vector<char> &IsEdited) {
+  int32_t MaxPid = -1;
+  for (const auto &[Pid, Sig] : J.sigs())
+    MaxPid = std::max(MaxPid, Pid);
+  std::vector<int32_t> PidMap(static_cast<size_t>(MaxPid + 1), -1);
+  for (const auto &[Pid, Sig] : J.sigs()) {
+    Symbol Sym = MNew.symbols().lookup(Sig.Name);
+    PidMap[static_cast<size_t>(Pid)] =
+        Sym == ~0u ? -1 : MNew.findPredicate(Sym, Sig.Arity);
+  }
+  auto Resolves = [&](int32_t Pid) {
+    return static_cast<size_t>(Pid) < PidMap.size() &&
+           PidMap[static_cast<size_t>(Pid)] >= 0;
+  };
+  auto Edited = [&](int32_t Pid) {
+    return static_cast<size_t>(Pid) < IsEdited.size() &&
+           IsEdited[static_cast<size_t>(Pid)];
+  };
+  auto NewJ = std::make_unique<RunJournal>(MNew);
+  for (const std::shared_ptr<const RunTrace> &T : J.runs()) {
+    bool Keep = !T->Error && Resolves(T->Pred) && !Edited(T->Pred);
+    for (const TraceOp &Op : T->Ops)
+      if (Keep && Op.Pred >= 0)
+        Keep = Resolves(Op.Pred) &&
+               !(Op.K == TraceOp::Enter && Edited(Op.Pred));
+    if (Keep)
+      NewJ->appendRemapped(
+          T, [&](int32_t Pid) { return PidMap[static_cast<size_t>(Pid)]; });
+  }
+  if (NewJ->runs().empty())
+    return nullptr;
+  return NewJ;
+}
+
+} // namespace
 
 void AnalysisStore::invalidate(const CompiledProgram &NewP,
                                const std::vector<PredSig> &Edited) {
@@ -530,7 +554,9 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
   // A root survives iff its projection misses the cone entirely (an edit
   // it could have observed implies an edge into the cone: a memo read of
   // a changed summary records an edge, and entering edited code marks the
-  // entry itself) and everything it references still resolves.
+  // entry itself) and everything it references still resolves. A dead
+  // root loses its cached answer and projection but keeps its journal,
+  // filtered below like every other bank.
   for (RootInfo &RI : Roots) {
     if (!RI.Valid)
       continue;
@@ -546,7 +572,6 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
       RI.Valid = false;
       RI.Cached = AnalysisResult{};
       RI.EntryIdxs.clear();
-      RI.Journal.reset();
       ++St.InvalidatedRoots;
     }
   }
@@ -586,35 +611,6 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
     // The cached projection's items carry PredIds for reachability joins.
     for (AnalysisResult::Item &It : RI.Cached.Items)
       It.PredId = MapOldPid(It.PredId);
-    // Re-key the banked journal to the new module's ids. A surviving
-    // root's drain never touched an edited predicate (it would be in the
-    // cone), and removed predicates are reported as edited by
-    // diffPrograms; unresolvable traces can only appear under a manual
-    // edit list that understates the edit, and dropping them is safe —
-    // replay validation, not the bank, is what guarantees correctness.
-    if (RI.Journal) {
-      auto NewJ = std::make_unique<RunJournal>(MNew);
-      int32_t MaxPid = -1;
-      for (const auto &[Pid, Sig] : RI.Journal->sigs())
-        MaxPid = std::max(MaxPid, Pid);
-      std::vector<int32_t> PidMap(static_cast<size_t>(MaxPid + 1), -1);
-      for (const auto &[Pid, Sig] : RI.Journal->sigs()) {
-        Symbol Sym = MNew.symbols().lookup(Sig.Name);
-        PidMap[static_cast<size_t>(Pid)] =
-            Sym == ~0u ? -1 : MNew.findPredicate(Sym, Sig.Arity);
-      }
-      for (const std::shared_ptr<const RunTrace> &T : RI.Journal->runs()) {
-        bool Resolves = static_cast<size_t>(T->Pred) < PidMap.size() &&
-                        PidMap[static_cast<size_t>(T->Pred)] >= 0;
-        for (const TraceOp &Op : T->Ops)
-          if (Resolves && Op.Pred >= 0)
-            Resolves = static_cast<size_t>(Op.Pred) < PidMap.size() &&
-                       PidMap[static_cast<size_t>(Op.Pred)] >= 0;
-        if (Resolves)
-          NewJ->appendRemapped(T, PidMap);
-      }
-      RI.Journal = std::move(NewJ);
-    }
   }
   NewCore.ensure(static_cast<int32_t>(NewTable->size()));
   for (const auto &[Dep, Reader] : Core.edgePairs()) {
@@ -632,40 +628,17 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
       NewCore.noteRead(NR, ND, 0);
   }
 
-  // The imported bank is not covered by the cone argument (its traces
-  // belong to no root), so filter it directly: drop every trace that
-  // touches an edited predicate or no longer resolves, remap the rest.
-  if (Imported) {
-    auto NewJ = std::make_unique<RunJournal>(MNew);
-    int32_t MaxPid = -1;
-    for (const auto &[Pid, Sig] : Imported->sigs())
-      MaxPid = std::max(MaxPid, Pid);
-    std::vector<int32_t> PidMap(static_cast<size_t>(MaxPid + 1), -1);
-    for (const auto &[Pid, Sig] : Imported->sigs()) {
-      Symbol Sym = MNew.symbols().lookup(Sig.Name);
-      PidMap[static_cast<size_t>(Pid)] =
-          Sym == ~0u ? -1 : MNew.findPredicate(Sym, Sig.Arity);
-    }
-    auto Live = [&](int32_t Pid) {
-      return static_cast<size_t>(Pid) < PidMap.size() &&
-             PidMap[static_cast<size_t>(Pid)] >= 0 &&
-             !(static_cast<size_t>(Pid) < IsEdited.size() &&
-               IsEdited[static_cast<size_t>(Pid)]);
-    };
-    uint64_t Survivors = 0;
-    for (const std::shared_ptr<const RunTrace> &T : Imported->runs()) {
-      bool Ok = Live(T->Pred);
-      for (const TraceOp &Op : T->Ops)
-        if (Ok && Op.Pred >= 0)
-          Ok = Live(Op.Pred);
-      if (Ok) {
-        NewJ->appendRemapped(T, PidMap);
-        ++Survivors;
-      }
-    }
-    Imported = Survivors ? std::move(NewJ) : nullptr;
-    St.ImportedTraces = Survivors;
-  }
+  // Every bank — each root's journal, valid or not, and the imported one —
+  // keeps the traces that ran no edited code, re-keyed to the new module.
+  // A surviving root's traces all pass (any that ran edited code would
+  // have put the root in the cone); a dead root keeps the runs the edit
+  // could not have changed, so its re-query replays them.
+  for (RootInfo &RI : Roots)
+    if (RI.Journal)
+      RI.Journal = keepUnedited(*RI.Journal, MNew, IsEdited);
+  if (Imported)
+    Imported = keepUnedited(*Imported, MNew, IsEdited);
+  St.ImportedTraces = Imported ? Imported->runs().size() : 0;
 
   St.InvalidatedEntries += OldEntries - NewTable->size();
   Table = std::move(NewTable);

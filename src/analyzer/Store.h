@@ -17,16 +17,15 @@
 ///
 ///  1. Repeat query: a root already merged answers from the per-root
 ///     result cache — the second query of an entry is a table lookup.
-///  2. New query: the drain runs over a *fresh* per-query table that
-///     shares only the store's interner. Cold (no journals banked yet) it
-///     is the ordinary worklist driver with trace recording on;
-///     warm it is the IncrementalScheduler replaying the store's banked
-///     run journals with an empty edit set — every recorded trace whose
-///     value-level validation holds is applied instead of executed, and
-///     the rest fall back to real execution. Replay validation makes the
-///     drain byte-identical to a scratch analyze() of that entry (see
-///     analyzer/Incremental.h for the induction), so the per-root
-///     projection equals the scratch report.
+///  2. New query: the worklist drain runs over a *fresh* per-query table
+///     that shares only the store's interner, with trace recording on.
+///     Its replay bank is the store's pool (every root's journal plus the
+///     imported traces): every banked trace whose value-level validation
+///     holds is applied instead of executed, and the rest fall back to
+///     real execution. A cold query (empty pool) executes everything.
+///     Replay validation makes the drain byte-identical to a scratch
+///     analyze() of that entry (see analyzer/Incremental.h for the
+///     induction), so the per-root projection equals the scratch report.
 ///  3. Merge: only a *converged* query merges. Each query-table entry is
 ///     installed into the store table under its interned key (or found —
 ///     converged summaries of a shared key are equal, both being the least
@@ -47,10 +46,12 @@
 /// permutation-invariant.
 ///
 /// reanalyze() confines an edit to its reverse-dependency cone: roots
-/// whose projection intersects the cone lose cache, projection and
-/// journal; everything else survives warm (their drains, by the cone
-/// argument, cannot observe the edit), and the next query of an
-/// invalidated root re-drains by warm replay of the surviving journals.
+/// whose projection intersects the cone lose cache and projection;
+/// everything else survives warm (their drains, by the cone argument,
+/// cannot observe the edit). Every journal — an invalidated root's too —
+/// keeps the traces that ran no edited code, so the re-query of an
+/// invalidated root replays whatever the edit left valid. This is the
+/// only incremental path: AnalysisSession::reanalyze() always runs here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,9 +71,10 @@
 namespace awam {
 
 /// Persistent analysis state of one compiled module. AnalysisSession wraps
-/// one behind AnalyzerOptions::Persistent; services that manage module
-/// lifetimes themselves (examples/analyze_server.cpp) hold stores directly,
-/// keyed by CodeModule::fingerprint().
+/// one (for every analyze() under AnalyzerOptions::Persistent, and for
+/// every reanalyze()); services that manage module lifetimes themselves
+/// (examples/analyze_server.cpp) hold stores directly, keyed by
+/// CodeModule::fingerprint().
 class AnalysisStore {
 public:
   /// Cumulative store statistics (reporting; not part of any determinism
@@ -98,7 +100,7 @@ public:
     uint64_t CompactedTraces = 0;  ///< trace handles dropped by compaction
     // Cross-module summary sharing (see exportSummaries/importSummaries).
     uint64_t BundlesImported = 0;  ///< importSummaries calls that banked
-    uint64_t ImportedTraces = 0;   ///< foreign traces currently banked
+    uint64_t ImportedTraces = 0;   ///< traces the imported bank holds
   };
 
   /// What one importSummaries call did with the bundle's traces.
@@ -131,23 +133,20 @@ public:
 
   /// The clauses of \p EditedPreds changed (in place — the module object
   /// is unchanged): invalidates exactly the cone of the edit inside the
-  /// store, then re-answers the most recent query warm.
-  Result<AnalysisResult> reanalyze(const std::vector<PredSig> &EditedPreds);
-
-  /// Like the above, but re-answers (\p Name, \p Entry) instead of the
-  /// store's most recent query. The multi-tenant server routes edits
-  /// through this form: with several clients sharing one store, "the most
-  /// recent query" depends on request interleaving, while each client's
-  /// own last entry does not.
+  /// store, then answers (\p Name, \p Entry) warm. On an empty store
+  /// nothing is invalidated and the query runs cold.
   Result<AnalysisResult> reanalyze(const std::vector<PredSig> &EditedPreds,
                                    std::string_view Name,
                                    const Pattern &Entry);
 
   /// The program was recompiled as \p Edited (diffed clause-by-clause;
   /// should share the store's SymbolTable — with a distinct table every
-  /// predicate is conservatively treated as edited and the store resets).
-  /// \p Edited replaces the store's program and must outlive it.
-  Result<AnalysisResult> reanalyze(const CompiledProgram &Edited);
+  /// predicate is conservatively treated as edited and the store resets),
+  /// then answers (\p Name, \p Entry). \p Edited replaces the store's
+  /// program and must outlive it.
+  Result<AnalysisResult> reanalyze(const CompiledProgram &Edited,
+                                   std::string_view Name,
+                                   const Pattern &Entry);
 
   /// Adjusts the driver budgets for subsequent queries. Cached projections
   /// keep the budgets they were computed under.
@@ -176,18 +175,18 @@ public:
   uint64_t bytesUsed() const;
 
   /// Journal-bank hygiene for long-lived stores: drops error traces and
-  /// deduplicates shared trace handles across the valid roots' banks (a
-  /// trace stays in the first root, in root order, that banked it). The
-  /// bank is a replay *hint* — every banked trace is revalidated against
-  /// the live query state before it is applied (Incremental.h), so
-  /// dropping handles can cost warmth but never changes any answer.
+  /// deduplicates shared trace handles across the pool (a trace stays in
+  /// the first bank, in pool order, that holds it). The bank is a replay
+  /// *hint* — every banked trace is revalidated against the live query
+  /// state before it is applied (Incremental.h), so dropping handles can
+  /// cost warmth but never changes any answer.
   /// Returns the number of handles dropped. query() triggers this
   /// automatically once the bank's duplication factor crosses
   /// kCompactionFactor (observable through Stats::Compactions).
   uint64_t compactJournals();
 
   /// Packages the store's derived knowledge — every valid entry's
-  /// call/success summary plus the banked activation traces, with
+  /// call/success summary plus the pooled activation traces, with
   /// per-predicate clause-code fingerprints — into a module-independent
   /// bundle another store can import (analyzer/SummaryBundle.h). A store
   /// with no merged roots exports an empty (but valid) bundle.
@@ -197,10 +196,12 @@ public:
   /// ship between stores.
   std::string exportSummaries() const;
 
-  /// Imports \p B: resolves its traces against this store's module, drops
-  /// the ones that reference missing predicates or predicates whose clause
-  /// code hashes differently (the staleness guard), and banks the rest as
-  /// replay hints the next queries warm-start from. Rejects bundles from a
+  /// Imports \p B, well-formed as deserialize or exportBundle produce it
+  /// (listed non-negative trace pids, balanced traces): resolves its
+  /// traces against this store's module, drops the ones that reference
+  /// missing predicates or predicates whose clause code hashes differently
+  /// (the staleness guard), and banks the rest as replay hints the next
+  /// queries warm-start from. Rejects bundles from a
   /// different abstract domain or depth limit (their patterns mean
   /// different things). Banked traces are validated on first use — the
   /// warm drain stays byte-identical to scratch whatever is imported.
@@ -224,7 +225,8 @@ public:
 private:
   /// One merged query root: its identity, cached scratch-identical result,
   /// projection (store entry indices in the query's creation order), and
-  /// the run journal later queries warm-start from.
+  /// the run journal later queries warm-start from. An invalidated root
+  /// keeps its slot and its filtered journal; its re-query reuses both.
   struct RootInfo {
     std::string Name;
     int32_t Arity = 0;
@@ -238,6 +240,12 @@ private:
   };
 
   int findRootSlot(std::string_view Name, PatternId CallId) const;
+  /// The replay pool: every root's journal (valid or not), then the
+  /// imported bank, deduplicated by trace address, error traces skipped.
+  /// query() replays from it, exportBundle() ships it and compaction folds
+  /// duplicates across it. \p Handles, when non-null, receives the trace
+  /// handle count before deduplication.
+  TraceBank pool(size_t *Handles = nullptr) const;
   void mergeQuery(std::string_view Name, int32_t Pid, PatternId CallId,
                   const ExtensionTable &QTable, const SchedulerCore &QCore,
                   std::unique_ptr<RunJournal> Journal,
@@ -266,9 +274,6 @@ private:
   /// replay source alongside the roots' own journals. Pure warmth: replay
   /// validation re-derives everything it applies.
   std::unique_ptr<RunJournal> Imported;
-  std::string LastName;
-  Pattern LastEntry;
-  bool HaveLast = false;
   Stats St;
 };
 

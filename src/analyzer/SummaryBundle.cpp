@@ -2,6 +2,8 @@
 
 #include "analyzer/SummaryBundle.h"
 
+#include "analyzer/PatternInterner.h"
+
 #include <cstring>
 
 using namespace awam;
@@ -117,7 +119,12 @@ Pattern getPattern(Reader &R, SymbolTable &Syms) {
     PatNode N;
     if (!R.need(2))
       break;
-    N.K = static_cast<PatKind>(*R.P++);
+    uint8_t Kind = static_cast<uint8_t>(*R.P++);
+    if (Kind > static_cast<uint8_t>(PatKind::StrP)) {
+      R.Bad = true;
+      return P;
+    }
+    N.K = static_cast<PatKind>(Kind);
     bool HasSym = *R.P++ != 0;
     if (HasSym)
       N.Sym = Syms.intern(R.str());
@@ -189,6 +196,33 @@ PredSig getSig(Reader &R) {
   S.Name = R.str();
   S.Arity = static_cast<int32_t>(R.u32());
   return S;
+}
+
+/// Is \p Pid a key of the trace-sig index \p Listed?
+bool isListed(const detail::FlatMap64 &Listed, int32_t Pid) {
+  return Pid >= 0 && Listed.lookup(static_cast<uint64_t>(Pid)) !=
+                         detail::FlatMap64::kEmpty;
+}
+
+/// Checks one parsed op against what replay relies on: Memo and Enter ops
+/// name a predicate listed in \p Listed, Exit and Grow ops name none, Grow
+/// ops carry their summary, and no op follows the Exit that closes the
+/// root frame. \p Depth counts the open frames (1 = the root's) and is
+/// updated. Returns the defect, or nullptr for a well-formed op.
+const char *opDefect(const TraceOp &Op, int64_t &Depth,
+                     const detail::FlatMap64 &Listed) {
+  if (Depth == 0)
+    return "trace op after the root frame returned";
+  bool NamesPred = Op.K == TraceOp::Memo || Op.K == TraceOp::Enter;
+  if (NamesPred ? !isListed(Listed, Op.Pred) : Op.Pred != -1)
+    return "trace op with a missing, unlisted or stray predicate id";
+  if (Op.K == TraceOp::Grow && !Op.Summary)
+    return "grow op without a summary";
+  if (Op.K == TraceOp::Enter)
+    ++Depth;
+  else if (Op.K == TraceOp::Exit)
+    --Depth;
+  return nullptr;
 }
 
 } // namespace
@@ -273,16 +307,32 @@ Result<SummaryBundle> SummaryBundle::deserialize(std::string_view Bytes,
     B.PredCodes.push_back(std::move(P));
   }
 
+  // Trace predicate ids are keys of the sig table: negative, duplicate
+  // and unlisted ids are corrupt. Ids keep their exported values (so a
+  // bundle re-serializes to its own bytes); consumers resolve them through
+  // the table and size nothing by them.
+  detail::FlatMap64 Listed; // pid -> listing position
   uint32_t NumSigs = R.u32();
   for (uint32_t I = 0; I != NumSigs && !R.Bad; ++I) {
     int32_t Pid = static_cast<int32_t>(R.u32());
-    B.TraceSigs.emplace_back(Pid, getSig(R));
+    PredSig Sig = getSig(R);
+    if (R.Bad)
+      break;
+    if (Pid < 0 || isListed(Listed, Pid))
+      return makeError("summary bundle: negative or duplicate trace "
+                       "predicate id " +
+                       std::to_string(Pid));
+    Listed.insert(static_cast<uint64_t>(Pid), I);
+    B.TraceSigs.emplace_back(Pid, std::move(Sig));
   }
 
   uint32_t NumTraces = R.u32();
   for (uint32_t I = 0; I != NumTraces && !R.Bad; ++I) {
     auto T = std::make_shared<RunTrace>();
     T->Pred = static_cast<int32_t>(R.u32());
+    if (!R.Bad && !isListed(Listed, T->Pred))
+      return makeError("summary bundle: trace " + std::to_string(I) +
+                       ": trace root names an unlisted predicate id");
     T->Call = getPattern(R, Syms);
     T->PreSuccess = getOptPattern(R, Syms);
     T->Steps = R.u64();
@@ -291,17 +341,32 @@ Result<SummaryBundle> SummaryBundle::deserialize(std::string_view Bytes,
     if (!R.need(NumOps))
       break;
     T->Ops.reserve(NumOps);
+    int64_t Depth = 1; // the root frame
     for (uint32_t J = 0; J != NumOps && !R.Bad; ++J) {
       TraceOp Op;
       if (!R.need(2))
         break;
-      Op.K = static_cast<TraceOp::Kind>(*R.P++);
+      uint8_t Kind = static_cast<uint8_t>(*R.P++);
+      if (Kind > TraceOp::Grow)
+        return makeError("summary bundle: unknown trace op kind " +
+                         std::to_string(Kind));
+      Op.K = static_cast<TraceOp::Kind>(Kind);
       Op.Created = *R.P++ != 0;
       Op.Pred = static_cast<int32_t>(R.u32());
       Op.Call = getPattern(R, Syms);
       Op.Summary = getOptPattern(R, Syms);
+      if (R.Bad)
+        break;
+      if (const char *Defect = opDefect(Op, Depth, Listed))
+        return makeError("summary bundle: trace " + std::to_string(I) +
+                         ": " + Defect);
       T->Ops.push_back(std::move(Op));
     }
+    if (R.Bad)
+      break;
+    if (Depth != 0)
+      return makeError("summary bundle: trace " + std::to_string(I) +
+                       ": unbalanced trace (root frame never returns)");
     B.Traces.push_back(std::move(T));
   }
 

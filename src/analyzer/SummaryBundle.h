@@ -76,8 +76,8 @@ struct SummaryBundle {
 
   std::vector<Summary> Summaries;
   std::vector<PredCode> PredCodes;
-  /// Replayable activation traces, in bank order. Trace PredIds are
-  /// indices into TraceSigs (the exporting module's ids, resolved).
+  /// Replayable activation traces, in bank order. Trace PredIds are the
+  /// exporting module's ids, resolved through TraceSigs.
   std::vector<std::shared_ptr<const RunTrace>> Traces;
   /// PredId -> signature for every id the traces reference.
   std::vector<std::pair<int32_t, PredSig>> TraceSigs;
@@ -88,7 +88,13 @@ struct SummaryBundle {
 
   /// Parses \p Bytes, interning symbol names into \p Syms (pattern symbol
   /// ids in the result refer to \p Syms). Errors on a bad magic, version
-  /// or truncation.
+  /// or truncation, and on anything import or replay could trip over:
+  /// negative, duplicate or unlisted trace predicate ids, unknown op or
+  /// pattern-node kinds, Memo/Enter ops without a predicate, Exit/Grow ops
+  /// with one, Grow ops without a summary, and Enter/Exit nesting that
+  /// pops the root frame early or never closes it. Predicate ids keep
+  /// their exported values, which may be arbitrarily large: consumers
+  /// resolve them through TraceSigs and size nothing by them.
   static Result<SummaryBundle> deserialize(std::string_view Bytes,
                                            SymbolTable &Syms);
 };

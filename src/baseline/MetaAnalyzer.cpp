@@ -201,29 +201,3 @@ Result<AnalysisResult> MetaAnalyzer::analyze(std::string_view EntrySpec) {
     return Parsed.diag();
   return analyze(Parsed->first, Parsed->second);
 }
-
-namespace {
-/// The baseline as a session backend (see makeBaselineSession).
-class MetaBackend final : public AnalysisSession::Backend {
-public:
-  MetaBackend(const ParsedProgram &Program, SymbolTable &Syms,
-              AnalyzerOptions Options)
-      : Meta(Program, Syms, Options) {}
-
-  Result<AnalysisResult> analyze(std::string_view Name,
-                                 const Pattern &Entry) override {
-    return Meta.analyze(Name, Entry);
-  }
-
-private:
-  MetaAnalyzer Meta;
-};
-} // namespace
-
-AnalysisSession awam::makeBaselineSession(const ParsedProgram &Program,
-                                          SymbolTable &Syms,
-                                          AnalyzerOptions Options) {
-  return AnalysisSession(std::make_unique<MetaBackend>(Program, Syms,
-                                                       Options),
-                         Options);
-}

@@ -19,15 +19,18 @@
 /// This is the interpretive overhead the paper's compilation removes
 /// (stand-in for the Prolog-hosted Aquarius analyzer of Table 1; see
 /// DESIGN.md, substitution 1). Both analyzers must compute identical
-/// extension tables — tests/CrossValidationTest.cpp checks that.
+/// extension tables — tests/CrossValidationTest.cpp checks that. Clients
+/// drive it directly: its analyze() takes the same entry specs and returns
+/// the same AnalysisResult as AnalysisSession::analyze().
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef AWAM_BASELINE_METAANALYZER_H
 #define AWAM_BASELINE_METAANALYZER_H
 
-#include "analyzer/Session.h"
+#include "analyzer/Analyzer.h"
 #include "term/Parser.h"
+#include "wam/Store.h"
 
 #include <map>
 
@@ -37,7 +40,8 @@ namespace awam {
 class MetaAnalyzer {
 public:
   /// \p Program must outlive the analyzer. \p Syms is the shared symbol
-  /// table used when parsing the program.
+  /// table used when parsing the program. The Driver option is ignored —
+  /// the baseline is inherently the naive restart loop.
   MetaAnalyzer(const ParsedProgram &Program, SymbolTable &Syms,
                AnalyzerOptions Options = {});
 
@@ -83,14 +87,6 @@ private:
   uint64_t Activations = 0;
   uint64_t IterationBudget = 0;
 };
-
-/// Wraps the meta-interpreting baseline as an AnalysisSession so every
-/// client drives both analyzers through the same façade. The referenced
-/// program and symbol table must outlive the session. The Driver option
-/// is ignored — the baseline is inherently the naive restart loop.
-AnalysisSession makeBaselineSession(const ParsedProgram &Program,
-                                    SymbolTable &Syms,
-                                    AnalyzerOptions Options = {});
 
 } // namespace awam
 

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analyzer/Session.h"
 #include "baseline/MetaAnalyzer.h"
 #include "programs/Benchmarks.h"
 #include "wam/Machine.h"
@@ -73,7 +74,7 @@ TEST_P(BenchmarkProgramsTest, BaselineAgreesWithCompiledAnalyzer) {
   Result<AnalysisResult> RC = A.analyze(bench().EntrySpec);
   ASSERT_TRUE(RC) << RC.diag().str();
 
-  AnalysisSession B = makeBaselineSession(*Parsed, Syms);
+  MetaAnalyzer B(*Parsed, Syms);
   Result<AnalysisResult> RB = B.analyze(bench().EntrySpec);
   ASSERT_TRUE(RB) << RB.diag().str();
 

@@ -33,7 +33,7 @@ protected:
     Result<AnalysisResult> RC = CompiledAnalyzer.analyze(EntrySpec);
     ASSERT_TRUE(RC) << RC.diag().str();
 
-    AnalysisSession Baseline = makeBaselineSession(*Parsed, Syms);
+    MetaAnalyzer Baseline(*Parsed, Syms);
     Result<AnalysisResult> RB = Baseline.analyze(EntrySpec);
     ASSERT_TRUE(RB) << RB.diag().str();
 

@@ -133,12 +133,12 @@ TEST_P(DomainDriverTest, ReanalyzeMatchesScratch) {
     EXPECT_EQ(S->Dom, findDomain(Domain));
 
     AnalyzerOptions O = domainOptions(Domain);
-    O.Incremental = true;
+    O.Persistent = true;
     AnalysisSession Inc(*C.Program, O);
     Result<AnalysisResult> First = Inc.analyze("main");
     ASSERT_TRUE(First) << Bench << ": " << First.diag().str();
-    // The program is unchanged, so the incremental replay must land on
-    // the same table — byte-identical report and facts.
+    // The program is unchanged, so the store's replay must land on the
+    // same table — byte-identical report and facts.
     Result<AnalysisResult> Re = Inc.reanalyze({{"main", 0}});
     ASSERT_TRUE(Re) << Bench << ": " << Re.diag().str();
     EXPECT_EQ(reportOf(*S, C), reportOf(*Re, C)) << Domain << " " << Bench;

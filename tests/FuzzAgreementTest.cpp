@@ -48,7 +48,7 @@ TEST_P(FuzzAgreementTest, CompiledAndBaselineAgree) {
     Result<AnalysisResult> RC = A.analyze(Name, Entry);
     ASSERT_TRUE(RC) << Name << ": " << RC.diag().str();
 
-    AnalysisSession B = makeBaselineSession(*Parsed, Syms);
+    MetaAnalyzer B(*Parsed, Syms);
     Result<AnalysisResult> RB = B.analyze(Name, Entry);
     ASSERT_TRUE(RB) << Name << ": " << RB.diag().str();
 

@@ -3,12 +3,12 @@
 // AnalysisSession::reanalyze() must be invisible in the result: on every
 // edit, the re-analysis — table, counters, formatted report — is
 // byte-identical to a from-scratch analyze() of the edited program,
-// while replaying (not executing) the activations the edit did not
-// disturb. This suite pins
-// that identity on all Table 1 benchmarks, on chained edits, and on
-// randomized clause-level edit sequences, plus the replay-savings
-// acceptance bar (strictly fewer executed activations than scratch on
-// most benchmarks).
+// while the session's store replays (not executes) the activations the
+// edit did not disturb. This suite pins that identity on all Table 1
+// benchmarks, on chained edits, and on randomized clause-level edit
+// sequences, plus the replay-savings acceptance bar (strictly fewer
+// executed activations than scratch on most benchmarks) and the store's
+// flat footprint under a long edit chain.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +28,7 @@ namespace {
 
 AnalyzerOptions incOptions() {
   AnalyzerOptions O;
-  O.Incremental = true;
+  O.Persistent = true;
   return O;
 }
 
@@ -61,8 +61,8 @@ std::unique_ptr<CompiledProgram> compileOrDie(const std::string &Source,
 TEST(IncrementalTest, TouchEditIdentityOnAllBenchmarks) {
   // Re-analysis after marking main/0 edited (every benchmark defines it)
   // with the program unchanged: the report and counters must match the
-  // original run exactly, and — since only main's own traces invalidate —
-  // most of the drain must replay.
+  // original run exactly, and — since only the traces that ran main's
+  // clauses drop out of the store's bank — most of the drain must replay.
   int Checked = 0, StrictlyFewer = 0;
   uint64_t TotalReplayed = 0;
   for (const BenchmarkProgram &B : benchmarkPrograms()) {
@@ -80,15 +80,18 @@ TEST(IncrementalTest, TouchEditIdentityOnAllBenchmarks) {
     ASSERT_TRUE(R1) << B.Name << ": " << R1.diag().str();
     EXPECT_EQ(fingerprint(*R0, Syms), fingerprint(*R1, Syms)) << B.Name;
 
-    ASSERT_NE(S.reanalyzeStats(), nullptr) << B.Name;
-    const IncrementalScheduler::ReanalyzeStats &RS = *S.reanalyzeStats();
-    EXPECT_EQ(RS.ExecutedActivations + RS.ReplayedActivations,
-              R0->Counters.ActivationRuns)
-        << B.Name;
-    EXPECT_EQ(RS.PrevEntries, R0->Items.size()) << B.Name;
-    if (RS.ExecutedActivations < R0->Counters.ActivationRuns)
+    // The first query ran cold on a fresh store, so the store's replay
+    // counters are the reanalyze's own; whatever did not replay executed.
+    ASSERT_NE(S.store(), nullptr) << B.Name;
+    const AnalysisStore::Stats &St = S.store()->stats();
+    ASSERT_LE(St.ReplayedActivations, R1->Counters.ActivationRuns) << B.Name;
+    uint64_t Executed = R1->Counters.ActivationRuns - St.ReplayedActivations;
+    if (St.WarmQueries) {
+      EXPECT_EQ(St.ExecutedActivations, Executed) << B.Name;
+    }
+    if (Executed < R0->Counters.ActivationRuns)
       ++StrictlyFewer;
-    TotalReplayed += RS.ReplayedRuns;
+    TotalReplayed += St.ReplayedRuns;
     ++Checked;
   }
   EXPECT_EQ(Checked, 11);
@@ -122,16 +125,17 @@ TEST(IncrementalTest, RealEditIdentityOnAllBenchmarks) {
     Result<AnalysisResult> RInc = S.reanalyze(*P1);
     ASSERT_TRUE(RInc) << B.Name << ": " << RInc.diag().str();
 
-    AnalysisSession Scratch(*P1, incOptions());
+    AnalysisSession Scratch(*P1);
     Result<AnalysisResult> RScr = Scratch.analyze(B.EntrySpec);
     ASSERT_TRUE(RScr) << B.Name << ": " << RScr.diag().str();
     EXPECT_EQ(fingerprint(*RScr, Syms), fingerprint(*RInc, Syms)) << B.Name;
   }
 }
 
-TEST(IncrementalTest, UneditedRecompileReplaysEverything) {
+TEST(IncrementalTest, UneditedRecompileExecutesNothing) {
   // Recompiling the identical source against the same symbol table diffs
-  // to an empty edit set; every single pop must then replay.
+  // to an empty edit set: nothing is invalidated, and the store answers
+  // the re-query from its result cache without draining at all.
   SymbolTable Syms;
   TermArena A0, A1;
   const std::string Src =
@@ -149,10 +153,11 @@ TEST(IncrementalTest, UneditedRecompileReplaysEverything) {
   Result<AnalysisResult> R1 = S.reanalyze(*P1);
   ASSERT_TRUE(R1) << R1.diag().str();
   EXPECT_EQ(fingerprint(*R0, Syms), fingerprint(*R1, Syms));
-  ASSERT_NE(S.reanalyzeStats(), nullptr);
-  EXPECT_EQ(S.reanalyzeStats()->ExecutedRuns, 0u);
-  EXPECT_GT(S.reanalyzeStats()->ReplayedRuns, 0u);
-  EXPECT_EQ(S.reanalyzeStats()->ConeEntries, 0u);
+  ASSERT_NE(S.store(), nullptr);
+  const AnalysisStore::Stats &St = S.store()->stats();
+  EXPECT_EQ(St.ExecutedRuns, 0u);
+  EXPECT_EQ(St.CacheHits, 1u);
+  EXPECT_EQ(St.LastConeEntries, 0u);
 }
 
 TEST(IncrementalTest, ChainedEditsMatchScratchEachStep) {
@@ -194,7 +199,7 @@ TEST(IncrementalTest, ChainedEditsMatchScratchEachStep) {
     Result<AnalysisResult> RInc = S.reanalyze(*P);
     ASSERT_TRUE(RInc) << RInc.diag().str();
 
-    AnalysisSession Scratch(*P, incOptions());
+    AnalysisSession Scratch(*P);
     Result<AnalysisResult> RScr = Scratch.analyze("main(glist, var)");
     ASSERT_TRUE(RScr) << RScr.diag().str();
     EXPECT_EQ(fingerprint(*RScr, Syms), fingerprint(*RInc, Syms)) << Src;
@@ -202,20 +207,24 @@ TEST(IncrementalTest, ChainedEditsMatchScratchEachStep) {
 }
 
 TEST(IncrementalTest, ReanalyzeWithoutJournalFallsBackToScratch) {
-  // Incremental off: reanalyze() must still give the right (scratch)
-  // answer — just without replay savings.
+  // A scratch session records no journal: its first reanalyze() creates
+  // the store, which has nothing to replay and answers cold — the right
+  // answer, just without replay savings.
   SymbolTable Syms;
   TermArena Arena;
   std::unique_ptr<CompiledProgram> P =
       compileOrDie("p(a). q(X) :- p(X).\n", Syms, Arena);
   ASSERT_NE(P, nullptr);
-  AnalysisSession S(*P, AnalyzerOptions{}); // Incremental left off
+  AnalysisSession S(*P, AnalyzerOptions{}); // scratch: Persistent off
   Result<AnalysisResult> R0 = S.analyze("q(var)");
   ASSERT_TRUE(R0) << R0.diag().str();
+  EXPECT_EQ(S.store(), nullptr);
   Result<AnalysisResult> R1 = S.reanalyze({PredSig{"p", 1}});
   ASSERT_TRUE(R1) << R1.diag().str();
   EXPECT_EQ(fingerprint(*R0, Syms), fingerprint(*R1, Syms));
-  EXPECT_EQ(S.reanalyzeStats(), nullptr);
+  ASSERT_NE(S.store(), nullptr);
+  EXPECT_EQ(S.store()->stats().ColdQueries, 1u);
+  EXPECT_EQ(S.store()->stats().ReplayedRuns, 0u);
 }
 
 TEST(IncrementalErrorTest, ReanalyzeBeforeAnalyzeIsAnError) {
@@ -230,10 +239,11 @@ TEST(IncrementalErrorTest, ReanalyzeBeforeAnalyzeIsAnError) {
 
 TEST(IncrementalTest, RandomEditSequencesMatchScratch) {
   // >= 30 random clause-level edit sequences: generate a program, chain
-  // three mutations through one incremental session, and require
-  // byte-identity with a scratch session at every step.
+  // three mutations through one store-backed session, and require
+  // byte-identity with a scratch session at every step. Reuse shows up as
+  // result-cache hits (an edit outside the entry's cone) or replayed runs.
   int Sequences = 0;
-  uint64_t TotalReplayed = 0;
+  uint64_t TotalReused = 0;
   for (unsigned Seed = 0; Seed != 12; ++Seed) {
     SymbolTable Syms;
     std::vector<std::unique_ptr<TermArena>> Arenas;
@@ -275,10 +285,8 @@ TEST(IncrementalTest, RandomEditSequencesMatchScratch) {
       ASSERT_TRUE(RInc) << "seed " << Seed << " step " << Step << " (edit "
                         << Mut.Pred << "/" << Mut.Arity
                         << "): " << RInc.diag().str();
-      ASSERT_NE(S.reanalyzeStats(), nullptr);
-      TotalReplayed += S.reanalyzeStats()->ReplayedRuns;
 
-      AnalysisSession Scratch(*Programs.back(), incOptions());
+      AnalysisSession Scratch(*Programs.back());
       Result<AnalysisResult> RScr = Scratch.analyze(Entry);
       ASSERT_TRUE(RScr) << "seed " << Seed << " step " << Step << ": "
                         << RScr.diag().str();
@@ -287,9 +295,39 @@ TEST(IncrementalTest, RandomEditSequencesMatchScratch) {
           << "/" << Mut.Arity << ")\n--- source ---\n"
           << Src;
     }
+    ASSERT_NE(S.store(), nullptr);
+    const AnalysisStore::Stats &St = S.store()->stats();
+    TotalReused += St.CacheHits + St.ReplayedRuns;
   }
   EXPECT_GE(Sequences, 30);
-  EXPECT_GT(TotalReplayed, 0u);
+  EXPECT_GT(TotalReused, 0u);
+}
+
+TEST(IncrementalTest, ChainedTouchEditsKeepStoreBytesFlat) {
+  // An invalidated root keeps the traces that ran no edited code, and its
+  // re-query reuses the root's slot, so the new journal replaces the
+  // filtered one: a long chain of edits must not grow the store.
+  const BenchmarkProgram *B = findBenchmark("zebra");
+  ASSERT_NE(B, nullptr);
+  SymbolTable Syms;
+  TermArena Arena;
+  std::unique_ptr<CompiledProgram> P =
+      compileOrDie(std::string(B->Source), Syms, Arena);
+  ASSERT_NE(P, nullptr);
+
+  AnalysisSession S(*P, incOptions());
+  Result<AnalysisResult> R0 = S.analyze(B->EntrySpec);
+  ASSERT_TRUE(R0) << R0.diag().str();
+  ASSERT_NE(S.store(), nullptr);
+  const uint64_t Bytes = S.store()->bytesUsed();
+  const std::string Want = fingerprint(*R0, Syms);
+  for (int Step = 0; Step != 200; ++Step) {
+    Result<AnalysisResult> R = S.reanalyze({PredSig{"main", 0}});
+    ASSERT_TRUE(R) << "step " << Step << ": " << R.diag().str();
+    ASSERT_EQ(Want, fingerprint(*R, Syms)) << "step " << Step;
+    ASSERT_EQ(S.store()->bytesUsed(), Bytes) << "step " << Step;
+  }
+  EXPECT_GT(S.store()->stats().ReplayedRuns, 0u);
 }
 
 } // namespace

@@ -348,8 +348,11 @@ TEST(ServerTest, JournalCompactionPreservesAnswers) {
 
   // A warm drain from the compacted bank still answers byte-identically
   // to scratch (the bank is a hint; validation carries correctness).
-  Result<AnalysisResult> R3 =
-      Store.reanalyze({PredSig{"partition", 4}});
+  Result<std::pair<std::string, Pattern>> Spec =
+      parseEntrySpec("qsort(glist, g, var)");
+  ASSERT_TRUE(bool(Spec)) << Spec.diag().str();
+  Result<AnalysisResult> R3 = Store.reanalyze({PredSig{"partition", 4}},
+                                              Spec->first, Spec->second);
   ASSERT_TRUE(bool(R3)) << R3.diag().str();
   AnalysisSession Scratch(*P);
   Result<AnalysisResult> Want = Scratch.analyze("qsort(glist, g, var)");

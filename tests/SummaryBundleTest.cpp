@@ -67,6 +67,37 @@ protected:
     return Bytes ? *Bytes : std::string();
   }
 
+  /// The library's exported bundle, parsed back, for tests that corrupt
+  /// one field and re-serialize it.
+  SummaryBundle libBundle(const CompiledProgram &Lib, SymbolTable &Syms) {
+    Result<SummaryBundle> B =
+        SummaryBundle::deserialize(exportLibBundle(Lib), Syms);
+    EXPECT_TRUE(B) << (B ? "" : B.diag().str());
+    EXPECT_FALSE(B->Traces.empty());
+    return B.take();
+  }
+
+  /// Rewrites every trace of \p B through \p F (traces are shared
+  /// read-only, so each one is copied first).
+  template <typename Fn> void mutateTraces(SummaryBundle &B, Fn F) {
+    for (std::shared_ptr<const RunTrace> &T : B.Traces) {
+      auto Copy = std::make_shared<RunTrace>(*T);
+      F(*Copy);
+      T = std::move(Copy);
+    }
+  }
+
+  /// Serializes \p B and expects deserialize to reject the bytes with a
+  /// message containing \p Why.
+  void expectRejected(const SummaryBundle &B, SymbolTable &Syms,
+                      std::string_view Why) {
+    Result<SummaryBundle> Back =
+        SummaryBundle::deserialize(B.serialize(Syms), Syms);
+    ASSERT_FALSE(Back);
+    EXPECT_NE(Back.diag().str().find(Why), std::string::npos)
+        << Back.diag().str();
+  }
+
   CompiledProgram linkUser(const CompiledProgram &Lib,
                            const CompiledProgram &User) {
     Result<LinkedProgram> L =
@@ -108,6 +139,137 @@ TEST_F(SummaryBundleTest, CorruptBytesRejected) {
         SummaryBundle::deserialize(std::string_view(Bytes).substr(0, Cut),
                                    Syms))
         << "cut at " << Cut;
+}
+
+TEST_F(SummaryBundleTest, NegativeTracePidRejected) {
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  SummaryBundle B = libBundle(Lib, Syms);
+  B.TraceSigs.front().first = -1;
+  expectRejected(B, Syms, "negative or duplicate trace predicate id -1");
+}
+
+TEST_F(SummaryBundleTest, DuplicateOrUnlistedTracePidRejected) {
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  SummaryBundle B = libBundle(Lib, Syms);
+  ASSERT_GE(B.TraceSigs.size(), 2u);
+  SummaryBundle Dup = B;
+  Dup.TraceSigs[1].first = Dup.TraceSigs[0].first;
+  expectRejected(Dup, Syms, "negative or duplicate trace predicate id");
+  mutateTraces(B, [](RunTrace &T) { T.Pred = 12345; });
+  expectRejected(B, Syms, "unlisted predicate id");
+}
+
+TEST_F(SummaryBundleTest, HugeTracePidSizesNothing) {
+  // A listed id far beyond the module's size is legal, but must not size
+  // anything: the bundle round-trips with the id intact, and the import
+  // banks and replays exactly what the unaltered bundle does.
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  SummaryBundle B = libBundle(Lib, Syms);
+  const int32_t Old = B.TraceSigs.back().first;
+  constexpr int32_t kHuge = 60'000'000;
+  B.TraceSigs.back().first = kHuge;
+  mutateTraces(B, [&](RunTrace &T) {
+    if (T.Pred == Old)
+      T.Pred = kHuge;
+    for (TraceOp &Op : T.Ops)
+      if (Op.Pred == Old)
+        Op.Pred = kHuge;
+  });
+  const std::string Bytes = B.serialize(Syms);
+  Result<SummaryBundle> Back = SummaryBundle::deserialize(Bytes, Syms);
+  ASSERT_TRUE(Back) << Back.diag().str();
+  EXPECT_EQ(Back->TraceSigs.back().first, kHuge);
+  EXPECT_EQ(Back->serialize(Syms), Bytes);
+
+  AnalyzerOptions O;
+  O.Persistent = true;
+  AnalysisSession Plain(Lib, O), Huge(Lib, O);
+  Result<AnalysisStore::ImportStats> IP =
+      Plain.importSummaries(exportLibBundle(Lib));
+  Result<AnalysisStore::ImportStats> IH = Huge.importSummaries(Bytes);
+  ASSERT_TRUE(IP) << IP.diag().str();
+  ASSERT_TRUE(IH) << IH.diag().str();
+  EXPECT_GT(IH->Banked, 0u);
+  EXPECT_EQ(IH->Banked, IP->Banked);
+  Result<AnalysisResult> RP = Plain.analyze(kLibSpecs[0]);
+  Result<AnalysisResult> RH = Huge.analyze(kLibSpecs[0]);
+  ASSERT_TRUE(RP) << RP.diag().str();
+  ASSERT_TRUE(RH) << RH.diag().str();
+  EXPECT_EQ(formatAnalysis(*RH, Syms), formatAnalysis(*RP, Syms));
+  EXPECT_EQ(Huge.store()->stats().ReplayedRuns,
+            Plain.store()->stats().ReplayedRuns);
+}
+
+TEST_F(SummaryBundleTest, LeadingExitOpsRejected) {
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  SummaryBundle B = libBundle(Lib, Syms);
+  mutateTraces(B, [](RunTrace &T) {
+    TraceOp Exit;
+    Exit.K = TraceOp::Exit;
+    T.Ops.insert(T.Ops.begin(), 2, Exit);
+  });
+  expectRejected(B, Syms, "trace op after the root frame returned");
+}
+
+TEST_F(SummaryBundleTest, UnbalancedTraceRejected) {
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  SummaryBundle B = libBundle(Lib, Syms);
+  mutateTraces(B, [](RunTrace &T) {
+    ASSERT_EQ(T.Ops.back().K, TraceOp::Exit);
+    T.Ops.pop_back();
+  });
+  expectRejected(B, Syms, "unbalanced trace");
+}
+
+TEST_F(SummaryBundleTest, GrowWithoutSummaryRejected) {
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  SummaryBundle B = libBundle(Lib, Syms);
+  bool Dropped = false;
+  mutateTraces(B, [&](RunTrace &T) {
+    for (TraceOp &Op : T.Ops)
+      if (!Dropped && Op.K == TraceOp::Grow) {
+        Op.Summary.reset();
+        Dropped = true;
+      }
+  });
+  ASSERT_TRUE(Dropped);
+  expectRejected(B, Syms, "grow op without a summary");
+}
+
+TEST_F(SummaryBundleTest, UnknownOpKindRejected) {
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  SummaryBundle B = libBundle(Lib, Syms);
+  mutateTraces(B, [](RunTrace &T) {
+    T.Ops.front().K = static_cast<TraceOp::Kind>(TraceOp::Grow + 1);
+  });
+  expectRejected(B, Syms, "unknown trace op kind 4");
+}
+
+TEST_F(SummaryBundleTest, UnknownPatternNodeKindRejected) {
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  SummaryBundle B = libBundle(Lib, Syms);
+  mutateTraces(B, [](RunTrace &T) {
+    ASSERT_FALSE(T.Call.Nodes.empty());
+    T.Call.Nodes.front().K =
+        static_cast<PatKind>(static_cast<uint8_t>(PatKind::StrP) + 1);
+  });
+  expectRejected(B, Syms, "truncated or corrupt");
 }
 
 TEST_F(SummaryBundleTest, ImportWarmStartsByteIdentical) {
