@@ -50,30 +50,16 @@ ETEntry *ExtensionTable::find(int32_t PredId, const Pattern &Call) {
 }
 
 const ETEntry *ExtensionTable::findExisting(int32_t PredId,
-                                            const Pattern &Call) const {
+                                            PatternId CallId) const {
+  assert(Interner && "id-keyed lookup requires an interner");
   if (WhichImpl == Impl::LinearList) {
     for (const ETEntry &E : Owned)
-      if (E.PredId == PredId && E.Call == Call)
+      if (E.PredId == PredId && E.CallId == CallId)
         return &E;
     return nullptr;
   }
-  if (Interner) {
-    uint32_t V = StructIndex.findIf(
-        structKey(PredId, Call.hash()), [&](uint32_t Pos) {
-          const ETEntry &E = Owned[Pos];
-          return E.PredId == PredId && E.Call == Call;
-        });
-    return V == detail::FlatMap64::kEmpty ? nullptr : &Owned[V];
-  }
-  auto It = Index.find((static_cast<uint64_t>(PredId) << 32) ^ Call.hash());
-  if (It == Index.end())
-    return nullptr;
-  for (uint32_t Pos : It->second) {
-    const ETEntry &E = Owned[Pos];
-    if (E.PredId == PredId && E.Call == Call)
-      return &E;
-  }
-  return nullptr;
+  uint32_t V = IdIndex.lookup(idKey(PredId, CallId));
+  return V == detail::FlatMap64::kEmpty ? nullptr : &Owned[V];
 }
 
 ETEntry &ExtensionTable::findOrCreate(int32_t PredId, const Pattern &Call,

@@ -98,9 +98,10 @@ public:
   /// baseline path).
   PatternInterner *interner() const { return Interner; }
 
-  /// Structural lookup that neither creates nor counts probes: the
-  /// read-only lookup journal replay's simulation uses.
-  const ETEntry *findExisting(int32_t PredId, const Pattern &Call) const;
+  /// Id-keyed lookup that neither creates nor counts probes (requires an
+  /// attached interner): the read-only lookup journal replay's simulation
+  /// uses. In HashMap mode it is one exact-key map probe.
+  const ETEntry *findExisting(int32_t PredId, PatternId CallId) const;
 
   /// Returns the entry for (\p PredId, \p Call), creating it if missing;
   /// sets \p Created accordingly. Entry references are stable. Structural

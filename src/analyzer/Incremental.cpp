@@ -8,6 +8,7 @@
 
 #include "compiler/ProgramCompiler.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace awam;
@@ -101,184 +102,150 @@ std::vector<PredSig> awam::diffPrograms(const CompiledProgram &Old,
 
 namespace {
 
-/// Group key for (root pid, calling pattern) — same mixing constant as the
-/// table's structural index.
-uint64_t groupKey(int32_t Pid, const Pattern &Call) {
-  return static_cast<uint64_t>(Call.hash()) ^
-         (static_cast<uint64_t>(static_cast<uint32_t>(Pid)) *
-          0x9e3779b97f4a7c15ull);
+/// Key of a (predicate, calling pattern id) pair: trace groups and
+/// simulated creations are indexed by it.
+uint64_t pidCallKey(int32_t Pid, PatternId Call) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(Pid)) << 32) | Call;
 }
+
+constexpr uint32_t kNoTrace = 0xFFFFFFFFu;
 
 } // namespace
 
 TraceReplay::TraceReplay(const TraceBank &Bank, ExtensionTable &Table,
                          SchedulerCore &Core, AbstractMachine &Machine)
-    : Bank(Bank), Table(Table), Core(Core), Machine(Machine) {
-  // Group the traces by root key in bank order, so the Nth pop of a key
+    : Bank(Bank), Table(Table), Core(Core), Machine(Machine), Sim(Core) {
+  assert(Table.interner() && "replay compares interned pattern ids");
+  // Chain the traces by root key in bank order, so the Nth pop of a key
   // consumes the trace of the Nth committed run of that key; replays and
   // executions interleave without sliding the correspondence.
+  NextInGroup.assign(Bank.size(), kNoTrace);
+  std::vector<uint32_t> Tail;
   for (size_t I = 0; I != Bank.size(); ++I) {
     const RunTrace &T = *Bank[I];
-    std::vector<RootGroup> &Bucket = Groups[groupKey(T.Pred, T.Call)];
-    RootGroup *G = nullptr;
-    for (RootGroup &Cand : Bucket)
-      if (Cand.Pid == T.Pred && *Cand.Call == T.Call) {
-        G = &Cand;
-        break;
-      }
-    if (!G) {
-      Bucket.push_back(RootGroup{T.Pred, &T.Call, {}, 0});
-      G = &Bucket.back();
+    uint64_t Key = pidCallKey(T.Pred, T.Call);
+    uint32_t G = GroupOf.lookup(Key);
+    if (G == detail::FlatMap64::kEmpty) {
+      G = static_cast<uint32_t>(GroupCursor.size());
+      GroupOf.insert(Key, G);
+      GroupCursor.push_back(static_cast<uint32_t>(I));
+      Tail.push_back(static_cast<uint32_t>(I));
+    } else {
+      NextInGroup[Tail[G]] = static_cast<uint32_t>(I);
+      Tail[G] = static_cast<uint32_t>(I);
     }
-    G->TraceIdx.push_back(I);
   }
 }
 
-const RunTrace *TraceReplay::takeTrace(const ETEntry &Root,
-                                       size_t &TraceIdxOut) {
-  auto It = Groups.find(groupKey(Root.PredId, Root.Call));
-  if (It == Groups.end())
-    return nullptr;
-  for (RootGroup &G : It->second) {
-    if (G.Pid != Root.PredId || !(*G.Call == Root.Call))
-      continue;
-    if (G.Cursor >= G.TraceIdx.size())
-      return nullptr;
-    TraceIdxOut = G.TraceIdx[G.Cursor++];
-    return Bank[TraceIdxOut].get();
-  }
-  return nullptr;
+int64_t TraceReplay::takeTrace(const ETEntry &Root) {
+  uint32_t G = GroupOf.lookup(pidCallKey(Root.PredId, Root.CallId));
+  if (G == detail::FlatMap64::kEmpty || GroupCursor[G] == kNoTrace)
+    return -1;
+  uint32_t I = GroupCursor[G];
+  GroupCursor[G] = NextInGroup[I];
+  return I;
 }
 
-/// One validated transition of an apply plan. Pattern pointers point into
-/// the owning trace, which the bank keeps alive past the replay.
-struct TraceReplay::ReplayOp {
-  enum Kind : uint8_t {
-    Begin,  ///< A = entry idx: beginActivation + EverExplored
-    Create, ///< A = pid, B = expected idx, Pat = calling pattern
-    Read,   ///< A = reader, B = dep (apply reads the live version)
-    Grow,   ///< A = entry idx, Pat = new summary
-  } K;
-  int32_t A = -1;
-  int32_t B = -1;
-  const Pattern *Pat = nullptr;
-};
+void TraceReplay::newEpoch() {
+  if (++Epoch == 0) { // stamps wrapped: forget them for real
+    SimEntries.assign(SimEntries.size(), SimEntry());
+    CreatedSlots.assign(CreatedSlots.size(), SimCreated());
+    Epoch = 1;
+  }
+}
 
-/// A validated replay: the trace it came from and the transitions that
-/// applying it performs, with every index resolved.
-struct TraceReplay::ReplayPlan {
-  size_t TraceIdx = 0; ///< into the bank
-  std::vector<ReplayOp> Ops;
-};
+TraceReplay::SimEntry &TraceReplay::sim(int32_t Idx) {
+  if (static_cast<size_t>(Idx) >= SimEntries.size())
+    SimEntries.resize(std::max(static_cast<size_t>(Idx) + 1, Table.size()));
+  SimEntry &S = SimEntries[static_cast<size_t>(Idx)];
+  if (S.Stamp != Epoch) {
+    S.Stamp = Epoch;
+    if (static_cast<size_t>(Idx) < LiveSize) {
+      const ETEntry &E = Table.entryAt(static_cast<size_t>(Idx));
+      S.Success = E.SuccessId;
+      S.Version = E.SuccessVersion;
+      S.Explored = E.EverExplored;
+    } else { // created this run: no summary until it grows
+      S.Success = kInvalidPatternId;
+      S.Version = 0;
+      S.Explored = false;
+    }
+  }
+  return S;
+}
 
-bool TraceReplay::simulate(const ETEntry &Root, const RunTrace &T,
-                           ReplayPlan &Out) const {
-  if (!(Root.Success == T.PreSuccess))
+int32_t TraceReplay::findSim(int32_t Pid, PatternId Call) const {
+  if (const ETEntry *E = Table.findExisting(Pid, Call))
+    return E->Idx;
+  uint32_t Slot = CreatedSlot.lookup(pidCallKey(Pid, Call));
+  if (Slot != detail::FlatMap64::kEmpty && CreatedSlots[Slot].Stamp == Epoch)
+    return CreatedSlots[Slot].Idx;
+  return -1;
+}
+
+bool TraceReplay::simulate(const ETEntry &Root, const RunTrace &T) {
+  if (Root.SuccessId != T.PreSuccess)
     return false;
 
   // The simulation overlays the live table (never written) with the
-  // effects the trace would apply, and drives a copy-on-write overlay of
-  // the live core through the schedule transitions, so memo-vs-explore
-  // decisions are answered exactly as the machine's shouldReexplore query
-  // would be — at cost proportional to the trace, not the core.
-  const size_t LiveSize = Table.size();
-  SchedulerCore::Overlay Clone(Core);
-
-  struct SimNew {
-    int32_t Pid;
-    const Pattern *Call;
-  };
-  std::vector<SimNew> SimCreated;
-  std::unordered_map<int32_t, std::vector<size_t>> SimByPid;
-  std::unordered_map<int32_t, const Pattern *> SuccOverride;
-  std::unordered_map<int32_t, uint32_t> VerOverride;
-  std::unordered_map<int32_t, char> ExplOverride;
-
-  auto FindSim = [&](int32_t Pid, const Pattern &Call) -> int32_t {
-    if (const ETEntry *E = Table.findExisting(Pid, Call))
-      return E->Idx;
-    auto It = SimByPid.find(Pid);
-    if (It != SimByPid.end())
-      for (size_t I : It->second)
-        if (*SimCreated[I].Call == Call)
-          return static_cast<int32_t>(LiveSize + I);
-    return -1;
-  };
-  auto SimSuccess = [&](int32_t Idx) -> const Pattern * {
-    auto It = SuccOverride.find(Idx);
-    if (It != SuccOverride.end())
-      return It->second;
-    if (static_cast<size_t>(Idx) < LiveSize) {
-      const std::optional<Pattern> &S = Table.entryAt(Idx).Success;
-      return S ? &*S : nullptr;
-    }
-    return nullptr; // created this run: no summary until it grows
-  };
-  auto SimVer = [&](int32_t Idx) -> uint32_t {
-    auto It = VerOverride.find(Idx);
-    if (It != VerOverride.end())
-      return It->second;
-    if (static_cast<size_t>(Idx) < LiveSize)
-      return Table.entryAt(Idx).SuccessVersion;
-    return 0;
-  };
-  auto SimExplored = [&](int32_t Idx) -> bool {
-    auto It = ExplOverride.find(Idx);
-    if (It != ExplOverride.end())
-      return It->second != 0;
-    if (static_cast<size_t>(Idx) >= LiveSize)
-      return false;
-    return Table.entryAt(Idx).EverExplored;
-  };
-  auto SummaryMatches = [&](int32_t Idx, const std::optional<Pattern> &Want) {
-    const Pattern *Have = SimSuccess(Idx);
-    if (!Have || !Want)
-      return !Have && !Want;
-    return *Have == *Want;
-  };
-
-  std::vector<int32_t> Stack;
+  // effects the trace would apply, and drives the overlay of the live
+  // core through the schedule transitions, so memo-vs-explore decisions
+  // are answered exactly as the machine's shouldReexplore query would be
+  // — at cost proportional to the trace, not the core. Equal ids are
+  // equal patterns (one interner), so every check is an id comparison.
+  newEpoch();
+  Sim.reset();
+  LiveSize = Table.size();
+  NumCreated = 0;
+  Stack.clear();
+  Plan.clear();
 
   // runActivation's preamble: the root activation begins.
-  Clone.beginActivation(Root.Idx);
-  ExplOverride[Root.Idx] = 1;
-  Out.Ops.push_back({ReplayOp::Begin, Root.Idx, -1, nullptr});
+  Sim.beginActivation(Root.Idx);
+  sim(Root.Idx).Explored = true;
+  Plan.push_back({ReplayOp::Begin, Root.Idx, -1, kInvalidPatternId});
   Stack.push_back(Root.Idx);
 
   for (const TraceOp &Op : T.Ops) {
     switch (Op.K) {
     case TraceOp::Memo: {
-      int32_t Idx = FindSim(Op.Pred, Op.Call);
+      int32_t Idx = findSim(Op.Pred, Op.Call);
       if (Idx < 0)
         return false; // execution would create-and-explore, not memo
-      if (!SimExplored(Idx) || Clone.shouldReexplore(Idx))
+      if (!sim(Idx).Explored || Sim.shouldReexplore(Idx))
         return false; // execution would explore inline here
-      if (!SummaryMatches(Idx, Op.Summary))
+      if (sim(Idx).Success != Op.Summary)
         return false; // the summary the run consumed has changed
-      Clone.noteRead(Stack.back(), Idx, SimVer(Idx));
-      Out.Ops.push_back({ReplayOp::Read, Stack.back(), Idx, nullptr});
+      Sim.noteRead(Stack.back(), Idx, sim(Idx).Version);
+      Plan.push_back({ReplayOp::Read, Stack.back(), Idx, kInvalidPatternId});
       break;
     }
     case TraceOp::Enter: {
-      int32_t Idx = FindSim(Op.Pred, Op.Call);
+      int32_t Idx = findSim(Op.Pred, Op.Call);
       if (Op.Created) {
         if (Idx >= 0)
           return false; // execution would find the entry, not create it
-        Idx = static_cast<int32_t>(LiveSize + SimCreated.size());
-        SimByPid[Op.Pred].push_back(SimCreated.size());
-        SimCreated.push_back({Op.Pred, &Op.Call});
-        Out.Ops.push_back({ReplayOp::Create, Op.Pred, Idx, &Op.Call});
+        Idx = static_cast<int32_t>(LiveSize) + NumCreated++;
+        uint64_t Key = pidCallKey(Op.Pred, Op.Call);
+        uint32_t Slot = CreatedSlot.lookup(Key);
+        if (Slot == detail::FlatMap64::kEmpty) {
+          Slot = static_cast<uint32_t>(CreatedSlots.size());
+          CreatedSlots.emplace_back();
+          CreatedSlot.insert(Key, Slot);
+        }
+        CreatedSlots[Slot] = {Epoch, Idx};
+        Plan.push_back({ReplayOp::Create, Op.Pred, Idx, Op.Call});
       } else {
         if (Idx < 0)
           return false; // execution would create it (Created mismatch)
-        if (SimExplored(Idx) && !Clone.shouldReexplore(Idx))
+        if (sim(Idx).Explored && !Sim.shouldReexplore(Idx))
           return false; // execution would answer from the memo here
       }
-      if (!SummaryMatches(Idx, Op.Summary))
+      if (sim(Idx).Success != Op.Summary)
         return false; // pre-exploration memo differs: clause runs diverge
-      Clone.beginActivation(Idx);
-      ExplOverride[Idx] = 1;
-      Out.Ops.push_back({ReplayOp::Begin, Idx, -1, nullptr});
+      Sim.beginActivation(Idx);
+      sim(Idx).Explored = true;
+      Plan.push_back({ReplayOp::Begin, Idx, -1, kInvalidPatternId});
       Stack.push_back(Idx);
       break;
     }
@@ -289,19 +256,21 @@ bool TraceReplay::simulate(const ETEntry &Root, const RunTrace &T,
       // returnFromFrame: the parent's continuation reads the child's final
       // summary. The root's own exit has no parent and records no read.
       if (!Stack.empty()) {
-        Clone.noteRead(Stack.back(), Child, SimVer(Child));
-        Out.Ops.push_back({ReplayOp::Read, Stack.back(), Child, nullptr});
+        Sim.noteRead(Stack.back(), Child, sim(Child).Version);
+        Plan.push_back(
+            {ReplayOp::Read, Stack.back(), Child, kInvalidPatternId});
       }
       break;
     }
     case TraceOp::Grow: {
-      assert(!Stack.empty() && Op.Summary && "grow applies to the open frame");
+      assert(!Stack.empty() && Op.Summary != kInvalidPatternId &&
+             "grow applies to the open frame");
       int32_t Idx = Stack.back();
-      uint32_t NewVer = SimVer(Idx) + 1;
-      SuccOverride[Idx] = &*Op.Summary;
-      VerOverride[Idx] = NewVer;
-      Clone.noteChanged(Idx, NewVer);
-      Out.Ops.push_back({ReplayOp::Grow, Idx, -1, &*Op.Summary});
+      SimEntry &S = sim(Idx);
+      S.Success = Op.Summary;
+      ++S.Version;
+      Sim.noteChanged(Idx, S.Version);
+      Plan.push_back({ReplayOp::Grow, Idx, -1, Op.Summary});
       break;
     }
     }
@@ -309,8 +278,9 @@ bool TraceReplay::simulate(const ETEntry &Root, const RunTrace &T,
   return Stack.empty();
 }
 
-void TraceReplay::applyPlan(const ReplayPlan &Plan) {
-  for (const ReplayOp &Op : Plan.Ops) {
+void TraceReplay::applyPlan(size_t TraceIdx) {
+  PatternInterner &In = *Table.interner();
+  for (const ReplayOp &Op : Plan) {
     switch (Op.K) {
     case ReplayOp::Begin: {
       ETEntry &E = Table.entryAt(static_cast<size_t>(Op.A));
@@ -320,9 +290,7 @@ void TraceReplay::applyPlan(const ReplayPlan &Plan) {
     }
     case ReplayOp::Create: {
       bool Created = false;
-      ETEntry &E = Table.interner()
-                       ? Table.findOrCreateByPattern(Op.A, *Op.Pat, Created)
-                       : Table.findOrCreate(Op.A, *Op.Pat, Created);
+      ETEntry &E = Table.findOrCreate(Op.A, Op.Pat, Created);
       assert(Created && E.Idx == Op.B && "validated creation must hold");
       (void)E;
       (void)Created;
@@ -335,16 +303,15 @@ void TraceReplay::applyPlan(const ReplayPlan &Plan) {
       break;
     case ReplayOp::Grow: {
       ETEntry &E = Table.entryAt(static_cast<size_t>(Op.A));
-      E.Success.emplace(*Op.Pat);
-      if (PatternInterner *In = Table.interner())
-        E.SuccessId = In->intern(*E.Success);
+      E.SuccessId = Op.Pat;
+      E.Success.emplace(In.pattern(Op.Pat));
       Table.noteSuccessChanged(E);
       Core.noteChanged(E.Idx, E.SuccessVersion);
       break;
     }
     }
   }
-  const std::shared_ptr<const RunTrace> &T = Bank[Plan.TraceIdx];
+  const std::shared_ptr<const RunTrace> &T = Bank[TraceIdx];
   Machine.charge(T->Steps, T->Activations);
   if (RunJournal *Out = Machine.runJournal())
     Out->append(T);
@@ -353,20 +320,17 @@ void TraceReplay::applyPlan(const ReplayPlan &Plan) {
 }
 
 bool TraceReplay::tryReplay(ETEntry &Root) {
-  size_t TI = 0;
-  const RunTrace *T = takeTrace(Root, TI);
-  if (!T)
+  int64_t TI = takeTrace(Root);
+  if (TI < 0)
     return false;
+  const RunTrace &T = *Bank[static_cast<size_t>(TI)];
   // A run that would trip the instruction budget errors partway through
   // with partial effects; only real execution reproduces that exactly.
   // (Steps never exceeds the budget inside a drain that is still going.)
-  if (T->Steps > Machine.maxSteps() - Machine.stepsExecuted())
+  if (T.Steps > Machine.maxSteps() - Machine.stepsExecuted())
     return false;
-
-  ReplayPlan Plan;
-  Plan.TraceIdx = TI;
-  if (!simulate(Root, *T, Plan))
+  if (!simulate(Root, T))
     return false;
-  applyPlan(Plan);
+  applyPlan(static_cast<size_t>(TI));
   return true;
 }

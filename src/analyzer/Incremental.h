@@ -14,8 +14,8 @@
 /// tries to *replay* a banked trace instead of executing clause code:
 ///
 ///  1. Trace lookup. Banked traces are grouped by (root predicate, calling
-///     pattern) and consumed FIFO per group, mirroring the order in which
-///     runs with equal roots committed.
+///     pattern id) and consumed FIFO per group, mirroring the order in
+///     which runs with equal roots committed.
 ///  2. Validation. The trace is simulated against the live table plus a
 ///     copy-on-write overlay of the live SchedulerCore, without writing
 ///     anything. Every observable input the recorded execution consumed
@@ -23,8 +23,10 @@
 ///     summary; each callee's created-vs-found status; each memo-vs-explore
 ///     decision (answered by the overlay exactly as the machine's
 ///     shouldReexplore query would be); each memo'd or pre-exploration
-///     summary *value*; and the cumulative step budget. Validation emits an
-///     apply plan with all indices resolved.
+///     summary *value*; and the cumulative step budget. The bank and the
+///     drain's table share the store's interner, so every pattern check is
+///     an id comparison and every lookup an exact id-keyed probe.
+///     Validation emits an apply plan with all indices resolved.
 ///  3. Apply or execute. A validated plan is applied — entry creations,
 ///     beginActivation / noteRead / noteChanged transitions, summary
 ///     growth — and the recorded step/activation cost charged to the
@@ -60,7 +62,7 @@
 #include "analyzer/RunJournal.h"
 #include "analyzer/Scheduler.h"
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 namespace awam {
@@ -85,8 +87,8 @@ public:
   /// Replays \p Bank into the drain over \p Table and \p Core, charging
   /// replayed cost to \p Machine and carrying each replayed trace into the
   /// machine's attached journal. Every trace must be error-free, use
-  /// \p Table's module ids and run no edited code (see the file comment);
-  /// all four must outlive the replay.
+  /// \p Table's module ids and interner ids and run no edited code (see
+  /// the file comment); all four must outlive the replay.
   TraceReplay(const TraceBank &Bank, ExtensionTable &Table,
               SchedulerCore &Core, AbstractMachine &Machine);
 
@@ -95,38 +97,80 @@ public:
   bool tryReplay(ETEntry &Root);
 
 private:
-  /// Traces sharing one (root pid, calling pattern), consumed in FIFO
-  /// order. Call points into the first trace (traces are shared-owned by
-  /// the bank and outlive the replay).
-  struct RootGroup {
-    int32_t Pid = -1;
-    const Pattern *Call = nullptr;
-    std::vector<size_t> TraceIdx;
-    size_t Cursor = 0;
+  /// One validated transition of an apply plan.
+  struct ReplayOp {
+    enum Kind : uint8_t {
+      Begin,  ///< A = entry idx: beginActivation + EverExplored
+      Create, ///< A = pid, B = expected idx, Pat = calling pattern
+      Read,   ///< A = reader, B = dep (apply reads the live version)
+      Grow,   ///< A = entry idx, Pat = new summary
+    } K = Begin;
+    int32_t A = -1;
+    int32_t B = -1;
+    PatternId Pat = kInvalidPatternId;
   };
 
-  /// Consumes the next banked trace for \p Root's key, if any.
-  const RunTrace *takeTrace(const ETEntry &Root, size_t &TraceIdxOut);
+  /// A simulation's view of one entry it touched: the live table's state
+  /// with the trace's effects so far applied.
+  struct SimEntry {
+    uint32_t Stamp = 0; ///< the simulation that touched it
+    PatternId Success = kInvalidPatternId;
+    uint32_t Version = 0;
+    bool Explored = false;
+  };
 
-  struct ReplayOp;   ///< one validated transition of an apply plan
-  struct ReplayPlan; ///< a validated replay, ready to apply
+  /// An entry a simulation created: its Idx, valid while Stamp is the
+  /// current simulation's.
+  struct SimCreated {
+    uint32_t Stamp = 0;
+    int32_t Idx = -1;
+  };
 
-  /// Pass 1 of a replay: simulates \p T against the live table and a
-  /// copy-on-write overlay of the live core, writing the apply plan into
-  /// \p Out. Writes no shared state. Returns false when execution would
-  /// diverge from the trace (the plan is then unusable).
-  bool simulate(const ETEntry &Root, const RunTrace &T,
-                ReplayPlan &Out) const;
+  /// Consumes the next banked trace for \p Root's key; the trace's bank
+  /// index, or -1 when the key has none left.
+  int64_t takeTrace(const ETEntry &Root);
 
-  /// Pass 2: applies \p Plan to the live table and core and charges the
-  /// recorded cost (the caller has already consumed the trace cursor).
-  void applyPlan(const ReplayPlan &Plan);
+  /// Pass 1 of a replay: simulates \p T against the live table and the
+  /// overlay of the live core, writing the apply plan into Plan. Writes
+  /// no shared state. Returns false when execution would diverge from the
+  /// trace (the plan is then unusable).
+  bool simulate(const ETEntry &Root, const RunTrace &T);
+
+  /// Pass 2: applies Plan to the live table and core and charges the
+  /// cost of bank trace \p TraceIdx (whose cursor is already consumed).
+  void applyPlan(size_t TraceIdx);
+
+  /// Starts a simulation: every SimEntry and SimCreated slot goes stale.
+  void newEpoch();
+  /// Entry \p Idx as the current simulation sees it.
+  SimEntry &sim(int32_t Idx);
+  /// The entry for (\p Pid, \p Call) in the live table or created by
+  /// the current simulation, or -1.
+  int32_t findSim(int32_t Pid, PatternId Call) const;
 
   const TraceBank &Bank;
   ExtensionTable &Table;
   SchedulerCore &Core;
   AbstractMachine &Machine;
-  std::unordered_map<uint64_t, std::vector<RootGroup>> Groups;
+
+  // Trace lookup: the traces sharing one (root pid, calling pattern id)
+  // form a FIFO chain through NextInGroup, in bank order.
+  detail::FlatMap64 GroupOf;         ///< root key -> group
+  std::vector<uint32_t> GroupCursor; ///< group -> next unconsumed trace
+  std::vector<uint32_t> NextInGroup; ///< bank index -> next of its group
+
+  // Simulation scratch, reused by every simulation of the drain: flat and
+  // stamped, so starting a simulation costs O(1), and one root trace
+  // creating thousands of entries is indexed by key, not scanned.
+  SchedulerCore::Overlay Sim;
+  std::vector<SimEntry> SimEntries;    ///< by entry Idx
+  detail::FlatMap64 CreatedSlot;       ///< (pid, call id) -> slot
+  std::vector<SimCreated> CreatedSlots; ///< by slot
+  std::vector<int32_t> Stack;
+  std::vector<ReplayOp> Plan;
+  uint32_t Epoch = 0;
+  size_t LiveSize = 0;   ///< table size when the simulation started
+  int32_t NumCreated = 0; ///< entries the simulation created so far
 };
 
 } // namespace awam

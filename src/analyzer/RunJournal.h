@@ -16,12 +16,20 @@
 /// effects instead of re-executing clause code (see Incremental.h for the
 /// validation protocol).
 ///
-/// Traces reference predicates by the recording module's PredId; the
-/// journal eagerly resolves every referenced id to its (name, arity) so the
-/// store can re-key a journal to a *recompiled* module, whose ids may
-/// differ (CodeModule assigns ids in first-reference order, which clause
-/// edits can shift). Patterns are stored by value for the same reason —
-/// interner ids are run-local.
+/// Traces hold patterns as PatternIds, copied from the recorded entries'
+/// CallId/SuccessId, so an op is 16 bytes and recording does no lookup.
+/// The ids belong to one interner, fixed by where the trace lives: a trace
+/// in an AnalysisStore's journals uses that store's append-only interner
+/// (every query of the store shares it, and import re-interns foreign
+/// traces into it), and a trace in a SummaryBundle uses the bundle's
+/// SummaryBundle::Patterns. Equal ids are equal patterns, which is what
+/// lets replay validate by id comparison.
+///
+/// Traces reference predicates by the store's current module's PredIds.
+/// When the store moves to a *recompiled* module, whose ids may differ
+/// (CodeModule assigns ids in first-reference order, which clause edits
+/// can shift), it re-keys every journal by name/arity through the old
+/// module, which is still alive at that point.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,28 +37,26 @@
 #define AWAM_ANALYZER_RUNJOURNAL_H
 
 #include "analyzer/ExtensionTable.h"
-#include "compiler/CodeModule.h"
 
 #include <cassert>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 namespace awam {
 
-/// Name/arity of a recorded predicate — the module-independent key used to
-/// re-resolve trace ids against a recompiled module.
+/// Name/arity of a predicate — the module-independent key used to
+/// re-resolve predicate ids against a recompiled or foreign module.
 struct PredSig {
   std::string Name;
   int32_t Arity = 0;
 };
 
 /// One extension-table interaction of an activation run, in execution
-/// order.
+/// order. Patterns are ids of the trace's interner (see the file comment);
+/// kInvalidPatternId as a summary means the call had not succeeded yet.
 struct TraceOp {
   enum Kind : uint8_t {
     Memo,  ///< call answered from the memo; Summary is what it observed
@@ -60,34 +66,29 @@ struct TraceOp {
   };
   Kind K = Memo;
   bool Created = false; ///< Enter only: the call created the entry
-  int32_t Pred = -1;    ///< Memo/Enter: callee PredId (recording module)
-  Pattern Call;         ///< Memo/Enter: canonical calling pattern
-  std::optional<Pattern> Summary;
+  int32_t Pred = -1;    ///< Memo/Enter: callee PredId
+  PatternId Call = kInvalidPatternId; ///< Memo/Enter: calling pattern
+  PatternId Summary = kInvalidPatternId;
 };
+static_assert(sizeof(TraceOp) <= 16, "a trace op is two ids and a pred");
 
 /// Everything one activation run observed and did.
 struct RunTrace {
-  int32_t Pred = -1; ///< root PredId (recording module)
-  Pattern Call;
-  std::optional<Pattern> PreSuccess; ///< root summary before the run
+  int32_t Pred = -1; ///< root PredId
+  PatternId Call = kInvalidPatternId;
+  PatternId PreSuccess = kInvalidPatternId; ///< root summary before the run
   std::vector<TraceOp> Ops;
   uint64_t Steps = 0;       ///< abstract instructions this run executed
   uint64_t Activations = 0; ///< clause-list explorations (root + Enters)
   bool Error = false;       ///< errored or unbalanced; never replayable
 };
 
-/// Approximate heap bytes of one trace: the op vector plus every pattern
-/// payload it carries. Traces are shared across journals by handle, so
-/// aggregate accounting must deduplicate by trace address (see
+/// Heap bytes of one trace: the trace object and its op vector (the
+/// patterns live in the interner). Traces are shared across journals by
+/// handle, so aggregate accounting must deduplicate by trace address (see
 /// AnalysisStore::bytesUsed).
 inline size_t traceHeapBytes(const RunTrace &T) {
-  size_t B = sizeof(RunTrace) + T.Ops.capacity() * sizeof(TraceOp) +
-             patternHeapBytes(T.Call) +
-             (T.PreSuccess ? patternHeapBytes(*T.PreSuccess) : 0);
-  for (const TraceOp &Op : T.Ops)
-    B += patternHeapBytes(Op.Call) +
-         (Op.Summary ? patternHeapBytes(*Op.Summary) : 0);
-  return B;
+  return sizeof(RunTrace) + T.Ops.capacity() * sizeof(TraceOp);
 }
 
 /// Recorded traces one drain may replay from (see TraceReplay), in bank
@@ -99,66 +100,54 @@ using TraceBank = std::vector<std::shared_ptr<const RunTrace>>;
 /// without copying (each store root keeps the journal of its last drain).
 class RunJournal {
 public:
-  explicit RunJournal(const CodeModule &M) : Module(&M) {}
-
   // --- recording API (driven by AbstractMachine::runActivation) ---------
+  // Only interned tables record (the store's queries): every entry passed
+  // in carries its CallId/SuccessId.
 
   void beginRun(const ETEntry &Root) {
+    assert(Root.CallId != kInvalidPatternId && "journals record ids");
     Open = std::make_shared<RunTrace>();
     Open->Pred = Root.PredId;
-    Open->Call = Root.Call;
-    Open->PreSuccess = Root.Success;
+    Open->Call = Root.CallId;
+    Open->PreSuccess = Root.SuccessId;
+    OpenOps.clear();
     Depth = 1;
-    rememberSig(Root.PredId);
   }
 
   void noteMemo(const ETEntry &E) {
-    if (!Open)
-      return;
-    TraceOp Op;
-    Op.K = TraceOp::Memo;
-    Op.Pred = E.PredId;
-    Op.Call = E.Call;
-    Op.Summary = E.Success;
-    Open->Ops.push_back(std::move(Op));
-    rememberSig(E.PredId);
+    if (Open)
+      OpenOps.push_back({TraceOp::Memo, false, E.PredId, E.CallId,
+                         E.SuccessId});
   }
 
   void enterCall(const ETEntry &E, bool Created) {
     if (!Open)
       return;
-    TraceOp Op;
-    Op.K = TraceOp::Enter;
-    Op.Created = Created;
-    Op.Pred = E.PredId;
-    Op.Call = E.Call;
-    Op.Summary = E.Success;
-    Open->Ops.push_back(std::move(Op));
+    OpenOps.push_back({TraceOp::Enter, Created, E.PredId, E.CallId,
+                       E.SuccessId});
     ++Depth;
-    rememberSig(E.PredId);
   }
 
   void exitCall() {
     if (!Open)
       return;
-    TraceOp Op;
-    Op.K = TraceOp::Exit;
-    Open->Ops.push_back(std::move(Op));
+    OpenOps.push_back({TraceOp::Exit, false, -1, kInvalidPatternId,
+                       kInvalidPatternId});
     --Depth;
   }
 
   void noteGrow(const ETEntry &E) {
-    if (!Open)
-      return;
-    TraceOp Op;
-    Op.K = TraceOp::Grow;
-    Op.Summary = E.Success;
-    Open->Ops.push_back(std::move(Op));
+    if (Open)
+      OpenOps.push_back({TraceOp::Grow, false, -1, kInvalidPatternId,
+                         E.SuccessId});
   }
 
   void endRun(uint64_t Steps, uint64_t Activations, bool Error) {
     if (!Open)
       return;
+    // One exact-size allocation per banked trace; the growth happened in
+    // the reused OpenOps buffer.
+    Open->Ops.assign(OpenOps.begin(), OpenOps.end());
     Open->Steps = Steps;
     Open->Activations = Activations;
     // An errored run stops mid-frame-stack; its trace is a prefix of no
@@ -168,79 +157,38 @@ public:
     Open.reset();
   }
 
+  /// Frees the recording buffer: the journal is banked and records no
+  /// more runs.
+  void finishRecording() { std::vector<TraceOp>().swap(OpenOps); }
+
   // --- replay-side API ---------------------------------------------------
 
-  /// Appends \p T, whose predicate ids are already this journal's module
-  /// ids (e.g. a trace banked by another query over the same module),
-  /// registering their sigs.
+  /// Appends \p T, whose ids are already this journal's (predicate ids of
+  /// the store's module, pattern ids of the store's interner).
   void append(std::shared_ptr<const RunTrace> T) {
-    rememberSig(T->Pred);
-    for (const TraceOp &Op : T->Ops)
-      if (Op.Pred >= 0)
-        rememberSig(Op.Pred);
     Runs.push_back(std::move(T));
-  }
-
-  /// Appends a trace recorded against another module. \p MapPid maps that
-  /// module's ids to this module's (every id \p T uses must map, which the
-  /// store checks before re-keying). The trace is shared when the mapping
-  /// is the identity on those ids, and copied/rewritten otherwise.
-  template <typename MapPidFn>
-  void appendRemapped(const std::shared_ptr<const RunTrace> &T,
-                      MapPidFn MapPid) {
-    auto MapOf = [&MapPid](int32_t Pid) {
-      int32_t NewPid = MapPid(Pid);
-      assert(NewPid >= 0 && "re-keyed trace ids must resolve");
-      return NewPid;
-    };
-    bool Identity = MapOf(T->Pred) == T->Pred;
-    for (const TraceOp &Op : T->Ops)
-      if (Op.Pred >= 0 && MapOf(Op.Pred) != Op.Pred)
-        Identity = false;
-    if (Identity) {
-      append(T);
-      return;
-    }
-    auto Copy = std::make_shared<RunTrace>(*T);
-    Copy->Pred = MapOf(Copy->Pred);
-    for (TraceOp &Op : Copy->Ops)
-      if (Op.Pred >= 0)
-        Op.Pred = MapOf(Op.Pred);
-    append(std::move(Copy));
   }
 
   const TraceBank &runs() const { return Runs; }
 
-  /// Heap bytes of this journal's handle vector and sig map, plus every
-  /// referenced trace whose address is new to \p Seen. Traces are shared
-  /// across journals by handle; threading one seen-set through a group of
+  /// Heap bytes of this journal's handle vector, plus every referenced
+  /// trace whose address is new to \p Seen. Traces are shared across
+  /// journals by handle; threading one seen-set through a group of
   /// journals counts each trace object exactly once.
   size_t bytesUsed(std::unordered_set<const RunTrace *> &Seen) const {
     size_t B = Runs.capacity() * sizeof(std::shared_ptr<const RunTrace>) +
-               Sigs.size() * (sizeof(int32_t) + sizeof(PredSig));
+               OpenOps.capacity() * sizeof(TraceOp);
     for (const std::shared_ptr<const RunTrace> &T : Runs)
       if (Seen.insert(T.get()).second)
         B += traceHeapBytes(*T);
     return B;
   }
 
-  /// PredId -> (name, arity) for every id appearing in stored traces.
-  const std::unordered_map<int32_t, PredSig> &sigs() const { return Sigs; }
-
 private:
-  void rememberSig(int32_t Pid) {
-    if (Pid < 0 || Sigs.count(Pid))
-      return;
-    const PredicateInfo &Info = Module->predicate(Pid);
-    Sigs.emplace(Pid, PredSig{std::string(Module->symbols().name(Info.Name)),
-                              Info.Arity});
-  }
-
-  const CodeModule *Module;
   TraceBank Runs;
   std::shared_ptr<RunTrace> Open; ///< run currently being recorded
+  std::vector<TraceOp> OpenOps;   ///< its ops (reused across runs)
   int Depth = 0;                  ///< open frames (balance check)
-  std::unordered_map<int32_t, PredSig> Sigs;
 };
 
 } // namespace awam

@@ -4,6 +4,7 @@
 
 #include "analyzer/Incremental.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace awam;
@@ -123,29 +124,39 @@ std::vector<std::pair<int32_t, int32_t>> SchedulerCore::edgePairs() const {
   return Out;
 }
 
-SchedulerCore::Overlay::EntryState &SchedulerCore::Overlay::touch(int32_t Idx) {
-  auto [It, Fresh] = Over.try_emplace(Idx);
-  if (Fresh) {
-    bool Known = static_cast<size_t>(Idx) < Base.InQueue.size();
-    It->second.InQueue = Known && Base.InQueue[Idx];
-    It->second.QueuedSweep = Known ? Base.QueuedSweep[Idx] : 0;
-    It->second.LastRunSweep = Known ? Base.LastRunSweep[Idx] : 0;
-    It->second.RunSeq = Known ? Base.RunSeq[Idx] : 0;
+void SchedulerCore::Overlay::reset() {
+  Added.clear();
+  if (++Epoch == 0) { // stamps wrapped: forget them for real
+    States.assign(States.size(), EntryState());
+    Epoch = 1;
   }
-  return It->second;
+}
+
+SchedulerCore::Overlay::EntryState &SchedulerCore::Overlay::touch(int32_t Idx) {
+  if (static_cast<size_t>(Idx) >= States.size())
+    States.resize(std::max(static_cast<size_t>(Idx) + 1, Base.InQueue.size()));
+  EntryState &E = States[Idx];
+  if (E.Stamp != Epoch) {
+    bool Known = static_cast<size_t>(Idx) < Base.InQueue.size();
+    E.Stamp = Epoch;
+    E.InQueue = Known && Base.InQueue[Idx];
+    E.RunSeq = Known ? Base.RunSeq[Idx] : 0;
+    E.QueuedSweep = Known ? Base.QueuedSweep[Idx] : 0;
+    E.LastRunSweep = Known ? Base.LastRunSweep[Idx] : 0;
+    E.EdgeHead = -1;
+  }
+  return E;
 }
 
 uint32_t SchedulerCore::Overlay::runSeq(int32_t Idx) const {
-  auto It = Over.find(Idx);
-  if (It != Over.end())
-    return It->second.RunSeq;
+  if (const EntryState *E = touched(Idx))
+    return E->RunSeq;
   return static_cast<size_t>(Idx) < Base.RunSeq.size() ? Base.RunSeq[Idx] : 0;
 }
 
 uint64_t SchedulerCore::Overlay::lastRunSweep(int32_t Idx) const {
-  auto It = Over.find(Idx);
-  if (It != Over.end())
-    return It->second.LastRunSweep;
+  if (const EntryState *E = touched(Idx))
+    return E->LastRunSweep;
   return static_cast<size_t>(Idx) < Base.LastRunSweep.size()
              ? Base.LastRunSweep[Idx]
              : 0;
@@ -162,18 +173,22 @@ void SchedulerCore::Overlay::enqueue(int32_t Idx, uint64_t Sweep) {
 void SchedulerCore::Overlay::beginActivation(int32_t Idx) {
   EntryState &E = touch(Idx);
   E.InQueue = false;
-  E.LastRunSweep = CurSweep;
+  E.LastRunSweep = Base.CurSweep;
   ++E.RunSeq;
 }
 
 void SchedulerCore::Overlay::noteRead(int32_t Reader, int32_t Dep,
                                       uint32_t VersionSeen) {
-  std::vector<Edge> &Vec = AddedEdges[Dep];
-  if (!Vec.empty() && Vec.back().Reader == Reader &&
-      Vec.back().ReaderRun == runSeq(Reader) &&
-      Vec.back().VersionSeen == VersionSeen)
-    return; // collapse trivially repeated edges, as the real core does
-  Vec.push_back({Reader, runSeq(Reader), VersionSeen});
+  uint32_t Run = runSeq(Reader);
+  EntryState &D = touch(Dep);
+  if (D.EdgeHead >= 0) {
+    const Edge &Last = Added[static_cast<size_t>(D.EdgeHead)].E;
+    if (Last.Reader == Reader && Last.ReaderRun == Run &&
+        Last.VersionSeen == VersionSeen)
+      return; // collapse trivially repeated edges, as the real core does
+  }
+  Added.push_back({{Reader, Run, VersionSeen}, D.EdgeHead});
+  D.EdgeHead = static_cast<int32_t>(Added.size() - 1);
 }
 
 void SchedulerCore::Overlay::noteChanged(int32_t Idx,
@@ -184,25 +199,27 @@ void SchedulerCore::Overlay::noteChanged(int32_t Idx,
   // under the RunSeq check, and a consumed stale edge can only re-issue
   // an enqueue the keep-earliest rule absorbs (its target sweep never
   // moves earlier between scans — LastRunSweep is monotone and the
-  // Reader<=Idx term is fixed).
+  // Reader<=Idx term is fixed). Scan order does not matter either:
+  // keep-earliest makes the resulting queue state the minimum target.
   auto Scan = [&](const Edge &Ed) {
     if (runSeq(Ed.Reader) != Ed.ReaderRun)
       return; // superseded
     if (Ed.VersionSeen == SuccessVersion)
       return;
     uint64_t Target =
-        (lastRunSweep(Ed.Reader) == CurSweep || Ed.Reader <= Idx)
-            ? CurSweep + 1
-            : CurSweep;
+        (lastRunSweep(Ed.Reader) == Base.CurSweep || Ed.Reader <= Idx)
+            ? Base.CurSweep + 1
+            : Base.CurSweep;
     enqueue(Ed.Reader, Target);
   };
   if (static_cast<size_t>(Idx) < Base.Readers.size())
     for (const Edge &Ed : Base.Readers[Idx])
       Scan(Ed);
-  auto It = AddedEdges.find(Idx);
-  if (It != AddedEdges.end())
-    for (const Edge &Ed : It->second)
-      Scan(Ed);
+  // enqueue may grow States, so walk the chain by index from its head.
+  const EntryState *E = touched(Idx);
+  for (int32_t I = E ? E->EdgeHead : -1; I >= 0;
+       I = Added[static_cast<size_t>(I)].Next)
+    Scan(Added[static_cast<size_t>(I)].E);
 }
 
 WorklistScheduler::WorklistScheduler(ExtensionTable &Table,

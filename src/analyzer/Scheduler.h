@@ -69,7 +69,6 @@
 #include <memory>
 #include <optional>
 #include <queue>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -186,19 +185,23 @@ public:
   /// and stats are not kept (a simulation has no use for them).
   /// shouldReexplore — the only output a simulation reads — matches a
   /// true copy exactly.
+  ///
+  /// One overlay serves every simulation of a drain: its scratch is flat
+  /// and epoch-stamped (indexed by entry Idx, valid only while stamped
+  /// with the current simulation), so reset() forgets the previous
+  /// simulation in O(1) and nothing is allocated per simulation once the
+  /// vectors have grown.
   class Overlay {
   public:
-    explicit Overlay(const SchedulerCore &Base)
-        : Base(Base), CurSweep(Base.CurSweep) {}
+    explicit Overlay(const SchedulerCore &Base) : Base(Base) {}
 
-    void setCurrentSweep(uint64_t Sw) { CurSweep = Sw; }
+    /// Starts a simulation over the base's current state.
+    void reset();
 
     bool shouldReexplore(int32_t Idx) const {
-      auto It = Over.find(Idx);
-      if (It != Over.end())
-        return It->second.InQueue && It->second.QueuedSweep <= CurSweep;
-      return static_cast<size_t>(Idx) < Base.InQueue.size() &&
-             Base.InQueue[Idx] && Base.QueuedSweep[Idx] <= CurSweep;
+      if (const EntryState *E = touched(Idx))
+        return E->InQueue && E->QueuedSweep <= Base.CurSweep;
+      return Base.shouldReexplore(Idx);
     }
 
     void beginActivation(int32_t Idx);
@@ -207,25 +210,39 @@ public:
 
   private:
     /// The queue/run state of one touched entry, materialized from the
-    /// base on first write.
+    /// base on first touch, plus the newest edge this simulation recorded
+    /// on it as a dependency.
     struct EntryState {
-      bool InQueue;
-      uint64_t QueuedSweep;
-      uint64_t LastRunSweep;
-      uint32_t RunSeq;
+      uint32_t Stamp = 0; ///< the simulation that touched it
+      bool InQueue = false;
+      uint32_t RunSeq = 0;
+      uint64_t QueuedSweep = 0;
+      uint64_t LastRunSweep = 0;
+      int32_t EdgeHead = -1; ///< into Added; -1 = none
+    };
+    /// An edge this simulation recorded, chained per dependency (newest
+    /// first). Base edge lists are never copied or written; noteChanged
+    /// scans base + added.
+    struct AddedEdge {
+      Edge E;
+      int32_t Next = -1;
     };
 
+    const EntryState *touched(int32_t Idx) const {
+      return static_cast<size_t>(Idx) < States.size() &&
+                     States[Idx].Stamp == Epoch
+                 ? &States[Idx]
+                 : nullptr;
+    }
     EntryState &touch(int32_t Idx);
     uint32_t runSeq(int32_t Idx) const;
     uint64_t lastRunSweep(int32_t Idx) const;
     void enqueue(int32_t Idx, uint64_t Sweep);
 
     const SchedulerCore &Base;
-    uint64_t CurSweep;
-    std::unordered_map<int32_t, EntryState> Over;
-    /// Edges recorded by this simulation, keyed by dependency. Base edge
-    /// lists are never copied or written; noteChanged scans base + added.
-    std::unordered_map<int32_t, std::vector<Edge>> AddedEdges;
+    std::vector<EntryState> States; ///< by entry Idx
+    std::vector<AddedEdge> Added;
+    uint32_t Epoch = 0;
   };
 };
 
@@ -259,6 +276,10 @@ public:
   /// The core after the drain — the dependency edges the AnalysisStore
   /// merges into its invalidation graph.
   const SchedulerCore &core() const { return Core; }
+
+  /// Moves the core out after the drain (the store adopts it whole when
+  /// it merges into an empty table); the scheduler must not run again.
+  SchedulerCore takeCore() { return std::move(Core); }
 
   // --- DependencySink (called by the machine during activation runs) ---
   bool shouldReexplore(const ETEntry &E) override {

@@ -3,6 +3,8 @@
 #include "compiler/CodeModule.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 using namespace awam;
 
@@ -48,15 +50,43 @@ std::string CodeModule::predicateLabel(int32_t Id) const {
 namespace {
 
 // FNV-1a, 64-bit.
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
 inline void fnvBytes(uint64_t &H, const void *Data, size_t N) {
   const auto *P = static_cast<const unsigned char *>(Data);
   for (size_t I = 0; I != N; ++I) {
     H ^= P[I];
-    H *= 1099511628211ull;
+    H *= kFnvPrime;
   }
 }
 
-inline void fnvInt(uint64_t &H, int64_t V) { fnvBytes(H, &V, sizeof(V)); }
+// Fingerprints hash an int64 as its 8 bytes in host order, which is
+// little-endian on every supported target; fnvInt's shortcut relies on it.
+static_assert(std::endian::native == std::endian::little,
+              "fingerprints hash int64 operands as little-endian bytes");
+
+/// kFnvPrimePow[K] = kFnvPrime^K (mod 2^64).
+constexpr std::array<uint64_t, 9> kFnvPrimePow = [] {
+  std::array<uint64_t, 9> P{};
+  P[0] = 1;
+  for (size_t K = 1; K != P.size(); ++K)
+    P[K] = P[K - 1] * kFnvPrime;
+  return P;
+}();
+
+/// fnvBytes over the 8 little-endian bytes of \p V, bit for bit. XOR with
+/// a zero byte changes nothing, so once the bytes left are all zero (the
+/// high bytes of a small operand) their rounds fold into one multiply by
+/// a power of the prime.
+inline void fnvInt(uint64_t &H, int64_t V) {
+  uint64_t U = static_cast<uint64_t>(V);
+  size_t Left = 8;
+  for (; U != 0; U >>= 8, --Left) {
+    H ^= U & 0xff;
+    H *= kFnvPrime;
+  }
+  H *= kFnvPrimePow[Left];
+}
 
 inline void fnvStr(uint64_t &H, std::string_view S) {
   fnvInt(H, static_cast<int64_t>(S.size()));
