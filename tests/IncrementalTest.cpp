@@ -206,6 +206,46 @@ TEST(IncrementalTest, ChainedEditsMatchScratchEachStep) {
   }
 }
 
+TEST(IncrementalTest, KeptTraceWithChangedMemoReadIsNotReplayed) {
+  // p/2's first run fails its recursive clause (its own summary is still
+  // empty); its second run memo-reads q/2, which the edit of r/2 changes
+  // without touching p's or q's code. That run enters no edited code, so
+  // invalidation keeps its trace, and only the memo summary it recorded
+  // shows replay that it is stale. Replaying it anyway costs the drain an
+  // extra run, which the report's iteration and instruction counts show.
+  SymbolTable Syms;
+  TermArena A0, A1;
+  const std::string Src = "main :- q(a, W), p(a, Y).\n"
+                          "q(X, Y) :- r(X, Y).\n"
+                          "p(X, Y) :- p(X, Z), q(Z, Y).\n"
+                          "p(X, X).\n";
+  std::unique_ptr<CompiledProgram> P0 =
+      compileOrDie(Src + "r(a, b).\n", Syms, A0);
+  std::unique_ptr<CompiledProgram> P1 =
+      compileOrDie(Src + "r(a, 1).\n", Syms, A1);
+  ASSERT_NE(P0, nullptr);
+  ASSERT_NE(P1, nullptr);
+
+  AnalysisSession S(*P0, incOptions());
+  Result<AnalysisResult> R0 = S.analyze("main");
+  ASSERT_TRUE(R0) << R0.diag().str();
+  Result<AnalysisResult> RInc = S.reanalyze(*P1);
+  ASSERT_TRUE(RInc) << RInc.diag().str();
+
+  AnalysisSession Scratch(*P1);
+  Result<AnalysisResult> RScr = Scratch.analyze("main");
+  ASSERT_TRUE(RScr) << RScr.diag().str();
+  EXPECT_EQ(fingerprint(*RScr, Syms), fingerprint(*RInc, Syms));
+  EXPECT_NE(fingerprint(*R0, Syms), fingerprint(*RInc, Syms));
+
+  // The drain ran warm (p's trace survived invalidation) and replayed
+  // nothing.
+  ASSERT_NE(S.store(), nullptr);
+  const AnalysisStore::Stats &St = S.store()->stats();
+  EXPECT_EQ(St.WarmQueries, 1u);
+  EXPECT_EQ(St.ReplayedRuns, 0u);
+}
+
 TEST(IncrementalTest, ReanalyzeWithoutJournalFallsBackToScratch) {
   // A scratch session records no journal: its first reanalyze() creates
   // the store, which has nothing to replay and answers cold — the right
