@@ -112,20 +112,6 @@ bool parseIntArg(const char *Text, int Min, int &Out) {
   return true;
 }
 
-/// Parses a --edit operand of the form "name/arity".
-bool parseEditArg(const char *Text, PredSig &Out) {
-  std::string_view S = Text;
-  size_t Slash = S.rfind('/');
-  if (Slash == std::string_view::npos || Slash == 0)
-    return false;
-  int Arity = 0;
-  if (!parseIntArg(std::string(S.substr(Slash + 1)).c_str(), 0, Arity))
-    return false;
-  Out.Name = std::string(S.substr(0, Slash));
-  Out.Arity = Arity;
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -177,13 +163,13 @@ int main(int argc, char **argv) {
         return usage();
       }
     } else if (Arg == "--edit" && I + 1 < argc) {
-      PredSig Sig;
-      if (!parseEditArg(argv[++I], Sig)) {
+      std::optional<PredSig> Sig = parsePredSig(argv[++I]);
+      if (!Sig) {
         std::fprintf(stderr, "bad --edit '%s': expected name/arity\n",
                      argv[I]);
         return usage();
       }
-      Edits.push_back(std::move(Sig));
+      Edits.push_back(std::move(*Sig));
     } else if (Arg == "--domain" && I + 1 < argc) {
       DomainName = argv[++I];
       // Validate eagerly: a typo should fail before any file is parsed,

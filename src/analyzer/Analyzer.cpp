@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -199,6 +200,23 @@ awam::parseEntrySpec(std::string_view Spec) {
     }
   }
   return std::make_pair(std::string(NameView), std::move(P));
+}
+
+std::optional<PredSig> awam::parsePredSig(std::string_view Text) {
+  size_t Slash = Text.rfind('/');
+  if (Slash == std::string_view::npos || Slash == 0 ||
+      Slash + 1 == Text.size())
+    return std::nullopt;
+  int64_t Arity = 0;
+  for (char C : Text.substr(Slash + 1)) {
+    if (C < '0' || C > '9')
+      return std::nullopt;
+    Arity = Arity * 10 + (C - '0');
+    if (Arity > std::numeric_limits<int32_t>::max())
+      return std::nullopt;
+  }
+  return PredSig{std::string(Text.substr(0, Slash)),
+                 static_cast<int32_t>(Arity)};
 }
 
 std::string awam::formatAnalysis(const AnalysisResult &R,

@@ -19,9 +19,11 @@
 #define AWAM_ANALYZER_ANALYZER_H
 
 #include "analyzer/ExtensionTable.h"
+#include "analyzer/RunJournal.h"
 #include "compiler/ModuleLink.h"
 #include "compiler/ProgramCompiler.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -142,6 +144,12 @@ Pattern makeEntryPattern(const std::vector<PatKind> &ArgKinds);
 /// Errors name the offending argument.
 Result<std::pair<std::string, Pattern>>
 parseEntrySpec(std::string_view Spec);
+
+/// Parses a NAME/ARITY predicate signature, the operand of
+/// `analyze_file --edit` and of the server's `edit` verb: a non-empty
+/// name, '/', then decimal digits whose value fits in int32_t. Anything
+/// else (no slash, no digits, a sign, spaces, overflow) is nullopt.
+std::optional<PredSig> parsePredSig(std::string_view Text);
 
 /// Renders the analysis result as a table of calling / success patterns.
 std::string formatAnalysis(const AnalysisResult &R,

@@ -26,24 +26,6 @@ std::string trim(std::string_view S) {
   return std::string(S.substr(B, E - B + 1));
 }
 
-/// Parses a NAME/ARITY operand (the analyze_file --edit contract).
-bool parseSig(std::string_view S, PredSig &Out) {
-  size_t Slash = S.rfind('/');
-  if (Slash == std::string_view::npos || Slash == 0)
-    return false;
-  int Arity = 0;
-  for (char C : S.substr(Slash + 1)) {
-    if (C < '0' || C > '9')
-      return false;
-    Arity = Arity * 10 + (C - '0');
-  }
-  if (Slash + 1 == S.size())
-    return false;
-  Out.Name = std::string(S.substr(0, Slash));
-  Out.Arity = Arity;
-  return true;
-}
-
 constexpr const char *kHelpText =
     "commands:\n"
     "  load MAIN [LIB]...  each operand a <file.pl> or bench:<name>; extra\n"
@@ -592,8 +574,8 @@ void AnalysisServer::doQuery(ClientState &CS, const std::string &Verb,
 
 void AnalysisServer::doEdit(ClientState &CS, const std::string &Rest,
                             Response &R) {
-  PredSig Sig;
-  if (!parseSig(Rest, Sig)) {
+  std::optional<PredSig> Sig = parsePredSig(Rest);
+  if (!Sig) {
     R.Err = "bad edit '" + Rest + "': expected name/arity\n";
     return;
   }
@@ -609,7 +591,7 @@ void AnalysisServer::doEdit(ClientState &CS, const std::string &Rest,
     ++S.Drains;
     ++NDrains;
     Result<AnalysisResult> A =
-        S.Session->reanalyze({Sig}, SpecIt->second);
+        S.Session->reanalyze({*Sig}, SpecIt->second);
     if (!A) {
       R.Err = "analysis error: " + A.diag().str() + "\n";
     } else {

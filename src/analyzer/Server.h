@@ -32,7 +32,8 @@
 /// depends only on (module, domain, verb, report toggle), never on which
 /// other clients ran what in between. That is what makes the concurrency
 /// scheme below safe to gate by byte-identity against single-client
-/// replay (bench/ablation_server.cpp, the CI server-hammer job):
+/// replay (ServerTest.FourWorkerStreamsMatchSingleClientReplay, the CI
+/// server-hammer job):
 ///
 ///  - Per-client FIFO: each client's requests run one at a time, in
 ///    submission order, so a client's response stream is a deterministic
@@ -53,7 +54,7 @@
 ///
 /// Memory is bounded by LRU-by-bytes eviction over stores: each slot
 /// meters its store's heap (interner arenas + table pages + banked
-/// journals + cached projections, AnalysisStore::bytesUsed) after every
+/// journals + per-root projections, AnalysisStore::bytesUsed) after every
 /// writer op; when the total crosses Config::MaxStoreBytes, the
 /// least-recently-touched idle slots drop their analysis state (sessions,
 /// response cache) while keeping the compiled program — a later touch

@@ -3,16 +3,13 @@
 #include "analyzer/Session.h"
 
 #include "analyzer/Domain.h"
+#include "analyzer/Scheduler.h"
 
 using namespace awam;
 
 AnalysisSession::AnalysisSession(const CompiledProgram &Program,
                                  AnalyzerOptions Options)
     : Program(&Program), Options(Options) {}
-
-const WorklistScheduler::Stats *AnalysisSession::schedulerStats() const {
-  return Scheduler ? &Scheduler->stats() : nullptr;
-}
 
 Result<AnalysisResult> AnalysisSession::analyze(std::string_view EntrySpec) {
   Result<std::pair<std::string, Pattern>> Parsed = parseEntrySpec(EntrySpec);
@@ -138,28 +135,25 @@ Result<AnalysisResult> AnalysisSession::analyzeCompiled(int32_t Pid,
   const Domain *Dom = *D;
 
   // Fresh run state: each analyze() computes its fixpoint from scratch.
-  Interner.reset();
-  Scheduler.reset();
+  std::unique_ptr<PatternInterner> Interner;
   if (Options.UseInterning)
     Interner = std::make_unique<PatternInterner>(Options.DepthLimit, Dom);
-  Table = std::make_unique<ExtensionTable>(Options.TableImpl,
-                                           Interner.get());
+  ExtensionTable Table(Options.TableImpl, Interner.get());
   AbsMachineOptions MachineOptions;
   MachineOptions.DepthLimit = Options.DepthLimit;
   MachineOptions.MaxSteps = Options.MaxSteps;
   MachineOptions.Dom = Dom;
-  Machine = std::make_unique<AbstractMachine>(*Program, *Table,
-                                              MachineOptions);
+  AbstractMachine Machine(*Program, Table, MachineOptions);
 
   AnalysisResult R;
   if (Options.Driver == DriverKind::Naive) {
     for (int Iter = 0; Iter != Options.MaxIterations; ++Iter) {
-      AbsRunStatus Status = Machine->runIteration(Pid, Entry);
+      AbsRunStatus Status = Machine.runIteration(Pid, Entry);
       ++R.Iterations;
       if (Status == AbsRunStatus::Error)
         return makeError("abstract machine error: " +
-                         Machine->errorMessage());
-      if (!Machine->changedSinceLastRun()) {
+                         Machine.errorMessage());
+      if (!Machine.changedSinceLastRun()) {
         R.Converged = true;
         break;
       }
@@ -169,26 +163,26 @@ Result<AnalysisResult> AnalysisSession::analyzeCompiled(int32_t Pid,
     // scheduler drain the dependency-directed queue.
     bool Created = false;
     ETEntry &Root =
-        Interner ? Table->findOrCreate(
+        Interner ? Table.findOrCreate(
                        Pid, Interner->internNormalized(Entry), Created)
-                 : Table->findOrCreate(Pid, Entry, Created);
-    Scheduler = std::make_unique<WorklistScheduler>(*Table, *Machine);
+                 : Table.findOrCreate(Pid, Entry, Created);
+    WorklistScheduler Scheduler(Table, Machine);
     WorklistScheduler::Status Status =
-        Scheduler->run(Root, Options.MaxIterations);
+        Scheduler.run(Root, Options.MaxIterations);
     if (Status == WorklistScheduler::Status::Error)
-      return makeError("abstract machine error: " + Machine->errorMessage());
-    const WorklistScheduler::Stats &SS = Scheduler->stats();
+      return makeError("abstract machine error: " + Machine.errorMessage());
+    const WorklistScheduler::Stats &SS = Scheduler.stats();
     R.Converged = Status == WorklistScheduler::Status::Converged;
     R.Iterations = static_cast<int>(SS.Sweeps);
     R.Counters.SchedulerRuns = SS.Runs;
     R.Counters.DepEdges = SS.EdgesRecorded;
   }
 
-  R.Instructions = Machine->stepsExecuted();
-  R.TableProbes = Table->probeCount();
+  R.Instructions = Machine.stepsExecuted();
+  R.TableProbes = Table.probeCount();
   R.Counters.Instructions = R.Instructions;
   R.Counters.ETProbes = R.TableProbes;
-  R.Counters.ActivationRuns = Machine->activationsExplored();
+  R.Counters.ActivationRuns = Machine.activationsExplored();
   if (Interner) {
     const InternerStats &IS = Interner->stats();
     R.Counters.InternHits = IS.InternHits;
@@ -200,7 +194,7 @@ Result<AnalysisResult> AnalysisSession::analyzeCompiled(int32_t Pid,
     R.Counters.DistinctPatterns = Interner->size();
   }
   const CodeModule &M = *Program->Module;
-  for (const ETEntry &E : Table->entries())
+  for (const ETEntry &E : Table.entries())
     R.Items.push_back(
         {E.PredId, M.predicateLabel(E.PredId), E.Call, E.Success});
   R.Dom = Dom;

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single entry point of the analyzer. An AnalysisSession owns the
-/// pieces one analysis run wires together — compiled program, pattern
+/// The single entry point of the analyzer. An AnalysisSession wires
+/// together the pieces of an analysis run — compiled program, pattern
 /// interner, extension table, abstract machine, fixpoint driver, counters,
 /// options — and exposes the two-line API every client (bench/, tests/,
 /// examples/) uses:
@@ -33,7 +33,6 @@
 #define AWAM_ANALYZER_SESSION_H
 
 #include "analyzer/Analyzer.h"
-#include "analyzer/Scheduler.h"
 #include "analyzer/Store.h"
 
 #include <memory>
@@ -119,10 +118,6 @@ public:
   /// creates one — see AnalyzerOptions::Persistent and reanalyze()).
   const AnalysisStore *store() const { return PStore.get(); }
 
-  /// Scheduler statistics of the most recent scratch worklist run
-  /// (nullptr under the naive driver or before the first one).
-  const WorklistScheduler::Stats *schedulerStats() const;
-
 private:
   /// A scratch analysis from the resolved entry predicate \p Pid.
   Result<AnalysisResult> analyzeCompiled(int32_t Pid, const Pattern &Entry);
@@ -132,13 +127,6 @@ private:
 
   const CompiledProgram *Program = nullptr;
   AnalyzerOptions Options;
-
-  // Rebuilt per scratch analyze() call; kept alive for post-run
-  // inspection (schedulerStats).
-  std::unique_ptr<PatternInterner> Interner;
-  std::unique_ptr<ExtensionTable> Table;
-  std::unique_ptr<AbstractMachine> Machine;
-  std::unique_ptr<WorklistScheduler> Scheduler;
   /// The entry goal reanalyze() re-answers.
   std::string LastEntryName;
   Pattern LastEntry;

@@ -105,11 +105,16 @@ int AnalysisStore::findRootSlot(std::string_view Name,
   return -1;
 }
 
-const AnalysisResult *AnalysisStore::projection(std::string_view Name,
-                                                const Pattern &Entry) {
-  PatternId CallId = Interner->internNormalized(Entry);
-  int Slot = findRootSlot(Name, CallId);
-  return Slot >= 0 && Roots[Slot].Valid ? &Roots[Slot].Cached : nullptr;
+AnalysisResult AnalysisStore::answer(const RootInfo &RI) const {
+  const CodeModule &M = *Program->Module;
+  AnalysisResult R = RI.Answer;
+  R.Items.reserve(RI.EntryIdxs.size());
+  for (int32_t Idx : RI.EntryIdxs) {
+    const ETEntry &E = Table->entryAt(static_cast<size_t>(Idx));
+    R.Items.push_back(
+        {E.PredId, M.predicateLabel(E.PredId), E.Call, E.Success});
+  }
+  return R;
 }
 
 Result<AnalysisResult> AnalysisStore::query(std::string_view EntrySpec) {
@@ -133,7 +138,7 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   if (int Slot = findRootSlot(Name, CallId);
       Slot >= 0 && Roots[Slot].Valid) {
     ++St.CacheHits;
-    return Roots[Slot].Cached;
+    return answer(Roots[Slot]);
   }
 
   // Build-aside drain: a fresh per-query table and machine, sharing only
@@ -194,17 +199,14 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   R.Counters.LeqCacheHits = After.LeqCacheHits - Before.LeqCacheHits;
   R.Counters.LeqCacheMisses = After.LeqCacheMisses - Before.LeqCacheMisses;
   R.Counters.DistinctPatterns = Interner->size();
-  for (const ETEntry &E : QTable.entries())
-    R.Items.push_back(
-        {E.PredId, M.predicateLabel(E.PredId), E.Call, E.Success});
   R.Dom = Dom;
 
   // Only a converged fixpoint merges: a budget-hit table is a sound
   // partial answer for *this* query but not a reusable memo.
   if (R.Converged) {
     OutJournal->finishRecording();
-    mergeQuery(Name, Pid, CallId, QTable, Sched.takeCore(),
-               std::move(OutJournal), R);
+    int Slot = mergeQuery(Name, Pid, CallId, QTable, Sched.takeCore(),
+                          std::move(OutJournal), std::move(R));
     // Bank hygiene: a warm drain re-banks every replayed trace as a shared
     // handle, so a long query chain accumulates one handle per (root,
     // trace) pair while the distinct traces stay near-constant. Compact
@@ -217,7 +219,13 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
     if (Handles > kCompactionMinHandles &&
         Handles > kCompactionFactor * Distinct)
       compactJournals();
+    // The store table holds the query's entries now: a shared key's
+    // summary is the query's, both being the least fixpoint there.
+    return answer(Roots[static_cast<size_t>(Slot)]);
   }
+  for (const ETEntry &E : QTable.entries())
+    R.Items.push_back(
+        {E.PredId, M.predicateLabel(E.PredId), E.Call, E.Success});
   return R;
 }
 
@@ -252,10 +260,6 @@ uint64_t AnalysisStore::bytesUsed() const {
   for (const RootInfo &RI : Roots) {
     B += sizeof(RootInfo) + RI.Name.capacity() + patternHeapBytes(RI.Call) +
          RI.EntryIdxs.capacity() * sizeof(int32_t);
-    B += RI.Cached.Items.capacity() * sizeof(AnalysisResult::Item);
-    for (const AnalysisResult::Item &It : RI.Cached.Items)
-      B += It.PredLabel.capacity() + patternHeapBytes(It.Call) +
-           (It.Success ? patternHeapBytes(*It.Success) : 0);
     if (RI.Journal)
       B += RI.Journal->bytesUsed(Seen);
   }
@@ -452,11 +456,11 @@ AnalysisStore::importSummaries(std::string_view Bytes) {
   return importBundle(*B);
 }
 
-void AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
-                               PatternId CallId, ExtensionTable &QTable,
-                               SchedulerCore QCore,
-                               std::unique_ptr<RunJournal> Journal,
-                               const AnalysisResult &R) {
+int AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
+                              PatternId CallId, ExtensionTable &QTable,
+                              SchedulerCore QCore,
+                              std::unique_ptr<RunJournal> Journal,
+                              AnalysisResult R) {
   int Slot = findRootSlot(Name, CallId);
   if (Slot < 0) {
     Slot = static_cast<int>(Roots.size());
@@ -529,9 +533,10 @@ void AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
   }
 
   RI.Journal = std::move(Journal);
-  RI.Cached = R;
+  RI.Answer = std::move(R);
   RI.Valid = true;
   ++St.MergedRoots;
+  return Slot;
 }
 
 Result<AnalysisResult>
@@ -652,7 +657,6 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
     }
     if (Dead) {
       RI.Valid = false;
-      RI.Cached = AnalysisResult{};
       RI.EntryIdxs.clear();
       ++St.InvalidatedRoots;
     }
@@ -690,9 +694,6 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
       OldToNew[static_cast<size_t>(Idx)] = NE.Idx;
       Idx = NE.Idx;
     }
-    // The cached projection's items carry PredIds for reachability joins.
-    for (AnalysisResult::Item &It : RI.Cached.Items)
-      It.PredId = MapOldPid(It.PredId);
   }
   NewCore.ensure(static_cast<int32_t>(NewTable->size()));
   for (const auto &[Dep, Reader] : Core.edgePairs()) {
@@ -757,11 +758,4 @@ std::string AnalysisStore::canonicalDump(const SymbolTable &Syms) const {
     Out += '\n';
   }
   return Out;
-}
-
-std::string awam::formatAnalysis(AnalysisStore &Store, std::string_view Name,
-                                 const Pattern &Entry,
-                                 const SymbolTable &Syms) {
-  const AnalysisResult *R = Store.projection(Name, Entry);
-  return R ? formatAnalysis(*R, Syms) : std::string();
 }

@@ -23,7 +23,8 @@
 /// Query protocol (*build-aside-and-merge*):
 ///
 ///  1. Repeat query: a root already merged answers from the per-root
-///     result cache — the second query of an entry is a table lookup.
+///     result cache — the root's counters plus its projection's entries,
+///     read from the store table — without draining.
 ///  2. New query: the worklist drain runs over a *fresh* per-query table
 ///     that shares only the store's interner, with trace recording on.
 ///     Its replay bank is the store's pool (every root's journal plus the
@@ -177,8 +178,8 @@ public:
   /// Approximate heap bytes of the store's long-lived state: interner
   /// arenas + multi-root table + banked journals (trace objects counted
   /// once — they are shared across journals by handle; their patterns are
-  /// interner ids) + cached per-root projections. The unit the server's
-  /// LRU-by-bytes eviction policy meters (--max-store-bytes).
+  /// interner ids) + per-root projections (entry indices). The unit the
+  /// server's LRU-by-bytes eviction policy meters (--max-store-bytes).
   uint64_t bytesUsed() const;
 
   /// Journal-bank hygiene for long-lived stores: drops error traces and
@@ -220,12 +221,6 @@ public:
   /// deserialize + importBundle.
   Result<ImportStats> importSummaries(std::string_view Bytes);
 
-  /// The cached per-root projection of a previously merged query, or
-  /// nullptr if that root was never merged (or was invalidated). Non-const
-  /// because the entry pattern is normalized through the shared interner.
-  const AnalysisResult *projection(std::string_view Name,
-                                   const Pattern &Entry);
-
   /// Order-free rendering of the whole store: one line per valid entry —
   /// predicate, calling pattern, summary, sorted root tags — sorted
   /// lexicographically. Two stores that answered the same query set in any
@@ -233,10 +228,11 @@ public:
   std::string canonicalDump(const SymbolTable &Syms) const;
 
 private:
-  /// One merged query root: its identity, cached scratch-identical result,
-  /// projection (store entry indices in the query's creation order), and
-  /// the run journal later queries warm-start from. An invalidated root
-  /// keeps its slot and its filtered journal; its re-query reuses both.
+  /// One merged query root: its identity, the scalar fields of its
+  /// scratch-identical result, its projection (store entry indices in the
+  /// query's creation order), and the run journal later queries
+  /// warm-start from. An invalidated root keeps its slot and its filtered
+  /// journal; its re-query reuses both.
   struct RootInfo {
     std::string Name;
     int32_t Arity = 0;
@@ -244,12 +240,17 @@ private:
     int32_t Pid = -1;
     PatternId CallId = kInvalidPatternId;
     bool Valid = false;
-    AnalysisResult Cached;
+    /// The merged query's result with no Items: answer() rebuilds them
+    /// from EntryIdxs, so each summary is held once, in the store table.
+    AnalysisResult Answer;
     std::vector<int32_t> EntryIdxs;
     std::unique_ptr<RunJournal> Journal;
   };
 
   int findRootSlot(std::string_view Name, PatternId CallId) const;
+  /// The result of the merged root \p RI: its Answer with one item per
+  /// projection entry, read from the store table.
+  AnalysisResult answer(const RootInfo &RI) const;
   /// The replay pool: every root's journal (valid or not), then the
   /// imported bank, deduplicated by trace address, error traces skipped.
   /// query() replays from it, exportBundle() ships it and compaction folds
@@ -258,11 +259,11 @@ private:
   TraceBank pool(size_t *Handles = nullptr) const;
   /// Merges a converged query: its table \p QTable (moved from when the
   /// store's table is empty, which then adopts it whole), its drain's
-  /// core \p QCore and its journal, under the root (\p Name, \p CallId).
-  void mergeQuery(std::string_view Name, int32_t Pid, PatternId CallId,
-                  ExtensionTable &QTable, SchedulerCore QCore,
-                  std::unique_ptr<RunJournal> Journal,
-                  const AnalysisResult &R);
+  /// core \p QCore, its journal and its item-less result \p R, under the
+  /// root (\p Name, \p CallId). Returns the root's slot.
+  int mergeQuery(std::string_view Name, int32_t Pid, PatternId CallId,
+                 ExtensionTable &QTable, SchedulerCore QCore,
+                 std::unique_ptr<RunJournal> Journal, AnalysisResult R);
   /// Cone invalidation + rebuild of the physical table/graph from the
   /// surviving roots, with predicate ids re-resolved against \p NewP's
   /// module. Installs \p NewP as the store's program.
@@ -292,13 +293,6 @@ private:
   std::unique_ptr<RunJournal> Imported;
   Stats St;
 };
-
-/// Per-root projection rendering: formatAnalysis of the store's cached
-/// result for (\p Name, \p Entry) — byte-identical to formatAnalysis of a
-/// scratch analyze() of that entry. Returns the empty string when the root
-/// was never merged or was invalidated.
-std::string formatAnalysis(AnalysisStore &Store, std::string_view Name,
-                           const Pattern &Entry, const SymbolTable &Syms);
 
 } // namespace awam
 

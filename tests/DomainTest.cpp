@@ -77,6 +77,9 @@ TEST(DomainRegistryTest, RegisteredDomainsAreStable) {
   EXPECT_EQ(All[1]->name(), "pos");
   EXPECT_EQ(All[2]->name(), "det");
   EXPECT_EQ(registeredDomainNames(), "modes, pos, det");
+  // Default options select the paper's domain by name, so analyzing
+  // under "modes" is analyzing with plain options.
+  EXPECT_EQ(AnalyzerOptions{}.DomainName, All[0]->name());
 }
 
 TEST(DomainRegistryTest, FindAndResolve) {

@@ -8,7 +8,8 @@
 //
 // The correctness baseline throughout is single-client replay: a fresh
 // one-worker server fed the same commands. Byte-equality against it is
-// the same gate the CI server-hammer job and bench/ablation_server run.
+// the same gate the CI server-hammer job runs on the analyze_server
+// binary.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +22,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace awam;
 
@@ -360,31 +365,30 @@ TEST(ServerTest, JournalCompactionPreservesAnswers) {
   EXPECT_EQ(formatAnalysis(*Want, Syms), formatAnalysis(*R3, Syms));
 }
 
-TEST(ServerTest, FourWorkerStreamsMatchSingleClientReplay) {
-  // A miniature in-process hammer: interleaved per-client scripts over
-  // shared and distinct stores, each client's response stream compared to
-  // a single-client replay of its script alone.
-  const std::vector<std::vector<std::string>> Scripts = {
-      {"load bench:qsort", kQsortEntry, "edit partition/4", kPartEntry},
-      {"load bench:qsort", kPartEntry, kQsortEntry, "edit qsort/3"},
-      {"load bench:nreverse", "entry nreverse(glist, var)",
-       "edit concatenate/3", "entry nreverse(glist, var)"},
-      {"load bench:qsort", "modes", kQsortEntry, "modes"},
-  };
+/// Runs \p Scripts on a fresh server built from \p Config, submitted
+/// round-robin (step k of every client enters the queues before step k+1
+/// of any: the maximally interleaved schedule), and expects each client's
+/// payload stream to equal its single-client replay. Payload bytes only:
+/// the message channel says "loaded" or "reusing warm store" depending on
+/// which client created a shared slot first. Returns the server's stats.
+AnalysisServer::Stats
+expectStreamsMatchReplay(const AnalysisServer::Config &Config,
+                         const std::vector<std::vector<std::string>> &Scripts) {
   std::vector<std::vector<AnalysisServer::Response>> Want;
   for (const std::vector<std::string> &Script : Scripts)
     Want.push_back(referenceReplay(Script));
 
-  AnalysisServer S(baseConfig(4));
+  // Declared before the server: after a timeout, its destructor joins
+  // workers that may still be running callbacks that write these.
   size_t N = Scripts.size();
-  std::vector<int> Clients(N);
   std::vector<std::vector<std::string>> Got(N);
   std::mutex M;
   std::atomic<size_t> Done{0};
+  AnalysisServer S(Config);
+  std::vector<int> Clients(N);
   size_t Total = 0;
   for (size_t I = 0; I != N; ++I)
     Clients[I] = S.openClient();
-  // Round-robin submission interleaves the scripts across the pool.
   for (size_t Step = 0;; ++Step) {
     bool Any = false;
     for (size_t I = 0; I != N; ++I) {
@@ -402,13 +406,119 @@ TEST(ServerTest, FourWorkerStreamsMatchSingleClientReplay) {
     if (!Any)
       break;
   }
-  ASSERT_TRUE(waitFor([&] { return Done.load() == Total; }));
+  EXPECT_TRUE(waitFor([&] { return Done.load() == Total; }));
+  std::lock_guard<std::mutex> L(M);
   for (size_t I = 0; I != N; ++I) {
-    ASSERT_EQ(Want[I].size(), Got[I].size());
-    for (size_t J = 0; J != Got[I].size(); ++J)
+    EXPECT_EQ(Want[I].size(), Got[I].size()) << "client " << I;
+    for (size_t J = 0; J != std::min(Want[I].size(), Got[I].size()); ++J)
       EXPECT_EQ(Want[I][J].Out, Got[I][J])
-          << "client " << I << " line " << J << " diverged from replay";
+          << "client " << I << " line " << J << " ('" << Scripts[I][J]
+          << "') diverged from replay";
   }
+  return S.stats();
+}
+
+/// The service workload: \p Clients scripts over the first \p Modules
+/// Table 1 programs, client I walking them from rotation I / 2 so that
+/// pairs of clients send identical queries together. Per module: load,
+/// entry, a repeat entry (a response-cache hit), a most-general query of
+/// the first defined predicate other than the entry (a warm drain), an
+/// edit of that predicate, and the entry again.
+std::vector<std::vector<std::string>> serviceScripts(size_t Clients,
+                                                     size_t Modules) {
+  std::vector<std::vector<std::string>> PerModule;
+  for (const BenchmarkProgram &B : benchmarkPrograms()) {
+    if (PerModule.size() == Modules)
+      break;
+    SymbolTable Syms;
+    TermArena Arena;
+    Result<CompiledProgram> P = compileSource(B.Source, Syms, Arena);
+    EXPECT_TRUE(P) << B.Name << ": " << P.diag().str();
+    if (!P)
+      return {};
+    std::string Entry = "entry " + std::string(B.EntrySpec);
+    std::vector<std::string> Lines = {"load bench:" + std::string(B.Name),
+                                      Entry, Entry};
+    for (int32_t I = 0; I != P->Module->numPredicates(); ++I) {
+      const PredicateInfo &PI = P->Module->predicate(I);
+      std::string Name(Syms.name(PI.Name));
+      if (PI.Clauses.empty() || Name == B.EntrySpec)
+        continue;
+      std::string Sig = Name + "/" + std::to_string(PI.Arity);
+      Lines.push_back("entry " + Sig);
+      Lines.push_back("edit " + Sig);
+      break;
+    }
+    Lines.push_back(Entry);
+    PerModule.push_back(std::move(Lines));
+  }
+  std::vector<std::vector<std::string>> Scripts(Clients);
+  for (size_t C = 0; C != Clients; ++C)
+    for (size_t I = 0; I != PerModule.size(); ++I) {
+      const std::vector<std::string> &Lines =
+          PerModule[(I + C / 2) % PerModule.size()];
+      Scripts[C].insert(Scripts[C].end(), Lines.begin(), Lines.end());
+    }
+  return Scripts;
+}
+
+TEST(ServerTest, FourWorkerStreamsMatchSingleClientReplay) {
+  // A miniature in-process hammer: interleaved per-client scripts over
+  // shared and distinct stores, each client's response stream compared to
+  // a single-client replay of its script alone.
+  {
+    SCOPED_TRACE("hand-written scripts, 4 workers");
+    expectStreamsMatchReplay(
+        baseConfig(4),
+        {
+            {"load bench:qsort", kQsortEntry, "edit partition/4", kPartEntry},
+            {"load bench:qsort", kPartEntry, kQsortEntry, "edit qsort/3"},
+            {"load bench:nreverse", "entry nreverse(glist, var)",
+             "edit concatenate/3", "entry nreverse(glist, var)"},
+            {"load bench:qsort", "modes", kQsortEntry, "modes"},
+        });
+  }
+  // The service workload, 4 clients over 6 modules, at 1 and 4 workers
+  // and under a 1-byte store cap that evicts every idle store after every
+  // writer op. A cap that evicted nothing would make that run vacuous.
+  const std::vector<std::vector<std::string>> Scripts = serviceScripts(4, 6);
+  ASSERT_EQ(Scripts.size(), 4u);
+  {
+    SCOPED_TRACE("service scripts, 1 worker");
+    expectStreamsMatchReplay(baseConfig(1), Scripts);
+  }
+  {
+    SCOPED_TRACE("service scripts, 4 workers");
+    expectStreamsMatchReplay(baseConfig(4), Scripts);
+  }
+  {
+    SCOPED_TRACE("service scripts, 4 workers, 1-byte store cap");
+    AnalysisServer::Stats T =
+        expectStreamsMatchReplay(baseConfig(4, /*Cap=*/1), Scripts);
+    EXPECT_GE(T.Evictions, 1u);
+    EXPECT_GE(T.Rewarms, 1u);
+  }
+}
+
+TEST(ServerTest, EditRejectsArityBeyondInt) {
+  // An arity that does not fit in int is a malformed operand, not a
+  // wrapped-around signature: 4294967296 must not become main/0.
+  AnalysisServer S(baseConfig(1));
+  int C = S.openClient();
+  S.execute(C, "load bench:qsort");
+  ASSERT_TRUE(S.execute(C, "entry main").Err.empty());
+  for (const char *Line : {"edit main/4294967296", "edit main/99999999999",
+                           "edit main/2147483648"}) {
+    AnalysisServer::Response R = S.execute(C, Line);
+    EXPECT_TRUE(R.Out.empty()) << Line << " answered:\n" << R.Out;
+    std::string Operand = std::string(Line).substr(5);
+    EXPECT_EQ(R.Err, "bad edit '" + Operand + "': expected name/arity\n")
+        << Line;
+  }
+  // The largest int still parses; it names no predicate of the module.
+  AnalysisServer::Response Max = S.execute(C, "edit main/2147483647");
+  EXPECT_TRUE(Max.Out.empty());
+  EXPECT_NE(Max.Err.find("main/2147483647"), std::string::npos) << Max.Err;
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 //
 //   * all 11 Table 1 benchmarks, original vs specialized, multi-solution
 //     solve of the analyzed entry goal plus write/1 output comparison;
+//     the specialized module never runs more dynamic instructions and
+//     runs strictly fewer on at least 6 of the 11;
 //   * targeted programs exercising the individual rewrites (fused
 //     get_list/get_structure blocks with mid-block backtracking, clause
 //     pruning, switch shortcuts, det choice-point elimination);
@@ -124,6 +126,7 @@ protected:
 };
 
 TEST_F(SpecializerTest, Table1SuiteIdenticalAnswers) {
+  int Checked = 0, Reduced = 0;
   for (const BenchmarkProgram &B : benchmarkPrograms()) {
     SCOPED_TRACE(std::string(B.Name));
     Syms = SymbolTable();
@@ -139,7 +142,14 @@ TEST_F(SpecializerTest, Table1SuiteIdenticalAnswers) {
     ASSERT_NE(O.Status, RunStatus::Error);
     EXPECT_EQ(O.Status, RunStatus::Success);
     EXPECT_LE(S.Instructions, O.Instructions);
+    Reduced += S.Instructions < O.Instructions;
+    ++Checked;
   }
+  EXPECT_EQ(Checked, 11);
+  // The rewrites must pay: strictly fewer dynamic instructions on at
+  // least 6 of the 11 (a program whose hot predicates resist every
+  // rewrite legitimately ties).
+  EXPECT_GE(Reduced, 6);
 }
 
 TEST_F(SpecializerTest, MultiSolutionOrderPreserved) {

@@ -11,16 +11,42 @@
 // imported ones — so the longer chain checks that composition never moves
 // an answer either.
 //
+// The scale ladder runs the same pipeline on generated programs of 0.6k
+// to 12k clauses, compiled as separate library and user units and linked:
+// the warm answer equals the cold one and replays every banked trace, and
+// in builds without sanitizers warm analysis beats cold on all but at
+// most two programs.
+//
 //===----------------------------------------------------------------------===//
 
 #include "analyzer/Session.h"
 #include "programs/Benchmarks.h"
+#include "support/Timer.h"
+#include "RandomProgramGen.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <optional>
 
 using namespace awam;
 
 namespace {
+
+// Sanitizers slow each side by different factors, so the timing bound
+// holds only in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
 
 /// (domain name, number of export -> import transfers).
 class SummaryRoundTripTest
@@ -79,6 +105,102 @@ TEST_P(SummaryRoundTripTest, ExportImportAnalyzeIsByteIdentical) {
     ++Checked;
   }
   EXPECT_EQ(Checked, 11);
+}
+
+TEST(ScaleLadderTest, WarmFromBundleMatchesColdAndBeatsIt) {
+  // Two-unit corpora at 625 to 10,000 requested clauses (each analyzed
+  // from its whole-program driver), plus two DCG grammars. Every rung runs
+  // cold on a fresh persistent session, exports, and runs warm on another
+  // fresh session that imported the bundle.
+  struct Rung {
+    std::string Name;
+    std::vector<std::string> Units; ///< library first
+    std::string Entry;
+  };
+  std::vector<Rung> Ladder;
+  const std::pair<int, uint64_t> Corpora[] = {
+      {625, 101},  {1250, 102}, {2500, 103}, {3750, 104},
+      {5000, 105}, {6250, 106}, {7500, 107}, {10000, 108}};
+  for (const auto &[Clauses, Seed] : Corpora) {
+    testgen::CorpusOptions O;
+    O.Clauses = Clauses;
+    testgen::Corpus C = testgen::generateCorpus(Seed, O);
+    Ladder.push_back({"corpus" + std::to_string(Clauses),
+                      {C.Library, C.User},
+                      C.Entries.back()});
+  }
+  for (int Nonterminals : {100, 200}) {
+    testgen::GrammarOptions O;
+    O.Nonterminals = Nonterminals;
+    O.RulesPerNt = 4;
+    Ladder.push_back({"grammar" + std::to_string(Nonterminals),
+                      {testgen::generateGrammar(7, O)},
+                      "nt" + std::to_string(Nonterminals - 1) +
+                          "(glist, var)"});
+  }
+
+  int Slower = 0;
+  std::string Times; // per rung: cold and warm ms, for the failure message
+  for (const Rung &G : Ladder) {
+    SCOPED_TRACE(G.Name);
+    SymbolTable Syms;
+    TermArena Arena;
+    std::vector<CompiledProgram> Units;
+    for (const std::string &Source : G.Units) {
+      Result<CompiledProgram> C = compileSource(Source, Syms, Arena);
+      ASSERT_TRUE(C) << C.diag().str();
+      Units.push_back(C.take());
+    }
+    const CompiledProgram *Program = &Units.front();
+    std::optional<LinkedProgram> Linked;
+    if (Units.size() > 1) {
+      Result<LinkedProgram> L =
+          linkPrograms({{&Units[0], "lib"}, {&Units[1], "user"}});
+      ASSERT_TRUE(L) << L.diag().str();
+      ASSERT_TRUE(L->UnresolvedImports.empty());
+      Linked.emplace(L.take());
+      Program = &Linked->Program;
+    }
+
+    AnalyzerOptions O;
+    O.Persistent = true;
+    std::string Report, Bundle;
+    // Each side's time is the minimum of three alternating runs; a
+    // sanitized build, which asserts no time bound, runs each side once.
+    double ColdMs = std::numeric_limits<double>::infinity();
+    double WarmMs = ColdMs;
+    for (int Run = 0; Run != (kSanitized ? 1 : 3); ++Run) {
+      AnalysisSession Cold(*Program, O);
+      Timer T;
+      Result<AnalysisResult> RC = Cold.analyze(G.Entry);
+      ColdMs = std::min(ColdMs, T.elapsedMs());
+      ASSERT_TRUE(RC) << RC.diag().str();
+      if (Run == 0) {
+        Report = formatAnalysis(*RC, Syms);
+        Result<std::string> B = Cold.exportSummaries();
+        ASSERT_TRUE(B) << B.diag().str();
+        Bundle = B.take();
+      }
+
+      AnalysisSession Warm(*Program, O);
+      Result<AnalysisStore::ImportStats> IS = Warm.importSummaries(Bundle);
+      ASSERT_TRUE(IS) << IS.diag().str();
+      T.reset();
+      Result<AnalysisResult> RW = Warm.analyze(G.Entry);
+      WarmMs = std::min(WarmMs, T.elapsedMs());
+      ASSERT_TRUE(RW) << RW.diag().str();
+      EXPECT_EQ(formatAnalysis(*RW, Syms), Report);
+      // The warm query replays every banked trace.
+      EXPECT_GT(IS->Banked, 0u);
+      EXPECT_EQ(Warm.store()->stats().ReplayedRuns, IS->Banked);
+    }
+    Slower += !(WarmMs < ColdMs);
+    Times += G.Name + ": cold " + std::to_string(ColdMs) + " ms, warm " +
+             std::to_string(WarmMs) + " ms\n";
+  }
+  if (!kSanitized) {
+    EXPECT_LE(Slower, 2) << Times;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
