@@ -407,12 +407,7 @@ int main(int argc, char **argv) {
     for (size_t I = 0; I != Entries.size(); ++I) {
       std::printf("== entry %s ==\n", Entries[I].c_str());
       const AnalysisResult &BR = (*Batch)[I];
-      std::fputs(
-          (ShowModes ? formatModes(BR, Syms) : formatAnalysis(BR, Syms))
-              .c_str(),
-          stdout);
-      if (BR.Dom)
-        std::fputs(BR.Dom->formatFacts(BR, *Compiled).c_str(), stdout);
+      std::fputs(formatReport(BR, *Compiled, ShowModes).c_str(), stdout);
       if (ShowDead)
         std::fputs(formatReachability(BR, *Compiled).c_str(), stdout);
     }
@@ -499,11 +494,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "analysis error: %s\n", R.diag().str().c_str());
     return 1;
   }
-  std::fputs((ShowModes ? formatModes(*R, Syms) : formatAnalysis(*R, Syms))
-                 .c_str(),
-             stdout);
-  if (R->Dom)
-    std::fputs(R->Dom->formatFacts(*R, *Compiled).c_str(), stdout);
+  std::fputs(formatReport(*R, *Compiled, ShowModes).c_str(), stdout);
   if (ShowDead && !UseBaseline)
     std::fputs(formatReachability(*R, *Compiled).c_str(), stdout);
   if (Optimize)

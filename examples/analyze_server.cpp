@@ -28,8 +28,8 @@
 // Loaded programs are keyed by CodeModule::fingerprint() *and* the active
 // abstract domain, shared across clients: two clients loading the same
 // module under the same domain share one warm store (writers serialized,
-// repeat reads served from the response cache, duplicate in-flight
-// queries coalesced — see analyzer/Server.h).
+// repeat reads served from the response cache, identical concurrent
+// queries answered by one drain — see analyzer/Server.h).
 //
 //===----------------------------------------------------------------------===//
 

@@ -314,6 +314,15 @@ std::string awam::formatModes(const AnalysisResult &R,
   return T.str();
 }
 
+std::string awam::formatReport(const AnalysisResult &R,
+                               const CompiledProgram &Program, bool Modes) {
+  const SymbolTable &Syms = Program.Module->symbols();
+  std::string Out = Modes ? formatModes(R, Syms) : formatAnalysis(R, Syms);
+  if (R.Dom)
+    Out += R.Dom->formatFacts(R, Program);
+  return Out;
+}
+
 std::string awam::formatReachability(const AnalysisResult &R,
                                      const CompiledProgram &Program) {
   const CodeModule &M = *Program.Module;

@@ -160,6 +160,12 @@ std::string formatAnalysis(const AnalysisResult &R,
 /// success type.
 std::string formatModes(const AnalysisResult &R, const SymbolTable &Syms);
 
+/// The report both front ends print for one query of \p Program: the mode
+/// report (\p Modes) or the pattern table, then the result domain's derived
+/// facts (none for a result without a domain).
+std::string formatReport(const AnalysisResult &R,
+                         const CompiledProgram &Program, bool Modes);
+
 /// Reachability report derived from the extension table: predicates of
 /// \p Program that the analysis never called from the entry goal (dead
 /// code with respect to that entry), and calls that can never succeed.

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 
 using namespace awam;
@@ -49,15 +50,6 @@ constexpr const char *kHelpText =
 
 } // namespace
 
-/// One coalesced in-flight query: followers wait here for the leader's
-/// response bytes.
-struct AnalysisServer::Pending {
-  std::mutex M;
-  std::condition_variable CV;
-  bool Ready = false;
-  Response R;
-};
-
 /// One (module fingerprint, abstract domain) tenancy. The compile
 /// artifacts (symbols, arena, program) live for the server's lifetime;
 /// the analysis state (Session and its store) is what eviction drops and
@@ -75,12 +67,12 @@ struct AnalysisServer::StoreSlot {
 
   /// Writer lock: drains and edits are exclusive, dump/deep-stats shared.
   std::shared_mutex Mu;
-  /// Guards RespCache and InFlight only — never held across a drain.
+  /// Guards RespCache only — never held across a drain.
   std::mutex CacheMu;
-  /// Response bytes of successful entry/batch requests, keyed by (report
-  /// toggle, verb, spec text). Valid until the next edit of this slot.
+  /// Response bytes of successful entry/batch/optimize requests, keyed by
+  /// (report toggle, verb, spec text). Filled and cleared only under Mu;
+  /// valid until the next edit of this slot.
   std::unordered_map<std::string, std::string> RespCache;
-  std::unordered_map<std::string, std::shared_ptr<Pending>> InFlight;
 
   /// Null while evicted (guarded by Mu).
   std::unique_ptr<AnalysisSession> Session;
@@ -170,24 +162,14 @@ void AnalysisServer::submit(int Client, std::string Line,
 
 AnalysisServer::Response AnalysisServer::execute(int Client,
                                                  std::string_view Line) {
-  struct Waiter {
-    std::mutex M;
-    std::condition_variable CV;
-    bool Done = false;
-    Response R;
-  };
-  auto W = std::make_shared<Waiter>();
-  submit(Client, std::string(Line), [W](const Response &R) {
-    {
-      std::lock_guard<std::mutex> L(W->M);
-      W->R = R;
-      W->Done = true;
-    }
-    W->CV.notify_one();
-  });
-  std::unique_lock<std::mutex> L(W->M);
-  W->CV.wait(L, [&] { return W->Done; });
-  return W->R;
+  auto Done = std::make_shared<std::promise<Response>>();
+  // A shared_future's get() copies the reply on this thread. Moving the
+  // worker's copy out instead leaves replies the caller keeps in the
+  // worker's malloc arena: about 1 MB more peak RSS on perfbench service.
+  std::shared_future<Response> R = Done->get_future().share();
+  submit(Client, std::string(Line),
+         [Done](const Response &Resp) { Done->set_value(Resp); });
+  return R.get();
 }
 
 void AnalysisServer::workerLoop() {
@@ -425,11 +407,7 @@ void AnalysisServer::selectStore(
     S->Syms = std::move(Syms);
     S->Arena = std::move(Arena);
     S->Program = std::move(P);
-    AnalyzerOptions O = Cfg.Options;
-    O.Persistent = true;
-    O.DomainName = CS.DomainName;
-    S->Session = std::make_unique<AnalysisSession>(*S->Program, O);
-    S->Live = true;
+    ensureSession(*S);
     CS.Cursor = S.get();
     Slots.emplace(std::move(Key), std::move(S));
     R.Err += "loaded " + Label + "\n";
@@ -457,9 +435,62 @@ void AnalysisServer::meterBytes(StoreSlot &S) {
   S.Bytes = St ? St->bytesUsed() : 0;
 }
 
+void AnalysisServer::answer(
+    ClientState &CS, const std::string &Key, const std::string &Spec,
+    const std::function<Result<std::string>(AnalysisSession &)> &Drain,
+    Response &R) {
+  StoreSlot &S = *CS.Cursor;
+  auto Cached = [&] {
+    std::lock_guard<std::mutex> CL(S.CacheMu);
+    auto Hit = S.RespCache.find(Key);
+    if (Hit == S.RespCache.end())
+      return false;
+    R.Out = Hit->second;
+    return true;
+  };
+  bool Hit = Cached();
+  // Counted after the first look, so an observer that reads K queries
+  // knows K requests are past it (ServerTest stages its one-drain case on
+  // this).
+  ++NQueries;
+  bool Drained = false;
+  if (Hit) {
+    ++S.Hits;
+    ++NCacheHits;
+  } else {
+    std::unique_lock<std::shared_mutex> SL(S.Mu);
+    // A request that held the lock meanwhile may have cached this answer:
+    // identical concurrent queries queue here and cost one drain.
+    if (Cached()) {
+      ++NCoalesced;
+    } else {
+      ensureSession(S);
+      ++S.Drains;
+      ++NDrains;
+      Drained = true;
+      Result<std::string> Out = Drain(*S.Session);
+      if (Out) {
+        R.Out = Out.take();
+        // Cached before the lock is released, so no waiter misses it.
+        // Only successes memoize: the response of a failed drain (budget
+        // hit, machine error) is not a stable function of the slot key.
+        std::lock_guard<std::mutex> CL(S.CacheMu);
+        S.RespCache.emplace(Key, R.Out);
+      } else {
+        R.Err = "analysis error: " + Out.diag().str() + "\n";
+      }
+      meterBytes(S);
+    }
+  }
+  S.LastTouch = ++TouchClock;
+  if (R.Err.empty())
+    CS.LastSpec[&S] = Spec;
+  if (Drained)
+    maybeEvict(&S);
+}
+
 void AnalysisServer::doQuery(ClientState &CS, const std::string &Verb,
                              const std::string &Rest, Response &R) {
-  StoreSlot &S = *CS.Cursor;
   std::vector<std::string> Specs;
   if (Verb == "entry") {
     if (Rest.empty()) {
@@ -479,97 +510,27 @@ void AnalysisServer::doQuery(ClientState &CS, const std::string &Verb,
       return;
     }
   }
-  ++NQueries;
-  // The spec this client's next `edit` re-answers (set on success below).
-  const std::string &EditSpec = Verb == "entry" ? Rest : Specs.back();
-  std::string Key =
-      std::string(CS.ShowModes ? "m:" : "p:") + Verb + ":" + Rest;
-
-  std::shared_ptr<Pending> P;
-  bool Leader = false;
-  {
-    std::lock_guard<std::mutex> CL(S.CacheMu);
-    auto Hit = S.RespCache.find(Key);
-    if (Hit != S.RespCache.end()) {
-      ++S.Hits;
-      ++NCacheHits;
-      R.Out = Hit->second;
-      S.LastTouch = ++TouchClock;
-      CS.LastSpec[&S] = EditSpec;
-      return;
-    }
-    auto In = S.InFlight.find(Key);
-    if (In != S.InFlight.end()) {
-      P = In->second;
-      ++NCoalesced;
-    } else {
-      P = std::make_shared<Pending>();
-      S.InFlight.emplace(Key, P);
-      Leader = true;
-    }
-  }
-
-  if (!Leader) {
-    // Follower: the leader is by construction a worker already mid-request
-    // on this key, so waiting here cannot deadlock the pool.
-    std::unique_lock<std::mutex> PL(P->M);
-    P->CV.wait(PL, [&] { return P->Ready; });
-    R = P->R;
-    if (R.Err.empty())
-      CS.LastSpec[&S] = EditSpec;
-    return;
-  }
-
-  {
-    std::unique_lock<std::shared_mutex> SL(S.Mu);
-    ensureSession(S);
-    ++S.Drains;
-    ++NDrains;
+  const CompiledProgram &Program = *CS.Cursor->Program;
+  bool Modes = CS.ShowModes;
+  auto Drain = [&](AnalysisSession &A) -> Result<std::string> {
     if (Verb == "entry") {
-      Result<AnalysisResult> A = S.Session->analyze(Rest);
-      if (!A) {
-        R.Err = "analysis error: " + A.diag().str() + "\n";
-      } else {
-        R.Out = CS.ShowModes ? formatModes(*A, *S.Syms)
-                             : formatAnalysis(*A, *S.Syms);
-        if (A->Dom)
-          R.Out += A->Dom->formatFacts(*A, *S.Program);
-      }
-    } else {
-      Result<std::vector<AnalysisResult>> B = S.Session->analyzeBatch(Specs);
-      if (!B) {
-        R.Err = "analysis error: " + B.diag().str() + "\n";
-      } else {
-        for (size_t I = 0; I != Specs.size(); ++I) {
-          R.Out += "== entry " + Specs[I] + " ==\n";
-          R.Out += CS.ShowModes ? formatModes((*B)[I], *S.Syms)
-                                : formatAnalysis((*B)[I], *S.Syms);
-          if ((*B)[I].Dom)
-            R.Out += (*B)[I].Dom->formatFacts((*B)[I], *S.Program);
-        }
-      }
+      Result<AnalysisResult> E = A.analyze(Rest);
+      if (!E)
+        return E.diag();
+      return formatReport(*E, Program, Modes);
     }
-    meterBytes(S);
-  }
-  S.LastTouch = ++TouchClock;
-
-  {
-    std::lock_guard<std::mutex> CL(S.CacheMu);
-    // Only successes memoize: the response of a failed drain (budget hit,
-    // machine error) is not a stable function of the slot key.
-    if (R.Err.empty())
-      S.RespCache.emplace(Key, R.Out);
-    S.InFlight.erase(Key);
-  }
-  {
-    std::lock_guard<std::mutex> PL(P->M);
-    P->R = R;
-    P->Ready = true;
-  }
-  P->CV.notify_all();
-  if (R.Err.empty())
-    CS.LastSpec[&S] = EditSpec;
-  maybeEvict(&S);
+    Result<std::vector<AnalysisResult>> B = A.analyzeBatch(Specs);
+    if (!B)
+      return B.diag();
+    std::string Out;
+    for (size_t I = 0; I != Specs.size(); ++I)
+      Out += "== entry " + Specs[I] + " ==\n" +
+             formatReport((*B)[I], Program, Modes);
+    return Out;
+  };
+  // This client's next `edit` re-answers the entry, or a batch's last spec.
+  answer(CS, std::string(Modes ? "m:" : "p:") + Verb + ":" + Rest,
+         Verb == "entry" ? Rest : Specs.back(), Drain, R);
 }
 
 void AnalysisServer::doEdit(ClientState &CS, const std::string &Rest,
@@ -592,33 +553,28 @@ void AnalysisServer::doEdit(ClientState &CS, const std::string &Rest,
     ++NDrains;
     Result<AnalysisResult> A =
         S.Session->reanalyze({*Sig}, SpecIt->second);
-    if (!A) {
+    if (!A)
       R.Err = "analysis error: " + A.diag().str() + "\n";
-    } else {
-      R.Out = CS.ShowModes ? formatModes(*A, *S.Syms)
-                           : formatAnalysis(*A, *S.Syms);
-      if (A->Dom)
-        R.Out += A->Dom->formatFacts(*A, *S.Program);
-    }
+    else
+      R.Out = formatReport(*A, *S.Program, CS.ShowModes);
     meterBytes(S);
-  }
-  S.LastTouch = ++TouchClock;
-  {
     // The edit invalidated part of the store; memoized response bytes of
     // this slot are stale by assumption (even though touch-edits happen to
     // recompute the same bytes, correctness must not rely on that here).
+    // Cleared under the writer lock, so a request that waited on it never
+    // finds a pre-edit answer.
     std::lock_guard<std::mutex> CL(S.CacheMu);
     S.RespCache.clear();
   }
+  S.LastTouch = ++TouchClock;
   maybeEvict(&S);
 }
 
 void AnalysisServer::doOptimize(ClientState &CS, const std::string &Rest,
                                 Response &R) {
-  StoreSlot &S = *CS.Cursor;
   std::string Spec = Rest;
   if (Spec.empty()) {
-    auto SpecIt = CS.LastSpec.find(&S);
+    auto SpecIt = CS.LastSpec.find(CS.Cursor);
     if (SpecIt == CS.LastSpec.end()) {
       R.Err = "optimize what? (optimize qsort(glist, var, var), or run an "
               "entry first)\n";
@@ -626,78 +582,20 @@ void AnalysisServer::doOptimize(ClientState &CS, const std::string &Rest,
     }
     Spec = SpecIt->second;
   }
-  ++NQueries;
+  const CompiledProgram &Program = *CS.Cursor->Program;
   // The response is a pure function of (module, domain, spec) — the
-  // report toggle does not apply — so it rides the same per-slot cache
-  // and in-flight coalescing as entry/batch, under its own key prefix.
-  std::string Key = "o:" + Spec;
-
-  std::shared_ptr<Pending> P;
-  bool Leader = false;
-  {
-    std::lock_guard<std::mutex> CL(S.CacheMu);
-    auto Hit = S.RespCache.find(Key);
-    if (Hit != S.RespCache.end()) {
-      ++S.Hits;
-      ++NCacheHits;
-      R.Out = Hit->second;
-      S.LastTouch = ++TouchClock;
-      CS.LastSpec[&S] = Spec;
-      return;
-    }
-    auto In = S.InFlight.find(Key);
-    if (In != S.InFlight.end()) {
-      P = In->second;
-      ++NCoalesced;
-    } else {
-      P = std::make_shared<Pending>();
-      S.InFlight.emplace(Key, P);
-      Leader = true;
-    }
-  }
-
-  if (!Leader) {
-    std::unique_lock<std::mutex> PL(P->M);
-    P->CV.wait(PL, [&] { return P->Ready; });
-    R = P->R;
-    if (R.Err.empty())
-      CS.LastSpec[&S] = Spec;
-    return;
-  }
-
-  {
-    std::unique_lock<std::shared_mutex> SL(S.Mu);
-    ensureSession(S);
-    ++S.Drains;
-    ++NDrains;
-    Result<AnalysisResult> A = S.Session->analyze(Spec);
-    if (!A) {
-      R.Err = "analysis error: " + A.diag().str() + "\n";
-    } else {
-      SpecializationReport Rep;
-      CompiledProgram Opt = specializeProgram(
-          *S.Program, buildSpecializationFacts(*A, *S.Program), Rep);
-      R.Out = formatSpecialization(*Opt.Module, Rep);
-    }
-    meterBytes(S);
-  }
-  S.LastTouch = ++TouchClock;
-
-  {
-    std::lock_guard<std::mutex> CL(S.CacheMu);
-    if (R.Err.empty())
-      S.RespCache.emplace(Key, R.Out);
-    S.InFlight.erase(Key);
-  }
-  {
-    std::lock_guard<std::mutex> PL(P->M);
-    P->R = R;
-    P->Ready = true;
-  }
-  P->CV.notify_all();
-  if (R.Err.empty())
-    CS.LastSpec[&S] = Spec;
-  maybeEvict(&S);
+  // report toggle does not apply — so it caches under its own key prefix.
+  answer(CS, "o:" + Spec, Spec,
+         [&](AnalysisSession &A) -> Result<std::string> {
+           Result<AnalysisResult> E = A.analyze(Spec);
+           if (!E)
+             return E.diag();
+           SpecializationReport Rep;
+           CompiledProgram Opt = specializeProgram(
+               Program, buildSpecializationFacts(*E, Program), Rep);
+           return formatSpecialization(*Opt.Module, Rep);
+         },
+         R);
 }
 
 void AnalysisServer::doExport(ClientState &CS, const std::string &Rest,
@@ -806,7 +704,8 @@ void AnalysisServer::doStats(ClientState &CS, Response &R) {
                 (unsigned long long)T.BundleBytes);
   R.Out += Buf;
   // Per-store lines in identity order (label, domain) — never slot-map or
-  // touch order, both of which depend on interleaving.
+  // touch order, both of which depend on interleaving. Labels are
+  // unbounded, so no fixed buffer.
   std::vector<StoreSlot *> All;
   {
     std::lock_guard<std::mutex> L(GM);
@@ -817,18 +716,13 @@ void AnalysisServer::doStats(ClientState &CS, Response &R) {
     return std::tie(A->Label, A->DomainName) <
            std::tie(B->Label, B->DomainName);
   });
-  for (StoreSlot *S : All) {
-    std::snprintf(Buf, sizeof(Buf),
-                  "store %s [%s]: bytes %llu, hits %llu, drains %llu, "
-                  "evictions %llu, rewarms %llu\n",
-                  S->Label.c_str(), S->DomainName.c_str(),
-                  (unsigned long long)S->Bytes.load(),
-                  (unsigned long long)S->Hits.load(),
-                  (unsigned long long)S->Drains.load(),
-                  (unsigned long long)S->Evictions.load(),
-                  (unsigned long long)S->Rewarms.load());
-    R.Out += Buf;
-  }
+  for (StoreSlot *S : All)
+    R.Out += "store " + S->Label + " [" + S->DomainName + "]: bytes " +
+             std::to_string(S->Bytes.load()) + ", hits " +
+             std::to_string(S->Hits.load()) + ", drains " +
+             std::to_string(S->Drains.load()) + ", evictions " +
+             std::to_string(S->Evictions.load()) + ", rewarms " +
+             std::to_string(S->Rewarms.load()) + "\n";
   // The current slot's deep store statistics, as the single-client REPL
   // printed them (plus the journal-compaction line).
   StoreSlot &S = *CS.Cursor;

@@ -42,18 +42,20 @@
 ///    exclusive lock. Queries against *different* (fingerprint, domain)
 ///    slots proceed concurrently.
 ///  - Readers ride the response cache: each slot memoizes the exact
-///    response bytes of successful entry/batch requests (keyed by verb,
-///    report toggle and spec text), served under a brief cache mutex
-///    without touching the store at all — concurrent repeat readers never
-///    contend on the slot lock.
-///  - Duplicate in-flight queries coalesce: N clients asking the same
-///    not-yet-cached question elect one leader to drain; the rest wait on
-///    the leader's response and pay nothing. (The leader is by
-///    construction an already-running worker, so followers can never
-///    starve the pool.)
+///    response bytes of successful entry/batch/optimize requests (keyed
+///    by verb, report toggle and spec text), served under a brief cache
+///    mutex without touching the store at all — concurrent repeat readers
+///    never contend on the slot lock.
+///  - One request path: a query that misses the cache takes the slot's
+///    writer lock and looks again, and drains only on the second miss; a
+///    successful response is cached before the lock is released. So N
+///    clients asking the same not-yet-cached question queue on the lock
+///    and cost one drain — the first drains, the rest find its answer
+///    (counted as Coalesced). `edit` clears the cache under the same
+///    lock, so no waiter is answered from before an edit.
 ///
 /// Memory is bounded by LRU-by-bytes eviction over stores: each slot
-/// meters its store's heap (interner arenas + table pages + banked
+/// meters its store's heap (interner arenas + table entries + banked
 /// journals + per-root projections, AnalysisStore::bytesUsed) after every
 /// writer op; when the total crosses Config::MaxStoreBytes, the
 /// least-recently-touched idle slots drop their analysis state (sessions,
@@ -124,10 +126,11 @@ public:
   /// part of any determinism contract).
   struct Stats {
     uint64_t Requests = 0;  ///< lines processed
-    uint64_t Queries = 0;   ///< entry/batch requests
+    uint64_t Queries = 0;   ///< entry/batch/optimize requests
     uint64_t Drains = 0;    ///< queries/edits that ran the store
     uint64_t CacheHits = 0; ///< answered from a slot's response cache
-    uint64_t Coalesced = 0; ///< waited on an identical in-flight query
+    uint64_t Coalesced = 0; ///< waited on the writer lock, then found the
+                            ///< answer cached by the request ahead
     uint64_t Evictions = 0; ///< stores dropped by the byte cap
     uint64_t EvictedBytes = 0;
     uint64_t Rewarms = 0; ///< sessions recreated after an eviction
@@ -164,12 +167,11 @@ public:
 
   /// Test hook: exclusive lock on \p Client's current store slot, so a
   /// test can hold the writer lock while racing queries against it
-  /// (deterministic coalescing/serialization tests). Returns an unlocked
+  /// (deterministic one-drain/serialization tests). Returns an unlocked
   /// lock when the client has no current store.
   std::unique_lock<std::shared_mutex> lockCurrentStoreForTest(int Client);
 
 private:
-  struct Pending;
   struct StoreSlot;
   struct ClientState;
   struct QueuedReq;
@@ -177,13 +179,23 @@ private:
   void workerLoop();
   void process(ClientState &CS, const std::string &Line, Response &R);
   void doLoad(ClientState &CS, const std::string &Rest, Response &R);
+  /// The request path of entry, batch and optimize: answers \p Key from
+  /// the current slot's response cache or, on a miss, looks again under
+  /// the slot's writer lock and only then runs \p Drain on the slot's
+  /// session, caching a successful response before releasing the lock.
+  /// Drain errors become "analysis error" responses. On success \p Spec
+  /// is what this client's next `edit` re-answers.
+  void
+  answer(ClientState &CS, const std::string &Key, const std::string &Spec,
+         const std::function<Result<std::string>(AnalysisSession &)> &Drain,
+         Response &R);
   void doQuery(ClientState &CS, const std::string &Verb,
                const std::string &Rest, Response &R);
   void doEdit(ClientState &CS, const std::string &Rest, Response &R);
   /// `optimize [SPEC]`: analyzes SPEC (default: the client's last
   /// successful spec on this store) and responds with the specializer's
   /// rewrite report plus the annotated listing of the optimized module.
-  /// Responses cache per slot like entry/batch (key prefix "o:").
+  /// Answered through answer() like entry/batch (key prefix "o:").
   void doOptimize(ClientState &CS, const std::string &Rest, Response &R);
   void doDump(ClientState &CS, Response &R);
   void doStats(ClientState &CS, Response &R);
@@ -202,7 +214,9 @@ private:
   void selectStore(ClientState &CS,
                    const std::vector<std::pair<std::string, std::string>> &Units,
                    const std::string &Label, Response &R);
-  /// Recreates an evicted slot's session (caller holds the slot lock).
+  /// Creates \p S's session if it has none: a new slot's, or an evicted
+  /// one's, which counts as a re-warm (caller holds the slot lock, or has
+  /// not yet published a new slot).
   void ensureSession(StoreSlot &S);
   /// Refreshes \p S's byte meter from its store (caller holds the slot
   /// lock).

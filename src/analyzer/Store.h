@@ -81,9 +81,8 @@ namespace awam {
 
 /// Persistent analysis state of one compiled module. AnalysisSession wraps
 /// one (for every analyze() under AnalyzerOptions::Persistent, and for
-/// every reanalyze()); services that manage module lifetimes themselves
-/// (examples/analyze_server.cpp) hold stores directly, keyed by
-/// CodeModule::fingerprint().
+/// every reanalyze()). AnalysisServer (analyzer/Server.h) keeps one
+/// persistent session, and so one store, per (module fingerprint, domain).
 class AnalysisStore {
 public:
   /// Cumulative store statistics (reporting; not part of any determinism

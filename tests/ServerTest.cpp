@@ -3,8 +3,8 @@
 // The AnalysisServer concurrency contracts, made deterministic with the
 // lockCurrentStoreForTest hook: holding a slot's writer lock freezes every
 // drain against that store, so the tests can stage precise interleavings
-// (a leader mid-drain with followers coalescing behind it, a writer
-// blocked while a sibling store answers) instead of hoping for them.
+// (identical queries queued behind a frozen store, a writer blocked while
+// a sibling store answers) instead of hoping for them.
 //
 // The correctness baseline throughout is single-client replay: a fresh
 // one-worker server fed the same commands. Byte-equality against it is
@@ -112,8 +112,9 @@ TEST(ServerTest, DuplicateInFlightQueriesCoalesceToOneDrain) {
   }
 
   // Freeze the store, then ask the same not-yet-cached question K times:
-  // exactly one leader registers and blocks on the writer lock, K-1
-  // followers coalesce behind its in-flight entry.
+  // every asker misses the response cache and queues on the writer lock.
+  // Once it is released, the first drains and caches its answer before
+  // unlocking; the other K-1 find that answer on their second look.
   std::unique_lock<std::shared_mutex> Hold =
       S.lockCurrentStoreForTest(Locker);
   ASSERT_TRUE(Hold.owns_lock());
@@ -129,16 +130,21 @@ TEST(ServerTest, DuplicateInFlightQueriesCoalesceToOneDrain) {
       ++Done;
     });
 
-  ASSERT_TRUE(waitFor([&] { return S.stats().Coalesced == K - 1; }))
-      << "followers never coalesced behind the blocked leader";
-  EXPECT_EQ(Done.load(), 0) << "a drain completed against a held store";
+  // A query is counted after its first cache lookup, so at K every asker
+  // has missed the cache and is at (or on its way to) the held lock.
+  ASSERT_TRUE(waitFor([&] { return S.stats().Queries == K; }))
+      << "the queries never got past their first cache lookup";
+  EXPECT_EQ(S.stats().Drains, 0u) << "a drain ran against a held store";
+  EXPECT_EQ(Done.load(), 0) << "a query completed against a held store";
 
   Hold.unlock();
   ASSERT_TRUE(waitFor([&] { return Done.load() == K; }));
   for (const std::string &O : Outs)
     EXPECT_EQ(Expected, O);
   AnalysisServer::Stats T = S.stats();
-  EXPECT_EQ(T.Drains, 1u) << "coalesced queries must cost one drain";
+  EXPECT_EQ(T.Drains, 1u) << "identical queries must cost one drain";
+  EXPECT_EQ(T.Coalesced, K - 1u)
+      << "the queued queries were not answered from the first one's drain";
   EXPECT_EQ(T.CacheHits, 0u);
 }
 
@@ -471,7 +477,8 @@ TEST(ServerTest, FourWorkerStreamsMatchSingleClientReplay) {
     expectStreamsMatchReplay(
         baseConfig(4),
         {
-            {"load bench:qsort", kQsortEntry, "edit partition/4", kPartEntry},
+            {"load bench:qsort", kQsortEntry, "optimize", "edit partition/4",
+             kPartEntry},
             {"load bench:qsort", kPartEntry, kQsortEntry, "edit qsort/3"},
             {"load bench:nreverse", "entry nreverse(glist, var)",
              "edit concatenate/3", "entry nreverse(glist, var)"},
@@ -498,6 +505,40 @@ TEST(ServerTest, FourWorkerStreamsMatchSingleClientReplay) {
     EXPECT_GE(T.Evictions, 1u);
     EXPECT_GE(T.Rewarms, 1u);
   }
+}
+
+TEST(ServerTest, StatsPrintsOneCompleteLinePerStore) {
+  // A store's label is its `load` operand, of any length. The long label
+  // sorts first: a line cut short would lose its counters and newline and
+  // swallow the next store's line.
+  const std::string Long = "aux:" + std::string(640, 'x');
+  AnalysisServer::Config Cfg = baseConfig(1);
+  Cfg.LoadSource = [Bench = Cfg.LoadSource,
+                    Long](const std::string &Spec, std::string &Source,
+                          std::string &Err) {
+    return Bench(Spec == Long ? "bench:nreverse" : Spec, Source, Err);
+  };
+  AnalysisServer S(Cfg);
+  int C = S.openClient();
+  S.execute(C, "load " + Long);
+  ASSERT_TRUE(S.execute(C, "entry nreverse(glist, var)").Err.empty());
+  S.execute(C, "load bench:qsort");
+  ASSERT_TRUE(S.execute(C, kQsortEntry).Err.empty());
+
+  AnalysisServer::Response St = S.execute(C, "stats");
+  std::vector<std::string> Lines;
+  size_t B = 0;
+  for (size_t E; (E = St.Out.find('\n', B)) != std::string::npos; B = E + 1)
+    if (St.Out.compare(B, 6, "store ") == 0)
+      Lines.push_back(St.Out.substr(B, E - B));
+  ASSERT_EQ(Lines.size(), 2u) << St.Out;
+  const std::string Counters = ", hits 0, drains 1, evictions 0, rewarms 0";
+  EXPECT_EQ(Lines[0].rfind("store " + Long + " [modes]: bytes ", 0), 0u)
+      << Lines[0];
+  EXPECT_EQ(Lines[1].rfind("store bench:qsort [modes]: bytes ", 0), 0u)
+      << Lines[1];
+  for (const std::string &L : Lines)
+    EXPECT_TRUE(L.ends_with(Counters)) << L;
 }
 
 TEST(ServerTest, EditRejectsArityBeyondInt) {

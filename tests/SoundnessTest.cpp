@@ -27,6 +27,12 @@ struct Scenario {
   int MaxSolutions;
 };
 
+/// gtest writes a value parameter into each listed test name, and for this
+/// struct it writes its bytes, pointers included, which move with every
+/// load of the binary. Print the scenario's name so the names stay the
+/// same between builds.
+void PrintTo(const Scenario &S, std::ostream *OS) { *OS << S.Name; }
+
 constexpr const char *AppendSrc =
     "app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).";
 
