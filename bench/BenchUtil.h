@@ -115,7 +115,7 @@ inline Table1Row measureBenchmark(const PreparedBenchmark &P,
       std::exit(1);
     }
     // Exec for one full analysis (all iterations of a fresh run).
-    Row.Exec = R->Instructions;
+    Row.Exec = R->Counters.Instructions;
     Row.OursMs = measureMs(
         [&] {
           AnalysisSession A2(*P.Compiled, Options);

@@ -59,7 +59,7 @@ int main(int argc, char **argv) {
                      R.diag().str().c_str());
         continue;
       }
-      TotalExec += R->Instructions;
+      TotalExec += R->Counters.Instructions;
       Entries += R->Items.size();
       precisionProxy(*R, AnyArgs, TotalArgs);
       TotalMs += measureMs(

@@ -54,8 +54,8 @@ int main(int argc, char **argv) {
         MinTotalMs);
 
     T.addRow({std::string(B.Name), formatDouble(LinMs, 3),
-              formatDouble(HashMs, 3), std::to_string(RL->TableProbes),
-              std::to_string(RH->TableProbes),
+              formatDouble(HashMs, 3), std::to_string(RL->Counters.ETProbes),
+              std::to_string(RH->Counters.ETProbes),
               std::to_string(RL->Items.size())});
   }
   std::fputs(T.str().c_str(), stdout);

@@ -120,8 +120,8 @@ int main(int argc, char **argv) {
     Row.NaiveIterations = RNaive->Iterations;
     Row.Sweeps = RFast->Iterations;
     Row.Entries = RFast->Items.size();
-    Row.BaseProbes = RBase->TableProbes;
-    Row.FastProbes = RFast->TableProbes;
+    Row.BaseProbes = RBase->Counters.ETProbes;
+    Row.FastProbes = RFast->Counters.ETProbes;
     Row.NaiveReplays = RNaive->Counters.ActivationRuns;
     Row.WorkReplays = RFast->Counters.ActivationRuns;
     Row.DepEdges = RFast->Counters.DepEdges;

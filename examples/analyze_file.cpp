@@ -16,20 +16,19 @@
 //   --export-summaries FILE
 //                  after analysis, serialize the session store's derived
 //                  summaries + replay traces to FILE (module-independent
-//                  bundle; see analyzer/SummaryBundle.h). Implies a
-//                  persistent store.
+//                  bundle; see analyzer/SummaryBundle.h).
 //   --import-summaries FILE
 //                  before analysis, load a bundle exported earlier and
 //                  bank its still-valid traces as warm-start hints.
 //                  Stale or unresolvable traces are dropped (counts on
 //                  stderr); answers are byte-identical to a run without
-//                  the import. Implies a persistent store.
+//                  the import.
 //   --entry SPEC   entry goal, e.g. "main" or "qsort(glist, var, var)"
 //                  (default: main). Repeatable: with several entries the
-//                  queries share one persistent analysis store — later
-//                  entries warm-start from the table work of earlier ones,
-//                  and each report is byte-identical to a single-entry run
-//                  of that spec (the CI batch gate diffs exactly this).
+//                  queries share one analysis store — later entries
+//                  warm-start from the table work of earlier ones, and
+//                  each report is byte-identical to a single-entry run of
+//                  that spec (the CI batch gate diffs exactly this).
 //   --entries FILE batch file of entry specs, one per line; blank lines
 //                  and lines starting with '#' are skipped. Combines with
 //                  --entry (file specs run after the flag specs). All
@@ -37,10 +36,10 @@
 //   --depth K      term-depth restriction (default 4, K >= 1)
 //   --edit P/A     mark predicate P/A edited and re-analyze incrementally
 //                  after the initial run; repeatable (one chained
-//                  reanalyze per flag). Implies a persistent store: each
-//                  re-analysis replays the recorded runs the edit left
-//                  valid. The final report is byte-identical to the plain
-//                  run — the CI incremental gate diffs it.
+//                  reanalyze per flag). Each re-analysis runs on the
+//                  session's store and replays the recorded runs the edit
+//                  left valid. The final report is byte-identical to the
+//                  plain run — the CI incremental gate diffs it.
 //   --domain NAME  abstract domain to analyze under (default "modes", the
 //                  paper's mode/type/aliasing domain; "pos" infers
 //                  groundness dependencies, "det" derives per-predicate
@@ -52,7 +51,7 @@
 //                  and print the rewrite report plus the annotated
 //                  listing (requires the compiled worklist analyzer and
 //                  the "modes" or "det" domain). Works in every session
-//                  shape: scratch runs, --edit chains (facts come from
+//                  shape: single entries, --edit chains (facts come from
 //                  the final incremental result) and --entries batches
 //                  (facts are joined across every entry's table).
 //   --baseline     use the meta-interpreting analyzer instead
@@ -303,9 +302,9 @@ int main(int argc, char **argv) {
                  "--baseline / --trace)\n");
     return usage();
   }
-  if (Optimize && DomainName != "modes" && DomainName != "det") {
-    std::fprintf(stderr, "--optimize requires the \"modes\" or \"det\" "
-                         "domain (facts come from call/success patterns)\n");
+  if (std::string Err = specializationDomainError(DomainName, "--optimize");
+      Optimize && !Err.empty()) {
+    std::fprintf(stderr, "%s\n", Err.c_str());
     return usage();
   }
   if ((!ExportPath.empty() || !ImportPath.empty()) && (UseBaseline || Trace)) {
@@ -314,10 +313,6 @@ int main(int argc, char **argv) {
                  "compiled worklist analyzer (no --baseline / --trace)\n");
     return usage();
   }
-  // Summary bundles live in the persistent store's replay bank, and
-  // re-analysis replays from it.
-  if (!ExportPath.empty() || !ImportPath.empty() || !Edits.empty())
-    Options.Persistent = true;
 
   // Loads the --import-summaries bundle into the session store before any
   // analysis runs; its surviving traces warm-start the queries below.
@@ -379,8 +374,8 @@ int main(int argc, char **argv) {
     std::fputs(formatSpecialization(*Spec.Module, Rep).c_str(), stdout);
   };
 
-  // Batch mode: several entry goals through one persistent store. Every
-  // spec is validated before any analysis runs (analyzeBatch's contract),
+  // Batch mode: several entry goals through one store. Every spec is
+  // validated before any analysis runs (analyzeBatch's contract),
   // so a typo late in an --entries file fails fast with the usual spec
   // error. The single-entry path below is untouched — the CI determinism
   // and incremental gates diff its exact output.
@@ -394,7 +389,6 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "--entries file contains no entry specs\n");
       return 1;
     }
-    Options.Persistent = true;
     AnalysisSession A(*Compiled, Options);
     if (!importInto(A))
       return 1;
@@ -468,7 +462,7 @@ int main(int argc, char **argv) {
     }
     for (const std::string &L : Lines)
       std::printf("%s\n", L.c_str());
-    Out.Instructions = Machine.stepsExecuted();
+    Out.Counters.Instructions = Machine.stepsExecuted();
     for (const ETEntry &E : Table.entries())
       Out.Items.push_back({E.PredId,
                            Compiled->Module->predicateLabel(E.PredId),

@@ -125,13 +125,11 @@ int main(int argc, char **argv) {
 
   for (const std::string &DomainName : Domains) {
     std::printf("\n== domain %s ==\n", DomainName.c_str());
-    // A persistent session per domain: the store outlives the query, so
-    // an optimizer asking about several entry points (or re-asking after
-    // an edit via reanalyze) pays the fixpoint once and warm-starts
-    // every follow-up. Each result is still byte-identical to a
-    // from-scratch analysis.
+    // A session per domain: its store outlives the query, so an optimizer
+    // asking about several entry points (or re-asking after an edit via
+    // reanalyze) pays the fixpoint once and warm-starts every follow-up.
+    // Each result is still byte-identical to a from-scratch analysis.
     AnalyzerOptions Options;
-    Options.Persistent = true;
     Options.DomainName = DomainName;
     AnalysisSession A(*Program, Options);
     Result<AnalysisResult> R = A.analyze(B->EntrySpec);

@@ -6,8 +6,8 @@
 //   3. run a query on the concrete machine,
 //   4. run the compiled dataflow analysis and print the inferred
 //      mode/type information,
-//   5. ask a second question of the same persistent session — the store
-//      warm-starts it from the first query's memoized summaries.
+//   5. ask a second question of the same session — its store warm-starts
+//      it from the first query's memoized summaries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,12 +48,10 @@ int main() {
                 writeTerm(Solutions[0].Bindings[0], Syms).c_str());
 
   // 4. Analyze: what happens when nrev is called with a ground list and a
-  // free result variable? A persistent session keeps the analysis store
-  // alive between queries, so this is also how a long-lived service would
-  // hold the analyzer.
-  AnalyzerOptions Options;
-  Options.Persistent = true;
-  AnalysisSession A(*Program, Options);
+  // free result variable? A session keeps its analysis store alive
+  // between queries, so this is also how a long-lived service would hold
+  // the analyzer.
+  AnalysisSession A(*Program);
   Result<AnalysisResult> R = A.analyze("nrev(glist, var)");
   if (!R) {
     std::fprintf(stderr, "analysis error: %s\n", R.diag().str().c_str());

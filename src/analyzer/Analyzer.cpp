@@ -2,6 +2,7 @@
 
 #include "analyzer/Analyzer.h"
 
+#include "analyzer/AbstractMachine.h"
 #include "analyzer/Domain.h"
 #include "support/StringUtil.h"
 
@@ -14,6 +15,25 @@
 #include <tuple>
 
 using namespace awam;
+
+void awam::fillRunCounters(PerfCounters &C, const AbstractMachine &Machine,
+                           const ExtensionTable &Table,
+                           const InternerStats &Before) {
+  C.Instructions = Machine.stepsExecuted();
+  C.ActivationRuns = Machine.activationsExplored();
+  C.ETProbes = Table.probeCount();
+  const PatternInterner *In = Table.interner();
+  if (!In)
+    return;
+  const InternerStats &After = In->stats();
+  C.InternHits = After.InternHits - Before.InternHits;
+  C.InternMisses = After.InternMisses - Before.InternMisses;
+  C.LubCacheHits = After.LubCacheHits - Before.LubCacheHits;
+  C.LubCacheMisses = After.LubCacheMisses - Before.LubCacheMisses;
+  C.LeqCacheHits = After.LeqCacheHits - Before.LeqCacheHits;
+  C.LeqCacheMisses = After.LeqCacheMisses - Before.LeqCacheMisses;
+  C.DistinctPatterns = In->size();
+}
 
 Pattern awam::makeEntryPattern(const std::vector<PatKind> &ArgKinds) {
   Pattern P;
@@ -235,7 +255,8 @@ std::string awam::formatAnalysis(const AnalysisResult &R,
   std::string Out = T.str();
   Out += "iterations: " + std::to_string(R.Iterations) +
          (R.Converged ? " (fixpoint)" : " (budget hit)") +
-         ", abstract instructions: " + std::to_string(R.Instructions) +
+         ", abstract instructions: " +
+         std::to_string(R.Counters.Instructions) +
          "\n";
   return Out;
 }

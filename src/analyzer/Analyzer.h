@@ -9,8 +9,8 @@
 /// (AnalyzerOptions), results (AnalysisResult, PerfCounters), entry-goal
 /// specs (parseEntrySpec), and report formatting. The drivers themselves
 /// live behind the AnalysisSession façade (analyzer/Session.h) — the naive
-/// restart loop of the paper and the dependency-driven worklist scheduler
-/// (analyzer/Scheduler.h), which also drives every AnalysisStore query
+/// restart loop of the paper, and the dependency-driven worklist scheduler
+/// (analyzer/Scheduler.h), which runs only as an AnalysisStore query
 /// (analyzer/Store.h).
 ///
 //===----------------------------------------------------------------------===//
@@ -45,7 +45,9 @@ enum class DriverKind {
 /// Analyzer configuration.
 struct AnalyzerOptions {
   int DepthLimit = kDefaultDepthLimit;
-  /// Fixpoint driver. Naive is the paper-faithful ablation baseline.
+  /// Fixpoint driver. Naive is the paper-faithful ablation baseline; the
+  /// worklist driver answers through the session's AnalysisStore and
+  /// requires interning.
   DriverKind Driver = DriverKind::Worklist;
   /// Lookup structure for the extension table. The hashed variant is the
   /// default; the paper's linear list remains available for the ablation
@@ -61,14 +63,9 @@ struct AnalyzerOptions {
   /// sound partial table with Converged = false.
   int MaxIterations = 1000;
   uint64_t MaxSteps = 200'000'000;
-  /// Answer analyze() through the session's long-lived AnalysisStore
-  /// (analyzer/Store.h) instead of a scratch run: repeated analyze() calls
-  /// share one interner + multi-root table + dependency graph, repeat
-  /// queries are answered from the store's result cache, and new entries
-  /// warm-start from the accumulated run journals — with each query's
-  /// per-root projection byte-identical to a scratch analyze() of that
-  /// entry. (reanalyze() always runs on the store, whatever this says.)
-  /// Requires the worklist driver with interning.
+  /// Ignored: every worklist analyze() answers through the session's
+  /// AnalysisStore (analyzer/Store.h). Kept only because the repository
+  /// benchmark (perfbench/) still sets it.
   bool Persistent = false;
   /// Abstract domain to analyze under (see analyzer/Domain.h): "modes"
   /// (the paper's mode/type/aliasing domain, default), "pos" (groundness
@@ -109,6 +106,17 @@ struct PerfCounters {
   uint64_t DepEdges = 0;          ///< dependency edges recorded
 };
 
+class AbstractMachine;
+
+/// Fills \p C after a drain of \p Machine over \p Table: instructions,
+/// activation runs and table probes, and — when \p Table has an interner
+/// — the interner's activity since \p Before plus its size. The naive
+/// loop and the store query both report through it. Leaves the scheduler
+/// counters alone.
+void fillRunCounters(PerfCounters &C, const AbstractMachine &Machine,
+                     const ExtensionTable &Table,
+                     const InternerStats &Before = {});
+
 /// Final analysis output: the extension table plus statistics.
 struct AnalysisResult {
   struct Item {
@@ -121,8 +129,6 @@ struct AnalysisResult {
   /// Naive driver: restart iterations run. Worklist driver: sweeps run.
   int Iterations = 0;
   bool Converged = false;
-  uint64_t Instructions = 0; ///< abstract WAM instructions executed (Exec)
-  uint64_t TableProbes = 0;
   PerfCounters Counters;
   /// The domain the analysis ran under (a static registry singleton;
   /// always valid to keep). Null on results built outside the session

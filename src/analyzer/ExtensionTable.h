@@ -24,7 +24,9 @@
 /// the naive driver uses the per-iteration Explored flags (reset by
 /// beginIteration), the worklist driver (analyzer/Scheduler.h) keys its
 /// dependency graph on each entry's dense Idx and watches SuccessVersion
-/// to detect stale reads.
+/// to detect stale reads. Which store roots reached an entry is the
+/// AnalysisStore's business too: each root lists its entries' indices
+/// (analyzer/Store.h), and an entry carries no root tags.
 ///
 /// Probe accounting (the ablation metric) is defined uniformly across both
 /// variants so their counts are comparable:
@@ -74,11 +76,6 @@ struct ETEntry {
   /// record the version they observed; the scheduler re-enqueues a reader
   /// when a recorded version is no longer current.
   uint32_t SuccessVersion = 0;
-  /// Multi-root tables only (analyzer/Store.h): ordinals of the store
-  /// roots whose query drains introduced or reached this entry, in merge
-  /// order. Maintained by the AnalysisStore; always empty in the per-query
-  /// scratch tables the drivers operate on.
-  std::vector<int32_t> Roots;
 };
 
 /// The memo table.
@@ -150,14 +147,13 @@ public:
   }
 
   /// Approximate heap bytes this table holds: the entries (including
-  /// their pattern payloads and root tags) and the lookup indexes. The
-  /// table term of the store eviction accounting (analyzer/Server.h).
+  /// their pattern payloads) and the lookup indexes. The table term of the
+  /// store eviction accounting (analyzer/Server.h).
   size_t bytesUsed() const {
     size_t B = IdIndex.bytesUsed() + StructIndex.bytesUsed();
     for (const ETEntry &E : Owned)
       B += sizeof(ETEntry) + patternHeapBytes(E.Call) +
-           (E.Success ? patternHeapBytes(*E.Success) : 0) +
-           E.Roots.capacity() * sizeof(int32_t);
+           (E.Success ? patternHeapBytes(*E.Success) : 0);
     for (const auto &[H, Cands] : Index)
       B += sizeof(H) + Cands.capacity() * sizeof(uint32_t);
     return B;

@@ -54,7 +54,9 @@
 /// replay against a copy-on-write Overlay of the core, and executes it
 /// only when that fails. Every behavioural decision (inline
 /// re-exploration, dirty targeting, edge retirement) is a core method, so
-/// replayed and executed runs share one definition of the schedule.
+/// replayed and executed runs share one definition of the schedule. The
+/// loop's one caller is AnalysisStore::query (analyzer/Store.h): every
+/// worklist analysis is a store query.
 ///
 //===----------------------------------------------------------------------===//
 

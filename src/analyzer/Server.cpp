@@ -419,7 +419,6 @@ void AnalysisServer::ensureSession(StoreSlot &S) {
   if (S.Session)
     return;
   AnalyzerOptions O = Cfg.Options;
-  O.Persistent = true;
   O.DomainName = S.DomainName;
   S.Session = std::make_unique<AnalysisSession>(*S.Program, O);
   S.Live = true;
@@ -572,6 +571,11 @@ void AnalysisServer::doEdit(ClientState &CS, const std::string &Rest,
 
 void AnalysisServer::doOptimize(ClientState &CS, const std::string &Rest,
                                 Response &R) {
+  if (std::string Err = specializationDomainError(CS.DomainName, "optimize");
+      !Err.empty()) {
+    R.Err = Err + "\n";
+    return;
+  }
   std::string Spec = Rest;
   if (Spec.empty()) {
     auto SpecIt = CS.LastSpec.find(CS.Cursor);

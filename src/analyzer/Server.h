@@ -26,7 +26,7 @@
 /// answers stay byte-identical regardless).
 ///
 /// Determinism is inherited, not re-proven: every store answer is
-/// byte-identical to a scratch analysis of that entry under the current
+/// byte-identical to a cold analysis of that entry under the current
 /// program (analyzer/Store.h), and `edit` commands
 /// are touches — the program text never changes — so a query's response
 /// depends only on (module, domain, verb, report toggle), never on which
@@ -93,8 +93,9 @@ public:
   struct Config {
     /// Driver configuration of every store the server creates (budgets,
     /// depth limit; the initial domain is ignored — the domain is per
-    /// client). Persistent and the worklist/interning requirements are
-    /// forced on.
+    /// client). Each slot's session answers through its store, which
+    /// needs the default worklist driver with interning; other driver
+    /// settings are unsupported.
     AnalyzerOptions Options;
     /// Worker threads executing requests. 1 serializes everything (the
     /// reference transcript mode); the byte-identity contract holds at
@@ -195,7 +196,9 @@ private:
   /// `optimize [SPEC]`: analyzes SPEC (default: the client's last
   /// successful spec on this store) and responds with the specializer's
   /// rewrite report plus the annotated listing of the optimized module.
-  /// Answered through answer() like entry/batch (key prefix "o:").
+  /// Answered through answer() like entry/batch (key prefix "o:"). Under
+  /// a domain specializationDomainError refuses, it answers that error
+  /// and runs nothing.
   void doOptimize(ClientState &CS, const std::string &Rest, Response &R);
   void doDump(ClientState &CS, Response &R);
   void doStats(ClientState &CS, Response &R);

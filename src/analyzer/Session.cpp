@@ -2,8 +2,8 @@
 
 #include "analyzer/Session.h"
 
+#include "analyzer/AbstractMachine.h"
 #include "analyzer/Domain.h"
-#include "analyzer/Scheduler.h"
 
 using namespace awam;
 
@@ -33,7 +33,7 @@ static Result<int32_t> resolveEntry(const CodeModule &M, std::string_view Name,
 Result<AnalysisResult> AnalysisSession::analyze(std::string_view Name,
                                                 const Pattern &Entry) {
   AnalysisStore *S = nullptr;
-  if (Options.Persistent) {
+  if (Options.Driver == DriverKind::Worklist) {
     Result<AnalysisStore *> St = ensureStore();
     if (!St)
       return St.diag();
@@ -45,16 +45,18 @@ Result<AnalysisResult> AnalysisSession::analyze(std::string_view Name,
   LastEntryName.assign(Name);
   LastEntry = Entry;
   HaveEntry = true;
-  return S ? S->query(Name, Entry) : analyzeCompiled(*Pid, Entry);
+  return S ? S->query(Name, Entry) : analyzeNaive(*Pid, Entry);
 }
 
 Result<AnalysisStore *> AnalysisSession::ensureStore() {
   if (PStore)
     return PStore.get();
-  if (Options.Driver != DriverKind::Worklist || !Options.UseInterning)
-    return makeError("the analysis store (persistent sessions, reanalyze, "
-                     "summary bundles) requires the worklist driver with "
-                     "interning");
+  if (Options.Driver != DriverKind::Worklist)
+    return makeError("the analysis store (reanalyze, batches, summary "
+                     "bundles) requires the worklist driver");
+  if (!Options.UseInterning)
+    return makeError("the worklist driver requires the interned fast path "
+                     "(UseInterning)");
   // The store falls back to the default domain on unknown names; reject
   // them here with the registered list instead.
   if (Result<const Domain *> D = resolveDomain(Options.DomainName); !D)
@@ -95,21 +97,14 @@ AnalysisSession::analyzeBatch(const std::vector<std::string> &EntrySpecs) {
       return Pid.diag();
     Parsed.push_back(std::move(*P));
   }
-  // One warm store across the batch whenever the configuration can back
-  // one; otherwise (naive driver, no interning) each spec runs as an
-  // independent scratch analysis.
-  AnalysisStore *Batch = nullptr;
-  if (Options.Driver == DriverKind::Worklist && Options.UseInterning) {
-    Result<AnalysisStore *> S = ensureStore();
-    if (!S)
-      return S.diag();
-    Batch = *S;
-  }
+  // One warm store across the batch.
+  Result<AnalysisStore *> S = ensureStore();
+  if (!S)
+    return S.diag();
   std::vector<AnalysisResult> Out;
   Out.reserve(Parsed.size());
   for (const auto &[Name, Entry] : Parsed) {
-    Result<AnalysisResult> R =
-        Batch ? Batch->query(Name, Entry) : analyze(Name, Entry);
+    Result<AnalysisResult> R = (*S)->query(Name, Entry);
     if (!R)
       return R.diag();
     Out.push_back(std::move(*R));
@@ -124,8 +119,8 @@ void AnalysisSession::setBudgets(int MaxIterations, uint64_t MaxSteps) {
     PStore->setBudgets(MaxIterations, MaxSteps);
 }
 
-Result<AnalysisResult> AnalysisSession::analyzeCompiled(int32_t Pid,
-                                                        const Pattern &Entry) {
+Result<AnalysisResult> AnalysisSession::analyzeNaive(int32_t Pid,
+                                                     const Pattern &Entry) {
   Result<const Domain *> D = resolveDomain(Options.DomainName);
   if (!D)
     return D.diag();
@@ -146,53 +141,18 @@ Result<AnalysisResult> AnalysisSession::analyzeCompiled(int32_t Pid,
   AbstractMachine Machine(*Program, Table, MachineOptions);
 
   AnalysisResult R;
-  if (Options.Driver == DriverKind::Naive) {
-    for (int Iter = 0; Iter != Options.MaxIterations; ++Iter) {
-      AbsRunStatus Status = Machine.runIteration(Pid, Entry);
-      ++R.Iterations;
-      if (Status == AbsRunStatus::Error)
-        return makeError("abstract machine error: " +
-                         Machine.errorMessage());
-      if (!Machine.changedSinceLastRun()) {
-        R.Converged = true;
-        break;
-      }
-    }
-  } else {
-    // Worklist driver: create the entry activation, then let the
-    // scheduler drain the dependency-directed queue.
-    bool Created = false;
-    ETEntry &Root =
-        Interner ? Table.findOrCreate(
-                       Pid, Interner->internNormalized(Entry), Created)
-                 : Table.findOrCreate(Pid, Entry, Created);
-    WorklistScheduler Scheduler(Table, Machine);
-    WorklistScheduler::Status Status =
-        Scheduler.run(Root, Options.MaxIterations);
-    if (Status == WorklistScheduler::Status::Error)
+  for (int Iter = 0; Iter != Options.MaxIterations; ++Iter) {
+    AbsRunStatus Status = Machine.runIteration(Pid, Entry);
+    ++R.Iterations;
+    if (Status == AbsRunStatus::Error)
       return makeError("abstract machine error: " + Machine.errorMessage());
-    const WorklistScheduler::Stats &SS = Scheduler.stats();
-    R.Converged = Status == WorklistScheduler::Status::Converged;
-    R.Iterations = static_cast<int>(SS.Sweeps);
-    R.Counters.SchedulerRuns = SS.Runs;
-    R.Counters.DepEdges = SS.EdgesRecorded;
+    if (!Machine.changedSinceLastRun()) {
+      R.Converged = true;
+      break;
+    }
   }
 
-  R.Instructions = Machine.stepsExecuted();
-  R.TableProbes = Table.probeCount();
-  R.Counters.Instructions = R.Instructions;
-  R.Counters.ETProbes = R.TableProbes;
-  R.Counters.ActivationRuns = Machine.activationsExplored();
-  if (Interner) {
-    const InternerStats &IS = Interner->stats();
-    R.Counters.InternHits = IS.InternHits;
-    R.Counters.InternMisses = IS.InternMisses;
-    R.Counters.LubCacheHits = IS.LubCacheHits;
-    R.Counters.LubCacheMisses = IS.LubCacheMisses;
-    R.Counters.LeqCacheHits = IS.LeqCacheHits;
-    R.Counters.LeqCacheMisses = IS.LeqCacheMisses;
-    R.Counters.DistinctPatterns = Interner->size();
-  }
+  fillRunCounters(R.Counters, Machine, Table);
   const CodeModule &M = *Program->Module;
   for (const ETEntry &E : Table.entries())
     R.Items.push_back(

@@ -14,15 +14,17 @@
 ///   AnalysisSession S(Compiled);            // or (Compiled, Options)
 ///   Result<AnalysisResult> R = S.analyze("qsort(glist, var, var)");
 ///
-/// A session runs in one of two modes. *Scratch* (the default): every
-/// analyze() computes a fresh fixpoint with the driver
-/// AnalyzerOptions::Driver selects — the paper's naive restart loop, or the
-/// dependency-driven worklist scheduler (the default; see
-/// analyzer/Scheduler.h). Both compute the identical extension-table
-/// fixpoint. *Store* (AnalyzerOptions::Persistent): analyze() answers
-/// through a long-lived AnalysisStore (analyzer/Store.h). In either mode,
-/// reanalyze(), analyzeBatch() and summary export/import run on the
-/// session's store, created on first use.
+/// AnalyzerOptions::Driver picks the fixpoint driver. The worklist driver
+/// (the default; see analyzer/Scheduler.h) answers every analyze() through
+/// the session's AnalysisStore (analyzer/Store.h), created on first use:
+/// the first query drains cold, a repeated one is a cache hit, and a new
+/// entry replays what earlier queries recorded — every answer
+/// byte-identical to a fresh session's. reanalyze(), analyzeBatch() and
+/// summary export/import run on the same store. The naive driver is the
+/// paper's restart loop (Section 2.2), kept as the ablation baseline: each
+/// analyze() computes a fresh fixpoint, with or without interning and over
+/// either table implementation, and nothing else runs under it. Both
+/// drivers compute the identical extension-table fixpoint.
 ///
 /// The meta-interpreting baseline (baseline/MetaAnalyzer.h) is a separate
 /// analyzer with the same analyze() signature and result type.
@@ -61,9 +63,8 @@ public:
   /// the re-query replays every recorded trace that ran no edited code
   /// (see analyzer/Store.h). The result — table, counters, formatted
   /// report — is byte-identical to a fresh analyze() of the edited
-  /// program. A scratch session's first reanalyze() finds an empty store
-  /// and runs cold. Requires a prior analyze(), and the worklist driver
-  /// with interning. Chains: each reanalyze records for the next.
+  /// program. Requires a prior analyze() and the worklist driver. Chains:
+  /// each reanalyze records for the next.
   Result<AnalysisResult> reanalyze(const std::vector<PredSig> &EditedPreds);
 
   /// Like the above, but re-answers \p EntrySpec instead of the session's
@@ -86,25 +87,23 @@ public:
   /// per spec. All specs are parsed and their entry predicates resolved
   /// *before any analysis runs* — a bad spec anywhere in the list aborts
   /// the whole batch up front with the usual parseEntrySpec / resolution
-  /// error, leaving the session (and its store) untouched. When the
-  /// configuration allows a store (worklist driver, interning —
-  /// AnalyzerOptions::Persistent not required), the batch shares one warm
-  /// store: later entries replay the table work of earlier ones, with each
-  /// result still byte-identical to a scratch analyze() of its spec. Other
-  /// configurations run the specs as independent scratch analyses.
+  /// error, leaving the session (and its store) untouched. The batch runs
+  /// on the session's store: later entries replay the table work of
+  /// earlier ones, with each result still byte-identical to a fresh
+  /// session's analyze() of its spec. Requires the worklist driver.
   Result<std::vector<AnalysisResult>>
   analyzeBatch(const std::vector<std::string> &EntrySpecs);
 
   /// Serializes the session store's derived summaries + replay traces
   /// into a module-independent byte bundle (see
   /// AnalysisStore::exportSummaries). Creates the store if needed; errors
-  /// when the configuration cannot back one (naive driver, no interning).
+  /// under the naive driver.
   Result<std::string> exportSummaries();
 
   /// Imports a serialized bundle into the session store, banking its
   /// still-valid traces as warm-start hints for subsequent analyses (see
-  /// AnalysisStore::importSummaries — answers stay byte-identical to
-  /// scratch whatever is imported).
+  /// AnalysisStore::importSummaries — answers stay byte-identical to a
+  /// fresh session's whatever is imported).
   Result<AnalysisStore::ImportStats> importSummaries(std::string_view Bytes);
 
   /// Adjusts the driver budgets for subsequent analyses (and the store's
@@ -115,14 +114,14 @@ public:
   const AnalyzerOptions &options() const { return Options; }
 
   /// The store behind this session (nullptr until the first call that
-  /// creates one — see AnalyzerOptions::Persistent and reanalyze()).
+  /// creates one; always nullptr under the naive driver).
   const AnalysisStore *store() const { return PStore.get(); }
 
 private:
-  /// A scratch analysis from the resolved entry predicate \p Pid.
-  Result<AnalysisResult> analyzeCompiled(int32_t Pid, const Pattern &Entry);
-  /// The session's AnalysisStore, created on first use; errors when the
-  /// configuration cannot back one (naive driver, no interning).
+  /// The naive restart loop from the resolved entry predicate \p Pid.
+  Result<AnalysisResult> analyzeNaive(int32_t Pid, const Pattern &Entry);
+  /// The session's AnalysisStore, created on first use; errors under the
+  /// naive driver and without interning.
   Result<AnalysisStore *> ensureStore();
 
   const CompiledProgram *Program = nullptr;
@@ -131,10 +130,9 @@ private:
   std::string LastEntryName;
   Pattern LastEntry;
   bool HaveEntry = false;
-  /// The analysis store (AnalyzerOptions::Persistent, or the first
-  /// reanalyze(), analyzeBatch() or summary import/export). Named PStore:
-  /// the WAM heap type awam::Store (wam/Store.h) already owns the plain
-  /// name.
+  /// The analysis store, created by the first worklist query or summary
+  /// import/export. Named PStore: the WAM heap type awam::Store
+  /// (wam/Store.h) already owns the plain name.
   std::unique_ptr<AnalysisStore> PStore;
 };
 

@@ -23,6 +23,14 @@
 
 using namespace awam;
 
+std::string awam::specializationDomainError(std::string_view DomainName,
+                                            std::string_view Verb) {
+  if (DomainName == "modes" || DomainName == "det")
+    return {};
+  return std::string(Verb) + " requires the \"modes\" or \"det\" domain "
+                             "(facts come from call/success patterns)";
+}
+
 namespace {
 
 /// True when the abstract value rooted at \p Node is definitely ground.

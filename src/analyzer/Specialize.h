@@ -10,7 +10,8 @@
 /// every table item (calling pattern), the distinct first-argument call
 /// shapes, and the determinism class from the det machinery. This is the
 /// only translation point — the compiler's Specializer never sees
-/// patterns or extension tables.
+/// patterns or extension tables — and the one place that says which
+/// analyses it accepts, for every front end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,13 @@ namespace awam {
 /// their call shapes (the dispatch runs even when the call then fails).
 SpecializationFacts buildSpecializationFacts(const AnalysisResult &R,
                                              const CompiledProgram &Program);
+
+/// The rule on which analyses the specializer takes facts from: results
+/// under the "modes" or "det" domain, whose patterns are binding facts.
+/// Returns the empty string for those, and otherwise the error a front
+/// end reports, starting with \p Verb (its flag or verb).
+std::string specializationDomainError(std::string_view DomainName,
+                                      std::string_view Verb);
 
 } // namespace awam
 

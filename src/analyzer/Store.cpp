@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <unordered_set>
 
 using namespace awam;
@@ -134,6 +135,10 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
     return makeError(undefinedPredicateMessage(M, "entry", Name, Arity));
   ++St.Queries;
 
+  // The shared interner's counters keep growing across queries; snapshot
+  // so the result reports this query's own activity, the entry's
+  // interning included.
+  InternerStats Before = Interner->stats();
   PatternId CallId = Interner->internNormalized(Entry);
   if (int Slot = findRootSlot(Name, CallId);
       Slot >= 0 && Roots[Slot].Valid) {
@@ -153,9 +158,6 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   AbstractMachine Machine(*Program, QTable, MachineOptions);
   auto OutJournal = std::make_unique<RunJournal>();
   Machine.setRunJournal(OutJournal.get());
-  // The shared interner's counters keep growing across queries; snapshot
-  // so the result reports this query's own activity.
-  InternerStats Before = Interner->stats();
 
   bool Created = false;
   ETEntry &Root = QTable.findOrCreate(Pid, CallId, Created);
@@ -164,7 +166,7 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   // trace against the live query table before applying it, so banked runs
   // act as pre-verified memo hits wherever they still hold and fall back
   // to execution wherever they don't — which is what makes the warm
-  // result byte-identical to a scratch run of this entry.
+  // result byte-identical to a cold run of this entry.
   TraceBank Bank = pool();
   const bool Warm = !Bank.empty();
   ++(Warm ? St.WarmQueries : St.ColdQueries);
@@ -186,19 +188,7 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   R.Iterations = static_cast<int>(SS.Sweeps);
   R.Counters.SchedulerRuns = SS.Runs;
   R.Counters.DepEdges = SS.EdgesRecorded;
-  R.Instructions = Machine.stepsExecuted();
-  R.TableProbes = QTable.probeCount();
-  R.Counters.Instructions = R.Instructions;
-  R.Counters.ETProbes = R.TableProbes;
-  R.Counters.ActivationRuns = Machine.activationsExplored();
-  const InternerStats &After = Interner->stats();
-  R.Counters.InternHits = After.InternHits - Before.InternHits;
-  R.Counters.InternMisses = After.InternMisses - Before.InternMisses;
-  R.Counters.LubCacheHits = After.LubCacheHits - Before.LubCacheHits;
-  R.Counters.LubCacheMisses = After.LubCacheMisses - Before.LubCacheMisses;
-  R.Counters.LeqCacheHits = After.LeqCacheHits - Before.LeqCacheHits;
-  R.Counters.LeqCacheMisses = After.LeqCacheMisses - Before.LeqCacheMisses;
-  R.Counters.DistinctPatterns = Interner->size();
+  fillRunCounters(R.Counters, Machine, QTable, Before);
   R.Dom = Dom;
 
   // Only a converged fixpoint merges: a budget-hit table is a sound
@@ -212,13 +202,20 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
     // trace) pair while the distinct traces stay near-constant. Compact
     // once the duplication factor crosses kCompactionFactor — past that
     // point most of the bank is re-validation of already-applied traces.
+    // A lone journal holds no duplicate handles, so the pool is walked
+    // only once a second bank exists.
     constexpr size_t kCompactionMinHandles = 64;
     constexpr size_t kCompactionFactor = 2;
-    size_t Handles = 0;
-    size_t Distinct = pool(&Handles).size();
-    if (Handles > kCompactionMinHandles &&
-        Handles > kCompactionFactor * Distinct)
-      compactJournals();
+    size_t Banks = Imported ? 1 : 0;
+    for (const RootInfo &RI : Roots)
+      Banks += RI.Journal != nullptr;
+    if (Banks > 1) {
+      size_t Handles = 0;
+      size_t Distinct = pool(&Handles).size();
+      if (Handles > kCompactionMinHandles &&
+          Handles > kCompactionFactor * Distinct)
+        compactJournals();
+    }
     // The store table holds the query's entries now: a shared key's
     // summary is the query's, both being the least fixpoint there.
     return answer(Roots[static_cast<size_t>(Slot)]);
@@ -227,6 +224,15 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
     R.Items.push_back(
         {E.PredId, M.predicateLabel(E.PredId), E.Call, E.Success});
   return R;
+}
+
+bool AnalysisStore::projectionsCoverTable() const {
+  std::vector<char> Covered(Table->size(), 0);
+  for (const RootInfo &RI : Roots)
+    if (RI.Valid)
+      for (int32_t Idx : RI.EntryIdxs)
+        Covered[static_cast<size_t>(Idx)] = 1;
+  return std::find(Covered.begin(), Covered.end(), 0) == Covered.end();
 }
 
 TraceBank AnalysisStore::pool(size_t *Handles) const {
@@ -258,7 +264,7 @@ uint64_t AnalysisStore::bytesUsed() const {
   uint64_t B = Interner->bytesUsed() + Table->bytesUsed();
   std::unordered_set<const RunTrace *> Seen;
   for (const RootInfo &RI : Roots) {
-    B += sizeof(RootInfo) + RI.Name.capacity() + patternHeapBytes(RI.Call) +
+    B += sizeof(RootInfo) + RI.Name.capacity() +
          RI.EntryIdxs.capacity() * sizeof(int32_t);
     if (RI.Journal)
       B += RI.Journal->bytesUsed(Seen);
@@ -302,16 +308,9 @@ SummaryBundle AnalysisStore::exportBundle() const {
   // serialize writes each pattern straight from the interner's arena.
   B.Patterns = Interner;
 
-  // Summary pairs: every table entry some valid root reached.
+  // Summary pairs: every table entry, each of which some valid root
+  // reached (invalidation rebuilds the table from the valid roots alone).
   for (const ETEntry &E : Table->entries()) {
-    bool Live = false;
-    for (int32_t R : E.Roots)
-      if (Roots[static_cast<size_t>(R)].Valid) {
-        Live = true;
-        break;
-      }
-    if (!Live)
-      continue;
     const PredicateInfo &P = M.predicate(E.PredId);
     PredSig Sig{std::string(M.symbols().name(P.Name)), P.Arity};
     B.Summaries.push_back({std::move(Sig), E.CallId, E.SuccessId});
@@ -468,8 +467,6 @@ int AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
   }
   RootInfo &RI = Roots[Slot];
   RI.Name.assign(Name);
-  RI.Call = Pattern(Interner->pattern(CallId));
-  RI.Arity = static_cast<int32_t>(RI.Call.Roots.size());
   RI.Pid = Pid;
   RI.CallId = CallId;
   RI.EntryIdxs.clear();
@@ -479,25 +476,22 @@ int AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
     // become the store's as they are, Idx for Idx — the entries and edges
     // the general path below would install, without re-hashing the
     // entries' keys or re-recording the edges into a fresh core, which
-    // would about double what a cold store query costs beyond a scratch
-    // analysis (measured in DESIGN.md §12).
+    // would about double what a cold query costs beyond its drain
+    // (measured in DESIGN.md §12).
     // The adopted core keeps a drain's repeated reads of one
-    // (dep, reader) pair, which reverseClosure treats as one edge.
+    // (dep, reader) pair, which reverseClosure treats as one edge; its
+    // edges are indexed for dedup by the next general merge.
     *Table = std::move(QTable);
     Core = std::move(QCore);
     EdgeSeen = detail::FlatMap64();
-    for (const auto &[Dep, Reader] : Core.edgePairs())
-      addEdgeKey(EdgeSeen, Dep, Reader);
-    for (size_t I = 0; I != Table->size(); ++I) {
-      Table->entryAt(I).Roots.push_back(static_cast<int32_t>(Slot));
-      RI.EntryIdxs.push_back(static_cast<int32_t>(I));
-    }
+    RI.EntryIdxs.resize(Table->size());
+    std::iota(RI.EntryIdxs.begin(), RI.EntryIdxs.end(), 0);
     St.NewEntries += Table->size();
   } else {
-    // Install the query table into the store table, tagging each entry
-    // with this root's ordinal. A key two queries share has one summary:
-    // both are the least fixpoint at (pred, calling pattern), which
-    // depends on the program alone — not on which entry goal reached it.
+    // Install the query table into the store table. A key two queries
+    // share has one summary: both are the least fixpoint at (pred, calling
+    // pattern), which depends on the program alone — not on which entry
+    // goal reached it.
     std::vector<int32_t> IdxMap;
     IdxMap.reserve(QTable.size());
     for (const ETEntry &E : QTable.entries()) {
@@ -514,15 +508,17 @@ int AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
                "converged summaries of a shared key must agree");
         ++St.SharedEntries;
       }
-      if (std::find(SE.Roots.begin(), SE.Roots.end(),
-                    static_cast<int32_t>(Slot)) == SE.Roots.end())
-        SE.Roots.push_back(static_cast<int32_t>(Slot));
       IdxMap.push_back(SE.Idx);
       RI.EntryIdxs.push_back(SE.Idx);
     }
 
     // Accumulate the drain's dependency edges (remapped to store indices)
-    // — reverseClosure over the union graph is the invalidation cone.
+    // — reverseClosure over the union graph is the invalidation cone. An
+    // empty index over a non-empty core means the core was adopted and
+    // its edges are not indexed yet.
+    if (EdgeSeen.size() == 0)
+      for (const auto &[Dep, Reader] : Core.edgePairs())
+        addEdgeKey(EdgeSeen, Dep, Reader);
     Core.ensure(Table->size());
     for (const auto &[Dep, Reader] : QCore.edgePairs()) {
       int32_t SD = IdxMap[static_cast<size_t>(Dep)];
@@ -536,6 +532,7 @@ int AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
   RI.Answer = std::move(R);
   RI.Valid = true;
   ++St.MergedRoots;
+  assert(projectionsCoverTable());
   return Slot;
 }
 
@@ -671,8 +668,7 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
   SchedulerCore NewCore;
   detail::FlatMap64 NewEdgeSeen;
   std::vector<int32_t> OldToNew(Table->size(), -1);
-  for (size_t RIdx = 0; RIdx != Roots.size(); ++RIdx) {
-    RootInfo &RI = Roots[RIdx];
+  for (RootInfo &RI : Roots) {
     if (!RI.Valid)
       continue;
     RI.Pid = MapOldPid(RI.Pid);
@@ -688,9 +684,6 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
         NE.EverExplored = Old.EverExplored;
         NE.SuccessVersion = Old.SuccessVersion;
       }
-      if (std::find(NE.Roots.begin(), NE.Roots.end(),
-                    static_cast<int32_t>(RIdx)) == NE.Roots.end())
-        NE.Roots.push_back(static_cast<int32_t>(RIdx));
       OldToNew[static_cast<size_t>(Idx)] = NE.Idx;
       Idx = NE.Idx;
     }
@@ -725,23 +718,25 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
   Core = std::move(NewCore);
   EdgeSeen = std::move(NewEdgeSeen);
   Program = &NewP;
+  assert(projectionsCoverTable());
 }
 
 std::string AnalysisStore::canonicalDump(const SymbolTable &Syms) const {
   // Tag roots by identity (name + calling pattern), never by ordinal:
-  // ordinals depend on query order, identities don't.
-  std::vector<std::string> RootTag(Roots.size());
-  for (size_t I = 0; I != Roots.size(); ++I)
-    RootTag[I] = Roots[I].Name + Roots[I].Call.str(Syms);
+  // ordinals depend on query order, identities don't. A root lists each
+  // of its entries once.
+  std::vector<std::vector<std::string>> EntryTags(Table->size());
+  for (const RootInfo &RI : Roots)
+    if (RI.Valid) {
+      std::string Tag =
+          RI.Name + Pattern(Interner->pattern(RI.CallId)).str(Syms);
+      for (int32_t Idx : RI.EntryIdxs)
+        EntryTags[static_cast<size_t>(Idx)].push_back(Tag);
+    }
   const CodeModule &M = *Program->Module;
   std::vector<std::string> Lines;
   for (const ETEntry &E : Table->entries()) {
-    std::vector<std::string> Tags;
-    for (int32_t R : E.Roots)
-      if (Roots[static_cast<size_t>(R)].Valid)
-        Tags.push_back(RootTag[static_cast<size_t>(R)]);
-    if (Tags.empty())
-      continue;
+    std::vector<std::string> &Tags = EntryTags[static_cast<size_t>(E.Idx)];
     std::sort(Tags.begin(), Tags.end());
     std::string Line = M.predicateLabel(E.PredId) + " " + E.Call.str(Syms) +
                        " -> " +

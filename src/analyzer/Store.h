@@ -30,27 +30,29 @@
 ///     Its replay bank is the store's pool (every root's journal plus the
 ///     imported traces): every banked trace whose validation (by pattern
 ///     id) holds is applied instead of executed, and the rest fall back to
-///     real execution. A cold query (empty pool) executes everything.
-///     Replay validation makes the drain byte-identical to a scratch
-///     analyze() of that entry (see analyzer/Incremental.h for the
-///     induction), so the per-root projection equals the scratch report.
+///     real execution. A cold query (empty pool, as a fresh store's first
+///     one) executes everything. Replay validation makes the drain
+///     byte-identical to a cold one of that entry (see
+///     analyzer/Incremental.h for the induction), so the per-root
+///     projection equals what a fresh session reports.
 ///  3. Merge: only a *converged* query merges. Each query-table entry is
 ///     installed into the store table under its interned key (or found —
 ///     converged summaries of a shared key are equal, both being the least
-///     fixpoint at that key), tagged with the query's root ordinal
-///     (ETEntry::Roots), and the query core's dependency edges join the
-///     store's accumulated graph. The first merge into an empty table
-///     adopts the query's table and core whole, Idx for Idx, instead of
-///     re-hashing them. Failing queries — unknown entry,
-///     machine error, budget hit — leave the store untouched by
+///     fixpoint at that key) and listed in the root's projection, and the
+///     query core's dependency edges join the store's accumulated graph.
+///     The projections are the one record of which roots reached an
+///     entry; every table entry lies in some valid root's. The first merge
+///     into an empty table adopts the query's table and core whole, Idx
+///     for Idx, instead of re-hashing them. Failing queries — unknown
+///     entry, machine error, budget hit — leave the store untouched by
 ///     construction: nothing is written until the merge (the strong
 ///     guarantee).
 ///
 /// The determinism contract is deliberately *per-root projection*, not
 /// whole-table identity: which entries the store holds depends on which
-/// queries ran (the union of their scratch tables), but each root's
+/// queries ran (the union of their query tables), but each root's
 /// projection — entry set, creation order, summaries, counters — is the
-/// scratch run of that entry alone and hence independent of every other
+/// cold run of that entry alone and hence independent of every other
 /// query and of query order. canonicalDump() exposes the order-free view
 /// of the whole store (sorted entries with sorted root tags), which *is*
 /// permutation-invariant.
@@ -80,9 +82,9 @@
 namespace awam {
 
 /// Persistent analysis state of one compiled module. AnalysisSession wraps
-/// one (for every analyze() under AnalyzerOptions::Persistent, and for
-/// every reanalyze()). AnalysisServer (analyzer/Server.h) keeps one
-/// persistent session, and so one store, per (module fingerprint, domain).
+/// one, and answers every worklist analyze(), batch and reanalyze()
+/// through it. AnalysisServer (analyzer/Server.h) keeps one session, and
+/// so one store, per (module fingerprint, domain).
 class AnalysisStore {
 public:
   /// Cumulative store statistics (reporting; not part of any determinism
@@ -130,9 +132,9 @@ public:
   ~AnalysisStore();
 
   /// Analyzes entry \p Name with calling pattern \p Entry against the
-  /// store. The result is byte-identical (per formatAnalysis) to a scratch
-  /// analyze() of the same entry; converged results
-  /// are merged and cached, failing queries leave the store untouched.
+  /// store. The result is byte-identical (per formatAnalysis) to a fresh
+  /// store's answer for the same entry; converged results are merged and
+  /// cached, failing queries leave the store untouched.
   Result<AnalysisResult> query(std::string_view Name, const Pattern &Entry);
 
   /// Spec-string form (see parseEntrySpec).
@@ -165,8 +167,8 @@ public:
   const AnalyzerOptions &options() const { return Options; }
   const CompiledProgram &program() const { return *Program; }
 
-  /// The multi-root table: the union of every merged query's scratch
-  /// table, each entry tagged with the roots that reached it.
+  /// The multi-root table: the union of the tables of the valid roots'
+  /// queries.
   const ExtensionTable &table() const { return *Table; }
 
   const Stats &stats() const { return St; }
@@ -213,31 +215,29 @@ public:
   /// this store's interner (each distinct pattern they use is interned
   /// once). Rejects bundles from a different abstract domain or depth
   /// limit (their patterns mean different things). Banked traces are
-  /// validated on first use — the warm drain stays byte-identical to
-  /// scratch whatever is imported.
+  /// validated on first use — the warm drain stays byte-identical to a
+  /// cold one whatever is imported.
   Result<ImportStats> importBundle(const SummaryBundle &B);
 
   /// deserialize + importBundle.
   Result<ImportStats> importSummaries(std::string_view Bytes);
 
-  /// Order-free rendering of the whole store: one line per valid entry —
+  /// Order-free rendering of the whole store: one line per entry —
   /// predicate, calling pattern, summary, sorted root tags — sorted
   /// lexicographically. Two stores that answered the same query set in any
   /// order dump identically (the order-independence contract).
   std::string canonicalDump(const SymbolTable &Syms) const;
 
 private:
-  /// One merged query root: its identity, the scalar fields of its
-  /// scratch-identical result, its projection (store entry indices in the
-  /// query's creation order), and the run journal later queries
-  /// warm-start from. An invalidated root keeps its slot and its filtered
-  /// journal; its re-query reuses both.
+  /// One merged query root: its identity (name and interned entry
+  /// pattern), the scalar fields of its result, its projection (store
+  /// entry indices in the query's creation order), and the run journal
+  /// later queries warm-start from. An invalidated root keeps its slot and
+  /// its filtered journal; its re-query reuses both.
   struct RootInfo {
     std::string Name;
-    int32_t Arity = 0;
-    Pattern Call; ///< normalized entry pattern
     int32_t Pid = -1;
-    PatternId CallId = kInvalidPatternId;
+    PatternId CallId = kInvalidPatternId; ///< normalized entry pattern
     bool Valid = false;
     /// The merged query's result with no Items: answer() rebuilds them
     /// from EntryIdxs, so each summary is held once, in the store table.
@@ -247,6 +247,11 @@ private:
   };
 
   int findRootSlot(std::string_view Name, PatternId CallId) const;
+  /// True when every table entry lies in some valid root's projection —
+  /// which export and canonicalDump rely on. Merges keep it by adding a
+  /// projection per entry they install, and invalidation rebuilds the
+  /// table from the valid roots alone. Asserted after both.
+  bool projectionsCoverTable() const;
   /// The result of the merged root \p RI: its Answer with one item per
   /// projection entry, read from the store table.
   AnalysisResult answer(const RootInfo &RI) const;

@@ -33,7 +33,7 @@
 /// *replay hint*. The incremental drain revalidates every recorded table
 /// interaction against the live query state before applying a trace
 /// (analyzer/Incremental.h), so a stale bundle costs warmth, never
-/// correctness, and the warm result stays byte-identical to a scratch
+/// correctness, and the warm result stays byte-identical to a cold
 /// analysis of the importing module. The fingerprint guard exists to drop
 /// traces that *would replay wrongly despite validating* — validation
 /// assumes unchanged clause code for the predicates a trace executes — and

@@ -185,10 +185,8 @@ Result<AnalysisResult> MetaAnalyzer::analyze(std::string_view Name,
     }
   }
   Reductions = TotalReductions;
-  R.Instructions = TotalReductions;
-  R.TableProbes = Table.probeCount();
-  R.Counters.Instructions = R.Instructions;
-  R.Counters.ETProbes = R.TableProbes;
+  R.Counters.Instructions = TotalReductions;
+  R.Counters.ETProbes = Table.probeCount();
   R.Counters.ActivationRuns = Activations;
   for (const ETEntry &E : Table.entries())
     R.Items.push_back({-1, Preds[E.PredId].Label, E.Call, E.Success});

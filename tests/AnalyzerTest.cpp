@@ -240,7 +240,7 @@ TEST_F(AnalyzerTest, HashAndLinearTablesAgree) {
 TEST_F(AnalyzerTest, ExecCountsAccumulate) {
   compile("p(a).");
   AnalysisResult R = analyze("p(var)");
-  EXPECT_GT(R.Instructions, 0u);
+  EXPECT_GT(R.Counters.Instructions, 0u);
   EXPECT_GE(R.Iterations, 1);
   EXPECT_GT(R.Counters.ActivationRuns, 0u);
 

@@ -27,12 +27,6 @@ using namespace awam;
 
 namespace {
 
-AnalyzerOptions persistentOptions() {
-  AnalyzerOptions O;
-  O.Persistent = true;
-  return O;
-}
-
 /// Everything the per-root identity contract covers: the formatted
 /// reports plus the schedule counters. Probe and interner
 /// statistics are deliberately absent (a shared interner reports
@@ -42,7 +36,7 @@ std::string fingerprint(const AnalysisResult &R, const SymbolTable &Syms) {
   F += formatModes(R, Syms);
   F += "\niters=" + std::to_string(R.Iterations);
   F += " conv=" + std::to_string(R.Converged);
-  F += " instr=" + std::to_string(R.Instructions);
+  F += " instr=" + std::to_string(R.Counters.Instructions);
   F += " acts=" + std::to_string(R.Counters.ActivationRuns);
   F += " runs=" + std::to_string(R.Counters.SchedulerRuns);
   F += " edges=" + std::to_string(R.Counters.DepEdges);
@@ -100,7 +94,7 @@ TEST(BatchSessionTest, WarmQueriesMatchScratchOnAllBenchmarks) {
       if (S != B.EntrySpec)
         Specs.push_back(std::move(S));
 
-    AnalysisSession Warm(*P, persistentOptions());
+    AnalysisSession Warm(*P);
     std::string FirstOutcome;
     for (const std::string &Spec : Specs) {
       Result<AnalysisResult> RWarm = Warm.analyze(Spec);
@@ -145,7 +139,7 @@ TEST(BatchSessionTest, AnalyzeBatchMatchesIndividualScratchRuns) {
     if (S != B.EntrySpec)
       Specs.push_back(std::move(S));
 
-  AnalysisSession S(*P, persistentOptions());
+  AnalysisSession S(*P);
   Result<std::vector<AnalysisResult>> Batch = S.analyzeBatch(Specs);
   ASSERT_TRUE(Batch) << Batch.diag().str();
   ASSERT_EQ(Batch->size(), Specs.size());
@@ -177,7 +171,7 @@ TEST(BatchSessionTest, BatchValidatesEverySpecUpFront) {
       compileOrDie(std::string(B.Source), Syms, Arena);
   ASSERT_NE(P, nullptr);
 
-  AnalysisSession S(*P, persistentOptions());
+  AnalysisSession S(*P);
   ASSERT_TRUE(S.analyze(B.EntrySpec));
   ASSERT_NE(S.store(), nullptr);
   std::string DumpBefore = S.store()->canonicalDump(Syms);
@@ -208,7 +202,7 @@ TEST(BatchSessionTest, FailingQueriesLeaveTheStoreUntouched) {
   std::unique_ptr<CompiledProgram> P = compileOrDie(Src, Syms, Arena);
   ASSERT_NE(P, nullptr);
 
-  AnalysisSession S(*P, persistentOptions());
+  AnalysisSession S(*P);
   Result<AnalysisResult> R0 = S.analyze("app(glist, glist, var)");
   ASSERT_TRUE(R0) << R0.diag().str();
   ASSERT_NE(S.store(), nullptr);
@@ -277,7 +271,7 @@ TEST(BatchSessionTest, QueryOrderIndependenceOnRandomPrograms) {
     std::vector<std::string> Dumps;
     std::vector<std::vector<std::string>> Outcomes;
     for (const std::vector<std::string> &Order : Orders) {
-      AnalysisSession S(*P, persistentOptions());
+      AnalysisSession S(*P);
       std::vector<std::string> Got(Specs.size());
       for (const std::string &Spec : Order) {
         Result<AnalysisResult> R = S.analyze(Spec);
@@ -311,7 +305,7 @@ TEST(BatchSessionTest, ReanalyzeInvalidatesOnlyTheEditCone) {
   std::unique_ptr<CompiledProgram> P0 = compileOrDie(Src, Syms, Arena0);
   ASSERT_NE(P0, nullptr);
 
-  AnalysisSession S(*P0, persistentOptions());
+  AnalysisSession S(*P0);
   Result<AnalysisResult> RA = S.analyze("a2(var)");
   ASSERT_TRUE(RA) << RA.diag().str();
   Result<AnalysisResult> RB = S.analyze("b2(var)");
@@ -348,22 +342,59 @@ TEST(BatchSessionTest, ReanalyzeInvalidatesOnlyTheEditCone) {
   }
 }
 
+/// Checks through canonicalDump, whose root tags come from the valid
+/// roots' projections, that every entry of \p St's table lies in one.
+void expectEveryEntryInAValidRoot(const AnalysisStore &St,
+                                  const SymbolTable &Syms) {
+  std::string Dump = St.canonicalDump(Syms);
+  size_t Lines = 0;
+  for (size_t B = 0, E; (E = Dump.find('\n', B)) != std::string::npos;
+       B = E + 1, ++Lines)
+    EXPECT_FALSE(Dump.substr(B, E - B).ends_with("roots:")) << Dump;
+  EXPECT_EQ(Lines, St.table().size()) << Dump;
+}
+
+TEST(BatchSessionTest, EveryStoreEntryLiesInAValidRootsProjection) {
+  // Export and canonicalDump take root membership from the valid roots'
+  // projections alone, so every store-table entry must lie in one: after
+  // the adopting first merge, after general merges that share a1(var),
+  // and after an edit that kills a root nobody re-queries.
+  SymbolTable Syms;
+  TermArena Arena;
+  std::unique_ptr<CompiledProgram> P =
+      compileOrDie("a1(x). a2(X) :- a1(X).\n"
+                   "b1(y). b2(X) :- a1(X), b1(X).\n",
+                   Syms, Arena);
+  ASSERT_NE(P, nullptr);
+  AnalysisSession S(*P);
+  for (const char *Spec : {"a2(var)", "b2(var)", "a1(var)"}) {
+    Result<AnalysisResult> R = S.analyze(Spec);
+    ASSERT_TRUE(R) << Spec << ": " << R.diag().str();
+    expectEveryEntryInAValidRoot(*S.store(), Syms);
+  }
+  size_t Merged = S.store()->table().size();
+
+  // Editing b1/1 kills b2's root; re-answering a2 is a cache hit.
+  Result<AnalysisResult> R = S.reanalyze({PredSig{"b1", 1}}, "a2(var)");
+  ASSERT_TRUE(R) << R.diag().str();
+  const AnalysisStore::Stats &St = S.store()->stats();
+  EXPECT_EQ(St.InvalidatedRoots, 1u);
+  EXPECT_EQ(St.CacheHits, 1u);
+  EXPECT_EQ(S.store()->numRoots(), 2u);
+  EXPECT_LT(S.store()->table().size(), Merged);
+  expectEveryEntryInAValidRoot(*S.store(), Syms);
+}
+
 TEST(BatchSessionErrorTest, PersistentRequiresWorklistWithInterning) {
   SymbolTable Syms;
   TermArena Arena;
   Result<CompiledProgram> P = compileSource("p(a).\n", Syms, Arena);
   ASSERT_TRUE(P) << P.diag().str();
+  // Every worklist query runs on the store, which needs interning.
   AnalyzerOptions O;
-  O.Persistent = true;
-  O.Driver = DriverKind::Naive;
+  O.UseInterning = false;
   AnalysisSession S(*P, O);
-  Result<AnalysisResult> R = S.analyze("p(var)");
-  EXPECT_FALSE(R);
-  AnalyzerOptions O2;
-  O2.Persistent = true;
-  O2.UseInterning = false;
-  AnalysisSession S2(*P, O2);
-  EXPECT_FALSE(S2.analyze("p(var)"));
+  EXPECT_FALSE(S.analyze("p(var)"));
 }
 
 TEST(BatchSessionErrorTest, PersistentReanalyzeBeforeAnalyzeIsAnError) {
@@ -371,7 +402,7 @@ TEST(BatchSessionErrorTest, PersistentReanalyzeBeforeAnalyzeIsAnError) {
   TermArena Arena;
   Result<CompiledProgram> P = compileSource("p(a).\n", Syms, Arena);
   ASSERT_TRUE(P) << P.diag().str();
-  AnalysisSession S(*P, persistentOptions());
+  AnalysisSession S(*P);
   EXPECT_FALSE(S.reanalyze({PredSig{"p", 1}}));
 }
 

@@ -136,7 +136,6 @@ TEST_P(DomainDriverTest, ReanalyzeMatchesScratch) {
     EXPECT_EQ(S->Dom, findDomain(Domain));
 
     AnalyzerOptions O = domainOptions(Domain);
-    O.Persistent = true;
     AnalysisSession Inc(*C.Program, O);
     Result<AnalysisResult> First = Inc.analyze("main");
     ASSERT_TRUE(First) << Bench << ": " << First.diag().str();
@@ -158,7 +157,6 @@ TEST_P(DomainDriverTest, WarmStoreQueriesMatchScratch) {
     ASSERT_TRUE(S) << Bench << ": " << S.diag().str();
 
     AnalyzerOptions O = domainOptions(Domain);
-    O.Persistent = true;
     AnalysisSession Store(*C.Program, O);
     // Same entry twice through one store: the second answer is warm (a
     // cache hit) and must still be byte-identical to scratch.

@@ -26,12 +26,6 @@ using namespace awam;
 
 namespace {
 
-AnalyzerOptions incOptions() {
-  AnalyzerOptions O;
-  O.Persistent = true;
-  return O;
-}
-
 /// Everything the identity contract covers: the formatted reports plus
 /// the schedule counters. Probe and interner statistics are
 /// deliberately absent (replay probes the table less; the report does not
@@ -41,7 +35,7 @@ std::string fingerprint(const AnalysisResult &R, const SymbolTable &Syms) {
   F += formatModes(R, Syms);
   F += "\niters=" + std::to_string(R.Iterations);
   F += " conv=" + std::to_string(R.Converged);
-  F += " instr=" + std::to_string(R.Instructions);
+  F += " instr=" + std::to_string(R.Counters.Instructions);
   F += " acts=" + std::to_string(R.Counters.ActivationRuns);
   F += " runs=" + std::to_string(R.Counters.SchedulerRuns);
   F += " edges=" + std::to_string(R.Counters.DepEdges);
@@ -72,7 +66,7 @@ TEST(IncrementalTest, TouchEditIdentityOnAllBenchmarks) {
         compileOrDie(std::string(B.Source), Syms, Arena);
     ASSERT_NE(P, nullptr) << B.Name;
 
-    AnalysisSession S(*P, incOptions());
+    AnalysisSession S(*P);
     Result<AnalysisResult> R0 = S.analyze(B.EntrySpec);
     ASSERT_TRUE(R0) << B.Name << ": " << R0.diag().str();
 
@@ -113,7 +107,7 @@ TEST(IncrementalTest, RealEditIdentityOnAllBenchmarks) {
         compileOrDie(std::string(B.Source), Syms, Arena);
     ASSERT_NE(P0, nullptr) << B.Name;
 
-    AnalysisSession S(*P0, incOptions());
+    AnalysisSession S(*P0);
     Result<AnalysisResult> R0 = S.analyze(B.EntrySpec);
     ASSERT_TRUE(R0) << B.Name << ": " << R0.diag().str();
 
@@ -160,7 +154,7 @@ TEST(IncrementalTest, UneditedRecompileExecutesNothing) {
   ASSERT_NE(P0, nullptr);
   ASSERT_NE(P1, nullptr);
 
-  AnalysisSession S(*P0, incOptions());
+  AnalysisSession S(*P0);
   Result<AnalysisResult> R0 = S.analyze("nrev(glist, var)");
   ASSERT_TRUE(R0) << R0.diag().str();
 
@@ -195,7 +189,7 @@ TEST(IncrementalTest, ChainedEditsMatchScratchEachStep) {
                            "main(L, N) :- dup(L, D), len(D, N).\n";
   CompiledProgram *P0 = compileKeep(Base);
   ASSERT_NE(P0, nullptr);
-  AnalysisSession S(*P0, incOptions());
+  AnalysisSession S(*P0);
   Result<AnalysisResult> R = S.analyze("main(glist, var)");
   ASSERT_TRUE(R) << R.diag().str();
 
@@ -240,7 +234,7 @@ TEST(IncrementalTest, KeptTraceWithChangedMemoReadIsNotReplayed) {
   ASSERT_NE(P0, nullptr);
   ASSERT_NE(P1, nullptr);
 
-  AnalysisSession S(*P0, incOptions());
+  AnalysisSession S(*P0);
   Result<AnalysisResult> R0 = S.analyze("main");
   ASSERT_TRUE(R0) << R0.diag().str();
   Result<AnalysisResult> RInc = S.reanalyze(*P1);
@@ -260,25 +254,33 @@ TEST(IncrementalTest, KeptTraceWithChangedMemoReadIsNotReplayed) {
   EXPECT_EQ(St.ReplayedRuns, 0u);
 }
 
-TEST(IncrementalTest, ReanalyzeWithoutJournalFallsBackToScratch) {
-  // A scratch session records no journal: its first reanalyze() creates
-  // the store, which has nothing to replay and answers cold — the right
-  // answer, just without replay savings.
+TEST(IncrementalTest, DefaultSessionReanalyzesWarm) {
+  // A default-options session answers analyze() through its store, so
+  // its first reanalyze() finds the journal of that query: after an edit
+  // of q/1 the re-query runs warm and replays p/1's queued re-run, whose
+  // trace entered no edited code. A repeated analyze() is a cache hit.
   SymbolTable Syms;
   TermArena Arena;
-  std::unique_ptr<CompiledProgram> P =
-      compileOrDie("p(a). q(X) :- p(X).\n", Syms, Arena);
+  std::unique_ptr<CompiledProgram> P = compileOrDie(
+      "q(X) :- p(X).\np(a).\np(f(Y)) :- p(Y).\n", Syms, Arena);
   ASSERT_NE(P, nullptr);
-  AnalysisSession S(*P, AnalyzerOptions{}); // scratch: Persistent off
+  AnalysisSession S(*P);
   Result<AnalysisResult> R0 = S.analyze("q(var)");
   ASSERT_TRUE(R0) << R0.diag().str();
-  EXPECT_EQ(S.store(), nullptr);
-  Result<AnalysisResult> R1 = S.reanalyze({PredSig{"p", 1}});
+  ASSERT_NE(S.store(), nullptr);
+  const AnalysisStore::Stats &St = S.store()->stats();
+  EXPECT_EQ(St.ColdQueries, 1u);
+
+  Result<AnalysisResult> R1 = S.reanalyze({PredSig{"q", 1}});
   ASSERT_TRUE(R1) << R1.diag().str();
   EXPECT_EQ(fingerprint(*R0, Syms), fingerprint(*R1, Syms));
-  ASSERT_NE(S.store(), nullptr);
-  EXPECT_EQ(S.store()->stats().ColdQueries, 1u);
-  EXPECT_EQ(S.store()->stats().ReplayedRuns, 0u);
+  EXPECT_EQ(St.WarmQueries, 1u);
+  EXPECT_GT(St.ReplayedRuns, 0u);
+
+  Result<AnalysisResult> R2 = S.analyze("q(var)");
+  ASSERT_TRUE(R2) << R2.diag().str();
+  EXPECT_EQ(St.CacheHits, 1u);
+  EXPECT_EQ(fingerprint(*R0, Syms), fingerprint(*R2, Syms));
 }
 
 TEST(IncrementalErrorTest, ReanalyzeBeforeAnalyzeIsAnError) {
@@ -286,7 +288,7 @@ TEST(IncrementalErrorTest, ReanalyzeBeforeAnalyzeIsAnError) {
   TermArena Arena;
   Result<CompiledProgram> P = compileSource("p(a).\n", Syms, Arena);
   ASSERT_TRUE(P) << P.diag().str();
-  AnalysisSession S(*P, incOptions());
+  AnalysisSession S(*P);
   Result<AnalysisResult> R = S.reanalyze({PredSig{"p", 1}});
   EXPECT_FALSE(R);
 }
@@ -321,7 +323,7 @@ TEST(IncrementalTest, RandomEditSequencesMatchScratch) {
     ASSERT_GE(Arity, 1) << "seed " << Seed;
     const std::string Entry = "p0/" + std::to_string(Arity);
 
-    AnalysisSession S(*Programs.back(), incOptions());
+    AnalysisSession S(*Programs.back());
     Result<AnalysisResult> R = S.analyze(Entry);
     ASSERT_TRUE(R) << "seed " << Seed << ": " << R.diag().str();
 
@@ -369,7 +371,7 @@ TEST(IncrementalTest, ChainedTouchEditsKeepStoreBytesFlat) {
       compileOrDie(std::string(B->Source), Syms, Arena);
   ASSERT_NE(P, nullptr);
 
-  AnalysisSession S(*P, incOptions());
+  AnalysisSession S(*P);
   Result<AnalysisResult> R0 = S.analyze(B->EntrySpec);
   ASSERT_TRUE(R0) << R0.diag().str();
   ASSERT_NE(S.store(), nullptr);

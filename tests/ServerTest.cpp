@@ -541,6 +541,35 @@ TEST(ServerTest, StatsPrintsOneCompleteLinePerStore) {
     EXPECT_TRUE(L.ends_with(Counters)) << L;
 }
 
+TEST(ServerTest, OptimizeRefusesDomainsWithoutBindingFacts) {
+  // The specializer takes facts from modes and det analyses only, and the
+  // server applies the rule analyze_file --optimize does: under pos the
+  // verb answers the error with no payload, running and caching nothing.
+  AnalysisServer S(baseConfig(1));
+  int C = S.openClient();
+  S.execute(C, "load bench:qsort");
+  ASSERT_TRUE(S.execute(C, "entry main").Err.empty());
+  S.execute(C, "domain pos");
+  AnalysisServer::Stats Before = S.stats();
+  for (const char *Line : {"optimize", "optimize main", "optimize main"}) {
+    AnalysisServer::Response R = S.execute(C, Line);
+    EXPECT_TRUE(R.Out.empty()) << Line << " answered:\n" << R.Out;
+    EXPECT_EQ(R.Err, "optimize requires the \"modes\" or \"det\" domain "
+                     "(facts come from call/success patterns)\n")
+        << Line;
+  }
+  AnalysisServer::Stats After = S.stats();
+  EXPECT_EQ(After.Queries, Before.Queries);
+  EXPECT_EQ(After.Drains, Before.Drains);
+  EXPECT_EQ(After.CacheHits, Before.CacheHits);
+  EXPECT_EQ(After.LiveStores, Before.LiveStores);
+
+  S.execute(C, "domain det");
+  AnalysisServer::Response Det = S.execute(C, "optimize main");
+  EXPECT_TRUE(Det.Err.empty()) << Det.Err;
+  EXPECT_NE(Det.Out.find("specialization summary:"), std::string::npos);
+}
+
 TEST(ServerTest, EditRejectsArityBeyondInt) {
   // An arity that does not fit in int is a malformed operand, not a
   // wrapped-around signature: 4294967296 must not become main/0.

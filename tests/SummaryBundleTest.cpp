@@ -59,7 +59,6 @@ protected:
   /// Analyzes the library standalone and exports its bundle bytes.
   std::string exportLibBundle(const CompiledProgram &Lib,
                               AnalyzerOptions O = {}) {
-    O.Persistent = true;
     AnalysisSession S(Lib, O);
     for (const std::string &Spec : kLibSpecs) {
       Result<AnalysisResult> R = S.analyze(Spec);
@@ -120,7 +119,6 @@ protected:
     EXPECT_NE(B.diag().str().find("truncated or corrupt"), std::string::npos)
         << B.diag().str();
     AnalyzerOptions O;
-    O.Persistent = true;
     AnalysisSession S(Lib, O);
     Result<AnalysisStore::ImportStats> IS = S.importSummaries(Bytes);
     ASSERT_FALSE(IS);
@@ -230,7 +228,6 @@ TEST_F(SummaryBundleTest, HugeTracePidSizesNothing) {
   EXPECT_EQ(Back->serialize(Syms), Bytes);
 
   AnalyzerOptions O;
-  O.Persistent = true;
   AnalysisSession Plain(Lib, O), Huge(Lib, O);
   Result<AnalysisStore::ImportStats> IP =
       Plain.importSummaries(exportLibBundle(Lib));
@@ -368,7 +365,6 @@ TEST_F(SummaryBundleTest, ImportWarmStartsByteIdentical) {
   CompiledProgram Linked = linkUser(Lib, User);
 
   AnalyzerOptions O;
-  O.Persistent = true;
 
   // Scratch: the linked program analyzed from nothing.
   AnalysisSession Scratch(Linked, O);
@@ -422,7 +418,6 @@ TEST_F(SummaryBundleTest, ImportAcrossSymbolTables) {
   CompiledProgram Linked = linkUser(Lib, User);
 
   AnalyzerOptions O;
-  O.Persistent = true;
   AnalysisSession Scratch(Linked, O);
   Result<AnalysisResult> RS = Scratch.analyze(kUserSpec);
   ASSERT_TRUE(RS) << RS.diag().str();
@@ -458,7 +453,6 @@ len([_|Xs], s(N)) :- len(Xs, N).
   CompiledProgram Linked = linkUser(LibV2, User);
 
   AnalyzerOptions O;
-  O.Persistent = true;
   AnalysisSession Warm(Linked, O);
   Result<AnalysisStore::ImportStats> IS = Warm.importSummaries(Bytes);
   ASSERT_TRUE(IS) << IS.diag().str();
@@ -491,7 +485,6 @@ TEST_F(SummaryBundleTest, ImportedTraceWithChangedMemoReadIsNotReplayed) {
   CompiledProgram V1 = compile(Src + "r(a, b).\n", Syms, Arena);
   CompiledProgram V2 = compile(Src + "r(a, 1).\n", Syms, Arena);
   AnalyzerOptions O;
-  O.Persistent = true;
   std::string Bytes;
   {
     AnalysisSession S(V1, O);
@@ -529,7 +522,6 @@ TEST_F(SummaryBundleTest, DomainAndDepthMismatchRejected) {
 
   {
     AnalyzerOptions O;
-    O.Persistent = true;
     O.DomainName = "pos";
     AnalysisSession S(Linked, O);
     Result<AnalysisStore::ImportStats> IS = S.importSummaries(Bytes);
@@ -538,7 +530,6 @@ TEST_F(SummaryBundleTest, DomainAndDepthMismatchRejected) {
   }
   {
     AnalyzerOptions O;
-    O.Persistent = true;
     O.DepthLimit = 3;
     AnalysisSession S(Linked, O);
     Result<AnalysisStore::ImportStats> IS = S.importSummaries(Bytes);
@@ -553,7 +544,6 @@ TEST_F(SummaryBundleTest, EmptyStoreExportsValidEmptyBundle) {
   TermArena Arena;
   CompiledProgram Lib = compile(kLibSource, Syms, Arena);
   AnalyzerOptions O;
-  O.Persistent = true;
   AnalysisSession S(Lib, O);
   Result<std::string> Bytes = S.exportSummaries();
   ASSERT_TRUE(Bytes) << Bytes.diag().str();
@@ -582,7 +572,6 @@ TEST_F(SummaryBundleTest, ReexportComposesBundles) {
   CompiledProgram Linked = linkUser(Lib, User);
 
   AnalyzerOptions O;
-  O.Persistent = true;
   AnalysisSession S(Linked, O);
   ASSERT_TRUE(S.importSummaries(LibBytes));
   ASSERT_TRUE(S.analyze(kUserSpec));
@@ -686,7 +675,6 @@ TEST(SummaryBundleGolden, Table1Programs) {
       Result<CompiledProgram> P = compileSource(B->Source, Syms, Arena);
       ASSERT_TRUE(P) << G.Program << ": " << P.diag().str();
       AnalyzerOptions O;
-      O.Persistent = true;
       O.DomainName = Domain;
       AnalysisSession S(*P, O);
       Result<AnalysisResult> R = S.analyze("main");
@@ -717,7 +705,6 @@ TEST(SummaryBundleGolden, LinkedCorpusAndReexport) {
   ASSERT_TRUE(L) << L.diag().str();
 
   AnalyzerOptions O;
-  O.Persistent = true;
   AnalysisSession Cold(L->Program, O);
   ASSERT_TRUE(Cold.analyze("drive/1"));
   Result<std::string> Bytes = Cold.exportSummaries();

@@ -63,7 +63,6 @@ TEST_P(SummaryRoundTripTest, ExportImportAnalyzeIsByteIdentical) {
     ASSERT_TRUE(P) << P.diag().str();
 
     AnalyzerOptions O;
-    O.Persistent = true;
     O.DomainName = DomainName;
 
     AnalysisSession Cold(*P, O);
@@ -163,7 +162,6 @@ TEST(ScaleLadderTest, WarmFromBundleMatchesColdAndBeatsIt) {
     }
 
     AnalyzerOptions O;
-    O.Persistent = true;
     std::string Report, Bundle;
     // Each side's time is the minimum of three alternating runs; a
     // sanitized build, which asserts no time bound, runs each side once.
