@@ -6,12 +6,21 @@
 // compilation, and end-to-end concrete execution vs abstract analysis of
 // nreverse.
 //
+// The Corpus benchmarks time each front-end stage on its own (lex,
+// intern, parse, compile, link) over the ladder's 8k rung,
+// generateCorpus(1, 8000), and report clauses per second (and tokens per
+// second for the lexer):
+//
+//   micro_ops --benchmark_filter=Corpus
+//
 //===----------------------------------------------------------------------===//
 
 #include "absdom/AbsOps.h"
 #include "analyzer/Session.h"
 #include "baseline/MetaAnalyzer.h"
+#include "compiler/ModuleLink.h"
 #include "programs/Benchmarks.h"
+#include "tests/RandomProgramGen.h"
 #include "wam/Machine.h"
 
 #include <benchmark/benchmark.h>
@@ -166,6 +175,112 @@ void BM_MetaAnalyzeNreverse(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_MetaAnalyzeNreverse);
+
+/// The ladder's 8k rung: two units, library first.
+struct Corpus8k {
+  testgen::Corpus C;
+  std::string_view Units[2];
+  double Clauses = 0; ///< parsed clauses of both units
+  double Tokens = 0;  ///< tokens of both units
+  /// Names as the reader interns them: atom and variable tokens.
+  std::vector<std::string_view> Names;
+
+  Corpus8k() {
+    testgen::CorpusOptions O;
+    O.Clauses = 8000;
+    C = testgen::generateCorpus(1, O);
+    Units[0] = C.Library;
+    Units[1] = C.User;
+    SymbolTable Syms;
+    TermArena Arena;
+    for (std::string_view Src : Units) {
+      Clauses += static_cast<double>(
+          parseProgram(Src, Syms, Arena)->Clauses.size());
+      Lexer L(Src);
+      for (Token T = L.next(); T.Kind != TokenKind::EndOfFile; T = L.next()) {
+        ++Tokens;
+        if (T.Kind == TokenKind::Atom || T.Kind == TokenKind::Var)
+          Names.push_back(T.Text);
+      }
+    }
+  }
+};
+
+const Corpus8k &corpus8k() {
+  static const Corpus8k C;
+  return C;
+}
+
+/// Reports \p PerIteration units of work per iteration as a rate.
+benchmark::Counter perSecond(double PerIteration) {
+  return benchmark::Counter(PerIteration,
+                            benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_CorpusLex(benchmark::State &State) {
+  const Corpus8k &C = corpus8k();
+  for (auto _ : State)
+    for (std::string_view Src : C.Units) {
+      Lexer L(Src);
+      while (L.next().Kind != TokenKind::EndOfFile)
+        ;
+    }
+  State.counters["clauses"] = perSecond(C.Clauses);
+  State.counters["tokens"] = perSecond(C.Tokens);
+}
+BENCHMARK(BM_CorpusLex)->Unit(benchmark::kMillisecond);
+
+void BM_CorpusIntern(benchmark::State &State) {
+  const Corpus8k &C = corpus8k();
+  for (auto _ : State) {
+    SymbolTable Syms;
+    for (std::string_view Name : C.Names)
+      benchmark::DoNotOptimize(Syms.intern(Name));
+  }
+  State.counters["clauses"] = perSecond(C.Clauses);
+  State.counters["names"] = perSecond(static_cast<double>(C.Names.size()));
+}
+BENCHMARK(BM_CorpusIntern)->Unit(benchmark::kMillisecond);
+
+void BM_CorpusParse(benchmark::State &State) {
+  const Corpus8k &C = corpus8k();
+  for (auto _ : State) {
+    SymbolTable Syms;
+    TermArena Arena;
+    for (std::string_view Src : C.Units)
+      benchmark::DoNotOptimize(parseProgram(Src, Syms, Arena));
+  }
+  State.counters["clauses"] = perSecond(C.Clauses);
+}
+BENCHMARK(BM_CorpusParse)->Unit(benchmark::kMillisecond);
+
+void BM_CorpusCompile(benchmark::State &State) {
+  const Corpus8k &C = corpus8k();
+  SymbolTable Syms;
+  TermArena Arena;
+  std::vector<ParsedProgram> Parsed;
+  for (std::string_view Src : C.Units)
+    Parsed.push_back(parseProgram(Src, Syms, Arena).take());
+  for (auto _ : State)
+    for (const ParsedProgram &P : Parsed)
+      benchmark::DoNotOptimize(compileProgram(P, Syms));
+  State.counters["clauses"] = perSecond(C.Clauses);
+}
+BENCHMARK(BM_CorpusCompile)->Unit(benchmark::kMillisecond);
+
+void BM_CorpusLink(benchmark::State &State) {
+  const Corpus8k &C = corpus8k();
+  SymbolTable Syms;
+  TermArena Arena;
+  std::vector<CompiledProgram> Units;
+  for (std::string_view Src : C.Units)
+    Units.push_back(compileSource(Src, Syms, Arena).take());
+  for (auto _ : State)
+    benchmark::DoNotOptimize(
+        linkPrograms({{&Units[0], "library"}, {&Units[1], "user"}}));
+  State.counters["clauses"] = perSecond(C.Clauses);
+}
+BENCHMARK(BM_CorpusLink)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

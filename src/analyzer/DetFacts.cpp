@@ -16,6 +16,7 @@
 #include "compiler/ProgramCompiler.h"
 
 #include <algorithm>
+#include <tuple>
 
 using namespace awam;
 
@@ -166,6 +167,52 @@ ClauseFacts clauseFacts(const CodeModule &M, const ClauseInfo &C,
   return F;
 }
 
+/// True when every pair of the clauses at \p Matching (positions in \p CF,
+/// in source order) is exclusive: the earlier clause cuts, or, on an
+/// instantiated argument, their classes are distinct. A clause without a
+/// cut must be distinct from every later one, so one pass over the
+/// clauses, after a sort that finds each class's last clause, decides it.
+bool mutuallyExclusive(const std::vector<ClauseFacts> &CF,
+                       const std::vector<size_t> &Matching,
+                       bool Instantiated) {
+  const size_t M = Matching.size();
+  if (M < 2)
+    return true;
+  // HasLaterTwin[I]: a later clause has the same class as clause I.
+  std::vector<char> HasLaterTwin(M, 0);
+  if (Instantiated) {
+    auto key = [&](size_t I) {
+      const ArgClass &C = CF[Matching[I]].Class;
+      return std::tuple(C.K, C.Sym, C.Int, C.Arity, I);
+    };
+    std::vector<size_t> Order(M);
+    for (size_t I = 0; I != M; ++I)
+      Order[I] = I;
+    std::sort(Order.begin(), Order.end(),
+              [&](size_t A, size_t B) { return key(A) < key(B); });
+    for (size_t J = 0; J + 1 != M; ++J) {
+      // Equal classes sort together, by position; a non-Var class is
+      // distinct from every class but its equals (and Var).
+      const ArgClass &A = CF[Matching[Order[J]]].Class;
+      const ArgClass &B = CF[Matching[Order[J + 1]]].Class;
+      if (A.K != ArgClass::Var && !distinctClasses(A, B))
+        HasLaterTwin[Order[J]] = 1;
+    }
+  }
+  bool LaterVar = false; // some clause after the current one is Var
+  bool AllExclusive = true;
+  for (size_t I = M; I-- != 0;) {
+    const ClauseFacts &F = CF[Matching[I]];
+    bool Last = I + 1 == M;
+    if (!Last && !F.HasCut &&
+        (!Instantiated || F.Class.K == ArgClass::Var || LaterVar ||
+         HasLaterTwin[I]))
+      AllExclusive = false;
+    LaterVar = LaterVar || F.Class.K == ArgClass::Var;
+  }
+  return AllExclusive;
+}
+
 /// True if a first argument abstracted as \p Root can reach a clause of
 /// class \p C at runtime.
 bool classMatches(const PatNode &Root, const ArgClass &C,
@@ -274,18 +321,7 @@ awam::computeDetFacts(const AnalysisResult &R,
     // clause cuts: once its cut runs, the later clause is pruned, and if
     // its guard fails it contributes no solution — either way at most one
     // of the pair yields answers.
-    N.Mutex = true;
-    for (size_t A = 0; A != Matching.size() && N.Mutex; ++A)
-      for (size_t B = A + 1; B != Matching.size(); ++B) {
-        bool Exclusive =
-            CF[Matching[A]].HasCut ||
-            (Instantiated && distinctClasses(CF[Matching[A]].Class,
-                                             CF[Matching[B]].Class));
-        if (!Exclusive) {
-          N.Mutex = false;
-          break;
-        }
-      }
+    N.Mutex = mutuallyExclusive(CF, Matching, Instantiated);
     N.SingleNoFail = Matching.size() == 1 && !CF[Matching[0]].HeadCanFail;
     for (size_t C : Matching) {
       N.Builtin = N.Builtin || CF[C].HasBuiltin;

@@ -9,7 +9,13 @@ using namespace awam;
 namespace {
 
 /// How one clause goal is compiled.
-enum class GoalKind { UserCall, BuiltinCall, Cut, FailGoal };
+enum class GoalKind : uint8_t { UserCall, BuiltinCall, Cut, FailGoal };
+
+/// One body goal's classification.
+struct GoalInfo {
+  GoalKind Kind;
+  BuiltinId Builtin; ///< for BuiltinCall
+};
 
 /// Per-variable classification computed before code emission.
 struct VarInfo {
@@ -38,7 +44,7 @@ struct BuildFrame {
 /// size.
 struct ClauseCompiler::Scratch {
   std::vector<VarInfo> Vars;
-  std::vector<GoalKind> Goals;
+  std::vector<GoalInfo> Goals;
   /// scanTerm's pending subterms.
   std::vector<const Term *> ScanStack;
   /// emitGetUnifySequence's FIFO of (structure, register), consumed front
@@ -75,7 +81,7 @@ private:
   // Emission.
   void emitHead();
   void emitHeadArg(const Term *Arg, int ArgReg);
-  void emitGetUnifySequence(const Term *T, int Reg);
+  int32_t emitGetUnifySequence(const Term *T, int Reg);
   void emitUnifyChildren(const Term *T);
   Result<bool> emitBody();
   void emitCallArgs(const Term *Goal);
@@ -101,7 +107,7 @@ private:
   CodeModule &Module;
   SymbolTable &Syms;
   std::vector<VarInfo> &Vars;
-  std::vector<GoalKind> &Goals;
+  std::vector<GoalInfo> &Goals;
   std::vector<const Term *> &ScanStack;
   std::vector<std::pair<const Term *, int>> &Queue;
   std::vector<BuildFrame> &BuildStack;
@@ -113,6 +119,7 @@ private:
   int NumPermanent = 0;
   int CutSlot = -1;
   int NextTemp = 0;
+  int32_t FirstArgKey = -1;
 };
 
 void ClauseContext::classifyGoals() {
@@ -120,21 +127,22 @@ void ClauseContext::classifyGoals() {
   for (size_t I = 0; I != Clause.Body.size(); ++I) {
     const Term *G = Clause.Body[I];
     if (G->isAtom() && G->functor() == SymbolTable::SymCut) {
-      Goals.push_back(GoalKind::Cut);
+      Goals.push_back({GoalKind::Cut, BuiltinId::NumBuiltins});
       if (FirstUserCallGoal >= 0)
         HasDeepCut = true;
       continue;
     }
     if (G->isAtom() && G->functor() == SymbolTable::SymFail) {
-      Goals.push_back(GoalKind::FailGoal);
+      Goals.push_back({GoalKind::FailGoal, BuiltinId::NumBuiltins});
       continue;
     }
-    if (G->isCallable() &&
-        lookupBuiltin(Syms.name(G->functor()), G->arity())) {
-      Goals.push_back(GoalKind::BuiltinCall);
-      continue;
-    }
-    Goals.push_back(GoalKind::UserCall);
+    if (G->isCallable())
+      if (std::optional<BuiltinId> Id =
+              lookupBuiltin(Syms.name(G->functor()), G->arity())) {
+        Goals.push_back({GoalKind::BuiltinCall, *Id});
+        continue;
+      }
+    Goals.push_back({GoalKind::UserCall, BuiltinId::NumBuiltins});
     if (FirstUserCallGoal < 0)
       FirstUserCallGoal = static_cast<int>(I);
     ++NumUserCalls;
@@ -143,20 +151,25 @@ void ClauseContext::classifyGoals() {
 
 void ClauseContext::scanTerm(const Term *T, int Chunk) {
   // Visit order does not matter: every occurrence is in the same chunk.
-  ScanStack.assign(1, T);
-  while (!ScanStack.empty()) {
-    const Term *Cur = ScanStack.back();
-    ScanStack.pop_back();
-    if (Cur->isVar()) {
+  // Only structures wait on the stack; leaves are handled as they are met.
+  auto visit = [&](const Term *Cur) {
+    if (Cur->isStruct()) {
+      ScanStack.push_back(Cur);
+    } else if (Cur->isVar()) {
       VarInfo &VI = info(Cur);
       ++VI.Occurrences;
       if (VI.FirstChunk < 0)
         VI.FirstChunk = Chunk;
       VI.LastChunk = Chunk;
-      continue;
     }
-    std::span<const Term *const> Args = Cur->args();
-    ScanStack.insert(ScanStack.end(), Args.begin(), Args.end());
+  };
+  ScanStack.clear();
+  visit(T);
+  while (!ScanStack.empty()) {
+    const Term *Cur = ScanStack.back();
+    ScanStack.pop_back();
+    for (const Term *Arg : Cur->args())
+      visit(Arg);
   }
 }
 
@@ -168,7 +181,7 @@ void ClauseContext::classifyVariables() {
   int Chunk = 0;
   for (size_t I = 0; I != Clause.Body.size(); ++I) {
     scanTerm(Clause.Body[I], Chunk);
-    if (Goals[I] == GoalKind::UserCall)
+    if (Goals[I].Kind == GoalKind::UserCall)
       ++Chunk;
   }
   for (VarInfo &VI : Vars)
@@ -179,7 +192,7 @@ void ClauseContext::classifyVariables() {
 
   int LastUserCallGoal = -1;
   for (size_t I = 0; I != Goals.size(); ++I)
-    if (Goals[I] == GoalKind::UserCall)
+    if (Goals[I].Kind == GoalKind::UserCall)
       LastUserCallGoal = static_cast<int>(I);
   bool CodeAfterCall =
       NumUserCalls >= 2 ||
@@ -215,27 +228,41 @@ void ClauseContext::emitHeadArg(const Term *Arg, int ArgReg) {
     return;
   }
   case TermKind::Int:
-  case TermKind::Atom:
-    Module.emit({Opcode::GetConst, constIndex(Arg), ArgReg});
+  case TermKind::Atom: {
+    int32_t Key = constIndex(Arg);
+    if (ArgReg == 0)
+      FirstArgKey = Key;
+    Module.emit({Opcode::GetConst, Key, ArgReg});
     return;
-  case TermKind::Struct:
-    emitGetUnifySequence(Arg, ArgReg);
+  }
+  case TermKind::Struct: {
+    int32_t Key = emitGetUnifySequence(Arg, ArgReg);
+    if (ArgReg == 0)
+      FirstArgKey = Key;
     return;
+  }
   }
 }
 
 /// Emits the breadth-first get/unify sequence for a nested structure in the
-/// head, exactly in the style of the paper's Figure 2.
-void ClauseContext::emitGetUnifySequence(const Term *T, int Reg) {
+/// head, exactly in the style of the paper's Figure 2. Returns the functor
+/// pool index of \p T, or -1 for a list cell.
+int32_t ClauseContext::emitGetUnifySequence(const Term *T, int Reg) {
+  int32_t Key = -1;
   Queue.assign(1, {T, Reg});
   for (size_t QueueHead = 0; QueueHead != Queue.size(); ++QueueHead) {
     auto [Cur, CurReg] = Queue[QueueHead]; // a copy: emitting appends
-    if (Cur->isCons())
+    if (Cur->isCons()) {
       Module.emit({Opcode::GetList, CurReg, 0});
-    else
-      Module.emit({Opcode::GetStructure, functorIndex(Cur), CurReg});
+    } else {
+      int32_t F = functorIndex(Cur);
+      if (QueueHead == 0)
+        Key = F;
+      Module.emit({Opcode::GetStructure, F, CurReg});
+    }
     emitUnifyChildren(Cur);
   }
+  return Key;
 }
 
 /// Emits the unify_* sequence for the immediate children of \p T, queueing
@@ -404,7 +431,7 @@ Result<bool> ClauseContext::emitBody() {
   for (size_t I = 0, E = Clause.Body.size(); I != E; ++I) {
     const Term *G = Clause.Body[I];
     bool IsLast = I + 1 == E;
-    switch (Goals[I]) {
+    switch (Goals[I].Kind) {
     case GoalKind::Cut:
       if (FirstUserCallGoal >= 0 && static_cast<int>(I) > FirstUserCallGoal)
         Module.emit({Opcode::CutY, CutSlot, 0});
@@ -414,18 +441,11 @@ Result<bool> ClauseContext::emitBody() {
     case GoalKind::FailGoal:
       Module.emit({Opcode::Fail, 0, 0});
       return true; // code after fail is unreachable
-    case GoalKind::BuiltinCall: {
-      if (G->isVar())
-        return makeError("variable goal is not supported");
-      std::optional<BuiltinId> Id =
-          lookupBuiltin(Syms.name(G->functor()),
-                        G->isStruct() ? G->arity() : 0);
-      assert(Id && "goal classified builtin but not found");
+    case GoalKind::BuiltinCall:
       emitCallArgs(G);
-      Module.emit({Opcode::Builtin, static_cast<int32_t>(*Id),
+      Module.emit({Opcode::Builtin, static_cast<int32_t>(Goals[I].Builtin),
                    G->isStruct() ? G->arity() : 0});
       break;
-    }
     case GoalKind::UserCall: {
       if (!G->isCallable())
         return makeError("body goal is not callable");
@@ -483,6 +503,7 @@ Result<CompiledClause> ClauseContext::run() {
   Out.Info.NumInstr = Module.codeSize() - Out.Info.Entry;
   Out.NumPermanent = NumPermanent;
   Out.MaxXUsed = NextTemp;
+  Out.FirstArgKey = FirstArgKey;
   return Out;
 }
 

@@ -34,6 +34,10 @@ struct CompiledClause {
   ClauseInfo Info;      ///< code block within the module
   int NumPermanent = 0; ///< environment slots (including any cut barrier)
   int MaxXUsed = 0;     ///< highest X register index used + 1
+  /// Pool index of the head's first argument when it is a constant
+  /// (constant pool) or a non-list structure (functor pool), else -1; the
+  /// key first-argument indexing files the clause under.
+  int32_t FirstArgKey = -1;
 };
 
 /// Compiles clauses one at a time into one CodeModule, reusing its working

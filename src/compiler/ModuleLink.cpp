@@ -72,9 +72,10 @@ Result<LinkedProgram> awam::linkPrograms(const std::vector<ModuleUnit> &Units) {
       return L;
     };
 
-    for (int32_t Addr = kProceedAddress + 1; Addr != Src.codeSize();
-         ++Addr) {
-      Instruction I = Src.at(Addr);
+    // The unit's code after its prologue, copied as one block and then
+    // relocated in place.
+    M.emitBlock(Src.code(kProceedAddress + 1, Src.codeSize()));
+    for (Instruction &I : M.codeFrom(Base)) {
       switch (I.Op) {
       case Opcode::Call:
       case Opcode::Execute:
@@ -120,7 +121,6 @@ Result<LinkedProgram> awam::linkPrograms(const std::vector<ModuleUnit> &Units) {
       default:
         break;
       }
-      M.emit(I);
     }
 
     for (int32_t Pid = 0; Pid != Src.numPredicates(); ++Pid) {
@@ -139,6 +139,7 @@ Result<LinkedProgram> awam::linkPrograms(const std::vector<ModuleUnit> &Units) {
       ExportedBy[LinkedPid] = static_cast<int32_t>(UI);
       PredicateInfo &NP = M.predicate(LinkedPid);
       NP.IndexEntry = Reloc(SP.IndexEntry);
+      NP.Clauses.reserve(SP.Clauses.size());
       for (const ClauseInfo &C : SP.Clauses)
         NP.Clauses.push_back({Reloc(C.Entry), C.NumInstr});
     }

@@ -4,22 +4,14 @@
 
 #include "compiler/Builtins.h"
 #include "compiler/ClauseCompiler.h"
+#include "compiler/Indexing.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <cstdint>
 
 using namespace awam;
 
 namespace {
-
-/// First-argument shape of a clause head, for indexing buckets.
-enum class ArgShape { VarS, ConstS, ListS, StructS };
-
-struct ClauseShape {
-  ArgShape Shape = ArgShape::VarS;
-  int32_t ConstKey = -1;   // constant pool index for ConstS
-  int32_t FunctorKey = -1; // functor pool index for StructS
-};
 
 class ProgramContext {
 public:
@@ -31,149 +23,99 @@ public:
   Result<CompiledProgram> run();
 
 private:
-  ClauseShape shapeOf(const Term *Head) const;
-  int32_t emitChain(const std::vector<int32_t> &Entries, int32_t Arity);
-  void buildIndexing(PredicateInfo &Pred,
-                     const std::vector<ClauseShape> &Shapes);
+  /// Files the next clause under its head's first argument, whose pool
+  /// index the clause compiler found to be \p Key.
+  void addShape(const Term *Head, int32_t Key);
+  /// Emits the chain over the clauses at \p Positions of \p Pred.
+  int32_t chain(const PredicateInfo &Pred, std::span<const int32_t> Positions);
+  void buildIndexing(PredicateInfo &Pred);
 
   const ParsedProgram &Program;
   SymbolTable &Syms;
   CompiledProgram Out;
-  std::map<std::vector<int32_t>, int32_t> ChainCache;
+  ChainEmitter Chains;
+  // Per-predicate working storage, kept from predicate to predicate.
+  ClauseBuckets<int32_t, int32_t> Buckets;
+  std::vector<ClauseInfo> Infos;
+  std::vector<int32_t> Entries;
 };
 
-ClauseShape ProgramContext::shapeOf(const Term *Head) const {
-  ClauseShape S;
-  if (!Head->isStruct() || Head->arity() == 0)
-    return S; // arity-0 predicates index as "var" (single bucket)
-  const Term *A1 = Head->arg(0);
-  CodeModule &M = *Out.Module;
-  switch (A1->kind()) {
+void ProgramContext::addShape(const Term *Head, int32_t Key) {
+  if (!Head->isStruct())
+    return Buckets.addVar(); // arity-0 predicates index as "var"
+  switch (Head->arg(0)->kind()) {
   case TermKind::Var:
-    S.Shape = ArgShape::VarS;
-    break;
+    return Buckets.addVar();
   case TermKind::Int:
-    S.Shape = ArgShape::ConstS;
-    S.ConstKey = M.internConst(ConstOperand::integer(A1->intValue()));
-    break;
   case TermKind::Atom:
-    S.Shape = ArgShape::ConstS;
-    S.ConstKey = M.internConst(ConstOperand::atom(A1->functor()));
-    break;
+    assert(Key >= 0 && "the clause compiler interns a constant argument");
+    return Buckets.addConst(Key);
   case TermKind::Struct:
-    if (A1->isCons()) {
-      S.Shape = ArgShape::ListS;
-    } else {
-      S.Shape = ArgShape::StructS;
-      S.FunctorKey = M.internFunctor(
-          {A1->functor(), static_cast<int32_t>(A1->arity())});
-    }
-    break;
+    if (Head->arg(0)->isCons())
+      return Buckets.addList();
+    assert(Key >= 0 && "the clause compiler interns a structure's functor");
+    return Buckets.addStruct(Key);
   }
-  return S;
 }
 
-/// Emits a try/retry/trust chain over clause entry points (or returns the
-/// single entry / kFailTarget directly). Identical chains are shared.
-int32_t ProgramContext::emitChain(const std::vector<int32_t> &Entries,
-                                  int32_t Arity) {
-  if (Entries.empty())
-    return kFailTarget;
-  if (Entries.size() == 1)
-    return Entries[0];
-  auto It = ChainCache.find(Entries);
-  if (It != ChainCache.end())
-    return It->second;
-  CodeModule &M = *Out.Module;
-  int32_t Addr = M.codeSize();
+int32_t ProgramContext::chain(const PredicateInfo &Pred,
+                              std::span<const int32_t> Positions) {
+  Entries.clear();
+  for (int32_t Pos : Positions)
+    Entries.push_back(Pred.Clauses[Pos].Entry);
   // The Try B field is the number of argument registers the choice point
   // must save: the predicate's arity.
-  M.emit({Opcode::Try, Entries.front(), Arity});
-  for (size_t I = 1; I + 1 < Entries.size(); ++I)
-    M.emit({Opcode::Retry, Entries[I], Arity});
-  M.emit({Opcode::Trust, Entries.back(), Arity});
-  ChainCache.emplace(Entries, Addr);
-  return Addr;
+  return Chains.emit(*Out.Module, Entries, Pred.Arity);
 }
 
-void ProgramContext::buildIndexing(PredicateInfo &Pred,
-                                   const std::vector<ClauseShape> &Shapes) {
+void ProgramContext::buildIndexing(PredicateInfo &Pred) {
   CodeModule &M = *Out.Module;
-  size_t N = Pred.Clauses.size();
-  int32_t Arity = Pred.Arity;
-  assert(N == Shapes.size());
-
-  std::vector<int32_t> All, Vars;
-  for (size_t I = 0; I != N; ++I) {
-    All.push_back(Pred.Clauses[I].Entry);
-    if (Shapes[I].Shape == ArgShape::VarS)
-      Vars.push_back(Pred.Clauses[I].Entry);
-  }
-
-  if (N == 1) {
-    Pred.IndexEntry = All[0];
+  assert(static_cast<size_t>(Buckets.size()) == Pred.Clauses.size());
+  if (Buckets.size() == 1) {
+    Pred.IndexEntry = Pred.Clauses[0].Entry;
     return;
   }
-
-  // Arity-0 predicates (or all-var first args) need no dispatch.
-  bool AllVar = Vars.size() == N;
-  if (AllVar) {
-    Pred.IndexEntry = emitChain(All, Arity);
-    return;
-  }
-
-  // Applicable-clause chain per constant key, preserving source order.
-  auto bucketChain = [&](auto Matches) {
-    std::vector<int32_t> Entries;
-    for (size_t I = 0; I != N; ++I)
-      if (Shapes[I].Shape == ArgShape::VarS || Matches(Shapes[I]))
-        Entries.push_back(Pred.Clauses[I].Entry);
-    return emitChain(Entries, Arity);
+  // Every clause, for an unbound first argument.
+  auto allChain = [&] {
+    Entries.clear();
+    for (const ClauseInfo &C : Pred.Clauses)
+      Entries.push_back(C.Entry);
+    return Chains.emit(M, Entries, Pred.Arity);
   };
 
-  // List bucket.
-  int32_t ListTarget = bucketChain(
-      [](const ClauseShape &S) { return S.Shape == ArgShape::ListS; });
+  // Arity-0 predicates (or all-var first args) need no dispatch.
+  if (Buckets.allVar()) {
+    Pred.IndexEntry = allChain();
+    return;
+  }
 
-  // Constant buckets.
-  std::set<int32_t> ConstKeys;
-  for (const ClauseShape &S : Shapes)
-    if (S.Shape == ArgShape::ConstS)
-      ConstKeys.insert(S.ConstKey);
-  int32_t ConstTarget;
-  if (ConstKeys.empty()) {
-    ConstTarget = emitChain(Vars, Arity);
-  } else {
+  int32_t ListTarget = chain(Pred, Buckets.listChain());
+
+  int32_t ConstTarget = chain(Pred, Buckets.vars());
+  if (Buckets.numConstKeys() != 0) {
     ValueSwitch VS;
-    VS.Default = emitChain(Vars, Arity);
-    for (int32_t Key : ConstKeys)
-      VS.Cases.emplace_back(Key, bucketChain([&](const ClauseShape &S) {
-        return S.Shape == ArgShape::ConstS && S.ConstKey == Key;
-      }));
+    VS.Default = ConstTarget;
+    VS.Cases.reserve(Buckets.numConstKeys());
+    for (size_t K = 0; K != Buckets.numConstKeys(); ++K)
+      VS.Cases.emplace_back(Buckets.constKey(K),
+                            chain(Pred, Buckets.constChain(K)));
     int32_t TableIdx = M.addValueSwitch(std::move(VS));
     ConstTarget = M.emit({Opcode::SwitchOnConstant, TableIdx, 0});
   }
 
-  // Structure buckets.
-  std::set<int32_t> FunctorKeys;
-  for (const ClauseShape &S : Shapes)
-    if (S.Shape == ArgShape::StructS)
-      FunctorKeys.insert(S.FunctorKey);
-  int32_t StructTarget;
-  if (FunctorKeys.empty()) {
-    StructTarget = emitChain(Vars, Arity);
-  } else {
+  int32_t StructTarget = chain(Pred, Buckets.vars());
+  if (Buckets.numFunctorKeys() != 0) {
     ValueSwitch VS;
-    VS.Default = emitChain(Vars, Arity);
-    for (int32_t Key : FunctorKeys)
-      VS.Cases.emplace_back(Key, bucketChain([&](const ClauseShape &S) {
-        return S.Shape == ArgShape::StructS && S.FunctorKey == Key;
-      }));
+    VS.Default = StructTarget;
+    VS.Cases.reserve(Buckets.numFunctorKeys());
+    for (size_t K = 0; K != Buckets.numFunctorKeys(); ++K)
+      VS.Cases.emplace_back(Buckets.functorKey(K),
+                            chain(Pred, Buckets.functorChain(K)));
     int32_t TableIdx = M.addValueSwitch(std::move(VS));
     StructTarget = M.emit({Opcode::SwitchOnStructure, TableIdx, 0});
   }
 
-  int32_t VarTarget = emitChain(All, Arity);
+  int32_t VarTarget = allChain();
   int32_t SwitchIdx = M.addTermSwitch(
       {VarTarget, ConstTarget, ListTarget, StructTarget});
   Pred.IndexEntry = M.emit({Opcode::SwitchOnTerm, SwitchIdx, 0});
@@ -209,6 +151,11 @@ Result<CompiledProgram> ProgramContext::run() {
   }
   const int32_t NumDefined = M.numPredicates();
   Out.NumPreds = NumDefined;
+  // A clause's code takes at most about one instruction per term node
+  // plus a few of its own; reserving that (untouched capacity costs no
+  // memory) spares a large module the copies of growing by doubling.
+  M.reserveCode(static_cast<int32_t>(std::min<size_t>(
+      M.codeSize() + Program.NumTermNodes + 4 * N, INT32_MAX)));
 
   // Counting sort of the clauses by predicate: predicate Pid's clauses are
   // ByPred[First[Pid] .. First[Pid + 1]).
@@ -229,20 +176,21 @@ Result<CompiledProgram> ProgramContext::run() {
   // PredicateInfo reference across Clauses.compile.
   ClauseCompiler Clauses(M);
   for (int32_t Pid = 0; Pid != NumDefined; ++Pid) {
-    std::vector<ClauseShape> Shapes;
-    std::vector<ClauseInfo> Infos;
+    Infos.clear();
+    Buckets.clear();
     for (int32_t K = First[Pid]; K != First[Pid + 1]; ++K) {
       const ParsedClause *C = ByPred[K];
       Result<CompiledClause> CC = Clauses.compile(*C);
       if (!CC)
         return CC.diag();
       Infos.push_back(CC->Info);
-      Shapes.push_back(shapeOf(C->Head));
+      addShape(C->Head, CC->FirstArgKey);
       Out.MaxXReg = std::max(Out.MaxXReg, CC->MaxXUsed);
     }
+    Buckets.finish();
     PredicateInfo &Pred = M.predicate(Pid);
-    Pred.Clauses = std::move(Infos);
-    buildIndexing(Pred, Shapes);
+    Pred.Clauses.assign(Infos.begin(), Infos.end());
+    buildIndexing(Pred);
   }
 
   // Predicates referenced by calls but never defined.

@@ -18,12 +18,13 @@
 #ifndef AWAM_SUPPORT_SYMBOLTABLE_H
 #define AWAM_SUPPORT_SYMBOLTABLE_H
 
+#include "support/FlatMap.h"
+
 #include <cassert>
 #include <cstdint>
-#include <deque>
-#include <string>
+#include <memory>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace awam {
 
@@ -35,6 +36,11 @@ using Symbol = uint32_t;
 ///
 /// The table pre-interns the handful of names the machine itself needs so
 /// that they have fixed, documented ids (see the Sym* constants below).
+///
+/// Names are copied into an append-only character arena and indexed by a
+/// hash of their bytes in one flat map, so interning a name costs one hash,
+/// one probe and, on a miss, one bump copy: no node and no std::string per
+/// symbol.
 class SymbolTable {
 public:
   /// Fixed ids of pre-interned symbols.
@@ -58,7 +64,7 @@ public:
   Symbol intern(std::string_view Name);
 
   /// Returns the name of \p S. The returned view is stable for the lifetime
-  /// of the table.
+  /// of the table, including across a move of the table.
   std::string_view name(Symbol S) const {
     assert(S < Names.size() && "symbol out of range");
     return Names[S];
@@ -71,10 +77,19 @@ public:
   size_t size() const { return Names.size(); }
 
 private:
-  // A deque keeps each stored std::string object at a stable address, so the
-  // string_view keys in Index (which point into these strings) never dangle.
-  std::deque<std::string> Names;
-  std::unordered_map<std::string_view, Symbol> Index;
+  /// Copies \p Name into the arena and returns the stable copy.
+  std::string_view store(std::string_view Name);
+
+  /// Views of every name, by id: into the arena, or into the static
+  /// strings of the fixed symbols.
+  std::vector<std::string_view> Names;
+  /// Name hash -> ids with that hash (collisions compare names).
+  detail::FlatMap64 Index;
+  /// Arena chunks; a chunk is never moved or freed before the table.
+  std::vector<std::unique_ptr<char[]>> Chunks;
+  char *ChunkCur = nullptr;
+  size_t ChunkLeft = 0;
+  size_t NextChunkBytes = 0;
 };
 
 } // namespace awam

@@ -157,6 +157,7 @@ public:
     T->Name = Name;
     T->Arity = static_cast<uint32_t>(Args.size());
     T->Args = ArgMem;
+    ++NumNodes;
     return T;
   }
   const Term *mkStruct(Symbol Name, std::initializer_list<const Term *> Args) {
@@ -178,6 +179,9 @@ public:
     return T;
   }
 
+  /// Number of nodes created so far.
+  size_t numNodes() const { return NumNodes; }
+
 private:
   static constexpr size_t kFirstChunkBytes = 512;
   static constexpr size_t kMaxChunkBytes = size_t(256) << 10;
@@ -186,6 +190,7 @@ private:
     Term *T = new (allocate(sizeof(Term))) Term();
     T->Kind = Kind;
     T->Name = Name;
+    ++NumNodes;
     return T;
   }
 
@@ -215,6 +220,7 @@ private:
   std::byte *Cur = nullptr;
   std::byte *End = nullptr;
   size_t NextChunkBytes = kFirstChunkBytes / 2;
+  size_t NumNodes = 0;
 };
 
 /// Structural equality of two terms (variables compare by identity).

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string>
+#include <tuple>
 
 using namespace awam;
 
@@ -150,6 +152,52 @@ TEST(LexerTest, PositionsTracked) {
   EXPECT_EQ(B.Column, 3);
 }
 
+/// Line and column of each token of \p Source, as "L:C".
+std::vector<std::string> positions(std::string_view Source) {
+  std::vector<std::string> Out;
+  for (const Token &T : lexAll(Source))
+    Out.push_back(std::to_string(T.Line) + ":" + std::to_string(T.Column));
+  return Out;
+}
+
+TEST(LexerTest, PositionsAfterMultiLineBlockComment) {
+  EXPECT_EQ(positions("a /* one\ntwo */ b\n/*\n\n*/  c"),
+            (std::vector<std::string>{"1:1", "2:8", "5:5"}));
+  // A comment that ends a line leaves the next line's columns alone.
+  EXPECT_EQ(positions("/* x */\n  y"), (std::vector<std::string>{"2:3"}));
+}
+
+TEST(LexerTest, PositionsAfterMultiLineQuotedAtom) {
+  // The atom spans two source newlines; its '' and \n escapes are one
+  // character of text each but two columns of source.
+  auto Ts = lexAll("x 'it''s\na\\nb\nc' y\n z");
+  ASSERT_EQ(Ts.size(), 4u);
+  EXPECT_EQ(Ts[1].Text, "it's\na\nb\nc");
+  EXPECT_EQ(Ts[1].Line, 1);
+  EXPECT_EQ(Ts[1].Column, 3);
+  EXPECT_EQ(positions("x 'it''s\na\\nb\nc' y\n z"),
+            (std::vector<std::string>{"1:1", "1:3", "3:4", "4:2"}));
+  EXPECT_EQ(positions("'a\\n''b' c"),
+            (std::vector<std::string>{"1:1", "1:10"}));
+}
+
+TEST(LexerTest, PositionsAfterTabsAndCrLf) {
+  // A tab and a carriage return are one column each.
+  EXPECT_EQ(positions("a\tb\r\n\tc\r\n  d"),
+            (std::vector<std::string>{"1:1", "1:3", "2:2", "3:3"}));
+}
+
+TEST(LexerTest, PositionsAfterCharacterCodes) {
+  EXPECT_EQ(positions("0'a x 0'\\n y\n0'  z"),
+            (std::vector<std::string>{"1:1", "1:5", "1:7", "1:12", "2:1",
+                                      "2:5"}));
+  // A literal newline as the character ends the line.
+  auto Ts = lexAll("0'\n w");
+  ASSERT_EQ(Ts.size(), 2u);
+  EXPECT_EQ(Ts[0].IntVal, '\n');
+  EXPECT_EQ(positions("0'\n w"), (std::vector<std::string>{"1:1", "2:2"}));
+}
+
 TEST(LexerTest, PunctuationInventory) {
   auto Ts = lexAll("[ ] { } , |");
   ASSERT_EQ(Ts.size(), 6u);
@@ -193,6 +241,45 @@ TEST(LexerTest, QuotedAtomTextOutlivesLaterTokens) {
   EXPECT_EQ(A.Text, "a'b");
   EXPECT_EQ(B.Text, "c\nd");
   EXPECT_EQ(C.Text, "plain");
+}
+
+TEST(LexerTest, NulByteIsAnErrorNotTheEndOfInput) {
+  // The input ends at the end of the buffer. A NUL byte before it is an
+  // error at its own line and column, wherever a token could start or
+  // inside a quoted atom or a character code.
+  using namespace std::string_literals;
+  const std::string Src = "p(a).\n\0p(b)."s;
+  auto Ts = lexAll(Src);
+  ASSERT_EQ(Ts.size(), 6u);
+  EXPECT_EQ(Ts[4].Kind, TokenKind::End);
+  EXPECT_EQ(Ts[5].Kind, TokenKind::Error);
+  EXPECT_EQ(Ts[5].Text, "unexpected NUL byte");
+  EXPECT_EQ(Ts[5].Line, 2);
+  EXPECT_EQ(Ts[5].Column, 1);
+  for (const auto &[Src, Line, Column] :
+       {std::tuple{"x 'a\0b'"s, 1, 5}, std::tuple{"x\n 0'\0"s, 2, 4},
+        std::tuple{"0'\\\0"s, 1, 4}, std::tuple{"'a\\\0'"s, 1, 4},
+        std::tuple{"a.\0"s, 1, 3}}) {
+    auto Got = lexAll(Src);
+    ASSERT_FALSE(Got.empty()) << Src;
+    EXPECT_EQ(Got.back().Kind, TokenKind::Error) << Src;
+    EXPECT_EQ(Got.back().Text, "unexpected NUL byte") << Src;
+    EXPECT_EQ(Got.back().Line, Line) << Src;
+    EXPECT_EQ(Got.back().Column, Column) << Src;
+  }
+}
+
+TEST(LexerTest, NulByteInACommentIsCommentText) {
+  using namespace std::string_literals;
+  const std::string Src = "a % x\0y\nb /* \0 */ c\0"s;
+  auto Ts = lexAll(Src);
+  ASSERT_EQ(Ts.size(), 4u);
+  EXPECT_EQ(Ts[0].Text, "a");
+  EXPECT_EQ(Ts[1].Text, "b");
+  EXPECT_EQ(Ts[2].Text, "c");
+  EXPECT_EQ(positions(Src),
+            (std::vector<std::string>{"1:1", "2:1", "2:11", "2:12"}));
+  EXPECT_EQ(Ts[3].Kind, TokenKind::Error);
 }
 
 TEST(LexerTest, PeekDoesNotConsume) {

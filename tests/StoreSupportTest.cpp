@@ -1,5 +1,6 @@
 //===- tests/StoreSupportTest.cpp - Store and support unit tests ----------===//
 
+#include "support/FlatMap.h"
 #include "support/StringUtil.h"
 #include "support/SymbolTable.h"
 #include "support/Timer.h"
@@ -8,6 +9,8 @@
 #include "wam/Store.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace awam;
 
@@ -45,6 +48,188 @@ TEST(SymbolTableTest, ManySymbolsStayStable) {
     Ids.push_back(S.intern("sym" + std::to_string(I)));
   for (int I = 0; I != 2000; ++I)
     EXPECT_EQ(S.name(Ids[I]), "sym" + std::to_string(I));
+}
+
+TEST(SymbolTableTest, EmptyAtomHugeNameAndFixedIds) {
+  SymbolTable S;
+  ASSERT_EQ(S.size(), size_t(SymbolTable::NumFixedSymbols));
+  const std::string_view Fixed[] = {"[]",   ".",    ",", ":-", "true",
+                                    "fail", "!",    "{}", "-", "+"};
+  static_assert(std::size(Fixed) == SymbolTable::NumFixedSymbols);
+  for (Symbol I = 0; I != SymbolTable::NumFixedSymbols; ++I) {
+    EXPECT_EQ(S.name(I), Fixed[I]);
+    EXPECT_EQ(S.lookup(Fixed[I]), I);
+    EXPECT_EQ(S.intern(Fixed[I]), I);
+  }
+  EXPECT_EQ(SymbolTable::SymNil, 0u);
+  EXPECT_EQ(SymbolTable::SymDot, 1u);
+  EXPECT_EQ(SymbolTable::SymComma, 2u);
+  EXPECT_EQ(SymbolTable::SymNeck, 3u);
+  EXPECT_EQ(SymbolTable::SymTrue, 4u);
+  EXPECT_EQ(SymbolTable::SymFail, 5u);
+  EXPECT_EQ(SymbolTable::SymCut, 6u);
+  EXPECT_EQ(SymbolTable::SymCurly, 7u);
+  EXPECT_EQ(SymbolTable::SymMinus, 8u);
+  EXPECT_EQ(SymbolTable::SymPlus, 9u);
+
+  // The empty atom '' is a name like any other.
+  EXPECT_EQ(S.lookup(""), ~0u);
+  Symbol E = S.intern("");
+  EXPECT_EQ(E, Symbol(SymbolTable::NumFixedSymbols));
+  EXPECT_EQ(S.name(E), "");
+  EXPECT_EQ(S.intern(""), E);
+  EXPECT_EQ(S.lookup(""), E);
+
+  // A 1 MiB name, and one that differs from it in its last byte only.
+  std::string Big(size_t(1) << 20, 'x');
+  Big[12345] = 'y';
+  Symbol B = S.intern(Big);
+  std::string Big2 = Big;
+  Big2.back() = 'z';
+  Symbol B2 = S.intern(Big2);
+  EXPECT_NE(B, B2);
+  EXPECT_EQ(S.name(B), Big);
+  EXPECT_EQ(S.name(B2), Big2);
+  EXPECT_EQ(S.intern(Big), B);
+  EXPECT_EQ(S.lookup(Big2), B2);
+  EXPECT_EQ(S.size(), size_t(SymbolTable::NumFixedSymbols) + 3);
+}
+
+TEST(SymbolTableTest, NameViewsSurviveGrowthAndMoveAssignment) {
+  constexpr int N = 100000;
+  auto nameOf = [](int I) {
+    // Mostly short names, with a long one now and then.
+    std::string Name = "n" + std::to_string(I);
+    if (I % 997 == 0)
+      Name += std::string(4000 + I % 13, 'q');
+    return Name;
+  };
+  SymbolTable S;
+  std::vector<std::string_view> Views;
+  Views.reserve(N);
+  for (int I = 0; I != N; ++I) {
+    Symbol Id = S.intern(nameOf(I));
+    ASSERT_EQ(Id, Symbol(SymbolTable::NumFixedSymbols + I));
+    Views.push_back(S.name(Id)); // taken at once, checked after growth
+  }
+  auto countBad = [&](const SymbolTable &T) {
+    int Bad = 0;
+    for (int I = 0; I != N; ++I) {
+      std::string Name = nameOf(I);
+      Symbol Id = SymbolTable::NumFixedSymbols + I;
+      Bad += Views[I] != Name || T.name(Id) != Name || T.lookup(Name) != Id;
+    }
+    return Bad;
+  };
+  EXPECT_EQ(countBad(S), 0);
+
+  SymbolTable T;
+  T = std::move(S);
+  EXPECT_EQ(countBad(T), 0);
+  EXPECT_EQ(T.size(), size_t(SymbolTable::NumFixedSymbols) + N);
+  Symbol Fresh = T.intern("fresh");
+  EXPECT_EQ(Fresh, Symbol(SymbolTable::NumFixedSymbols + N));
+  EXPECT_EQ(countBad(T), 0);
+
+  // A fresh table assigned over a used one starts over at the fixed ids.
+  S = SymbolTable();
+  EXPECT_EQ(S.size(), size_t(SymbolTable::NumFixedSymbols));
+  EXPECT_EQ(S.lookup("n1"), ~0u);
+  EXPECT_EQ(S.intern("true"), Symbol(SymbolTable::SymTrue));
+  EXPECT_EQ(countBad(T), 0);
+}
+
+TEST(SymbolTableTest, LookupOfMissingNameDoesNotIntern) {
+  SymbolTable S;
+  Symbol A = S.intern("missing_not");
+  size_t Before = S.size();
+  for (std::string_view Name : {"missing", "missing_no", "missing_nott", ""})
+    EXPECT_EQ(S.lookup(Name), ~0u) << Name;
+  EXPECT_EQ(S.size(), Before);
+  Symbol M = S.intern("missing");
+  EXPECT_EQ(M, Symbol(Before));
+  EXPECT_EQ(S.lookup("missing"), M);
+  EXPECT_EQ(S.lookup("missing_not"), A);
+}
+
+// ---- FlatMap64 -------------------------------------------------------------
+
+constexpr uint32_t kEmptySlot = detail::FlatMap64::kEmpty;
+
+TEST(FlatMap64Test, EmptyMapLookupsReturnEmpty) {
+  detail::FlatMap64 M;
+  EXPECT_EQ(M.size(), 0u);
+  EXPECT_EQ(M.bytesUsed(), 0u);
+  for (uint64_t Key : {uint64_t(0), uint64_t(1), ~uint64_t(0)})
+    EXPECT_EQ(M.lookup(Key), kEmptySlot);
+  int Calls = 0;
+  EXPECT_EQ(M.findIf(42,
+                     [&](uint32_t) {
+                       ++Calls;
+                       return true;
+                     }),
+            kEmptySlot);
+  EXPECT_EQ(Calls, 0);
+}
+
+TEST(FlatMap64Test, FindIfVisitsDuplicateKeysInProbeOrder) {
+  detail::FlatMap64 M;
+  // Duplicates of two keys, interleaved; a key of 0 is a key like any
+  // other. Before any growth, probe order is insertion order.
+  for (uint32_t V = 0; V != 10; ++V) {
+    M.insert(0, V);
+    M.insert(7, 100 + V);
+  }
+  std::vector<uint32_t> Seen;
+  EXPECT_EQ(M.findIf(0,
+                     [&](uint32_t V) {
+                       Seen.push_back(V);
+                       return false;
+                     }),
+            kEmptySlot);
+  EXPECT_EQ(Seen, (std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(M.lookup(0), 0u);
+  EXPECT_EQ(M.lookup(7), 100u);
+  EXPECT_EQ(M.findIf(7, [](uint32_t V) { return V == 104; }), 104u);
+  EXPECT_EQ(M.findIf(7, [](uint32_t V) { return V == 4; }), kEmptySlot);
+  EXPECT_EQ(M.lookup(8), kEmptySlot);
+  EXPECT_EQ(M.size(), 20u);
+}
+
+TEST(FlatMap64Test, GrowthPastSeventyPercentKeepsEveryPair) {
+  detail::FlatMap64 M;
+  constexpr uint32_t N = 50000;
+  auto keyOf = [](uint32_t I) { return uint64_t(I) * 0x9e3779b97f4a7c15ull; };
+  size_t Growths = 0;
+  size_t LastBytes = M.bytesUsed();
+  for (uint32_t I = 0; I != N; ++I) {
+    M.insert(keyOf(I), I);
+    if (I % 3 == 0)
+      M.insert(keyOf(I), N + I); // a duplicate rides along
+    if (M.bytesUsed() != LastBytes) {
+      ++Growths;
+      LastBytes = M.bytesUsed();
+    }
+    // Capacity is bytesUsed / (8 + 4); the load stays under 70%.
+    ASSERT_LT(10 * M.size(), 7 * (M.bytesUsed() / 12)) << I;
+  }
+  EXPECT_GE(Growths, 10u);
+  EXPECT_EQ(M.size(), size_t(N) + (N + 2) / 3);
+  int Bad = 0;
+  for (uint32_t I = 0; I != N; ++I) {
+    std::vector<uint32_t> Vals;
+    M.findIf(keyOf(I), [&](uint32_t V) {
+      Vals.push_back(V);
+      return false;
+    });
+    std::sort(Vals.begin(), Vals.end());
+    std::vector<uint32_t> Want = {I};
+    if (I % 3 == 0)
+      Want.push_back(N + I);
+    Bad += Vals != Want;
+  }
+  EXPECT_EQ(Bad, 0);
+  EXPECT_EQ(M.lookup(keyOf(N)), kEmptySlot);
 }
 
 // ---- StringUtil ------------------------------------------------------------
