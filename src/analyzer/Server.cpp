@@ -27,6 +27,24 @@ std::string trim(std::string_view S) {
   return std::string(S.substr(B, E - B + 1));
 }
 
+/// A hash of \p Units' source texts in order. Labels are left out: the
+/// same text under another operand compiles to the same program.
+uint64_t
+hashTexts(const std::vector<std::pair<std::string, std::string>> &Units) {
+  uint64_t H = Units.size();
+  for (const auto &[Label, Text] : Units)
+    H = (H ^ std::hash<std::string_view>{}(Text)) * 0x100000001b3ull;
+  return H;
+}
+
+bool sameTexts(const std::vector<std::pair<std::string, std::string>> &A,
+               const std::vector<std::pair<std::string, std::string>> &B) {
+  return std::equal(A.begin(), A.end(), B.begin(), B.end(),
+                    [](const auto &X, const auto &Y) {
+                      return X.second == Y.second;
+                    });
+}
+
 constexpr const char *kHelpText =
     "commands:\n"
     "  load MAIN [LIB]...  each operand a <file.pl> or bench:<name>; extra\n"
@@ -59,8 +77,12 @@ struct AnalysisServer::StoreSlot {
   std::string DomainName;
   std::string Label; ///< operand of the first load (reuse messages cite it)
   /// The (label, source) units of the first load — one for a plain load,
-  /// several for a linked one. Domain switches re-select from these.
+  /// several for a linked one. Domain switches re-select from these, and
+  /// a load of the same texts selects this slot without compiling.
   std::vector<std::pair<std::string, std::string>> Units;
+  /// The link's unresolved-import warnings, re-emitted whenever a load or
+  /// domain switch selects this slot without compiling.
+  std::string Warnings;
   std::unique_ptr<SymbolTable> Syms;
   std::unique_ptr<TermArena> Arena;
   Result<CompiledProgram> Program = makeError("unloaded");
@@ -350,10 +372,37 @@ void AnalysisServer::selectStore(
     ClientState &CS,
     const std::vector<std::pair<std::string, std::string>> &Units,
     const std::string &Label, Response &R) {
+  // Selects a warm slot, with the message a compile that found it prints
+  // (caller holds GM).
+  auto Reuse = [&](StoreSlot &S) {
+    CS.Cursor = &S;
+    R.Err += "reusing warm store for " + Label + " (loaded as " + S.Label +
+             ", domain " + CS.DomainName + ")\n";
+    S.LastTouch = ++TouchClock;
+  };
+  // A slot of this domain compiled from the same texts holds the program
+  // a compile would produce, so it is selected without compiling. The
+  // hash only finds candidates; the texts are compared in full.
+  const uint64_t TextHash = hashTexts(Units);
+  {
+    std::lock_guard<std::mutex> L(GM);
+    auto [B, E] = BySource.equal_range(TextHash);
+    for (auto It = B; It != E; ++It) {
+      StoreSlot &S = *It->second;
+      if (S.DomainName == CS.DomainName && sameTexts(S.Units, Units)) {
+        R.Err += S.Warnings;
+        Reuse(S);
+        return;
+      }
+    }
+  }
+
   // Compile aside, lock-free: the slot key needs the compiled module's
   // fingerprint. A concurrent load of the same module costs a duplicate
   // compile whose result the loser drops — exactly the single-client
   // REPL's reuse semantics, just raced.
+  ++NCompiles;
+  std::string Warnings;
   auto Syms = std::make_unique<SymbolTable>();
   auto Arena = std::make_unique<TermArena>();
   Result<CompiledProgram> P = makeError("no units");
@@ -383,7 +432,8 @@ void AnalysisServer::selectStore(
       return;
     }
     for (const std::string &W : L->UnresolvedImports)
-      R.Err += "warning: " + W + "\n";
+      Warnings += "warning: " + W + "\n";
+    R.Err += Warnings;
     P = std::move(L->Program);
   }
   if (!P) {
@@ -395,24 +445,24 @@ void AnalysisServer::selectStore(
   std::lock_guard<std::mutex> L(GM);
   auto It = Slots.find(Key);
   if (It != Slots.end()) {
-    CS.Cursor = It->second.get();
-    R.Err += "reusing warm store for " + Label + " (loaded as " +
-             CS.Cursor->Label + ", domain " + CS.DomainName + ")\n";
-  } else {
-    auto S = std::make_unique<StoreSlot>();
-    S->Fp = Key.first;
-    S->DomainName = CS.DomainName;
-    S->Label = Label;
-    S->Units = Units;
-    S->Syms = std::move(Syms);
-    S->Arena = std::move(Arena);
-    S->Program = std::move(P);
-    ensureSession(*S);
-    CS.Cursor = S.get();
-    Slots.emplace(std::move(Key), std::move(S));
-    R.Err += "loaded " + Label + "\n";
+    Reuse(*It->second);
+    return;
   }
+  auto S = std::make_unique<StoreSlot>();
+  S->Fp = Key.first;
+  S->DomainName = CS.DomainName;
+  S->Label = Label;
+  S->Units = Units;
+  S->Warnings = std::move(Warnings);
+  S->Syms = std::move(Syms);
+  S->Arena = std::move(Arena);
+  S->Program = std::move(P);
+  ensureSession(*S);
+  CS.Cursor = S.get();
   CS.Cursor->LastTouch = ++TouchClock;
+  BySource.emplace(TextHash, S.get());
+  Slots.emplace(std::move(Key), std::move(S));
+  R.Err += "loaded " + Label + "\n";
 }
 
 void AnalysisServer::ensureSession(StoreSlot &S) {
@@ -692,13 +742,14 @@ void AnalysisServer::doStats(ClientState &CS, Response &R) {
   char Buf[512];
   std::snprintf(Buf, sizeof(Buf),
                 "server: requests %llu, queries %llu (response-cache hits "
-                "%llu, coalesced %llu), drains %llu\n"
+                "%llu, coalesced %llu), drains %llu, compiles %llu\n"
                 "stores: live %llu, bytes %llu (cap %llu), evictions %llu "
                 "(bytes %llu), rewarms %llu\n"
                 "bundles: %llu tagged, %llu bytes\n",
                 (unsigned long long)T.Requests, (unsigned long long)T.Queries,
                 (unsigned long long)T.CacheHits,
                 (unsigned long long)T.Coalesced, (unsigned long long)T.Drains,
+                (unsigned long long)T.Compiles,
                 (unsigned long long)T.LiveStores,
                 (unsigned long long)T.LiveBytes,
                 (unsigned long long)Cfg.MaxStoreBytes,
@@ -812,6 +863,7 @@ AnalysisServer::Stats AnalysisServer::stats() const {
   T.Requests = NRequests.load();
   T.Queries = NQueries.load();
   T.Drains = NDrains.load();
+  T.Compiles = NCompiles.load();
   T.CacheHits = NCacheHits.load();
   T.Coalesced = NCoalesced.load();
   T.Evictions = NEvictions.load();

@@ -25,6 +25,23 @@
 /// per-predicate code fingerprints drop stale traces on the way in, and
 /// answers stay byte-identical regardless).
 ///
+/// A module compiles once per domain. `load` and `domain` both select a
+/// slot through selectStore, which first looks for a slot of the client's
+/// domain created from the same unit source texts, in the same order: an
+/// index keyed by a hash of the texts finds candidates, and only texts
+/// that compare equal in full select one. That slot is selected without
+/// parsing, compiling or linking, and its recorded link warnings are
+/// re-emitted, so the reply carries the bytes a compile would have
+/// produced. A miss compiles, to learn the fingerprint that keys the
+/// slots. Slots never share a compiled program: bundle import interns
+/// names into a slot's SymbolTable under that slot's writer lock alone,
+/// so a table shared by two domains' slots would be written under two
+/// locks. The first switch of a module to a new domain therefore compiles
+/// it once more; after that, reloads and switches compile nothing
+/// (Stats::Compiles). On the `service` script's 1,467-clause corpus (one
+/// worker, Release, per-request minimum over 29 rotations) `load` fell
+/// from 3.29 to 0.031 ms and `domain det` from 3.62 to 0.029 ms.
+///
 /// Determinism is inherited, not re-proven: every store answer is
 /// byte-identical to a cold analysis of that entry under the current
 /// program (analyzer/Store.h), and `edit` commands
@@ -132,6 +149,8 @@ public:
     uint64_t CacheHits = 0; ///< answered from a slot's response cache
     uint64_t Coalesced = 0; ///< waited on the writer lock, then found the
                             ///< answer cached by the request ahead
+    uint64_t Compiles = 0;  ///< programs compiled for load/domain (a linked
+                            ///< load counts once), failed ones included
     uint64_t Evictions = 0; ///< stores dropped by the byte cap
     uint64_t EvictedBytes = 0;
     uint64_t Rewarms = 0; ///< sessions recreated after an eviction
@@ -210,10 +229,12 @@ private:
   /// the current store as warm-start hints; stale/unresolved drop counts
   /// go to the message channel.
   void doImport(ClientState &CS, const std::string &Rest, Response &R);
-  /// Compiles the (label, source) \p Units — linking when there is more
-  /// than one — and selects (creating if new) the result's (fingerprint,
-  /// domain) slot as \p CS's cursor, with the REPL's loaded/reusing
-  /// message (and any unresolved-import warnings) on \p R.Err.
+  /// Selects as \p CS's cursor the slot of its domain compiled from the
+  /// same unit texts as \p Units, if there is one. Otherwise compiles the
+  /// (label, source) \p Units — linking when there is more than one — and
+  /// selects (creating if new) the result's (fingerprint, domain) slot.
+  /// Either way \p R.Err gets the REPL's loaded/reusing message, after
+  /// the link's unresolved-import warnings.
   void selectStore(ClientState &CS,
                    const std::vector<std::pair<std::string, std::string>> &Units,
                    const std::string &Label, Response &R);
@@ -242,6 +263,9 @@ private:
   /// and request code stay valid without per-use refcounting.
   std::map<std::pair<uint64_t, std::string>, std::unique_ptr<StoreSlot>>
       Slots;
+  /// The same slots by a hash of their Units' source texts (one entry per
+  /// domain), so that selectStore finds a slot without compiling.
+  std::unordered_multimap<uint64_t, StoreSlot *> BySource;
   /// Clients with queued work and no worker on them, in arrival order
   /// (round-robin fairness between clients).
   std::deque<int> Ready;
@@ -258,7 +282,7 @@ private:
   std::map<std::string, std::string> Bundles;
 
   // Service counters (see Stats).
-  std::atomic<uint64_t> NRequests{0}, NQueries{0}, NDrains{0};
+  std::atomic<uint64_t> NRequests{0}, NQueries{0}, NDrains{0}, NCompiles{0};
   std::atomic<uint64_t> NCacheHits{0}, NCoalesced{0};
   std::atomic<uint64_t> NEvictions{0}, NEvictedBytes{0}, NRewarms{0};
 };

@@ -14,22 +14,38 @@ uint64_t nameArityKey(Symbol Name, int32_t Arity) {
   return uint64_t(Name) << 32 | static_cast<uint32_t>(Arity);
 }
 
+/// A constant's key in its index (CodeModule::constIndex).
+uint64_t constKey(const ConstOperand &C) {
+  return C.K == ConstOperand::AtomK ? uint64_t(C.Name)
+                                    : static_cast<uint64_t>(C.Int);
+}
+
 } // namespace
 
 void CodeModule::copyPoolsFrom(const CodeModule &M) {
+  // The copy's users (the specializer) intern nothing, so the indexes are
+  // left empty and built by the first intern, if any.
   Consts = M.Consts;
-  AtomIndex = M.AtomIndex;
-  IntIndex = M.IntIndex;
   Functors = M.Functors;
-  FunctorIndex = M.FunctorIndex;
+}
+
+detail::FlatMap64 &CodeModule::constIndex(const ConstOperand &C) {
+  return C.K == ConstOperand::AtomK ? AtomIndex : IntIndex;
 }
 
 int32_t CodeModule::internConst(ConstOperand C) {
-  detail::FlatMap64 &Index =
-      C.K == ConstOperand::AtomK ? AtomIndex : IntIndex;
-  uint64_t Key = C.K == ConstOperand::AtomK ? uint64_t(C.Name)
-                                            : static_cast<uint64_t>(C.Int);
+  detail::FlatMap64 &Index = constIndex(C);
+  uint64_t Key = constKey(C);
   uint32_t Hit = Index.lookup(Key);
+  // An index holds one entry per pool entry, except after copyPoolsFrom
+  // left it empty: then the miss indexes the copied pool and looks again.
+  if (Hit == detail::FlatMap64::kEmpty &&
+      AtomIndex.size() + IntIndex.size() != Consts.size()) {
+    for (int32_t I = 0; I != numConsts(); ++I)
+      constIndex(Consts[I]).insert(constKey(Consts[I]),
+                                   static_cast<uint32_t>(I));
+    Hit = Index.lookup(Key);
+  }
   if (Hit != detail::FlatMap64::kEmpty)
     return static_cast<int32_t>(Hit);
   int32_t Idx = numConsts();
@@ -41,6 +57,14 @@ int32_t CodeModule::internConst(ConstOperand C) {
 int32_t CodeModule::internFunctor(FunctorArity F) {
   uint64_t Key = nameArityKey(F.Name, F.Arity);
   uint32_t Hit = FunctorIndex.lookup(Key);
+  // As in internConst.
+  if (Hit == detail::FlatMap64::kEmpty &&
+      FunctorIndex.size() != Functors.size()) {
+    for (int32_t I = 0; I != numFunctors(); ++I)
+      FunctorIndex.insert(nameArityKey(Functors[I].Name, Functors[I].Arity),
+                          static_cast<uint32_t>(I));
+    Hit = FunctorIndex.lookup(Key);
+  }
   if (Hit != detail::FlatMap64::kEmpty)
     return static_cast<int32_t>(Hit);
   int32_t Idx = numFunctors();

@@ -129,7 +129,8 @@ public:
 
   /// Makes the constant and functor pools copies of \p M's, so that a
   /// pool index means here what it means in \p M. Call it before
-  /// interning anything.
+  /// interning anything. The pools' hash indexes are not copied; an
+  /// intern that misses afterwards builds them from the pools first.
   void copyPoolsFrom(const CodeModule &M);
 
   /// Interns a constant pool entry.
@@ -200,6 +201,8 @@ public:
 private:
   /// Folds predicate \p Id (name, arity, resolved clause code) into \p H.
   void hashPredicate(uint64_t &H, int32_t Id) const;
+  /// The index of \p C's kind: atoms by name, integers by value.
+  detail::FlatMap64 &constIndex(const ConstOperand &C);
 
   SymbolTable *Syms;
   std::vector<Instruction> Code;

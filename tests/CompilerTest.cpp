@@ -202,6 +202,25 @@ TEST_F(CompilerTest, ConstPoolDeduplicates) {
   EXPECT_EQ(Pool.size(), 2u);
 }
 
+TEST_F(CompilerTest, InterningIntoCopiedPoolsFindsTheCopiedEntries) {
+  Result<CompiledProgram> P =
+      compileSource("p(a, 7, f(b)).\nq(g(a, 7)).", Syms, Arena);
+  ASSERT_TRUE(P);
+  const CodeModule &M = *P->Module;
+  CodeModule Copy(Syms);
+  Copy.copyPoolsFrom(M);
+  ASSERT_EQ(Copy.numConsts(), M.numConsts());
+  ASSERT_EQ(Copy.numFunctors(), M.numFunctors());
+  // Every copied entry interns to its own index; a new one goes after.
+  for (int32_t I = 0; I != M.numConsts(); ++I)
+    EXPECT_EQ(Copy.internConst(M.constAt(I)), I);
+  for (int32_t I = 0; I != M.numFunctors(); ++I)
+    EXPECT_EQ(Copy.internFunctor(M.functorAt(I)), I);
+  EXPECT_EQ(Copy.internConst(ConstOperand::integer(8)), M.numConsts());
+  EXPECT_EQ(Copy.internFunctor({Syms.intern("h"), 1}), M.numFunctors());
+  EXPECT_EQ(Copy.internConst(ConstOperand::integer(8)), M.numConsts());
+}
+
 // Stack safety: the compiler walks terms with explicit stacks, so term
 // size is bounded by memory, not by the stack. These run under the
 // default stack.

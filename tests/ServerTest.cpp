@@ -20,11 +20,14 @@
 #include "compiler/ProgramCompiler.h"
 #include "programs/Benchmarks.h"
 
+#include "RandomProgramGen.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -334,6 +337,123 @@ TEST(ServerTest, LinkedLoadSharesTheMonolithicStore) {
       << "the shared slot's response cache missed";
 }
 
+TEST(ServerTest, LinkWarningsRepeatOnEveryStoreSelection) {
+  // A linked module with unresolved imports, through every verb that
+  // selects a store: the link warnings come before each loaded/reusing
+  // line, whether the slot is new or warm, and on no other reply.
+  static const char *kLib = "app([], Ys, Ys).\n"
+                            "app([X|Xs], Ys, [X|Zs]) :- app(Xs, Ys, Zs).\n";
+  static const char *kUser = "dbl(Xs, Ys) :- app(Xs, Xs, Ys), ap(Ys, _), "
+                             "chk(Ys).\n";
+  AnalysisServer::Config Cfg = baseConfig(1);
+  Cfg.LoadSource = [](const std::string &Spec, std::string &Source,
+                      std::string &Err) {
+    if (Spec != "src:lib" && Spec != "src:user") {
+      Err = "unknown source '" + Spec + "'\n";
+      return false;
+    }
+    Source = Spec == "src:lib" ? kLib : kUser;
+    return true;
+  };
+  const std::string Warn =
+      "warning: imported predicate ap/2 is not defined; did you mean "
+      "app/3?\n"
+      "warning: imported predicate chk/1 is not defined\n";
+  const std::string Reuse =
+      "reusing warm store for src:user src:lib (loaded as src:user src:lib, "
+      "domain ";
+  struct Step {
+    const char *Line;
+    std::string Err;
+  };
+  const Step Steps[] = {
+      {"load src:user src:lib", Warn + "loaded src:user src:lib\n"},
+      {"entry dbl(glist, var)", ""},
+      {"domain det", "domain: det\n" + Warn + "loaded src:user src:lib\n"},
+      {"domain modes", "domain: modes\n" + Warn + Reuse + "modes)\n"},
+      {"load src:user src:lib", Warn + Reuse + "modes)\n"},
+      {"domain pos", "domain: pos\n" + Warn + "loaded src:user src:lib\n"},
+      {"domain det", "domain: det\n" + Warn + Reuse + "det)\n"},
+  };
+  AnalysisServer S(Cfg);
+  int C = S.openClient();
+  for (const Step &St : Steps) {
+    AnalysisServer::Response R = S.execute(C, St.Line);
+    EXPECT_EQ(St.Err, R.Err) << St.Line;
+    EXPECT_EQ(std::string(St.Line).rfind("entry", 0) == 0, !R.Out.empty())
+        << St.Line << " answered:\n"
+        << R.Out;
+  }
+}
+
+TEST(ServerTest, IdenticalTextUnderAnotherOperandReusesTheSlot) {
+  AnalysisServer::Config Cfg = baseConfig(1);
+  Cfg.LoadSource = [Bench = Cfg.LoadSource](const std::string &Spec,
+                                            std::string &Source,
+                                            std::string &Err) {
+    return Bench(Spec == "copy:qsort" ? "bench:qsort" : Spec, Source, Err);
+  };
+  AnalysisServer S(Cfg);
+  int C = S.openClient();
+  EXPECT_EQ(S.execute(C, "load bench:qsort").Err, "loaded bench:qsort\n");
+  AnalysisServer::Response First = S.execute(C, kQsortEntry);
+  ASSERT_TRUE(First.Err.empty()) << First.Err;
+  EXPECT_EQ(S.execute(C, "load copy:qsort").Err,
+            "reusing warm store for copy:qsort (loaded as bench:qsort, "
+            "domain modes)\n");
+  AnalysisServer::Response Again = S.execute(C, kQsortEntry);
+  EXPECT_EQ(First.Out, Again.Out);
+  EXPECT_EQ(S.stats().CacheHits, 1u) << "the copy did not share the slot";
+}
+
+TEST(ServerTest, ChangedTextUnderTheSameOperandIsRecompiled) {
+  // The operand names a file whose contents change between loads: each
+  // load must answer for the text it read, never for the program an
+  // earlier load of the same operand compiled.
+  static const char *kOld = "p(a).\np(b).\n";
+  static const char *kNew = "p(a).\np(b).\np(c) :- q.\nq.\n";
+  auto Text = std::make_shared<std::string>(kOld);
+  AnalysisServer::Config Cfg = baseConfig(1);
+  Cfg.LoadSource = [Text](const std::string &Spec, std::string &Source,
+                          std::string &Err) {
+    if (Spec != "file:p") {
+      Err = "cannot open " + Spec + "\n";
+      return false;
+    }
+    Source = *Text;
+    return true;
+  };
+  auto Reference = [](const char *Source) {
+    SymbolTable Syms;
+    TermArena Arena;
+    Result<CompiledProgram> P = compileSource(Source, Syms, Arena);
+    EXPECT_TRUE(P) << P.diag().str();
+    AnalysisSession A(*P);
+    Result<AnalysisResult> R = A.analyze("p(var)");
+    EXPECT_TRUE(R) << R.diag().str();
+    return formatReport(*R, *P, /*Modes=*/false);
+  };
+  const std::string OldOut = Reference(kOld), NewOut = Reference(kNew);
+  ASSERT_NE(OldOut, NewOut);
+
+  AnalysisServer S(Cfg);
+  int C = S.openClient();
+  EXPECT_EQ(S.execute(C, "load file:p").Err, "loaded file:p\n");
+  EXPECT_EQ(S.execute(C, "entry p(var)").Out, OldOut);
+  *Text = kNew;
+  EXPECT_EQ(S.execute(C, "load file:p").Err, "loaded file:p\n");
+  EXPECT_EQ(S.execute(C, "entry p(var)").Out, NewOut);
+  S.execute(C, "domain det");
+  S.execute(C, "domain modes");
+  EXPECT_EQ(S.execute(C, "entry p(var)").Out, NewOut)
+      << "a domain switch went back to the old program";
+  *Text = kOld;
+  EXPECT_EQ(S.execute(C, "load file:p").Err,
+            "reusing warm store for file:p (loaded as file:p, domain "
+            "modes)\n");
+  EXPECT_EQ(S.execute(C, "entry p(var)").Out, OldOut);
+}
+
 TEST(ServerTest, JournalCompactionPreservesAnswers) {
   const BenchmarkProgram *B = findBenchmark("qsort");
   ASSERT_NE(B, nullptr);
@@ -424,6 +544,25 @@ expectStreamsMatchReplay(const AnalysisServer::Config &Config,
   return S.stats();
 }
 
+/// The first defined predicate of \p Source other than \p EntryName, as
+/// name/arity, or "" when there is none: the service script's warm query
+/// and edit target.
+std::string workPredicate(std::string_view Source, std::string_view EntryName) {
+  SymbolTable Syms;
+  TermArena Arena;
+  Result<CompiledProgram> P = compileSource(Source, Syms, Arena);
+  EXPECT_TRUE(P) << P.diag().str();
+  if (!P)
+    return "";
+  for (int32_t I = 0; I != P->Module->numPredicates(); ++I) {
+    const PredicateInfo &PI = P->Module->predicate(I);
+    std::string_view Name = Syms.name(PI.Name);
+    if (!PI.Clauses.empty() && Name != EntryName)
+      return std::string(Name) + "/" + std::to_string(PI.Arity);
+  }
+  return "";
+}
+
 /// The service workload: \p Clients scripts over the first \p Modules
 /// Table 1 programs, client I walking them from rotation I / 2 so that
 /// pairs of clients send identical queries together. Per module: load,
@@ -436,24 +575,13 @@ std::vector<std::vector<std::string>> serviceScripts(size_t Clients,
   for (const BenchmarkProgram &B : benchmarkPrograms()) {
     if (PerModule.size() == Modules)
       break;
-    SymbolTable Syms;
-    TermArena Arena;
-    Result<CompiledProgram> P = compileSource(B.Source, Syms, Arena);
-    EXPECT_TRUE(P) << B.Name << ": " << P.diag().str();
-    if (!P)
-      return {};
     std::string Entry = "entry " + std::string(B.EntrySpec);
     std::vector<std::string> Lines = {"load bench:" + std::string(B.Name),
                                       Entry, Entry};
-    for (int32_t I = 0; I != P->Module->numPredicates(); ++I) {
-      const PredicateInfo &PI = P->Module->predicate(I);
-      std::string Name(Syms.name(PI.Name));
-      if (PI.Clauses.empty() || Name == B.EntrySpec)
-        continue;
-      std::string Sig = Name + "/" + std::to_string(PI.Arity);
-      Lines.push_back("entry " + Sig);
-      Lines.push_back("edit " + Sig);
-      break;
+    std::string Work = workPredicate(B.Source, B.EntrySpec);
+    if (!Work.empty()) {
+      Lines.push_back("entry " + Work);
+      Lines.push_back("edit " + Work);
     }
     Lines.push_back(Entry);
     PerModule.push_back(std::move(Lines));
@@ -504,6 +632,124 @@ TEST(ServerTest, FourWorkerStreamsMatchSingleClientReplay) {
         expectStreamsMatchReplay(baseConfig(4, /*Cap=*/1), Scripts);
     EXPECT_GE(T.Evictions, 1u);
     EXPECT_GE(T.Rewarms, 1u);
+  }
+}
+
+TEST(ServerTest, CompilesCountOnlyTextsNoSlotOfTheDomainHolds) {
+  auto Text = std::make_shared<std::string>("p(a).\n");
+  AnalysisServer::Config Cfg = baseConfig(1);
+  Cfg.LoadSource = [Bench = Cfg.LoadSource, Text](const std::string &Spec,
+                                                  std::string &Source,
+                                                  std::string &Err) {
+    if (Spec == "file:p") {
+      Source = *Text;
+      return true;
+    }
+    return Bench(Spec == "copy:qsort" ? "bench:qsort" : Spec, Source, Err);
+  };
+  AnalysisServer S(Cfg);
+  int C = S.openClient();
+  const std::pair<const char *, uint64_t> Steps[] = {
+      {"load bench:qsort", 1}, {"load bench:qsort", 1},
+      {"load copy:qsort", 1},  {"domain det", 2},
+      {"domain modes", 2},     {"load copy:qsort", 2},
+      {"domain det", 2},       {"load file:p", 3},
+      {"domain modes", 4},     {"load file:p", 4},
+  };
+  for (const auto &[Line, Compiles] : Steps) {
+    S.execute(C, Line);
+    EXPECT_EQ(S.stats().Compiles, Compiles) << "after " << Line;
+  }
+  // Changed text compiles again; a failed compile counts, and is not
+  // remembered, so repeating it compiles again.
+  *Text = "p(b).\n";
+  S.execute(C, "load file:p");
+  EXPECT_EQ(S.stats().Compiles, 5u);
+  *Text = "p(.\n";
+  for (uint64_t N : {6u, 7u}) {
+    EXPECT_EQ(S.execute(C, "load file:p").Err.rfind("error: ", 0), 0u);
+    EXPECT_EQ(S.stats().Compiles, N);
+  }
+  AnalysisServer::Response St = S.execute(C, "stats");
+  EXPECT_NE(St.Out.find(", compiles 7\n"), std::string::npos) << St.Out;
+}
+
+TEST(ServerTest, ServiceRotationsCompileEachModuleOncePerDomain) {
+  // The service workload's script: the 11 Table 1 programs and a linked
+  // corpus of about 1.2k clauses, each round ending in a det query
+  // between two domain switches, for two clients half a rotation apart.
+  // The first rotation compiles each module once per domain; after that
+  // every load and switch finds its slot, and the payloads repeat.
+  testgen::CorpusOptions O;
+  O.Clauses = 1200;
+  const testgen::Corpus Corpus = testgen::generateCorpus(1, O);
+  struct Module {
+    std::string Load, Entry, Work;
+  };
+  std::vector<Module> Mods;
+  for (const BenchmarkProgram &B : benchmarkPrograms())
+    Mods.push_back({"bench:" + std::string(B.Name), std::string(B.EntrySpec),
+                    workPredicate(B.Source, B.EntrySpec)});
+  Mods.push_back({"corpus:user corpus:lib", "drive/1",
+                  workPredicate(Corpus.Library + Corpus.User, "drive")});
+  auto RoundOf = [](const Module &M) {
+    std::vector<std::string> L = {"load " + M.Load, "entry " + M.Entry,
+                                  "entry " + M.Entry};
+    if (!M.Work.empty())
+      L.insert(L.end(), {"entry " + M.Work, "edit " + M.Work});
+    L.insert(L.end(), {"entry " + M.Entry, "domain det", "entry " + M.Entry,
+                       "domain modes"});
+    return L;
+  };
+  AnalysisServer::Config Cfg = baseConfig(1);
+  Cfg.LoadSource = [Bench = Cfg.LoadSource, &Corpus](const std::string &Spec,
+                                                     std::string &Source,
+                                                     std::string &Err) {
+    if (Spec == "corpus:lib" || Spec == "corpus:user") {
+      Source = Spec == "corpus:lib" ? Corpus.Library : Corpus.User;
+      return true;
+    }
+    return Bench(Spec, Source, Err);
+  };
+  const size_t NM = Mods.size();
+  for (int Workers : {1, 2}) {
+    SCOPED_TRACE(std::to_string(Workers) + " worker(s)");
+    // Declared before the server, whose callbacks write them.
+    std::mutex M;
+    std::vector<std::string> Got[2], First[2];
+    Cfg.Workers = Workers;
+    AnalysisServer S(Cfg);
+    const int Clients[2] = {S.openClient(), S.openClient()};
+    for (int Rotation = 0; Rotation != 3; ++Rotation) {
+      for (size_t Round = 0; Round != NM; ++Round) {
+        // Both clients' rounds in flight together, on different modules.
+        const std::vector<std::string> Lines[2] = {
+            RoundOf(Mods[Round]), RoundOf(Mods[(Round + NM / 2) % NM])};
+        std::atomic<size_t> Done{0};
+        for (size_t I = 0; I < std::max(Lines[0].size(), Lines[1].size());
+             ++I)
+          for (int K = 0; K != 2; ++K)
+            if (I < Lines[K].size())
+              S.submit(Clients[K], Lines[K][I],
+                       [&, K](const AnalysisServer::Response &R) {
+                         std::lock_guard<std::mutex> L(M);
+                         Got[K].push_back(R.Out);
+                         ++Done;
+                       });
+        ASSERT_TRUE(waitFor(
+            [&] { return Done.load() == Lines[0].size() + Lines[1].size(); }));
+      }
+      std::lock_guard<std::mutex> L(M);
+      EXPECT_EQ(S.stats().Compiles, 2 * NM) << "after rotation " << Rotation;
+      for (int K = 0; K != 2; ++K) {
+        if (Rotation == 0)
+          First[K] = Got[K];
+        else
+          EXPECT_EQ(First[K], Got[K]) << "client " << K << " rotation "
+                                      << Rotation;
+        Got[K].clear();
+      }
+    }
   }
 }
 
