@@ -14,9 +14,10 @@
 //                  observationally identical to compiling the
 //                  concatenated sources.
 //   --export-summaries FILE
-//                  after analysis, serialize the session store's derived
-//                  summaries + replay traces to FILE (module-independent
-//                  bundle; see analyzer/SummaryBundle.h).
+//                  after analysis, serialize the session store's replay
+//                  traces, with the code hash of each predicate they use,
+//                  to FILE (module-independent bundle; see
+//                  analyzer/SummaryBundle.h).
 //   --import-summaries FILE
 //                  before analysis, load a bundle exported earlier and
 //                  bank its still-valid traces as warm-start hints.
@@ -72,13 +73,10 @@
 #include "compiler/ModuleLink.h"
 #include "compiler/Specializer.h"
 #include "programs/Benchmarks.h"
+#include "support/StringUtil.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 using namespace awam;
@@ -95,20 +93,6 @@ int usage() {
       "[--wam] [--modes]\n                    [--optimize] [--baseline] "
       "[--trace] [--dead]\n");
   return 2;
-}
-
-/// Parses \p Text as an integer in [\p Min, INT_MAX]; false on trailing
-/// garbage, empty input, out-of-range values, or anything below Min
-/// (std::atoi would silently yield 0 — and UB — on all of those).
-bool parseIntArg(const char *Text, int Min, int &Out) {
-  errno = 0;
-  char *End = nullptr;
-  long V = std::strtol(Text, &End, 10);
-  if (End == Text || *End != '\0' || errno == ERANGE || V < Min ||
-      V > std::numeric_limits<int>::max())
-    return false;
-  Out = static_cast<int>(V);
-  return true;
 }
 
 } // namespace
@@ -197,24 +181,11 @@ int main(int argc, char **argv) {
 
   // Resolves an input spec (path or bench:<name>) to Prolog source text.
   auto loadSource = [](const std::string &Spec, std::string &Out) {
-    if (Spec.starts_with("bench:")) {
-      const BenchmarkProgram *B = findBenchmark(Spec.substr(6));
-      if (!B) {
-        std::fprintf(stderr, "unknown benchmark '%s'\n", Spec.c_str() + 6);
-        return false;
-      }
-      Out = B->Source;
+    std::string Err;
+    if (loadProgramSource(Spec, Out, Err))
       return true;
-    }
-    std::ifstream In(Spec);
-    if (!In) {
-      std::fprintf(stderr, "cannot open %s\n", Spec.c_str());
-      return false;
-    }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Out = Buf.str();
-    return true;
+    std::fputs(Err.c_str(), stderr);
+    return false;
   };
 
   std::string Source;

@@ -35,36 +35,21 @@
 
 #include "analyzer/Server.h"
 #include "programs/Benchmarks.h"
+#include "support/StringUtil.h"
 
 #include <cctype>
 #include <cerrno>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <limits>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
 using namespace awam;
 
 namespace {
-
-/// Parses \p Text as an integer in [\p Min, INT_MAX] (the analyze_file
-/// parseIntArg contract).
-bool parseIntArg(const char *Text, int Min, int &Out) {
-  errno = 0;
-  char *End = nullptr;
-  long V = std::strtol(Text, &End, 10);
-  if (End == Text || *End != '\0' || errno == ERANGE || V < Min ||
-      V > std::numeric_limits<int>::max())
-    return false;
-  Out = static_cast<int>(V);
-  return true;
-}
 
 /// Parses \p Text as an unsigned 64-bit integer. Only decimal digits are
 /// accepted, so a sign, trailing junk or a value past UINT64_MAX fails
@@ -78,30 +63,6 @@ bool parseU64Arg(const char *Text, uint64_t &Out) {
   if (*End != '\0' || errno == ERANGE)
     return false;
   Out = V;
-  return true;
-}
-
-/// `load` operand resolution: bench:<name> from the built-in benchmark
-/// programs, anything else as a file path.
-bool loadSource(const std::string &Spec, std::string &Source,
-                std::string &Err) {
-  if (Spec.starts_with("bench:")) {
-    const BenchmarkProgram *B = findBenchmark(Spec.substr(6));
-    if (!B) {
-      Err = "unknown benchmark '" + Spec.substr(6) + "'\n";
-      return false;
-    }
-    Source = B->Source;
-    return true;
-  }
-  std::ifstream In(Spec);
-  if (!In) {
-    Err = "cannot open " + Spec + "\n";
-    return false;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  Source = Buf.str();
   return true;
 }
 
@@ -184,7 +145,7 @@ int runFramed(AnalysisServer &Server, int NumClients) {
 
 int main(int argc, char **argv) {
   AnalysisServer::Config Cfg;
-  Cfg.LoadSource = loadSource;
+  Cfg.LoadSource = loadProgramSource;
   int NumClients = 0;
   for (int I = 1; I < argc; ++I) {
     std::string_view Arg = argv[I];

@@ -15,8 +15,6 @@
 #include "wam/Machine.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 using namespace awam;
 
@@ -40,23 +38,10 @@ int main(int argc, char **argv) {
       GoalText = Arg;
   }
 
-  std::string Source;
-  if (Input.starts_with("bench:")) {
-    const BenchmarkProgram *B = findBenchmark(Input.substr(6));
-    if (!B) {
-      std::fprintf(stderr, "unknown benchmark '%s'\n", Input.c_str() + 6);
-      return 1;
-    }
-    Source = B->Source;
-  } else {
-    std::ifstream In(Input);
-    if (!In) {
-      std::fprintf(stderr, "cannot open %s\n", Input.c_str());
-      return 1;
-    }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Source = Buf.str();
+  std::string Source, Err;
+  if (!loadProgramSource(Input, Source, Err)) {
+    std::fputs(Err.c_str(), stderr);
+    return 1;
   }
 
   SymbolTable Syms;

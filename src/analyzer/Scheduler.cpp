@@ -25,7 +25,6 @@ void SchedulerCore::enqueue(int32_t Idx, uint64_t Sweep) {
     return; // already queued at least as early
   InQueue[Idx] = 1;
   QueuedSweep[Idx] = Sweep;
-  ++S.Enqueues;
   Heap.emplace(Sweep, Idx);
 }
 
@@ -72,7 +71,6 @@ void SchedulerCore::noteChanged(int32_t Idx, uint32_t SuccessVersion) {
       // Superseded: the reader re-ran since this edge was recorded.
       Vec[I] = Vec.back();
       Vec.pop_back();
-      ++S.EdgesRetired;
       continue;
     }
     if (Ed.VersionSeen != SuccessVersion) {
@@ -88,7 +86,6 @@ void SchedulerCore::noteChanged(int32_t Idx, uint32_t SuccessVersion) {
       // The re-run re-reads and re-records; drop the consumed edge.
       Vec[I] = Vec.back();
       Vec.pop_back();
-      ++S.EdgesRetired;
       continue;
     }
     ++I;

@@ -85,9 +85,7 @@ public:
   struct Stats {
     uint64_t Sweeps = 0;       ///< sweeps executed (naive-iteration analogue)
     uint64_t Runs = 0;         ///< activations launched from the queue
-    uint64_t Enqueues = 0;     ///< re-enqueue requests accepted
     uint64_t EdgesRecorded = 0;///< dependency edges recorded
-    uint64_t EdgesRetired = 0; ///< edges dropped as superseded or consumed
     uint64_t ReplayedRuns = 0; ///< runs satisfied by journal replay
     uint64_t ReplayedActivations = 0; ///< clause-list explorations replayed
   };

@@ -56,7 +56,7 @@ constexpr const char *kHelpText =
     "  edit NAME/ARITY     incremental re-analysis after an edit\n"
     "  optimize [SPEC]     specialize the loaded module with the facts of\n"
     "                      SPEC (default: the last successful entry)\n"
-    "  export TAG          serialize the store's summaries + replay traces\n"
+    "  export TAG          serialize the store's replay traces\n"
     "                      into the in-memory bundle registry under TAG\n"
     "  import TAG          warm-start the store from bundle TAG (stale\n"
     "                      traces drop; answers stay byte-identical)\n"

@@ -18,8 +18,8 @@
 /// the *linked* module's fingerprint,
 /// which equals the monolithic compile's (relocation-invariant clause
 /// hashing), so split and concatenated loads share a store. `export TAG`
-/// serializes the current store's summaries + replay traces into a
-/// server-wide in-memory bundle registry; `import TAG` banks a bundle's
+/// serializes the current store's replay traces into a server-wide
+/// in-memory bundle registry; `import TAG` banks a bundle's
 /// still-valid traces into the current store as warm-start hints —
 /// across modules, domains permitting (the bundle is module-independent;
 /// per-predicate code fingerprints drop stale traces on the way in, and
@@ -221,9 +221,8 @@ private:
   void doOptimize(ClientState &CS, const std::string &Rest, Response &R);
   void doDump(ClientState &CS, Response &R);
   void doStats(ClientState &CS, Response &R);
-  /// `export TAG`: serializes the current store's summaries + replay
-  /// traces into the server-wide bundle registry under TAG (overwriting a
-  /// previous TAG).
+  /// `export TAG`: serializes the current store's replay traces into the
+  /// server-wide bundle registry under TAG (overwriting a previous TAG).
   void doExport(ClientState &CS, const std::string &Rest, Response &R);
   /// `import TAG`: banks the registered bundle's still-valid traces into
   /// the current store as warm-start hints; stale/unresolved drop counts

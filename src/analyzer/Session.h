@@ -94,8 +94,8 @@ public:
   Result<std::vector<AnalysisResult>>
   analyzeBatch(const std::vector<std::string> &EntrySpecs);
 
-  /// Serializes the session store's derived summaries + replay traces
-  /// into a module-independent byte bundle (see
+  /// Serializes the session store's replay traces into a
+  /// module-independent byte bundle (see
   /// AnalysisStore::exportSummaries). Creates the store if needed; errors
   /// under the naive driver.
   Result<std::string> exportSummaries();

@@ -303,28 +303,19 @@ SummaryBundle AnalysisStore::exportBundle() const {
   SummaryBundle B;
   B.DomainName = std::string(Dom->name());
   B.DepthLimit = Options.DepthLimit;
-  B.ModuleFingerprint = M.fingerprint();
-  // Every id below is the store interner's; the bundle shares it, so
+  // Every trace id is the store interner's; the bundle shares it, so
   // serialize writes each pattern straight from the interner's arena.
   B.Patterns = Interner;
-
-  // Summary pairs: every table entry, each of which some valid root
-  // reached (invalidation rebuilds the table from the valid roots alone).
-  for (const ETEntry &E : Table->entries()) {
-    const PredicateInfo &P = M.predicate(E.PredId);
-    PredSig Sig{std::string(M.symbols().name(P.Name)), P.Arity};
-    B.Summaries.push_back({std::move(Sig), E.CallId, E.SuccessId});
-  }
 
   // Traces: the pool query() replays from. Re-exporting a store that
   // itself imported includes the surviving foreign traces — bundles
   // compose.
   B.Traces = pool();
 
-  // Deterministic bytes: the sig table sorts by pid. Every referenced
-  // predicate gets a clause-code fingerprint — including undefined ones,
-  // whose "no clauses" hash only matches another module where the call
-  // also fails, which is exactly the staleness check's job.
+  // Deterministic bytes: the predicate table sorts by pid. Every
+  // referenced predicate gets a clause-code fingerprint — including
+  // undefined ones, whose "no clauses" hash only matches another module
+  // where the call also fails, which is exactly the staleness check's job.
   std::vector<char> Referenced(static_cast<size_t>(M.numPredicates()), 0);
   for (const std::shared_ptr<const RunTrace> &T : B.Traces) {
     Referenced[static_cast<size_t>(T->Pred)] = 1;
@@ -336,9 +327,9 @@ SummaryBundle AnalysisStore::exportBundle() const {
     if (!Referenced[static_cast<size_t>(Pid)])
       continue;
     const PredicateInfo &P = M.predicate(Pid);
-    PredSig Sig{std::string(M.symbols().name(P.Name)), P.Arity};
-    B.PredCodes.push_back({Sig, M.predicateFingerprint(Pid)});
-    B.TraceSigs.emplace_back(Pid, std::move(Sig));
+    B.Preds.push_back({Pid,
+                       {std::string(M.symbols().name(P.Name)), P.Arity},
+                       M.predicateFingerprint(Pid)});
   }
   return B;
 }
@@ -362,40 +353,24 @@ AnalysisStore::importBundle(const SummaryBundle &B) {
   ImportStats IS;
   IS.BundleTraces = B.Traces.size();
 
-  // This module's pid of each bundle signature, or -1.
-  auto Resolve = [&](const PredSig &Sig) {
-    Symbol Sym = M.symbols().lookup(Sig.Name);
-    return Sym == ~0u ? -1 : M.findPredicate(Sym, Sig.Arity);
-  };
-  // The bundle's clause-code fingerprints, by this module's pid. A
-  // missing one counts as stale — the guard must be positive evidence of
-  // unchanged code.
-  std::vector<uint64_t> CodeFp(static_cast<size_t>(M.numPredicates()), 0);
-  std::vector<char> HasFp(static_cast<size_t>(M.numPredicates()), 0);
-  for (const SummaryBundle::PredCode &PC : B.PredCodes)
-    if (int32_t Pid = Resolve(PC.Sig); Pid >= 0) {
-      CodeFp[static_cast<size_t>(Pid)] = PC.CodeFp;
-      HasFp[static_cast<size_t>(Pid)] = 1;
-    }
-
-  // Resolve the bundle's pid space against this module and precompute the
-  // staleness verdict per pid. The bundle's ids are whatever its bytes
-  // say, so they only key a hash index into the sig table and size
-  // nothing.
-  detail::FlatMap64 SigIndex; // bundle pid -> TraceSigs position
+  // Resolve the bundle's predicate table against this module: each row's
+  // pid here (-1 when undefined) and whether its clause code hashes
+  // differently (stale). The bundle's ids are whatever its bytes say, so
+  // they only key a hash index into the table and size nothing.
+  detail::FlatMap64 PredIndex; // bundle pid -> Preds position
   std::vector<int32_t> NewPids;
   std::vector<char> Stale;
-  for (const auto &[Pid, Sig] : B.TraceSigs) {
-    int32_t NewPid = Resolve(Sig);
-    SigIndex.insert(static_cast<uint32_t>(Pid),
-                    static_cast<uint32_t>(NewPids.size()));
+  for (const SummaryBundle::Pred &P : B.Preds) {
+    Symbol Sym = M.symbols().lookup(P.Sig.Name);
+    int32_t NewPid = Sym == ~0u ? -1 : M.findPredicate(Sym, P.Sig.Arity);
+    PredIndex.insert(static_cast<uint32_t>(P.Pid),
+                     static_cast<uint32_t>(NewPids.size()));
     NewPids.push_back(NewPid);
-    Stale.push_back(NewPid < 0 || !HasFp[static_cast<size_t>(NewPid)] ||
-                    CodeFp[static_cast<size_t>(NewPid)] !=
-                        M.predicateFingerprint(NewPid));
+    Stale.push_back(NewPid >= 0 &&
+                    P.CodeHash != M.predicateFingerprint(NewPid));
   }
-  auto SigAt = [&](int32_t Pid) {
-    return SigIndex.lookup(static_cast<uint32_t>(Pid));
+  auto RowOf = [&](int32_t Pid) {
+    return PredIndex.lookup(static_cast<uint32_t>(Pid));
   };
 
   // Bundle pattern ids -> this store's interner: each distinct pattern a
@@ -419,7 +394,7 @@ AnalysisStore::importBundle(const SummaryBundle &B) {
       continue;
     bool Unresolved = false, IsStale = false;
     auto Check = [&](int32_t Pid) {
-      uint32_t I = SigAt(Pid);
+      uint32_t I = RowOf(Pid);
       if (I == detail::FlatMap64::kEmpty || NewPids[I] < 0)
         Unresolved = true;
       else if (Stale[I])
@@ -435,7 +410,7 @@ AnalysisStore::importBundle(const SummaryBundle &B) {
       ++IS.DroppedStale;
     else {
       Imported->append(remapTrace(
-          T, [&](int32_t Pid) { return NewPids[SigAt(Pid)]; }, MapPat));
+          T, [&](int32_t Pid) { return NewPids[RowOf(Pid)]; }, MapPat));
       ++IS.Banked;
     }
   }
@@ -531,7 +506,6 @@ int AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
   RI.Journal = std::move(Journal);
   RI.Answer = std::move(R);
   RI.Valid = true;
-  ++St.MergedRoots;
   assert(projectionsCoverTable());
   return Slot;
 }

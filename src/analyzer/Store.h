@@ -98,7 +98,6 @@ public:
     uint64_t ExecutedRuns = 0;  ///< warm drains: queue pops executed
     uint64_t ReplayedActivations = 0;
     uint64_t ExecutedActivations = 0;
-    uint64_t MergedRoots = 0;   ///< converged queries merged into the store
     uint64_t NewEntries = 0;    ///< merged entries new to the store
     uint64_t SharedEntries = 0; ///< merged entries another root already owned
     uint64_t Reanalyses = 0;
@@ -194,32 +193,26 @@ public:
   /// kCompactionFactor (observable through Stats::Compactions).
   uint64_t compactJournals();
 
-  /// Packages the store's derived knowledge — every valid entry's
-  /// call/success summary plus the pooled activation traces, with
-  /// per-predicate clause-code fingerprints — into a module-independent
-  /// bundle another store can import (analyzer/SummaryBundle.h). A store
-  /// with no merged roots exports an empty (but valid) bundle. The bundle
-  /// shares the store's interner as its Patterns (no pattern is copied).
-  SummaryBundle exportBundle() const;
-
-  /// serialize() of exportBundle() — the byte string services persist and
-  /// ship between stores.
+  /// Serializes the pooled activation traces, with the clause-code hash
+  /// of every predicate they use, into a module-independent bundle
+  /// another store can import (analyzer/SummaryBundle.h) — the byte
+  /// string services persist and ship between stores. A store with no
+  /// merged roots exports an empty (but valid) bundle.
   std::string exportSummaries() const;
 
-  /// Imports \p B, well-formed as deserialize or exportBundle produce it
-  /// (listed non-negative trace pids, balanced traces, pattern ids of its
-  /// Patterns): resolves its traces against this store's module, drops
-  /// the ones that reference missing predicates or predicates whose
-  /// clause code hashes differently (the staleness guard), and banks the
-  /// rest as replay hints the next queries warm-start from, re-keyed to
-  /// this store's interner (each distinct pattern they use is interned
-  /// once). Rejects bundles from a different abstract domain or depth
-  /// limit (their patterns mean different things). Banked traces are
-  /// validated on first use — the warm drain stays byte-identical to a
-  /// cold one whatever is imported.
-  Result<ImportStats> importBundle(const SummaryBundle &B);
-
-  /// deserialize + importBundle.
+  /// Parses the bundle \p Bytes, resolves its traces against this store's
+  /// module, drops the ones that reference missing predicates or
+  /// predicates whose clause code hashes differently (the staleness
+  /// guard), and banks the rest as replay hints the next queries
+  /// warm-start from, re-keyed to this store's interner (each distinct
+  /// pattern they use is interned once). Rejects malformed bytes and
+  /// bundles from a different abstract domain or depth limit (their
+  /// patterns mean different things), leaving the store as it was. Banked
+  /// traces are validated on first use — the warm drain stays
+  /// byte-identical to a cold one whatever exported bundle is imported,
+  /// stale or not. What a validated trace recorded (its summary growth and
+  /// costs) is applied as recorded, so bytes altered after export can
+  /// change answers.
   Result<ImportStats> importSummaries(std::string_view Bytes);
 
   /// Order-free rendering of the whole store: one line per entry —
@@ -246,9 +239,15 @@ private:
     std::unique_ptr<RunJournal> Journal;
   };
 
+  /// The bundle exportSummaries() serializes. Its Patterns is the store's
+  /// interner (no pattern is copied), so it never leaves the store.
+  SummaryBundle exportBundle() const;
+  /// importSummaries() of a bundle as deserialize parsed it.
+  Result<ImportStats> importBundle(const SummaryBundle &B);
+
   int findRootSlot(std::string_view Name, PatternId CallId) const;
   /// True when every table entry lies in some valid root's projection —
-  /// which export and canonicalDump rely on. Merges keep it by adding a
+  /// which canonicalDump relies on. Merges keep it by adding a
   /// projection per entry they install, and invalidation rebuilds the
   /// table from the valid roots alone. Asserted after both.
   bool projectionsCoverTable() const;

@@ -13,6 +13,10 @@ namespace {
 
 constexpr char kMagic[4] = {'A', 'W', 'S', 'B'};
 
+/// The byte format's "no pattern" reference.
+constexpr uint32_t kNone = 0xFFFFFFFFu;
+static_assert(kNone == kInvalidPatternId, "ids and references share none");
+
 // --- little-endian primitive writers/readers ----------------------------
 // Fixed-width little-endian keeps the byte format architecture-independent
 // (the CI matrix covers clang and gcc; a bundle written by either loads in
@@ -49,6 +53,11 @@ struct Reader {
     }
     return true;
   }
+  uint8_t u8() {
+    if (!need(1))
+      return 0;
+    return static_cast<uint8_t>(*P++);
+  }
   uint32_t u32() {
     if (!need(4))
       return 0;
@@ -82,7 +91,7 @@ struct Reader {
   std::string str() { return std::string(strView()); }
 };
 
-// --- pattern section ----------------------------------------------------
+// --- pattern table ------------------------------------------------------
 // Node symbols serialize as name strings (symbol ids are table-local); the
 // reader interns into its own table. Node order and child slices copy
 // verbatim — canonical node numbering is structural (first-visit from the
@@ -115,13 +124,14 @@ void putPattern(std::string &Out, const PatternRef &P,
 }
 
 // Lower bounds on the bytes one serialized item takes, which bound every
-// count by the bytes left before anything is reserved: a node is a kind,
-// a symbol flag, a number and a child slice (1 + 1 + 8 + 4 + 4); a child
-// or root id is 4; an op is a kind, a flag, a pid, three empty pattern
-// counts and an absent summary (1 + 1 + 4 + 12 + 1).
+// count by the bytes left before anything is reserved: a pattern is three
+// counts (3 * 4); a node is a kind, a symbol flag, a number and a child
+// slice (1 + 1 + 8 + 4 + 4); a child or root id is 4; an op is a kind, a
+// flag and three ids (1 + 1 + 3 * 4), exactly.
+constexpr uint64_t kMinPatternBytes = 12;
 constexpr uint64_t kMinNodeBytes = 18;
 constexpr uint64_t kMinIdBytes = 4;
-constexpr uint64_t kMinOpBytes = 19;
+constexpr uint64_t kOpBytes = 14;
 
 /// Reads one pattern into \p P (its vectors are reused). A truncated or
 /// malformed pattern sets R.Bad.
@@ -135,15 +145,13 @@ void getPattern(Reader &R, SymbolTable &Syms, Pattern &P) {
   P.Nodes.reserve(NumNodes);
   for (uint32_t I = 0; I != NumNodes && !R.Bad; ++I) {
     PatNode N;
-    if (!R.need(2))
-      break;
-    uint8_t Kind = static_cast<uint8_t>(*R.P++);
+    uint8_t Kind = R.u8();
     if (Kind > static_cast<uint8_t>(PatKind::StrP)) {
       R.Bad = true;
       return;
     }
     N.K = static_cast<PatKind>(Kind);
-    bool HasSym = *R.P++ != 0;
+    bool HasSym = R.u8() != 0;
     if (HasSym)
       N.Sym = Syms.intern(R.strView());
     N.Num = R.i64();
@@ -191,60 +199,34 @@ void getPattern(Reader &R, SymbolTable &Syms, Pattern &P) {
     }
 }
 
-/// Reads patterns into one table, one entry per distinct pattern.
-struct PatternReader {
-  Reader &R;
-  SymbolTable &Syms;
-  PatternInterner &Table;
-  Pattern Scratch;
-
-  /// Reads a pattern and returns its id, or kInvalidPatternId with R.Bad
-  /// set. With \p Keep false the pattern is only checked.
-  PatternId pattern(bool Keep = true) {
-    getPattern(R, Syms, Scratch);
-    return R.Bad || !Keep ? kInvalidPatternId : Table.intern(Scratch);
-  }
-
-  /// A presence flag and, when set, a pattern (kInvalidPatternId: none).
-  PatternId optPattern() {
-    if (!R.need(1))
-      return kInvalidPatternId;
-    bool Has = *R.P++ != 0;
-    return Has ? pattern() : kInvalidPatternId;
-  }
-};
-
-void putSig(std::string &Out, const PredSig &S) {
-  putStr(Out, S.Name);
-  putU32(Out, static_cast<uint32_t>(S.Arity));
-}
-
-PredSig getSig(Reader &R) {
-  PredSig S;
-  S.Name = R.str();
-  S.Arity = static_cast<int32_t>(R.u32());
-  return S;
-}
-
-/// Is \p Pid a key of the trace-sig index \p Listed?
+/// Is \p Pid a key of the predicate-table index \p Listed?
 bool isListed(const detail::FlatMap64 &Listed, int32_t Pid) {
   return Pid >= 0 && Listed.lookup(static_cast<uint64_t>(Pid)) !=
                          detail::FlatMap64::kEmpty;
 }
 
-/// Checks one parsed op against what replay relies on: Memo and Enter ops
-/// name a predicate listed in \p Listed, Exit and Grow ops name none, Grow
-/// ops carry their summary, and no op follows the Exit that closes the
-/// root frame. \p Depth counts the open frames (1 = the root's) and is
-/// updated. Returns the defect, or nullptr for a well-formed op.
+/// Checks one parsed op, whose pattern fields still hold pattern-table
+/// indexes, against what replay relies on: Memo and Enter ops name a
+/// predicate listed in \p Listed and a calling pattern, Exit and Grow ops
+/// name neither, every index is below \p NumPatterns, Grow ops carry their
+/// summary, and no op follows the Exit that closes the root frame.
+/// \p Depth counts the open frames (1 = the root's) and is updated.
+/// Returns the defect, or nullptr for a well-formed op.
 const char *opDefect(const TraceOp &Op, int64_t &Depth,
-                     const detail::FlatMap64 &Listed) {
+                     const detail::FlatMap64 &Listed, size_t NumPatterns) {
   if (Depth == 0)
     return "trace op after the root frame returned";
   bool NamesPred = Op.K == TraceOp::Memo || Op.K == TraceOp::Enter;
   if (NamesPred ? !isListed(Listed, Op.Pred) : Op.Pred != -1)
     return "trace op with a missing, unlisted or stray predicate id";
-  if (Op.K == TraceOp::Grow && Op.Summary == kInvalidPatternId)
+  for (uint32_t Index : {Op.Call, Op.Summary})
+    if (Index != kNone && Index >= NumPatterns)
+      return "pattern index out of range";
+  if (NamesPred && Op.Call == kNone)
+    return "memo or enter op without a calling pattern";
+  if (!NamesPred && Op.Call != kNone)
+    return "exit or grow op with a calling pattern";
+  if (Op.K == TraceOp::Grow && Op.Summary == kNone)
     return "grow op without a summary";
   if (Op.K == TraceOp::Enter)
     ++Depth;
@@ -256,60 +238,56 @@ const char *opDefect(const TraceOp &Op, int64_t &Depth,
 } // namespace
 
 std::string SummaryBundle::serialize(const SymbolTable &Syms) const {
-  assert((Patterns || (Summaries.empty() && Traces.empty())) &&
-         "pattern ids need their table");
+  assert((Patterns || Traces.empty()) && "pattern ids need their table");
+  // The traces are written first, to a buffer of their own, numbering the
+  // patterns they use in order of first use — so the bytes do not depend
+  // on how the exporting table numbered them — and the pattern table then
+  // goes ahead of them.
+  std::vector<uint32_t> Index(Patterns ? Patterns->size() : 0, kNone);
+  std::vector<PatternId> Used;
+  auto Ref = [&](PatternId Id) {
+    if (Id == kInvalidPatternId)
+      return kNone;
+    if (Index[Id] == kNone) {
+      Index[Id] = static_cast<uint32_t>(Used.size());
+      Used.push_back(Id);
+    }
+    return Index[Id];
+  };
+  std::string Body;
+  putU32(Body, static_cast<uint32_t>(Traces.size()));
+  for (const std::shared_ptr<const RunTrace> &T : Traces) {
+    putU32(Body, static_cast<uint32_t>(T->Pred));
+    putU32(Body, Ref(T->Call));
+    putU32(Body, Ref(T->PreSuccess));
+    putU64(Body, T->Steps);
+    putU64(Body, T->Activations);
+    putU32(Body, static_cast<uint32_t>(T->Ops.size()));
+    for (const TraceOp &Op : T->Ops) {
+      Body.push_back(static_cast<char>(Op.K));
+      Body.push_back(Op.Created ? 1 : 0);
+      putU32(Body, static_cast<uint32_t>(Op.Pred));
+      putU32(Body, Ref(Op.Call));
+      putU32(Body, Ref(Op.Summary));
+    }
+  }
+
   std::string Out;
-  // Exit and Grow ops carry no calling pattern; they serialize an empty
-  // one.
-  auto Pat = [&](PatternId Id) {
-    return Id == kInvalidPatternId ? PatternRef() : Patterns->pattern(Id);
-  };
-  auto PutOpt = [&](PatternId Id) {
-    Out.push_back(Id != kInvalidPatternId ? 1 : 0);
-    if (Id != kInvalidPatternId)
-      putPattern(Out, Pat(Id), Syms);
-  };
   Out.append(kMagic, 4);
   putU32(Out, kVersion);
   putStr(Out, DomainName);
   putU32(Out, static_cast<uint32_t>(DepthLimit));
-  putU64(Out, ModuleFingerprint);
-
-  putU32(Out, static_cast<uint32_t>(Summaries.size()));
-  for (const Summary &S : Summaries) {
-    putSig(Out, S.Sig);
-    putPattern(Out, Pat(S.Call), Syms);
-    PutOpt(S.Success);
+  putU32(Out, static_cast<uint32_t>(Preds.size()));
+  for (const Pred &P : Preds) {
+    putU32(Out, static_cast<uint32_t>(P.Pid));
+    putStr(Out, P.Sig.Name);
+    putU32(Out, static_cast<uint32_t>(P.Sig.Arity));
+    putU64(Out, P.CodeHash);
   }
-
-  putU32(Out, static_cast<uint32_t>(PredCodes.size()));
-  for (const PredCode &P : PredCodes) {
-    putSig(Out, P.Sig);
-    putU64(Out, P.CodeFp);
-  }
-
-  putU32(Out, static_cast<uint32_t>(TraceSigs.size()));
-  for (const auto &[Pid, Sig] : TraceSigs) {
-    putU32(Out, static_cast<uint32_t>(Pid));
-    putSig(Out, Sig);
-  }
-
-  putU32(Out, static_cast<uint32_t>(Traces.size()));
-  for (const std::shared_ptr<const RunTrace> &T : Traces) {
-    putU32(Out, static_cast<uint32_t>(T->Pred));
-    putPattern(Out, Pat(T->Call), Syms);
-    PutOpt(T->PreSuccess);
-    putU64(Out, T->Steps);
-    putU64(Out, T->Activations);
-    putU32(Out, static_cast<uint32_t>(T->Ops.size()));
-    for (const TraceOp &Op : T->Ops) {
-      Out.push_back(static_cast<char>(Op.K));
-      Out.push_back(Op.Created ? 1 : 0);
-      putU32(Out, static_cast<uint32_t>(Op.Pred));
-      putPattern(Out, Pat(Op.Call), Syms);
-      PutOpt(Op.Summary);
-    }
-  }
+  putU32(Out, static_cast<uint32_t>(Used.size()));
+  for (PatternId Id : Used)
+    putPattern(Out, Patterns->pattern(Id), Syms);
+  Out += Body;
   return Out;
 }
 
@@ -328,90 +306,93 @@ Result<SummaryBundle> SummaryBundle::deserialize(std::string_view Bytes,
   SummaryBundle B;
   B.DomainName = R.str();
   B.DepthLimit = static_cast<int32_t>(R.u32());
-  B.ModuleFingerprint = R.u64();
-  auto Patterns = std::make_shared<PatternInterner>();
-  B.Patterns = Patterns;
-  PatternReader PR{R, Syms, *Patterns, {}};
 
-  uint32_t NumSummaries = R.u32();
-  for (uint32_t I = 0; I != NumSummaries && !R.Bad; ++I) {
-    Summary S;
-    S.Sig = getSig(R);
-    S.Call = PR.pattern();
-    S.Success = PR.optPattern();
-    B.Summaries.push_back(std::move(S));
-  }
-
-  uint32_t NumCodes = R.u32();
-  for (uint32_t I = 0; I != NumCodes && !R.Bad; ++I) {
-    PredCode P;
-    P.Sig = getSig(R);
-    P.CodeFp = R.u64();
-    B.PredCodes.push_back(std::move(P));
-  }
-
-  // Trace predicate ids are keys of the sig table: negative, duplicate
-  // and unlisted ids are corrupt. Ids keep their exported values (so a
-  // bundle re-serializes to its own bytes); consumers resolve them through
-  // the table and size nothing by them.
-  detail::FlatMap64 Listed; // pid -> listing position
-  uint32_t NumSigs = R.u32();
-  for (uint32_t I = 0; I != NumSigs && !R.Bad; ++I) {
-    int32_t Pid = static_cast<int32_t>(R.u32());
-    PredSig Sig = getSig(R);
+  // Trace predicate ids are keys of the predicate table: negative,
+  // duplicate and unlisted ids are corrupt. Ids keep their exported
+  // values (so a bundle re-serializes to its own bytes); consumers resolve
+  // them through the table and size nothing by them.
+  detail::FlatMap64 Listed; // pid -> table position
+  uint32_t NumPreds = R.u32();
+  for (uint32_t I = 0; I != NumPreds && !R.Bad; ++I) {
+    Pred P;
+    P.Pid = static_cast<int32_t>(R.u32());
+    P.Sig.Name = R.str();
+    P.Sig.Arity = static_cast<int32_t>(R.u32());
+    P.CodeHash = R.u64();
     if (R.Bad)
       break;
-    if (Pid < 0 || isListed(Listed, Pid))
+    if (P.Pid < 0 || isListed(Listed, P.Pid))
       return makeError("summary bundle: negative or duplicate trace "
                        "predicate id " +
-                       std::to_string(Pid));
-    Listed.insert(static_cast<uint64_t>(Pid), I);
-    B.TraceSigs.emplace_back(Pid, std::move(Sig));
+                       std::to_string(P.Pid));
+    Listed.insert(static_cast<uint64_t>(P.Pid), I);
+    B.Preds.push_back(std::move(P));
   }
+
+  // The pattern table, interned into a table the bundle owns. Ids[I] is
+  // the id of table entry I (equal entries, which no export writes,
+  // share one id).
+  auto Patterns = std::make_shared<PatternInterner>();
+  B.Patterns = Patterns;
+  std::vector<PatternId> Ids;
+  uint32_t NumPatterns = R.u32();
+  if (R.need(NumPatterns * kMinPatternBytes))
+    Ids.reserve(NumPatterns);
+  Pattern Scratch;
+  for (uint32_t I = 0; I != NumPatterns && !R.Bad; ++I) {
+    getPattern(R, Syms, Scratch);
+    if (!R.Bad)
+      Ids.push_back(Patterns->intern(Scratch));
+  }
+  auto IdOf = [&](uint32_t Index) {
+    return Index == kNone ? kInvalidPatternId : Ids[Index];
+  };
 
   uint32_t NumTraces = R.u32();
   for (uint32_t I = 0; I != NumTraces && !R.Bad; ++I) {
+    auto Defective = [&](std::string_view Defect) {
+      return makeError("summary bundle: trace " + std::to_string(I) + ": " +
+                       std::string(Defect));
+    };
     auto T = std::make_shared<RunTrace>();
     T->Pred = static_cast<int32_t>(R.u32());
-    if (!R.Bad && !isListed(Listed, T->Pred))
-      return makeError("summary bundle: trace " + std::to_string(I) +
-                       ": trace root names an unlisted predicate id");
-    T->Call = PR.pattern();
-    T->PreSuccess = PR.optPattern();
+    uint32_t Call = R.u32();
+    uint32_t PreSuccess = R.u32();
     T->Steps = R.u64();
     T->Activations = R.u64();
     uint32_t NumOps = R.u32();
-    if (!R.need(NumOps * kMinOpBytes))
+    // Ops are fixed records, so none is read past the bytes checked here.
+    if (R.Bad || !R.need(NumOps * kOpBytes))
       break;
+    if (!isListed(Listed, T->Pred))
+      return Defective("trace root names an unlisted predicate id");
+    if (Call == kNone)
+      return Defective("trace root without a calling pattern");
+    if (Call >= Ids.size() || (PreSuccess != kNone && PreSuccess >= Ids.size()))
+      return Defective("pattern index out of range");
+    T->Call = IdOf(Call);
+    T->PreSuccess = IdOf(PreSuccess);
     T->Ops.reserve(NumOps);
     int64_t Depth = 1; // the root frame
-    for (uint32_t J = 0; J != NumOps && !R.Bad; ++J) {
+    for (uint32_t J = 0; J != NumOps; ++J) {
       TraceOp Op;
-      if (!R.need(2))
-        break;
-      uint8_t Kind = static_cast<uint8_t>(*R.P++);
+      uint8_t Kind = R.u8();
       if (Kind > TraceOp::Grow)
         return makeError("summary bundle: unknown trace op kind " +
                          std::to_string(Kind));
       Op.K = static_cast<TraceOp::Kind>(Kind);
-      Op.Created = *R.P++ != 0;
+      Op.Created = R.u8() != 0;
       Op.Pred = static_cast<int32_t>(R.u32());
-      // Only Memo and Enter ops have a calling pattern; the empty one the
-      // others carry is checked and dropped.
-      Op.Call = PR.pattern(Op.K == TraceOp::Memo || Op.K == TraceOp::Enter);
-      Op.Summary = PR.optPattern();
-      if (R.Bad)
-        break;
-      if (const char *Defect = opDefect(Op, Depth, Listed))
-        return makeError("summary bundle: trace " + std::to_string(I) +
-                         ": " + Defect);
-      T->Ops.push_back(std::move(Op));
+      Op.Call = R.u32();
+      Op.Summary = R.u32();
+      if (const char *Defect = opDefect(Op, Depth, Listed, Ids.size()))
+        return Defective(Defect);
+      Op.Call = IdOf(Op.Call);
+      Op.Summary = IdOf(Op.Summary);
+      T->Ops.push_back(Op);
     }
-    if (R.Bad)
-      break;
     if (Depth != 0)
-      return makeError("summary bundle: trace " + std::to_string(I) +
-                       ": unbalanced trace (root frame never returns)");
+      return Defective("unbalanced trace (root frame never returns)");
     B.Traces.push_back(std::move(T));
   }
 

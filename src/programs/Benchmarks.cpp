@@ -3,6 +3,8 @@
 #include "programs/Benchmarks.h"
 
 #include <array>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 using namespace awam;
@@ -230,4 +232,26 @@ const BenchmarkProgram *awam::findBenchmark(std::string_view Name) {
     if (B.Name == Name)
       return &B;
   return nullptr;
+}
+
+bool awam::loadProgramSource(const std::string &Spec, std::string &Source,
+                             std::string &Err) {
+  if (Spec.starts_with("bench:")) {
+    const BenchmarkProgram *B = findBenchmark(Spec.substr(6));
+    if (!B) {
+      Err = "unknown benchmark '" + Spec.substr(6) + "'\n";
+      return false;
+    }
+    Source = B->Source;
+    return true;
+  }
+  std::ifstream In(Spec);
+  if (!In) {
+    Err = "cannot open " + Spec + "\n";
+    return false;
+  }
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  Source = Buf.str();
+  return true;
 }

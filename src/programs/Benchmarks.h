@@ -18,6 +18,7 @@
 #define AWAM_PROGRAMS_BENCHMARKS_H
 
 #include <span>
+#include <string>
 #include <string_view>
 
 namespace awam {
@@ -38,6 +39,14 @@ std::span<const BenchmarkProgram> benchmarkPrograms();
 
 /// Finds a benchmark by name; nullptr if unknown.
 const BenchmarkProgram *findBenchmark(std::string_view Name);
+
+/// Resolves a program operand of the command-line tools to Prolog source:
+/// bench:<name> names a benchmark, anything else is read as a file path.
+/// On failure returns false with \p Err set to the newline-terminated
+/// message ("unknown benchmark 'NAME'" or "cannot open PATH"). The
+/// signature is AnalysisServer::Config::LoadSource's.
+bool loadProgramSource(const std::string &Spec, std::string &Source,
+                       std::string &Err);
 
 } // namespace awam
 

@@ -3,7 +3,10 @@
 #include "support/StringUtil.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 using namespace awam;
 
@@ -61,6 +64,17 @@ std::string awam::quoteAtom(std::string_view Name) {
   }
   Out.push_back('\'');
   return Out;
+}
+
+bool awam::parseIntArg(const char *Text, int Min, int &Out) {
+  errno = 0;
+  char *End = nullptr;
+  long V = std::strtol(Text, &End, 10);
+  if (End == Text || *End != '\0' || errno == ERANGE || V < Min ||
+      V > std::numeric_limits<int>::max())
+    return false;
+  Out = static_cast<int>(V);
+  return true;
 }
 
 TextTable::TextTable(std::vector<std::string> Headers)

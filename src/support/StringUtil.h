@@ -6,7 +6,8 @@
 ///
 /// \file
 /// String formatting helpers shared by the disassembler, the report printer
-/// and the benchmark table writers.
+/// and the benchmark table writers, and the integer-argument parser of the
+/// command-line tools.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,11 @@ bool isUnquotedAtom(std::string_view Name);
 
 /// Quotes \p Name as a Prolog atom ('...' with escapes) when necessary.
 std::string quoteAtom(std::string_view Name);
+
+/// Parses \p Text as a decimal integer in [\p Min, INT_MAX] into \p Out;
+/// false on trailing garbage, empty input, out-of-range values, or anything
+/// below Min (std::atoi would silently yield 0 — and UB — on all of those).
+bool parseIntArg(const char *Text, int Min, int &Out);
 
 /// A fixed-layout text table used by the benchmark harness to print rows in
 /// the same shape as the paper's tables.

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace awam;
 
 namespace {
@@ -101,41 +103,52 @@ protected:
     return New;
   }
 
-  /// Writes \p Count over the little-endian u32 count at \p At of the
-  /// library's bundle bytes and expects both deserialize and a store's
-  /// import to reject the result as corrupt.
-  void expectCountRejected(size_t (*CountAt)(std::string_view),
-                           uint32_t Count) {
+  /// Expects deserialize, and the import of a store over \p Lib that has
+  /// answered a query, to reject \p Bytes with a message containing
+  /// \p Why, and the store to be left as it was.
+  void expectBytesRejected(const CompiledProgram &Lib, SymbolTable &Syms,
+                           std::string_view Bytes, std::string_view Why) {
+    Result<SummaryBundle> B = SummaryBundle::deserialize(Bytes, Syms);
+    ASSERT_FALSE(B);
+    EXPECT_NE(B.diag().str().find(Why), std::string::npos) << B.diag().str();
+
+    AnalyzerOptions O;
+    AnalysisSession S(Lib, O);
+    ASSERT_TRUE(S.analyze(kLibSpecs[0]));
+    const AnalysisStore &Store = *S.store();
+    const std::string Dump = Store.canonicalDump(Syms);
+    const uint64_t StoreBytes = Store.bytesUsed();
+    Result<AnalysisStore::ImportStats> IS = S.importSummaries(Bytes);
+    ASSERT_FALSE(IS);
+    EXPECT_NE(IS.diag().str().find(Why), std::string::npos)
+        << IS.diag().str();
+    EXPECT_EQ(Store.canonicalDump(Syms), Dump);
+    EXPECT_EQ(Store.bytesUsed(), StoreBytes);
+    EXPECT_EQ(Store.stats().BundlesImported, 0u);
+    EXPECT_EQ(Store.stats().ImportedTraces, 0u);
+  }
+
+  /// Writes \p Value over the little-endian u32 at \p At of the library's
+  /// bundle bytes and expects the result rejected with \p Why (see
+  /// expectBytesRejected).
+  void expectU32Rejected(size_t (*At)(std::string_view), uint32_t Value,
+                         std::string_view Why) {
     SymbolTable Syms;
     TermArena Arena;
     CompiledProgram Lib = compile(kLibSource, Syms, Arena);
     std::string Bytes = exportLibBundle(Lib);
-    size_t At = CountAt(Bytes);
-    ASSERT_LE(At + 4, Bytes.size());
+    size_t Pos = At(Bytes);
+    ASSERT_LE(Pos + 4, Bytes.size());
     for (int I = 0; I != 4; ++I)
-      Bytes[At + I] = static_cast<char>((Count >> (8 * I)) & 0xff);
-    Result<SummaryBundle> B = SummaryBundle::deserialize(Bytes, Syms);
-    ASSERT_FALSE(B);
-    EXPECT_NE(B.diag().str().find("truncated or corrupt"), std::string::npos)
-        << B.diag().str();
-    AnalyzerOptions O;
-    AnalysisSession S(Lib, O);
-    Result<AnalysisStore::ImportStats> IS = S.importSummaries(Bytes);
-    ASSERT_FALSE(IS);
-    EXPECT_NE(IS.diag().str().find("truncated or corrupt"),
-              std::string::npos)
-        << IS.diag().str();
+      Bytes[Pos + I] = static_cast<char>((Value >> (8 * I)) & 0xff);
+    expectBytesRejected(Lib, Syms, Bytes, Why);
   }
 
-  /// Serializes \p B and expects deserialize to reject the bytes with a
-  /// message containing \p Why.
-  void expectRejected(const SummaryBundle &B, SymbolTable &Syms,
-                      std::string_view Why) {
-    Result<SummaryBundle> Back =
-        SummaryBundle::deserialize(B.serialize(Syms), Syms);
-    ASSERT_FALSE(Back);
-    EXPECT_NE(Back.diag().str().find(Why), std::string::npos)
-        << Back.diag().str();
+  /// Serializes \p B and expects the bytes rejected with \p Why (see
+  /// expectBytesRejected).
+  void expectRejected(const CompiledProgram &Lib, const SummaryBundle &B,
+                      SymbolTable &Syms, std::string_view Why) {
+    expectBytesRejected(Lib, Syms, B.serialize(Syms), Why);
   }
 
   CompiledProgram linkUser(const CompiledProgram &Lib,
@@ -159,8 +172,7 @@ TEST_F(SummaryBundleTest, BytesRoundTripExactly) {
   ASSERT_TRUE(B) << B.diag().str();
   EXPECT_EQ(B->DomainName, "modes");
   EXPECT_EQ(B->DepthLimit, kDefaultDepthLimit);
-  EXPECT_EQ(B->ModuleFingerprint, Lib.Module->fingerprint());
-  EXPECT_FALSE(B->Summaries.empty());
+  EXPECT_FALSE(B->Preds.empty());
   EXPECT_FALSE(B->Traces.empty());
   EXPECT_EQ(B->serialize(Syms), Bytes);
 }
@@ -186,8 +198,8 @@ TEST_F(SummaryBundleTest, NegativeTracePidRejected) {
   TermArena Arena;
   CompiledProgram Lib = compile(kLibSource, Syms, Arena);
   SummaryBundle B = libBundle(Lib, Syms);
-  B.TraceSigs.front().first = -1;
-  expectRejected(B, Syms, "negative or duplicate trace predicate id -1");
+  B.Preds.front().Pid = -1;
+  expectRejected(Lib, B, Syms, "negative or duplicate trace predicate id -1");
 }
 
 TEST_F(SummaryBundleTest, DuplicateOrUnlistedTracePidRejected) {
@@ -195,12 +207,12 @@ TEST_F(SummaryBundleTest, DuplicateOrUnlistedTracePidRejected) {
   TermArena Arena;
   CompiledProgram Lib = compile(kLibSource, Syms, Arena);
   SummaryBundle B = libBundle(Lib, Syms);
-  ASSERT_GE(B.TraceSigs.size(), 2u);
+  ASSERT_GE(B.Preds.size(), 2u);
   SummaryBundle Dup = B;
-  Dup.TraceSigs[1].first = Dup.TraceSigs[0].first;
-  expectRejected(Dup, Syms, "negative or duplicate trace predicate id");
+  Dup.Preds[1].Pid = Dup.Preds[0].Pid;
+  expectRejected(Lib, Dup, Syms, "negative or duplicate trace predicate id");
   mutateTraces(B, [](RunTrace &T) { T.Pred = 12345; });
-  expectRejected(B, Syms, "unlisted predicate id");
+  expectRejected(Lib, B, Syms, "unlisted predicate id");
 }
 
 TEST_F(SummaryBundleTest, HugeTracePidSizesNothing) {
@@ -211,9 +223,9 @@ TEST_F(SummaryBundleTest, HugeTracePidSizesNothing) {
   TermArena Arena;
   CompiledProgram Lib = compile(kLibSource, Syms, Arena);
   SummaryBundle B = libBundle(Lib, Syms);
-  const int32_t Old = B.TraceSigs.back().first;
+  const int32_t Old = B.Preds.back().Pid;
   constexpr int32_t kHuge = 60'000'000;
-  B.TraceSigs.back().first = kHuge;
+  B.Preds.back().Pid = kHuge;
   mutateTraces(B, [&](RunTrace &T) {
     if (T.Pred == Old)
       T.Pred = kHuge;
@@ -224,7 +236,7 @@ TEST_F(SummaryBundleTest, HugeTracePidSizesNothing) {
   const std::string Bytes = B.serialize(Syms);
   Result<SummaryBundle> Back = SummaryBundle::deserialize(Bytes, Syms);
   ASSERT_TRUE(Back) << Back.diag().str();
-  EXPECT_EQ(Back->TraceSigs.back().first, kHuge);
+  EXPECT_EQ(Back->Preds.back().Pid, kHuge);
   EXPECT_EQ(Back->serialize(Syms), Bytes);
 
   AnalyzerOptions O;
@@ -255,7 +267,7 @@ TEST_F(SummaryBundleTest, LeadingExitOpsRejected) {
     Exit.K = TraceOp::Exit;
     T.Ops.insert(T.Ops.begin(), 2, Exit);
   });
-  expectRejected(B, Syms, "trace op after the root frame returned");
+  expectRejected(Lib, B, Syms, "trace op after the root frame returned");
 }
 
 TEST_F(SummaryBundleTest, UnbalancedTraceRejected) {
@@ -267,7 +279,7 @@ TEST_F(SummaryBundleTest, UnbalancedTraceRejected) {
     ASSERT_EQ(T.Ops.back().K, TraceOp::Exit);
     T.Ops.pop_back();
   });
-  expectRejected(B, Syms, "unbalanced trace");
+  expectRejected(Lib, B, Syms, "unbalanced trace");
 }
 
 TEST_F(SummaryBundleTest, GrowWithoutSummaryRejected) {
@@ -284,7 +296,7 @@ TEST_F(SummaryBundleTest, GrowWithoutSummaryRejected) {
       }
   });
   ASSERT_TRUE(Dropped);
-  expectRejected(B, Syms, "grow op without a summary");
+  expectRejected(Lib, B, Syms, "grow op without a summary");
 }
 
 TEST_F(SummaryBundleTest, UnknownOpKindRejected) {
@@ -295,7 +307,7 @@ TEST_F(SummaryBundleTest, UnknownOpKindRejected) {
   mutateTraces(B, [](RunTrace &T) {
     T.Ops.front().K = static_cast<TraceOp::Kind>(TraceOp::Grow + 1);
   });
-  expectRejected(B, Syms, "unknown trace op kind 4");
+  expectRejected(Lib, B, Syms, "unknown trace op kind 4");
 }
 
 TEST_F(SummaryBundleTest, UnknownPatternNodeKindRejected) {
@@ -309,7 +321,54 @@ TEST_F(SummaryBundleTest, UnknownPatternNodeKindRejected) {
       static_cast<PatKind>(static_cast<uint8_t>(PatKind::StrP) + 1);
   PatternId BadId = addPattern(B, Bad);
   mutateTraces(B, [&](RunTrace &T) { T.Call = BadId; });
-  expectRejected(B, Syms, "truncated or corrupt");
+  expectRejected(Lib, B, Syms, "truncated or corrupt");
+}
+
+TEST_F(SummaryBundleTest, MissingCallingPatternRejected) {
+  // Replay keys every root and every Memo/Enter op by its calling pattern.
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  SummaryBundle B = libBundle(Lib, Syms);
+  SummaryBundle Rootless = B;
+  mutateTraces(Rootless, [](RunTrace &T) { T.Call = kInvalidPatternId; });
+  expectRejected(Lib, Rootless, Syms, "trace root without a calling pattern");
+  for (TraceOp::Kind K : {TraceOp::Memo, TraceOp::Enter}) {
+    SummaryBundle Op = B;
+    bool Dropped = false;
+    mutateTraces(Op, [&](RunTrace &T) {
+      for (TraceOp &O : T.Ops)
+        if (!Dropped && O.K == K) {
+          O.Call = kInvalidPatternId;
+          Dropped = true;
+        }
+    });
+    ASSERT_TRUE(Dropped) << int(K);
+    expectRejected(Lib, Op, Syms,
+                   "memo or enter op without a calling pattern");
+  }
+}
+
+TEST_F(SummaryBundleTest, StrayCallingPatternRejected) {
+  // Exit and Grow ops have no callee, so a calling pattern on one is
+  // corrupt.
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  SummaryBundle B = libBundle(Lib, Syms);
+  for (TraceOp::Kind K : {TraceOp::Exit, TraceOp::Grow}) {
+    SummaryBundle Op = B;
+    bool Added = false;
+    mutateTraces(Op, [&](RunTrace &T) {
+      for (TraceOp &O : T.Ops)
+        if (!Added && O.K == K) {
+          O.Call = T.Call;
+          Added = true;
+        }
+    });
+    ASSERT_TRUE(Added) << int(K);
+    expectRejected(Lib, Op, Syms, "exit or grow op with a calling pattern");
+  }
 }
 
 /// The little-endian u32 at byte \p At of bundle bytes \p B.
@@ -321,19 +380,30 @@ size_t u32At(std::string_view B, size_t At) {
   return V;
 }
 
-/// Byte offset of the node count of the first summary's calling pattern
-/// (the layout is SummaryBundle::serialize's).
-size_t firstNodeCountAt(std::string_view B) {
-  size_t At = 8;             // magic, version
-  At += 4 + u32At(B, At);    // domain name
-  At += 4 + 8 + 4;           // depth limit, module fingerprint, summary count
-  At += 4 + u32At(B, At) + 4; // the first summary's name and arity
+// Byte offsets into bundle bytes, following SummaryBundle::serialize's
+// layout: header, predicate table, pattern table, traces.
+
+/// Byte offset of the pattern table's count.
+size_t patternCountAt(std::string_view B) {
+  size_t At = 8;          // magic, version
+  At += 4 + u32At(B, At); // domain name
+  At += 4;                // depth limit
+  size_t NumPreds = u32At(B, At);
+  At += 4;
+  for (size_t I = 0; I != NumPreds; ++I) {
+    At += 4;                // pid
+    At += 4 + u32At(B, At); // name
+    At += 4 + 8;            // arity, code hash
+  }
   return At;
 }
 
-/// Byte offset of the child count of the same pattern, past its nodes.
-size_t firstChildCountAt(std::string_view B) {
-  size_t At = firstNodeCountAt(B);
+/// Byte offset of the node count of the first pattern-table entry.
+size_t firstNodeCountAt(std::string_view B) { return patternCountAt(B) + 4; }
+
+/// Byte offset of the child count of the pattern whose node count is at
+/// \p At, past its nodes.
+size_t pastNodes(std::string_view B, size_t At) {
   size_t NumNodes = u32At(B, At);
   At += 4;
   for (size_t I = 0; I != NumNodes; ++I) {
@@ -346,14 +416,129 @@ size_t firstChildCountAt(std::string_view B) {
   return At;
 }
 
+/// Byte offset of the child count of the first pattern-table entry.
+size_t firstChildCountAt(std::string_view B) {
+  return pastNodes(B, firstNodeCountAt(B));
+}
+
+/// Byte offset of the first trace: its root predicate id.
+size_t firstTraceAt(std::string_view B) {
+  size_t At = patternCountAt(B);
+  size_t NumPatterns = u32At(B, At);
+  At += 4;
+  for (size_t I = 0; I != NumPatterns; ++I) {
+    At = pastNodes(B, At);
+    At += 4 + 4 * u32At(B, At); // children
+    At += 4 + 4 * u32At(B, At); // roots
+  }
+  return At + 4; // the trace count
+}
+
+/// Byte offsets of the first trace's calling pattern and of its first op's
+/// summary (root pid, call, pre-success, steps, activations, op count;
+/// then kind, created flag, pred, call).
+size_t firstTraceCallAt(std::string_view B) { return firstTraceAt(B) + 4; }
+size_t firstOpSummaryAt(std::string_view B) {
+  return firstTraceAt(B) + 4 * 3 + 8 * 2 + 4 + 1 + 1 + 4 + 4;
+}
+
 TEST_F(SummaryBundleTest, HugeNodeCountRejected) {
   // 0x80000001 nodes at two bytes each wrapped to a 2-byte check in
   // 32 bits, and import went on to reserve tens of gigabytes.
-  expectCountRejected(firstNodeCountAt, 0x80000001u);
+  expectU32Rejected(firstNodeCountAt, 0x80000001u, "truncated or corrupt");
 }
 
 TEST_F(SummaryBundleTest, HugeChildCountRejected) {
-  expectCountRejected(firstChildCountAt, 0xF0000000u);
+  expectU32Rejected(firstChildCountAt, 0xF0000000u, "truncated or corrupt");
+}
+
+TEST_F(SummaryBundleTest, HugePatternCountRejected) {
+  expectU32Rejected(patternCountAt, 0xF0000000u, "truncated or corrupt");
+}
+
+TEST_F(SummaryBundleTest, PatternIndexOutOfRangeRejected) {
+  // Index N of an N-entry table is one past its end, and so is every
+  // index up to the "none" reference just below 2^32.
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  const std::string Bytes = exportLibBundle(Lib);
+  const uint32_t NumPatterns =
+      static_cast<uint32_t>(u32At(Bytes, patternCountAt(Bytes)));
+  ASSERT_GT(NumPatterns, 0u);
+  for (uint32_t Index : {NumPatterns, 0xFFFFFFFEu}) {
+    expectU32Rejected(firstTraceCallAt, Index, "pattern index out of range");
+    expectU32Rejected(firstOpSummaryAt, Index, "pattern index out of range");
+  }
+}
+
+TEST_F(SummaryBundleTest, Version1BytesRejected) {
+  // A version-1 bundle, which a version-1 reader accepts: the header with
+  // a (zero) module fingerprint, then empty summary, code, signature and
+  // trace sections, as a store that had answered nothing exported.
+  std::string V1("AWSB", 4);
+  auto PutU32 = [&](uint32_t V) {
+    for (int I = 0; I != 4; ++I)
+      V1.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+  };
+  PutU32(1);
+  PutU32(5);
+  V1 += "modes";
+  PutU32(static_cast<uint32_t>(kDefaultDepthLimit));
+  V1.append(8, '\0'); // module fingerprint
+  for (int Section = 0; Section != 4; ++Section)
+    PutU32(0);
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  expectBytesRejected(Lib, Syms, V1,
+                      "unsupported format version 1 (expected 2)");
+  // Today's layout under the old version number is refused the same way.
+  expectU32Rejected([](std::string_view) { return size_t(4); }, 1,
+                    "unsupported format version 1 (expected 2)");
+}
+
+TEST_F(SummaryBundleTest, ExportWritesEachUsedPatternOnce) {
+  // The pattern table holds exactly the patterns the traces use, each
+  // once: deserialize interns the table into a fresh interner, which
+  // would fold a duplicate, and every entry is referenced by some trace.
+  // Checked on a library export and on a user store's re-export, whose
+  // pool mixes its own traces with imported ones.
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  CompiledProgram User = compile(kUserSource, Syms, Arena);
+  const std::string LibBytes = exportLibBundle(Lib);
+  CompiledProgram Linked = linkUser(Lib, User);
+  AnalyzerOptions O;
+  AnalysisSession S(Linked, O);
+  ASSERT_TRUE(S.importSummaries(LibBytes));
+  ASSERT_TRUE(S.analyze(kUserSpec));
+  Result<std::string> UserBytes = S.exportSummaries();
+  ASSERT_TRUE(UserBytes) << UserBytes.diag().str();
+
+  for (std::string_view Bytes : {std::string_view(LibBytes),
+                                 std::string_view(*UserBytes)}) {
+    Result<SummaryBundle> B = SummaryBundle::deserialize(Bytes, Syms);
+    ASSERT_TRUE(B) << B.diag().str();
+    const size_t NumPatterns = u32At(Bytes, patternCountAt(Bytes));
+    EXPECT_EQ(B->Patterns->size(), NumPatterns);
+    std::vector<char> Used(NumPatterns, 0);
+    auto Use = [&](PatternId Id) {
+      if (Id != kInvalidPatternId)
+        Used[Id] = 1;
+    };
+    for (const std::shared_ptr<const RunTrace> &T : B->Traces) {
+      Use(T->Call);
+      Use(T->PreSuccess);
+      for (const TraceOp &Op : T->Ops) {
+        Use(Op.Call);
+        Use(Op.Summary);
+      }
+    }
+    EXPECT_EQ(std::count(Used.begin(), Used.end(), 1),
+              static_cast<std::ptrdiff_t>(NumPatterns));
+  }
 }
 
 TEST_F(SummaryBundleTest, ImportWarmStartsByteIdentical) {
@@ -550,7 +735,7 @@ TEST_F(SummaryBundleTest, EmptyStoreExportsValidEmptyBundle) {
   Result<SummaryBundle> B = SummaryBundle::deserialize(*Bytes, Syms);
   ASSERT_TRUE(B) << B.diag().str();
   EXPECT_TRUE(B->Traces.empty());
-  EXPECT_TRUE(B->Summaries.empty());
+  EXPECT_TRUE(B->Preds.empty());
 
   // Importing an empty bundle is a harmless no-op.
   AnalysisSession S2(Lib, O);
@@ -563,7 +748,7 @@ TEST_F(SummaryBundleTest, EmptyStoreExportsValidEmptyBundle) {
 
 TEST_F(SummaryBundleTest, ReexportComposesBundles) {
   // lib -> bundle -> user store; the user store's own export contains
-  // both its results and the surviving imported traces.
+  // both its own traces and the surviving imported ones.
   SymbolTable Syms;
   TermArena Arena;
   CompiledProgram Lib = compile(kLibSource, Syms, Arena);
@@ -579,15 +764,16 @@ TEST_F(SummaryBundleTest, ReexportComposesBundles) {
   ASSERT_TRUE(Again) << Again.diag().str();
   Result<SummaryBundle> B = SummaryBundle::deserialize(*Again, Syms);
   ASSERT_TRUE(B) << B.diag().str();
-  EXPECT_EQ(B->ModuleFingerprint, Linked.Module->fingerprint());
-  // main/2's summary is in there alongside the library's.
-  bool SawMain = false, SawRev = false;
-  for (const SummaryBundle::Summary &Sum : B->Summaries) {
-    SawMain |= Sum.Sig.Name == "main";
-    SawRev |= Sum.Sig.Name == "rev";
-  }
-  EXPECT_TRUE(SawMain);
-  EXPECT_TRUE(SawRev);
+  // Traces rooted at main/3 are in there alongside the library's rev/2.
+  auto RootedAt = [&](std::string_view Name, int32_t Arity) {
+    for (const std::shared_ptr<const RunTrace> &T : B->Traces)
+      for (const SummaryBundle::Pred &P : B->Preds)
+        if (P.Pid == T->Pred && P.Sig.Name == Name && P.Sig.Arity == Arity)
+          return true;
+    return false;
+  };
+  EXPECT_TRUE(RootedAt("main", 3));
+  EXPECT_TRUE(RootedAt("rev", 2));
 }
 
 //===----------------------------------------------------------------------===//
@@ -617,49 +803,49 @@ struct BundleGolden {
 
 constexpr BundleGolden kTable1Bundles[] = {
     {"log10",
-     0x7836a37133f2e663ull,
-     0xe469f0f8509960c5ull,
-     0x6d4d453c81f7cc9eull},
+     0x73fe252e2787a7ecull,
+     0x72922a198fb45226ull,
+     0xda39fff0b59ee9a5ull},
     {"ops8",
-     0x267cdeb6437e65a1ull,
-     0x4bdbe88059bfa2aeull,
-     0x141a9a33b60be2a4ull},
+     0x16ee33da1e2a417eull,
+     0xfad4df6865c8df4full,
+     0x569e1a29315bcec3ull},
     {"times10",
-     0x4f3415b4742bbd3aull,
-     0xb298b89aa091a292ull,
-     0x72bd9bc1733bee61ull},
+     0xb79f097ece976fa8ull,
+     0x7fc8f867d0a19396ull,
+     0xb3377ec0ffcf12edull},
     {"divide10",
-     0xd1972e5a2ed637a1ull,
-     0x7005414175378308ull,
-     0xb0c21b4f4ef73cull},
+     0xabd2f48400d0595cull,
+     0x7b0bba44604e15a5ull,
+     0x9fc4194ecaef09ffull},
     {"tak",
-     0x46772350b49c1aabull,
-     0x8d01b29310acd413ull,
-     0x7496db162929669cull},
+     0x924788339d8a6182ull,
+     0xeefe805ed403a6f2ull,
+     0xcb822dfae9e396b7ull},
     {"nreverse",
-     0x49ee97bfdaf755bcull,
-     0xb0dafcb019380371ull,
-     0x1d295f52c7555c9ull},
+     0xa76eedcf496e3739ull,
+     0xc5d84126a130873full,
+     0x8ab970317f1b26ecull},
     {"qsort",
-     0xaf5c92921f35cee2ull,
-     0x7acb54d43d87c3ceull,
-     0x66da9cc4a8e88643ull},
+     0x8a241bb13d17cc78ull,
+     0x5977bd949611d352ull,
+     0xbcc20398c141e1bfull},
     {"query",
-     0xc7c60a877589c2caull,
-     0xa73cffe168c0c7e0ull,
-     0xf59efb396090e675ull},
+     0xae32a5576b1bd4b8ull,
+     0x2946c27f67ea7bbdull,
+     0x1c3477023ddcf201ull},
     {"zebra",
-     0x6c10a524e4d247b4ull,
-     0x85f82c38fb2314a0ull,
-     0x43431618187592b1ull},
+     0x2123b73967f11d67ull,
+     0x74ce53e8ff22264eull,
+     0x9e16602bdc1cc742ull},
     {"serialise",
-     0xfcdff33d42e11b40ull,
-     0x7ab2e204e46c6e9bull,
-     0x8dc9a6a56765f909ull},
+     0x792f2fc8f6fc9b8full,
+     0x9226adbe3db032c7ull,
+     0xef49741a4b55d094ull},
     {"queens_8",
-     0xdd21c2b6d314b858ull,
-     0xeb07f21d171ff42eull,
-     0x2ceda2e2fdff07bfull},
+     0xf02134f40c58ae35ull,
+     0xdec17e7292718e8eull,
+     0x3f9390a6bf3b6d08ull},
 };
 
 TEST(SummaryBundleGolden, Table1Programs) {
@@ -709,8 +895,8 @@ TEST(SummaryBundleGolden, LinkedCorpusAndReexport) {
   ASSERT_TRUE(Cold.analyze("drive/1"));
   Result<std::string> Bytes = Cold.exportSummaries();
   ASSERT_TRUE(Bytes) << Bytes.diag().str();
-  EXPECT_EQ(Bytes->size(), 2304602u);
-  EXPECT_EQ(hashBytes(*Bytes), 0x66c4753db599c72cull)
+  EXPECT_EQ(Bytes->size(), 681323u);
+  EXPECT_EQ(hashBytes(*Bytes), 0x52c214561c729016ull)
       << "export = 0x" << std::hex << hashBytes(*Bytes);
 
   AnalysisSession Warm(L->Program, O);
@@ -718,7 +904,7 @@ TEST(SummaryBundleGolden, LinkedCorpusAndReexport) {
   ASSERT_TRUE(Warm.analyze("drive/1"));
   Result<std::string> Again = Warm.exportSummaries();
   ASSERT_TRUE(Again) << Again.diag().str();
-  EXPECT_EQ(hashBytes(*Again), 0x66c4753db599c72cull)
+  EXPECT_EQ(hashBytes(*Again), 0x52c214561c729016ull)
       << "re-export = 0x" << std::hex << hashBytes(*Again);
 }
 
