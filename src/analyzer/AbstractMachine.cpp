@@ -99,6 +99,7 @@ AbsRunStatus AbstractMachine::runIteration(int32_t PredId,
   F.HeapMark = St.heapTop();
   F.EnvMark = 0;
   F.DomMark = DomState ? DomState->mark() : 0;
+  F.StepsMark = Steps;
   Frames.push_back(std::move(F));
 
   return driveToCompletion();
@@ -110,9 +111,8 @@ AbsRunStatus AbstractMachine::runActivation(ETEntry &Root) {
 
   // Journal recording brackets the run: beginRun snapshots the root's
   // pre-run summary (before any updateET can grow it), endRun stores the
-  // run's own step/activation cost.
+  // run's own step cost.
   uint64_t Steps0 = Steps;
-  uint64_t Acts0 = Activations;
   if (Journal)
     Journal->beginRun(Root);
 
@@ -133,12 +133,12 @@ AbsRunStatus AbstractMachine::runActivation(ETEntry &Root) {
   F.HeapMark = St.heapTop();
   F.EnvMark = 0;
   F.DomMark = DomState ? DomState->mark() : 0;
+  F.StepsMark = Steps;
   Frames.push_back(std::move(F));
 
   AbsRunStatus Status = driveToCompletion();
   if (Journal)
-    Journal->endRun(Steps - Steps0, Activations - Acts0,
-                    Status == AbsRunStatus::Error);
+    Journal->endRun(Steps - Steps0, Status == AbsRunStatus::Error);
   return Status;
 }
 
@@ -260,7 +260,7 @@ void AbstractMachine::returnFromFrame() {
   Frames.pop_back();
 
   // Discard the callee's working state. Domain run state rewinds to the
-  // caller's scope; applySuccess below may append to it there.
+  // caller's scope; finishCall's applySuccess may append to it there.
   St.unwind(F.TrailMark);
   St.truncate(F.HeapMark);
   if (DomState)
@@ -273,31 +273,38 @@ void AbstractMachine::returnFromFrame() {
              (F.Entry->Success ? F.Entry->Success->str(Module.symbols())
                                : std::string("no success pattern")));
 
-  // The caller's continuation reads this entry's final summary: that read
-  // is a dependency of the caller's activation.
   if (Deps && Journal)
-    Journal->exitCall();
-  if (Deps && !Frames.empty())
-    Deps->noteRead(*Frames.back().Entry, *F.Entry, F.Entry->SuccessVersion);
+    Journal->exitCall(Steps - F.StepsMark);
+  finishCall(*F.Entry, F.CallerArgs, F.SavedCP);
+}
 
-  // lookupET: return the summarized success pattern, if any.
-  if (F.Entry->Success) {
+/// The tail of every answered call — from the memo, by a frame's return,
+/// or by a replayed frame: the caller's continuation reads \p Callee's
+/// summary (a dependency of the caller's activation), and lookupET applies
+/// it to the caller's argument cells \p Args. Success continues at
+/// \p ContinueAt; no (compatible) summary fails the caller's clause, or
+/// ends the run when \p Callee was its root.
+void AbstractMachine::finishCall(const ETEntry &Callee,
+                                 const std::vector<Cell> &Args,
+                                 int32_t ContinueAt) {
+  if (Deps && !Frames.empty())
+    Deps->noteRead(*Frames.back().Entry, Callee, Callee.SuccessVersion);
+  if (Callee.Success) {
     bool Ok;
     if (Interner) {
-      Ok = Dom->applySuccess(St, F.CallerArgs, *F.Entry->Success, CellOfBuf,
-                             RootsBuf, DomState.get());
+      Ok = Dom->applySuccess(St, Args, *Callee.Success, CellOfBuf, RootsBuf,
+                             DomState.get());
     } else {
-      RootsBuf = instantiate(St, *F.Entry->Success);
+      RootsBuf = instantiate(St, *Callee.Success);
       Ok = true;
       for (size_t I = 0; I != RootsBuf.size() && Ok; ++I)
-        Ok = absUnify(St, F.CallerArgs[I], Cell::ref(RootsBuf[I]));
+        Ok = absUnify(St, Args[I], Cell::ref(RootsBuf[I]));
     }
     if (Ok) {
-      P = F.SavedCP;
+      P = ContinueAt;
       return;
     }
   }
-  // No (compatible) success pattern: the call fails.
   if (Frames.empty()) {
     Running = false; // top-level goal finitely failed this iteration
     return;
@@ -343,36 +350,24 @@ void AbstractMachine::doCall(int32_t PredId, int32_t ContinueAt) {
                    : " [unexplored: explore clauses]"));
 
   if (Memo) {
-    if (Deps) {
-      if (Journal)
-        Journal->noteMemo(Entry);
-      Deps->noteRead(*Frames.back().Entry, Entry, Entry.SuccessVersion);
-    }
     // Memoized deterministic return (or failure if nothing is known yet —
     // the driver will come back).
-    if (!Entry.Success) {
-      failCurrent();
-      return;
-    }
-    if (Interner) {
-      if (!Dom->applySuccess(St, ArgsBuf, *Entry.Success, CellOfBuf,
-                             RootsBuf, DomState.get())) {
-        failCurrent();
-        return;
-      }
-    } else {
-      RootsBuf = instantiate(St, *Entry.Success);
-      for (size_t I = 0; I != RootsBuf.size(); ++I)
-        if (!absUnify(St, ArgsBuf[I], Cell::ref(RootsBuf[I]))) {
-          failCurrent();
-          return;
-        }
-    }
-    P = ContinueAt;
+    if (Deps && Journal)
+      Journal->noteMemo(Entry);
+    finishCall(Entry, ArgsBuf, ContinueAt);
     return;
   }
 
   if (Deps) {
+    // Journal replay may apply a recorded exploration of this entry
+    // instead; the call then ends as the frame's return would, with the
+    // calling-pattern cells the frame would have left below its marks.
+    if (Deps->replayFrame(Entry, Created)) {
+      if (Interner)
+        instantiate(St, Entry.Call, CellOfBuf, CalleeArgsBuf);
+      finishCall(Entry, ArgsBuf, ContinueAt);
+      return;
+    }
     if (Journal)
       Journal->enterCall(Entry, Created);
     Deps->beginActivation(Entry);
@@ -395,6 +390,7 @@ void AbstractMachine::doCall(int32_t PredId, int32_t ContinueAt) {
   F.HeapMark = St.heapTop();
   F.EnvMark = Envs.size();
   F.DomMark = DomState ? DomState->mark() : 0;
+  F.StepsMark = Steps;
   Frames.push_back(std::move(F));
   enterClause();
 }

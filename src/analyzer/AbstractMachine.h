@@ -97,6 +97,14 @@ public:
 
   /// \p E's success pattern just changed (SuccessVersion already bumped).
   virtual void noteChanged(const ETEntry &E) = 0;
+
+  /// A call is about to explore \p E inline (\p Created: the call created
+  /// it). Return true when the sink has applied that exploration's effects
+  /// in place of executing it — journal replay of a frame trace
+  /// (analyzer/Incremental.h) — and charged its cost to the machine; the
+  /// machine then finishes the call as a frame return does. False: the
+  /// machine explores the clauses itself.
+  virtual bool replayFrame(ETEntry &E, bool Created) = 0;
 };
 
 /// The activation executor: extension-table-based abstract interpretation
@@ -153,7 +161,7 @@ public:
   /// metric — the worklist scheduler exists to shrink this number.
   uint64_t activationsExplored() const { return Activations; }
 
-  /// Adds the recorded cost of a replayed activation run to this
+  /// Adds the recorded cost of a replayed activation run or frame to this
   /// machine's counters (journal replay, see analyzer/Incremental.h), so
   /// counters match an executed drain.
   void charge(uint64_t StepsRun, uint64_t ActivationsRun) {
@@ -180,6 +188,8 @@ private:
     /// Domain run-state height at frame setup: enterClause rewinds the
     /// domain state here in lockstep with the trail/heap unwind.
     size_t DomMark = 0;
+    /// Steps when the frame was set up: its Exit records the difference.
+    uint64_t StepsMark = 0;
   };
 
   struct EnvFrame {
@@ -197,6 +207,8 @@ private:
   void summaryGrew(ETEntry &Entry);  // version bump + sink notification
   void failCurrent();                // failure inside the current clause
   void returnFromFrame();            // clauses exhausted: lookupET
+  void finishCall(const ETEntry &Callee, const std::vector<Cell> &Args,
+                  int32_t ContinueAt); // read + apply the callee's summary
   bool runAbsBuiltin(int Id, int Arity);
   void machineError(std::string Message);
 
@@ -232,6 +244,7 @@ private:
   Pattern SPatBuf;
   std::vector<int64_t> CellOfBuf;
   std::vector<int64_t> RootsBuf;
+  std::vector<int64_t> CalleeArgsBuf; ///< a replayed frame's pattern cells
   std::vector<EnvFrame> Envs;
   std::vector<AnalysisFrame> Frames;
 

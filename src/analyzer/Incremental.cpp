@@ -108,6 +108,13 @@ uint64_t pidCallKey(int32_t Pid, PatternId Call) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(Pid)) << 32) | Call;
 }
 
+/// Key of the trace group of \p Frame traces rooted at (\p Pid, \p Call).
+/// Pids are non-negative int32s, so bit 63 is free to keep frame groups
+/// apart from run groups of the same root.
+uint64_t groupKey(int32_t Pid, PatternId Call, bool Frame) {
+  return pidCallKey(Pid, Call) | (Frame ? uint64_t(1) << 63 : 0);
+}
+
 constexpr uint32_t kNoTrace = 0xFFFFFFFFu;
 
 } // namespace
@@ -116,14 +123,15 @@ TraceReplay::TraceReplay(const TraceBank &Bank, ExtensionTable &Table,
                          SchedulerCore &Core, AbstractMachine &Machine)
     : Bank(Bank), Table(Table), Core(Core), Machine(Machine), Sim(Core) {
   assert(Table.interner() && "replay compares interned pattern ids");
-  // Chain the traces by root key in bank order, so the Nth pop of a key
-  // consumes the trace of the Nth committed run of that key; replays and
-  // executions interleave without sliding the correspondence.
+  // Chain the traces by root key and kind in bank order, so the Nth pop
+  // of a key consumes the trace of the Nth committed run of that key (and
+  // the Nth inline exploration the Nth frame); replays and executions
+  // interleave without sliding the correspondence.
   NextInGroup.assign(Bank.size(), kNoTrace);
   std::vector<uint32_t> Tail;
   for (size_t I = 0; I != Bank.size(); ++I) {
     const RunTrace &T = *Bank[I];
-    uint64_t Key = pidCallKey(T.Pred, T.Call);
+    uint64_t Key = groupKey(T.Pred, T.Call, T.Frame);
     uint32_t G = GroupOf.lookup(Key);
     if (G == detail::FlatMap64::kEmpty) {
       G = static_cast<uint32_t>(GroupCursor.size());
@@ -137,8 +145,8 @@ TraceReplay::TraceReplay(const TraceBank &Bank, ExtensionTable &Table,
   }
 }
 
-int64_t TraceReplay::takeTrace(const ETEntry &Root) {
-  uint32_t G = GroupOf.lookup(pidCallKey(Root.PredId, Root.CallId));
+int64_t TraceReplay::takeTrace(const ETEntry &Root, bool Frame) {
+  uint32_t G = GroupOf.lookup(groupKey(Root.PredId, Root.CallId, Frame));
   if (G == detail::FlatMap64::kEmpty || GroupCursor[G] == kNoTrace)
     return -1;
   uint32_t I = GroupCursor[G];
@@ -200,7 +208,8 @@ bool TraceReplay::simulate(const ETEntry &Root, const RunTrace &T) {
   Stack.clear();
   Plan.clear();
 
-  // runActivation's preamble: the root activation begins.
+  // runActivation's preamble, or the inline exploration's in doCall: the
+  // root activation begins.
   Sim.beginActivation(Root.Idx);
   sim(Root.Idx).Explored = true;
   Plan.push_back({ReplayOp::Begin, Root.Idx, -1, kInvalidPatternId});
@@ -254,7 +263,8 @@ bool TraceReplay::simulate(const ETEntry &Root, const RunTrace &T) {
       int32_t Child = Stack.back();
       Stack.pop_back();
       // returnFromFrame: the parent's continuation reads the child's final
-      // summary. The root's own exit has no parent and records no read.
+      // summary. The root's own exit has no parent here: a run's root has
+      // none, and a replayed frame's caller reads it in the machine.
       if (!Stack.empty()) {
         Sim.noteRead(Stack.back(), Child, sim(Child).Version);
         Plan.push_back(
@@ -278,14 +288,16 @@ bool TraceReplay::simulate(const ETEntry &Root, const RunTrace &T) {
   return Stack.empty();
 }
 
-void TraceReplay::applyPlan(size_t TraceIdx) {
+void TraceReplay::applyPlan(size_t TraceIdx, bool Created) {
   PatternInterner &In = *Table.interner();
+  uint64_t Activations = 0;
   for (const ReplayOp &Op : Plan) {
     switch (Op.K) {
     case ReplayOp::Begin: {
       ETEntry &E = Table.entryAt(static_cast<size_t>(Op.A));
       Core.beginActivation(E.Idx);
       E.EverExplored = true;
+      ++Activations;
       break;
     }
     case ReplayOp::Create: {
@@ -312,15 +324,22 @@ void TraceReplay::applyPlan(size_t TraceIdx) {
     }
   }
   const std::shared_ptr<const RunTrace> &T = Bank[TraceIdx];
-  Machine.charge(T->Steps, T->Activations);
-  if (RunJournal *Out = Machine.runJournal())
-    Out->append(T);
-  ++Core.statsMut().ReplayedRuns;
-  Core.statsMut().ReplayedActivations += T->Activations;
+  Machine.charge(T->Steps, Activations);
+  // A run carries over by handle; a frame's ops join the run recording
+  // around it, as execution would have recorded them.
+  if (RunJournal *Out = Machine.runJournal()) {
+    if (T->Frame)
+      Out->spliceFrame(*T, Created);
+    else
+      Out->append(T);
+  }
+  if (!T->Frame)
+    ++Core.statsMut().ReplayedRuns;
+  Core.statsMut().ReplayedActivations += Activations;
 }
 
-bool TraceReplay::tryReplay(ETEntry &Root) {
-  int64_t TI = takeTrace(Root);
+bool TraceReplay::replay(ETEntry &Root, bool Frame, bool Created) {
+  int64_t TI = takeTrace(Root, Frame);
   if (TI < 0)
     return false;
   const RunTrace &T = *Bank[static_cast<size_t>(TI)];
@@ -331,6 +350,14 @@ bool TraceReplay::tryReplay(ETEntry &Root) {
     return false;
   if (!simulate(Root, T))
     return false;
-  applyPlan(static_cast<size_t>(TI));
+  applyPlan(static_cast<size_t>(TI), Created);
   return true;
+}
+
+bool TraceReplay::tryReplay(ETEntry &Root) {
+  return replay(Root, /*Frame=*/false, /*Created=*/false);
+}
+
+bool TraceReplay::tryReplayFrame(ETEntry &Root, bool Created) {
+  return replay(Root, /*Frame=*/true, Created);
 }

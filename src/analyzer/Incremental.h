@@ -13,9 +13,10 @@
 /// store's pooled traces as its *bank*, and each popped activation first
 /// tries to *replay* a banked trace instead of executing clause code:
 ///
-///  1. Trace lookup. Banked traces are grouped by (root predicate, calling
-///     pattern id) and consumed FIFO per group, mirroring the order in
-///     which runs with equal roots committed.
+///  1. Trace lookup. Banked traces are grouped by kind (run or frame, see
+///     analyzer/RunJournal.h) and (root predicate, calling pattern id) and
+///     consumed FIFO per group, mirroring the order in which runs (or
+///     explorations) with equal roots committed.
 ///  2. Validation. The trace is simulated against the live table plus a
 ///     copy-on-write overlay of the live SchedulerCore, without writing
 ///     anything. Every observable input the recorded execution consumed
@@ -35,13 +36,33 @@
 ///     trace carries over into the machine's attached journal for the next
 ///     query. An invalid trace falls back to executing the activation on
 ///     the machine, which records a fresh trace instead.
+///  4. Frames. An executing run replays too: when it is about to explore a
+///     callee inline, AbstractMachine::doCall asks its DependencySink, and
+///     the next *frame* trace for that (predicate, calling pattern) goes
+///     through steps 2 and 3 from the live state at the call — the frame's
+///     behaviour depends only on its calling pattern, its clause code and
+///     the table answers it reads, which is what validation checks. Its
+///     ops, behind the Enter the call would have recorded, are spliced
+///     into the open journal run, and the machine finishes the call as a
+///     frame return does: calling-pattern cells on the heap, the caller's
+///     read of the summary noted, the summary applied.
+///
+/// Frame traces replay only at inline explorations and run traces only at
+/// queue pops, because their step counts differ by the Halt: a popped
+/// run's Steps counts the Halt its root executes on success, and a
+/// frame's, which returns to a caller, does not. With one index shared by
+/// both kinds, the service script's round on log10 under pos (query main
+/// and log10/1, edit log10/1, re-query main) replays log10's banked root
+/// run as main's exploration of it, and the report reads 334 abstract
+/// instructions instead of 333.
 ///
 /// A bank holds no code that changed: the store re-keys every bank to the
 /// current module's predicate ids when it invalidates or imports, and
-/// drops each trace that executed an *edited* predicate's clauses (as its
-/// root or by inline exploration) or names a predicate that no longer
-/// resolves. Memo reads of edited predicates stay — validation compares
-/// the summary value, which is what the recorded execution consumed.
+/// replaces each trace that executed an *edited* predicate's clauses (as
+/// its root or by inline exploration) with its maximal frames that did
+/// not, and drops what names a predicate that no longer resolves. Memo
+/// reads of edited predicates stay — validation compares the summary
+/// value, which is what the recorded execution consumed.
 ///
 /// Byte-identity with a from-scratch analyze() follows by induction over
 /// the drain: with equal core and table states both drains pop the same
@@ -92,9 +113,16 @@ public:
   TraceReplay(const TraceBank &Bank, ExtensionTable &Table,
               SchedulerCore &Core, AbstractMachine &Machine);
 
-  /// Validates the next banked trace for \p Root's key and applies it;
-  /// false means the caller must execute the activation on the machine.
+  /// Validates the next banked run trace for \p Root's key and applies it
+  /// at a queue pop; false means the caller must execute the activation
+  /// on the machine.
   bool tryReplay(ETEntry &Root);
+
+  /// Validates the next banked frame trace for \p Root's key and applies
+  /// it in place of the inline exploration of \p Root an executing run is
+  /// about to start (\p Created: its call created the entry); false means
+  /// the machine explores the clauses itself.
+  bool tryReplayFrame(ETEntry &Root, bool Created);
 
 private:
   /// One validated transition of an apply plan.
@@ -126,9 +154,12 @@ private:
     int32_t Idx = -1;
   };
 
-  /// Consumes the next banked trace for \p Root's key; the trace's bank
-  /// index, or -1 when the key has none left.
-  int64_t takeTrace(const ETEntry &Root);
+  /// tryReplay (\p Frame false) or tryReplayFrame.
+  bool replay(ETEntry &Root, bool Frame, bool Created);
+
+  /// Consumes the next banked trace of kind \p Frame for \p Root's key;
+  /// the trace's bank index, or -1 when the key has none left.
+  int64_t takeTrace(const ETEntry &Root, bool Frame);
 
   /// Pass 1 of a replay: simulates \p T against the live table and the
   /// overlay of the live core, writing the apply plan into Plan. Writes
@@ -136,9 +167,11 @@ private:
   /// trace (the plan is then unusable).
   bool simulate(const ETEntry &Root, const RunTrace &T);
 
-  /// Pass 2: applies Plan to the live table and core and charges the
-  /// cost of bank trace \p TraceIdx (whose cursor is already consumed).
-  void applyPlan(size_t TraceIdx);
+  /// Pass 2: applies Plan to the live table and core, charges the cost of
+  /// bank trace \p TraceIdx (whose cursor is already consumed) and carries
+  /// it into the machine's journal — a frame behind an Enter recording
+  /// \p Created.
+  void applyPlan(size_t TraceIdx, bool Created);
 
   /// Starts a simulation: every SimEntry and SimCreated slot goes stale.
   void newEpoch();
@@ -153,8 +186,8 @@ private:
   SchedulerCore &Core;
   AbstractMachine &Machine;
 
-  // Trace lookup: the traces sharing one (root pid, calling pattern id)
-  // form a FIFO chain through NextInGroup, in bank order.
+  // Trace lookup: the traces sharing one kind and (root pid, calling
+  // pattern id) form a FIFO chain through NextInGroup, in bank order.
   detail::FlatMap64 GroupOf;         ///< root key -> group
   std::vector<uint32_t> GroupCursor; ///< group -> next unconsumed trace
   std::vector<uint32_t> NextInGroup; ///< bank index -> next of its group

@@ -9,12 +9,23 @@
 /// an AnalysisStore query drains, the abstract machine appends one
 /// RunTrace per activation run: the ordered sequence of extension-table
 /// interactions the run performed (memo reads, inline clause explorations,
-/// frame returns, summary growth) plus its instruction/activation cost.
-/// The machine is deterministic between table interactions, so a trace
-/// whose recorded table answers still hold *is* the run — a later query
-/// validates each banked trace against the live state and applies its
-/// effects instead of re-executing clause code (see Incremental.h for the
-/// validation protocol).
+/// frame returns, summary growth) plus its instruction cost. The machine
+/// is deterministic between table interactions, so a trace whose recorded
+/// table answers still hold *is* the run — a later query validates each
+/// banked trace against the live state and applies its effects instead of
+/// re-executing clause code (see Incremental.h for the validation
+/// protocol).
+///
+/// Every frame of a run is a trace in its own right: the ops between an
+/// Enter and its Exit are everything that exploration did, and its Exit
+/// records the abstract instructions the frame executed. So a trace comes
+/// in two kinds. A *run* trace is a whole activation run, rooted where the
+/// scheduler popped it; its Steps counts the Halt its root executes on
+/// success. A *frame* trace is one inline exploration cut out of a run (the
+/// store keeps the clean frames of a run that entered edited code), rooted
+/// at the Enter's predicate, calling pattern and pre-exploration summary;
+/// its Steps is its Exit's, with no Halt. A frame's activations are 1 plus
+/// the Enter ops inside it, and so are a run's.
 ///
 /// Traces hold patterns as PatternIds, copied from the recorded entries'
 /// CallId/SuccessId, so an op is 16 bytes and recording does no lookup.
@@ -37,11 +48,12 @@
 #define AWAM_ANALYZER_RUNJOURNAL_H
 
 #include "analyzer/ExtensionTable.h"
+#include "support/FlatMap.h"
 
 #include <cassert>
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -57,6 +69,8 @@ struct PredSig {
 /// One extension-table interaction of an activation run, in execution
 /// order. Patterns are ids of the trace's interner (see the file comment);
 /// kInvalidPatternId as a summary means the call had not succeeded yet.
+/// An Exit names no pattern: its Call and Summary fields hold the low and
+/// high halves of its frame's step count (exitOp, frameSteps).
 struct TraceOp {
   enum Kind : uint8_t {
     Memo,  ///< call answered from the memo; Summary is what it observed
@@ -69,18 +83,31 @@ struct TraceOp {
   int32_t Pred = -1;    ///< Memo/Enter: callee PredId
   PatternId Call = kInvalidPatternId; ///< Memo/Enter: calling pattern
   PatternId Summary = kInvalidPatternId;
+
+  /// The Exit of a frame that executed \p Steps abstract instructions.
+  static TraceOp exitOp(uint64_t Steps) {
+    return {Exit, false, -1, static_cast<PatternId>(Steps),
+            static_cast<PatternId>(Steps >> 32)};
+  }
+  /// An Exit's frame step count.
+  uint64_t frameSteps() const {
+    assert(K == Exit && "only an exit records steps");
+    return static_cast<uint64_t>(Call) | static_cast<uint64_t>(Summary) << 32;
+  }
+  /// Do Call and Summary hold pattern ids (everything but an Exit)?
+  bool namesPatterns() const { return K != Exit; }
 };
 static_assert(sizeof(TraceOp) <= 16, "a trace op is two ids and a pred");
 
-/// Everything one activation run observed and did.
+/// Everything one activation run, or one frame of it, observed and did.
 struct RunTrace {
   int32_t Pred = -1; ///< root PredId
   PatternId Call = kInvalidPatternId;
   PatternId PreSuccess = kInvalidPatternId; ///< root summary before the run
-  std::vector<TraceOp> Ops;
-  uint64_t Steps = 0;       ///< abstract instructions this run executed
-  uint64_t Activations = 0; ///< clause-list explorations (root + Enters)
+  std::vector<TraceOp> Ops; ///< through the root frame's Exit
+  uint64_t Steps = 0;       ///< abstract instructions this trace executed
   bool Error = false;       ///< errored or unbalanced; never replayable
+  bool Frame = false;       ///< a frame trace, not a run (file comment)
 };
 
 /// Heap bytes of one trace: the trace object and its op vector (the
@@ -89,6 +116,13 @@ struct RunTrace {
 /// AnalysisStore::bytesUsed).
 inline size_t traceHeapBytes(const RunTrace &T) {
   return sizeof(RunTrace) + T.Ops.capacity() * sizeof(TraceOp);
+}
+
+/// Adds \p T's address to the trace set \p Seen; false when it was there.
+/// Journals share traces by handle, so every walk over several of them
+/// dedupes this way.
+inline bool firstSighting(detail::FlatMap64 &Seen, const RunTrace *T) {
+  return Seen.insertUnique(reinterpret_cast<uintptr_t>(T), 0);
 }
 
 /// Recorded traces one drain may replay from (see TraceReplay), in bank
@@ -128,11 +162,11 @@ public:
     ++Depth;
   }
 
-  void exitCall() {
+  /// The open frame returned after executing \p FrameSteps instructions.
+  void exitCall(uint64_t FrameSteps) {
     if (!Open)
       return;
-    OpenOps.push_back({TraceOp::Exit, false, -1, kInvalidPatternId,
-                       kInvalidPatternId});
+    OpenOps.push_back(TraceOp::exitOp(FrameSteps));
     --Depth;
   }
 
@@ -142,14 +176,25 @@ public:
                          E.SuccessId});
   }
 
-  void endRun(uint64_t Steps, uint64_t Activations, bool Error) {
+  /// A call explored \p F's root inline (\p Created: the call created the
+  /// entry) and replay applied frame trace \p F in its place: records the
+  /// Enter execution would have recorded, then \p F's ops through its
+  /// Exit.
+  void spliceFrame(const RunTrace &F, bool Created) {
+    if (!Open)
+      return;
+    OpenOps.push_back({TraceOp::Enter, Created, F.Pred, F.Call,
+                       F.PreSuccess});
+    OpenOps.insert(OpenOps.end(), F.Ops.begin(), F.Ops.end());
+  }
+
+  void endRun(uint64_t Steps, bool Error) {
     if (!Open)
       return;
     // One exact-size allocation per banked trace; the growth happened in
     // the reused OpenOps buffer.
     Open->Ops.assign(OpenOps.begin(), OpenOps.end());
     Open->Steps = Steps;
-    Open->Activations = Activations;
     // An errored run stops mid-frame-stack; its trace is a prefix of no
     // complete run and must never replay.
     Open->Error = Error || Depth != 0;
@@ -172,14 +217,13 @@ public:
   const TraceBank &runs() const { return Runs; }
 
   /// Heap bytes of this journal's handle vector, plus every referenced
-  /// trace whose address is new to \p Seen. Traces are shared across
-  /// journals by handle; threading one seen-set through a group of
-  /// journals counts each trace object exactly once.
-  size_t bytesUsed(std::unordered_set<const RunTrace *> &Seen) const {
+  /// trace whose address is new to \p Seen (see firstSighting): threading
+  /// one set through a group of journals counts each trace object once.
+  size_t bytesUsed(detail::FlatMap64 &Seen) const {
     size_t B = Runs.capacity() * sizeof(std::shared_ptr<const RunTrace>) +
                OpenOps.capacity() * sizeof(TraceOp);
     for (const std::shared_ptr<const RunTrace> &T : Runs)
-      if (Seen.insert(T.get()).second)
+      if (firstSighting(Seen, T.get()))
         B += traceHeapBytes(*T);
     return B;
   }

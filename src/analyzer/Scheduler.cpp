@@ -229,6 +229,10 @@ WorklistScheduler::WorklistScheduler(ExtensionTable &Table,
 
 WorklistScheduler::~WorklistScheduler() = default;
 
+bool WorklistScheduler::replayFrame(ETEntry &E, bool Created) {
+  return Replay && Replay->tryReplayFrame(E, Created);
+}
+
 WorklistScheduler::Status WorklistScheduler::run(ETEntry &Root,
                                                  int MaxSweeps) {
   assert(Root.Idx >= 0 && "root entry must live in the table");

@@ -52,9 +52,11 @@
 /// drives it. Given a bank of recorded traces, the loop first tries to
 /// replay each popped activation (analyzer/Incremental.h), validating the
 /// replay against a copy-on-write Overlay of the core, and executes it
-/// only when that fails. Every behavioural decision (inline
-/// re-exploration, dirty targeting, edge retirement) is a core method, so
-/// replayed and executed runs share one definition of the schedule. The
+/// only when that fails; an executing run asks for each inline
+/// exploration's frame the same way (replayFrame). Every behavioural
+/// decision (inline re-exploration, dirty targeting, edge retirement) is
+/// a core method, so replayed and executed runs share one definition of
+/// the schedule. The
 /// loop's one caller is AnalysisStore::query (analyzer/Store.h): every
 /// worklist analysis is a store query.
 ///
@@ -87,7 +89,8 @@ public:
     uint64_t Runs = 0;         ///< activations launched from the queue
     uint64_t EdgesRecorded = 0;///< dependency edges recorded
     uint64_t ReplayedRuns = 0; ///< runs satisfied by journal replay
-    uint64_t ReplayedActivations = 0; ///< clause-list explorations replayed
+    /// clause-list explorations replayed, by whole runs or by frames
+    uint64_t ReplayedActivations = 0;
   };
 
   /// A ready-heap node: (sweep, entry Idx).
@@ -295,6 +298,7 @@ public:
   void noteChanged(const ETEntry &E) override {
     Core.noteChanged(E.Idx, E.SuccessVersion);
   }
+  bool replayFrame(ETEntry &E, bool Created) override;
 
 private:
   ExtensionTable &Table;

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <unordered_set>
 
 using namespace awam;
 
@@ -25,36 +24,45 @@ bool addEdgeKey(detail::FlatMap64 &Seen, int32_t Dep, int32_t Reader) {
   return true;
 }
 
+/// \p Op with its predicate id mapped through \p MapPid and its pattern
+/// ids through \p MapPat (both total on the ids \p Op uses; an Exit's
+/// step count is no id).
+template <typename MapPidFn, typename MapPatFn>
+TraceOp remapOp(TraceOp Op, MapPidFn MapPid, MapPatFn MapPat) {
+  if (Op.Pred >= 0) {
+    Op.Pred = MapPid(Op.Pred);
+    assert(Op.Pred >= 0 && "re-keyed trace ids must resolve");
+  }
+  if (Op.namesPatterns()) {
+    Op.Call = MapPat(Op.Call);
+    Op.Summary = MapPat(Op.Summary);
+  }
+  return Op;
+}
+
 /// \p T with its predicate ids mapped through \p MapPid and its pattern
-/// ids through \p MapPat (both total on the ids \p T uses). Shares \p T
-/// when both maps are the identity on it, and copies it otherwise.
+/// ids through \p MapPat (see remapOp). Shares \p T when both maps are
+/// the identity on it, and copies it otherwise.
 template <typename MapPidFn, typename MapPatFn>
 std::shared_ptr<const RunTrace>
 remapTrace(const std::shared_ptr<const RunTrace> &T, MapPidFn MapPid,
            MapPatFn MapPat) {
-  auto PidOf = [&](int32_t Pid) {
-    if (Pid < 0)
-      return Pid;
-    int32_t To = MapPid(Pid);
-    assert(To >= 0 && "re-keyed trace ids must resolve");
-    return To;
+  auto Same = [](const TraceOp &A, const TraceOp &B) {
+    return A.Pred == B.Pred && A.Call == B.Call && A.Summary == B.Summary;
   };
-  bool Same = PidOf(T->Pred) == T->Pred && MapPat(T->Call) == T->Call &&
-              MapPat(T->PreSuccess) == T->PreSuccess;
+  bool Identity = MapPid(T->Pred) == T->Pred && MapPat(T->Call) == T->Call &&
+                  MapPat(T->PreSuccess) == T->PreSuccess;
   for (const TraceOp &Op : T->Ops)
-    Same = Same && PidOf(Op.Pred) == Op.Pred && MapPat(Op.Call) == Op.Call &&
-           MapPat(Op.Summary) == Op.Summary;
-  if (Same)
+    Identity = Identity && Same(remapOp(Op, MapPid, MapPat), Op);
+  if (Identity)
     return T;
   auto Copy = std::make_shared<RunTrace>(*T);
-  Copy->Pred = PidOf(Copy->Pred);
+  Copy->Pred = MapPid(Copy->Pred);
+  assert(Copy->Pred >= 0 && "re-keyed trace ids must resolve");
   Copy->Call = MapPat(Copy->Call);
   Copy->PreSuccess = MapPat(Copy->PreSuccess);
-  for (TraceOp &Op : Copy->Ops) {
-    Op.Pred = PidOf(Op.Pred);
-    Op.Call = MapPat(Op.Call);
-    Op.Summary = MapPat(Op.Summary);
-  }
+  for (TraceOp &Op : Copy->Ops)
+    Op = remapOp(Op, MapPid, MapPat);
   return Copy;
 }
 
@@ -243,14 +251,14 @@ TraceBank AnalysisStore::pool(size_t *Handles) const {
   // a fresh store that imported a library's bundle runs its first query
   // warm.
   TraceBank Out;
-  std::unordered_set<const RunTrace *> Seen;
+  detail::FlatMap64 Seen;
   auto Add = [&](const std::unique_ptr<RunJournal> &J) {
     if (!J)
       return;
     for (const std::shared_ptr<const RunTrace> &T : J->runs()) {
       if (Handles)
         ++*Handles;
-      if (!T->Error && Seen.insert(T.get()).second)
+      if (!T->Error && firstSighting(Seen, T.get()))
         Out.push_back(T);
     }
   };
@@ -262,7 +270,7 @@ TraceBank AnalysisStore::pool(size_t *Handles) const {
 
 uint64_t AnalysisStore::bytesUsed() const {
   uint64_t B = Interner->bytesUsed() + Table->bytesUsed();
-  std::unordered_set<const RunTrace *> Seen;
+  detail::FlatMap64 Seen;
   for (const RootInfo &RI : Roots) {
     B += sizeof(RootInfo) + RI.Name.capacity() +
          RI.EntryIdxs.capacity() * sizeof(int32_t);
@@ -276,13 +284,13 @@ uint64_t AnalysisStore::bytesUsed() const {
 
 uint64_t AnalysisStore::compactJournals() {
   uint64_t Dropped = 0;
-  std::unordered_set<const RunTrace *> Kept;
+  detail::FlatMap64 Kept;
   auto Compact = [&](std::unique_ptr<RunJournal> &J) {
     if (!J)
       return;
     auto NewJ = std::make_unique<RunJournal>();
     for (const std::shared_ptr<const RunTrace> &T : J->runs()) {
-      if (!T->Error && Kept.insert(T.get()).second)
+      if (!T->Error && firstSighting(Kept, T.get()))
         NewJ->append(T);
       else
         ++Dropped;
@@ -528,31 +536,81 @@ AnalysisStore::reanalyze(const CompiledProgram &Edited, std::string_view Name,
 
 namespace {
 
-/// The traces of \p J that still resolve in the new module (through
-/// \p PidMap, old pid -> new pid or -1) and never run edited clause code
-/// — neither as their root nor by Enter-ing an edited predicate
-/// (\p IsEdited is indexed by old pids) — re-keyed to the new module's
-/// ids; nullptr when none survive. Memo reads of edited predicates stay:
-/// replay validates the summary value they observed.
+/// What \p J keeps after an edit, re-keyed to the new module's ids
+/// through \p PidMap (old pid -> new pid, or -1 when it no longer
+/// resolves). A frame is *clean* when every predicate it names still
+/// resolves and it runs no edited clause code (\p IsEdited, by old pid),
+/// neither as its root nor by Enter-ing an edited predicate. A trace whose
+/// root frame is clean stays whole; of any other, the maximal clean frames
+/// stay, as frame traces (analyzer/RunJournal.h) in op order. Memo reads
+/// of edited predicates stay: replay validates the summary value they
+/// observed. Returns nullptr when nothing survives.
 std::unique_ptr<RunJournal> keepUnedited(const RunJournal &J,
                                          const std::vector<int32_t> &PidMap,
                                          const std::vector<char> &IsEdited) {
-  auto Resolves = [&](int32_t Pid) {
-    return PidMap[static_cast<size_t>(Pid)] >= 0;
-  };
+  auto MapPid = [&](int32_t Pid) { return PidMap[static_cast<size_t>(Pid)]; };
+  auto SamePat = [](PatternId Id) { return Id; };
   auto NewJ = std::make_unique<RunJournal>();
+  std::vector<uint32_t> Open;   // Enter positions of the open frames
+  std::vector<uint32_t> ExitOf; // Enter position -> its Exit's position
+  std::vector<char> Dirty;      // Enter position -> its frame is not clean
   for (const std::shared_ptr<const RunTrace> &T : J.runs()) {
-    bool Keep = !T->Error && Resolves(T->Pred) &&
-                !IsEdited[static_cast<size_t>(T->Pred)];
-    for (const TraceOp &Op : T->Ops)
-      if (Keep && Op.Pred >= 0)
-        Keep = Resolves(Op.Pred) &&
-               !(Op.K == TraceOp::Enter &&
-                 IsEdited[static_cast<size_t>(Op.Pred)]);
-    if (Keep)
-      NewJ->append(remapTrace(
-          T, [&](int32_t Pid) { return PidMap[static_cast<size_t>(Pid)]; },
-          [](PatternId Id) { return Id; }));
+    if (T->Error)
+      continue;
+    // One pass pairs every Enter with its Exit and marks each frame that
+    // names a lost predicate or enters edited code, and every frame
+    // around it. The root frame is the one with no Enter. Both arrays
+    // are read at Enter positions only, each written when its Enter is.
+    const std::vector<TraceOp> &Ops = T->Ops;
+    ExitOf.resize(Ops.size());
+    Dirty.resize(Ops.size());
+    Open.clear();
+    bool RootDirty =
+        MapPid(T->Pred) < 0 || IsEdited[static_cast<size_t>(T->Pred)];
+    auto MarkOpen = [&] {
+      if (Open.empty())
+        RootDirty = true;
+      else
+        Dirty[Open.back()] = 1;
+    };
+    for (uint32_t I = 0; I != Ops.size(); ++I) {
+      const TraceOp &Op = Ops[I];
+      if (Op.K == TraceOp::Exit) {
+        if (Open.empty())
+          break; // the root's Exit, the trace's last op
+        uint32_t Enter = Open.back();
+        Open.pop_back();
+        ExitOf[Enter] = I;
+        if (Dirty[Enter])
+          MarkOpen();
+      } else if (Op.K == TraceOp::Enter) {
+        Open.push_back(I);
+        Dirty[I] =
+            MapPid(Op.Pred) < 0 || IsEdited[static_cast<size_t>(Op.Pred)];
+      } else if (Op.Pred >= 0 && MapPid(Op.Pred) < 0) {
+        MarkOpen();
+      }
+    }
+    if (!RootDirty) {
+      NewJ->append(remapTrace(T, MapPid, SamePat));
+      continue;
+    }
+    for (uint32_t I = 0; I != Ops.size(); ++I) {
+      const TraceOp &Op = Ops[I];
+      if (Op.K != TraceOp::Enter || Dirty[I])
+        continue;
+      auto F = std::make_shared<RunTrace>();
+      F->Pred = MapPid(Op.Pred);
+      F->Call = Op.Call;
+      F->PreSuccess = Op.Summary;
+      F->Ops.reserve(ExitOf[I] - I);
+      for (uint32_t K = I + 1; K <= ExitOf[I]; ++K)
+        F->Ops.push_back(remapOp(Ops[K], MapPid, SamePat));
+      F->Steps = Ops[ExitOf[I]].frameSteps();
+      F->Frame = true;
+      NewJ->append(std::move(F));
+      I = ExitOf[I]; // maximal: the frames inside this one stay in it
+    }
   }
   if (NewJ->runs().empty())
     return nullptr;
@@ -676,10 +734,11 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
   }
 
   // Every bank — each root's journal, valid or not, and the imported one —
-  // keeps the traces that ran no edited code, re-keyed to the new module.
-  // A surviving root's traces all pass (any that ran edited code would
-  // have put the root in the cone); a dead root keeps the runs the edit
-  // could not have changed, so its re-query replays them.
+  // keeps the traces that ran no edited code, and the clean frames of
+  // those that did, re-keyed to the new module. A surviving root's traces
+  // all pass (any that ran edited code would have put the root in the
+  // cone); a dead root keeps the runs and frames the edit could not have
+  // changed, so its re-query replays them.
   for (RootInfo &RI : Roots)
     if (RI.Journal)
       RI.Journal = keepUnedited(*RI.Journal, PidMap, IsEdited);

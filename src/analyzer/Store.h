@@ -61,9 +61,12 @@
 /// whose projection intersects the cone lose cache and projection;
 /// everything else survives warm (their drains, by the cone argument,
 /// cannot observe the edit). Every journal — an invalidated root's too —
-/// keeps the traces that ran no edited code, so the re-query of an
-/// invalidated root replays whatever the edit left valid. This is the
-/// only incremental path: AnalysisSession::reanalyze() always runs here.
+/// keeps the traces that ran no edited code, and the clean frames of those
+/// that did (frame traces, analyzer/RunJournal.h), so the re-query of an
+/// invalidated root replays whatever the edit left valid: whole runs at
+/// queue pops, and inside the runs that must execute, every inline
+/// exploration that ran no edited code. This is the only incremental path:
+/// AnalysisSession::reanalyze() always runs here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -193,7 +196,7 @@ public:
   /// kCompactionFactor (observable through Stats::Compactions).
   uint64_t compactJournals();
 
-  /// Serializes the pooled activation traces, with the clause-code hash
+  /// Serializes the pooled run and frame traces, with the clause-code hash
   /// of every predicate they use, into a module-independent bundle
   /// another store can import (analyzer/SummaryBundle.h) — the byte
   /// string services persist and ship between stores. A store with no
@@ -255,7 +258,8 @@ private:
   /// projection entry, read from the store table.
   AnalysisResult answer(const RootInfo &RI) const;
   /// The replay pool: every root's journal (valid or not), then the
-  /// imported bank, deduplicated by trace address, error traces skipped.
+  /// imported bank, deduplicated by trace address (firstSighting), error
+  /// traces skipped.
   /// query() replays from it, exportBundle() ships it and compaction folds
   /// duplicates across it. \p Handles, when non-null, receives the trace
   /// handle count before deduplication.
@@ -269,7 +273,8 @@ private:
                  std::unique_ptr<RunJournal> Journal, AnalysisResult R);
   /// Cone invalidation + rebuild of the physical table/graph from the
   /// surviving roots, with predicate ids re-resolved against \p NewP's
-  /// module. Installs \p NewP as the store's program.
+  /// module; every bank keeps its traces that ran no edited code and the
+  /// clean frames of the others. Installs \p NewP as the store's program.
   void invalidate(const CompiledProgram &NewP,
                   const std::vector<PredSig> &Edited);
   void resetState();

@@ -4,6 +4,7 @@
 
 #include "analyzer/PatternInterner.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -12,6 +13,10 @@ using namespace awam;
 namespace {
 
 constexpr char kMagic[4] = {'A', 'W', 'S', 'B'};
+
+/// Byte offsets of the header's checksum and of the payload it covers.
+constexpr size_t kChecksumAt = 8; // after the magic and the version
+constexpr size_t kPayloadAt = kChecksumAt + 8;
 
 /// The byte format's "no pattern" reference.
 constexpr uint32_t kNone = 0xFFFFFFFFu;
@@ -127,7 +132,7 @@ void putPattern(std::string &Out, const PatternRef &P,
 // count by the bytes left before anything is reserved: a pattern is three
 // counts (3 * 4); a node is a kind, a symbol flag, a number and a child
 // slice (1 + 1 + 8 + 4 + 4); a child or root id is 4; an op is a kind, a
-// flag and three ids (1 + 1 + 3 * 4), exactly.
+// flag and three ids or a pred and a step count (1 + 1 + 3 * 4), exactly.
 constexpr uint64_t kMinPatternBytes = 12;
 constexpr uint64_t kMinNodeBytes = 18;
 constexpr uint64_t kMinIdBytes = 4;
@@ -174,16 +179,31 @@ void getPattern(Reader &R, SymbolTable &Syms, Pattern &P) {
   if (R.Bad)
     return;
   // Index hygiene before anything downstream walks the DAG: every child
-  // slice must land inside ChildStore, and every root and child id must
-  // name a node. Corrupt bytes become a load error, never a bad access.
+  // slice must land inside ChildStore, hold as many children as its
+  // node's kind has (StrP any number), every root and child id must name a
+  // node, and the child edges must form no cycle. Corrupt bytes become a
+  // load error, never a bad access or an unbounded walk.
   auto NodeOk = [&](int32_t Id) {
     return Id >= 0 && static_cast<uint32_t>(Id) < NumNodes;
+  };
+  auto KindFits = [](const PatNode &N) {
+    switch (N.K) {
+    case PatKind::ListP:
+      return N.ChildCount == 1;
+    case PatKind::ConsP:
+      return N.ChildCount == 2;
+    case PatKind::StrP:
+      return true;
+    default:
+      return N.ChildCount == 0;
+    }
   };
   for (const PatNode &N : P.Nodes)
     if (N.ChildCount < 0 || N.ChildBegin < 0 ||
         static_cast<uint64_t>(N.ChildBegin) +
                 static_cast<uint64_t>(N.ChildCount) >
-            NumChildren) {
+            NumChildren ||
+        !KindFits(N)) {
       R.Bad = true;
       return;
     }
@@ -197,6 +217,27 @@ void getPattern(Reader &R, SymbolTable &Syms, Pattern &P) {
       R.Bad = true;
       return;
     }
+  // Acyclic iff repeatedly removing the nodes no remaining node points at
+  // removes them all (Kahn's topological order, one pass over the edges).
+  std::vector<uint32_t> InDegree(NumNodes, 0);
+  for (const PatNode &N : P.Nodes)
+    for (int32_t I = 0; I != N.ChildCount; ++I)
+      ++InDegree[static_cast<size_t>(P.child(N, I))];
+  std::vector<int32_t> Ready;
+  for (uint32_t Id = 0; Id != NumNodes; ++Id)
+    if (InDegree[Id] == 0)
+      Ready.push_back(static_cast<int32_t>(Id));
+  uint32_t Removed = 0;
+  while (!Ready.empty()) {
+    const PatNode &N = P.Nodes[static_cast<size_t>(Ready.back())];
+    Ready.pop_back();
+    ++Removed;
+    for (int32_t I = 0; I != N.ChildCount; ++I)
+      if (--InDegree[static_cast<size_t>(P.child(N, I))] == 0)
+        Ready.push_back(P.child(N, I));
+  }
+  if (Removed != NumNodes)
+    R.Bad = true;
 }
 
 /// Is \p Pid a key of the predicate-table index \p Listed?
@@ -208,10 +249,11 @@ bool isListed(const detail::FlatMap64 &Listed, int32_t Pid) {
 /// Checks one parsed op, whose pattern fields still hold pattern-table
 /// indexes, against what replay relies on: Memo and Enter ops name a
 /// predicate listed in \p Listed and a calling pattern, Exit and Grow ops
-/// name neither, every index is below \p NumPatterns, Grow ops carry their
-/// summary, and no op follows the Exit that closes the root frame.
-/// \p Depth counts the open frames (1 = the root's) and is updated.
-/// Returns the defect, or nullptr for a well-formed op.
+/// name no predicate, Grow ops no calling pattern, every index is below
+/// \p NumPatterns, Grow ops carry their summary, and no op follows the
+/// Exit that closes the root frame (an Exit's fields hold its frame's
+/// step count). \p Depth counts the open frames (1 = the root's) and is
+/// updated. Returns the defect, or nullptr for a well-formed op.
 const char *opDefect(const TraceOp &Op, int64_t &Depth,
                      const detail::FlatMap64 &Listed, size_t NumPatterns) {
   if (Depth == 0)
@@ -219,15 +261,17 @@ const char *opDefect(const TraceOp &Op, int64_t &Depth,
   bool NamesPred = Op.K == TraceOp::Memo || Op.K == TraceOp::Enter;
   if (NamesPred ? !isListed(Listed, Op.Pred) : Op.Pred != -1)
     return "trace op with a missing, unlisted or stray predicate id";
-  for (uint32_t Index : {Op.Call, Op.Summary})
-    if (Index != kNone && Index >= NumPatterns)
-      return "pattern index out of range";
-  if (NamesPred && Op.Call == kNone)
-    return "memo or enter op without a calling pattern";
-  if (!NamesPred && Op.Call != kNone)
-    return "exit or grow op with a calling pattern";
-  if (Op.K == TraceOp::Grow && Op.Summary == kNone)
-    return "grow op without a summary";
+  if (Op.namesPatterns()) {
+    for (uint32_t Index : {Op.Call, Op.Summary})
+      if (Index != kNone && Index >= NumPatterns)
+        return "pattern index out of range";
+    if (NamesPred && Op.Call == kNone)
+      return "memo or enter op without a calling pattern";
+    if (!NamesPred && Op.Call != kNone)
+      return "grow op with a calling pattern";
+    if (Op.K == TraceOp::Grow && Op.Summary == kNone)
+      return "grow op without a summary";
+  }
   if (Op.K == TraceOp::Enter)
     ++Depth;
   else if (Op.K == TraceOp::Exit)
@@ -235,7 +279,39 @@ const char *opDefect(const TraceOp &Op, int64_t &Depth,
   return nullptr;
 }
 
+/// The header's checksum of \p Payload (see SummaryBundle::seal).
+uint64_t checksum(std::string_view Payload) {
+  // Eight bytes per step, read little-endian so every host computes the
+  // same value. For a fixed word each step is a bijection of the running
+  // hash (xor, odd multiplier, rotation), so two payloads of one length
+  // that differ inside one word always hash differently.
+  constexpr uint64_t kMul = 0x9fb21c651e98df25ull;
+  uint64_t H = 0x6a09e667f3bcc908ull ^ Payload.size();
+  auto Mix = [&](uint64_t W) { H = std::rotl((H ^ W) * kMul, 29); };
+  auto Load = [](const char *P, size_t N) {
+    uint64_t W = 0;
+    for (size_t I = 0; I != N; ++I)
+      W |= static_cast<uint64_t>(static_cast<unsigned char>(P[I])) << (8 * I);
+    return W;
+  };
+  size_t At = 0;
+  for (; Payload.size() - At >= 8; At += 8)
+    Mix(Load(Payload.data() + At, 8));
+  Mix(Load(Payload.data() + At, Payload.size() - At));
+  // splitmix64's finalizer, so every input bit reaches every output bit.
+  H = (H ^ (H >> 30)) * 0xbf58476d1ce4e5b9ull;
+  H = (H ^ (H >> 27)) * 0x94d049bb133111ebull;
+  return H ^ (H >> 31);
+}
+
 } // namespace
+
+void SummaryBundle::seal(std::string &Bytes) {
+  assert(Bytes.size() >= kPayloadAt && "a bundle holds a whole header");
+  uint64_t Sum = checksum(std::string_view(Bytes).substr(kPayloadAt));
+  for (size_t I = 0; I != 8; ++I)
+    Bytes[kChecksumAt + I] = static_cast<char>((Sum >> (8 * I)) & 0xff);
+}
 
 std::string SummaryBundle::serialize(const SymbolTable &Syms) const {
   assert((Patterns || Traces.empty()) && "pattern ids need their table");
@@ -257,24 +333,26 @@ std::string SummaryBundle::serialize(const SymbolTable &Syms) const {
   std::string Body;
   putU32(Body, static_cast<uint32_t>(Traces.size()));
   for (const std::shared_ptr<const RunTrace> &T : Traces) {
+    Body.push_back(T->Frame ? 1 : 0);
     putU32(Body, static_cast<uint32_t>(T->Pred));
     putU32(Body, Ref(T->Call));
     putU32(Body, Ref(T->PreSuccess));
     putU64(Body, T->Steps);
-    putU64(Body, T->Activations);
     putU32(Body, static_cast<uint32_t>(T->Ops.size()));
     for (const TraceOp &Op : T->Ops) {
+      bool Ids = Op.namesPatterns();
       Body.push_back(static_cast<char>(Op.K));
       Body.push_back(Op.Created ? 1 : 0);
       putU32(Body, static_cast<uint32_t>(Op.Pred));
-      putU32(Body, Ref(Op.Call));
-      putU32(Body, Ref(Op.Summary));
+      putU32(Body, Ids ? Ref(Op.Call) : Op.Call);
+      putU32(Body, Ids ? Ref(Op.Summary) : Op.Summary);
     }
   }
 
   std::string Out;
   Out.append(kMagic, 4);
   putU32(Out, kVersion);
+  putU64(Out, 0); // the checksum: seal() writes it over the whole payload
   putStr(Out, DomainName);
   putU32(Out, static_cast<uint32_t>(DepthLimit));
   putU32(Out, static_cast<uint32_t>(Preds.size()));
@@ -288,6 +366,7 @@ std::string SummaryBundle::serialize(const SymbolTable &Syms) const {
   for (PatternId Id : Used)
     putPattern(Out, Patterns->pattern(Id), Syms);
   Out += Body;
+  seal(Out);
   return Out;
 }
 
@@ -302,6 +381,11 @@ Result<SummaryBundle> SummaryBundle::deserialize(std::string_view Bytes,
     return makeError("summary bundle: unsupported format version " +
                      std::to_string(Version) + " (expected " +
                      std::to_string(kVersion) + ")");
+  uint64_t Sum = R.u64();
+  if (R.Bad)
+    return makeError("summary bundle: truncated or corrupt");
+  if (Sum != checksum(std::string_view(R.P, static_cast<size_t>(R.End - R.P))))
+    return makeError("summary bundle: checksum mismatch (corrupt bytes)");
 
   SummaryBundle B;
   B.DomainName = R.str();
@@ -355,15 +439,18 @@ Result<SummaryBundle> SummaryBundle::deserialize(std::string_view Bytes,
                        std::string(Defect));
     };
     auto T = std::make_shared<RunTrace>();
+    uint8_t Kind = R.u8();
+    T->Frame = Kind == 1;
     T->Pred = static_cast<int32_t>(R.u32());
     uint32_t Call = R.u32();
     uint32_t PreSuccess = R.u32();
     T->Steps = R.u64();
-    T->Activations = R.u64();
     uint32_t NumOps = R.u32();
     // Ops are fixed records, so none is read past the bytes checked here.
     if (R.Bad || !R.need(NumOps * kOpBytes))
       break;
+    if (Kind > 1)
+      return Defective("unknown trace kind " + std::to_string(Kind));
     if (!isListed(Listed, T->Pred))
       return Defective("trace root names an unlisted predicate id");
     if (Call == kNone)
@@ -387,8 +474,10 @@ Result<SummaryBundle> SummaryBundle::deserialize(std::string_view Bytes,
       Op.Summary = R.u32();
       if (const char *Defect = opDefect(Op, Depth, Listed, Ids.size()))
         return Defective(Defect);
-      Op.Call = IdOf(Op.Call);
-      Op.Summary = IdOf(Op.Summary);
+      if (Op.namesPatterns()) {
+        Op.Call = IdOf(Op.Call);
+        Op.Summary = IdOf(Op.Summary);
+      }
       T->Ops.push_back(Op);
     }
     if (Depth != 0)

@@ -10,15 +10,23 @@
 /// store can import, so user-module analysis warm-starts against a
 /// library's traces instead of re-deriving them.
 ///
-/// The byte format (version 2) holds only what import reads, each thing
-/// once: a header (magic, version, domain, depth limit); a predicate table
-/// of (pid, name, arity, code hash) for exactly the pids the traces use,
-/// sorted by pid; a pattern table holding each pattern the traces use
-/// once; and the traces, whose ops are fixed records of ids (u8 kind,
-/// u8 created, u32 pred, u32 call, u32 summary; 0xFFFFFFFF means none).
-/// Patterns are numbered in order of first use over the traces, not by
-/// interner id, so the re-export of a store that imported a bundle and
-/// answered the same queries is byte-identical to it.
+/// The byte format (version 3) holds only what import reads, each thing
+/// once: a header (magic, version, a 64-bit checksum of every byte after
+/// it, domain, depth limit); a predicate table of (pid, name, arity, code
+/// hash) for exactly the pids the traces use, sorted by pid; a pattern
+/// table holding each pattern the traces use once; and the traces. A
+/// trace is its kind (u8: 0 run, 1 frame — see analyzer/RunJournal.h; the
+/// two replay at different places and differ in how they count steps),
+/// root pid, calling pattern, pre-run summary, steps and ops; its ops are
+/// fixed records (u8 kind, u8 created, u32 pred, u32 call, u32 summary;
+/// 0xFFFFFFFF means none), where an Exit's two last fields are the low and
+/// high halves of its frame's step count. Patterns are numbered in order
+/// of first use over the traces, not by interner id, so the re-export of a
+/// store that imported a bundle and answered the same queries is
+/// byte-identical to it. The checksum (SummaryBundle::seal) catches
+/// accidental corruption: bytes changed in transit or at rest would
+/// otherwise import whenever they still parse, and what a validated trace
+/// recorded is applied as recorded.
 ///
 /// Everything in a bundle is *module-independent*: predicates resolve by
 /// (name, arity), and pattern symbols serialize as name strings that
@@ -64,7 +72,7 @@ namespace awam {
 /// equal bytes, whatever SymbolTable either side uses).
 struct SummaryBundle {
   /// Format version written by serialize; deserialize rejects others.
-  static constexpr uint32_t kVersion = 2;
+  static constexpr uint32_t kVersion = 3;
 
   /// One predicate the traces use: its exporting-module id, signature and
   /// clause-code hash at export time (CodeModule::predicateFingerprint).
@@ -85,7 +93,7 @@ struct SummaryBundle {
   /// into the same table.
   std::shared_ptr<const PatternInterner> Patterns;
 
-  /// Replayable activation traces, in bank order. Trace PredIds are the
+  /// Replayable run and frame traces, in bank order. Trace PredIds are the
   /// exporting module's ids, resolved through Preds.
   std::vector<std::shared_ptr<const RunTrace>> Traces;
 
@@ -95,17 +103,27 @@ struct SummaryBundle {
 
   /// Parses \p Bytes, interning symbol names into \p Syms (pattern symbol
   /// ids in the result refer to \p Syms) and patterns into a new Patterns
-  /// table. Errors on a bad magic, version, truncation or a count the
-  /// remaining bytes cannot hold, and on anything import or replay could
-  /// trip over: negative, duplicate or unlisted predicate ids, unknown op
-  /// or pattern-node kinds, pattern indexes past the pattern table, trace
-  /// roots and Memo/Enter ops without a predicate or calling pattern,
-  /// Exit/Grow ops with either, Grow ops without a summary, and Enter/Exit
-  /// nesting that pops the root frame early or never closes it. Predicate
-  /// ids keep their exported values, which may be arbitrarily large:
-  /// consumers resolve them through Preds and size nothing by them.
+  /// table. Errors on a bad magic, version or checksum, truncation or a
+  /// count the remaining bytes cannot hold, and on anything import or
+  /// replay could trip over: negative, duplicate or unlisted predicate
+  /// ids, unknown trace, op or pattern-node kinds, pattern nodes whose
+  /// child count does not fit their kind or whose child edges form a
+  /// cycle, pattern indexes past the pattern table, trace roots and
+  /// Memo/Enter ops without a predicate or calling pattern, Exit/Grow ops
+  /// with a predicate, Grow ops with a calling pattern or without a
+  /// summary, and Enter/Exit nesting that pops the root frame early or
+  /// never closes it. Predicate ids keep their exported values, which may
+  /// be arbitrarily large: consumers resolve them through Preds and size
+  /// nothing by them.
   static Result<SummaryBundle> deserialize(std::string_view Bytes,
                                            SymbolTable &Syms);
+
+  /// Writes the checksum of \p Bytes' payload (every byte after the
+  /// checksum field) into their header, as serialize does last: a 64-bit
+  /// hash taken eight bytes at a time (a warm ladder operation imports a
+  /// bundle every time), which tells apart any two payloads that differ
+  /// in one byte. \p Bytes must be at least a header long.
+  static void seal(std::string &Bytes);
 };
 
 } // namespace awam

@@ -64,6 +64,22 @@ public:
     ++Count;
   }
 
+  /// Inserts (\p Key, \p Val) unless \p Key is already present; true
+  /// when it inserted. The set-like use: one probe sequence per key.
+  bool insertUnique(uint64_t Key, uint32_t Val) {
+    if (10 * (Count + 1) >= 7 * Vals.size())
+      grow();
+    size_t Mask = Vals.size() - 1;
+    size_t I = mix(Key) & Mask;
+    for (; Vals[I] != kEmpty; I = (I + 1) & Mask)
+      if (Keys[I] == Key)
+        return false;
+    Keys[I] = Key;
+    Vals[I] = Val;
+    ++Count;
+    return true;
+  }
+
   size_t size() const { return Count; }
 
   /// Heap bytes held by the two flat arrays (eviction accounting).

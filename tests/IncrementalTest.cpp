@@ -7,18 +7,21 @@
 // edit did not disturb. This suite pins that identity on all Table 1
 // benchmarks, on chained edits, and on randomized clause-level edit
 // sequences, plus the replay-savings acceptance bar (strictly fewer
-// executed activations than scratch on most benchmarks) and the store's
-// flat footprint under a long edit chain.
+// executed activations than scratch on most benchmarks), the frame replay
+// that lets a run which enters edited code replay its clean inline
+// explorations, and the store's flat footprint under a long edit chain.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analyzer/Session.h"
+#include "compiler/ModuleLink.h"
 #include "programs/Benchmarks.h"
 #include "RandomProgramGen.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -357,6 +360,158 @@ TEST(IncrementalTest, RandomEditSequencesMatchScratch) {
   }
   EXPECT_GE(Sequences, 30);
   EXPECT_GT(TotalReused, 0u);
+}
+
+/// The first predicate of \p P other than main/0 that has clauses, by
+/// predicate id (e.g. zebra/2): the Table 1 programs' worked predicate.
+std::optional<PredSig> workPredicate(const CompiledProgram &P) {
+  const CodeModule &M = *P.Module;
+  for (int32_t I = 0; I != M.numPredicates(); ++I) {
+    const PredicateInfo &PI = M.predicate(I);
+    std::string Name(M.symbols().name(PI.Name));
+    if (!PI.Clauses.empty() && !(Name == "main" && PI.Arity == 0))
+      return PredSig{Name, PI.Arity};
+  }
+  return std::nullopt;
+}
+
+TEST(IncrementalTest, TouchEditOfTheWorkedPredicateMatchesColdEverywhere) {
+  // The service script's round on every Table 1 program in every domain:
+  // query main, then the worked predicate W (e.g. zebra/2), touch-edit W,
+  // which re-queries W, then re-query main. Both re-queries are the cold
+  // reports. main's run explores W inline, so it executes, and its other
+  // inline explorations replay as frames. W's own root run is banked as
+  // well and must not stand in for main's exploration of W: a run counts
+  // the Halt its root executes and a frame does not.
+  uint64_t Replayed = 0;
+  for (const char *Domain : {"modes", "pos", "det"}) {
+    for (const BenchmarkProgram &B : benchmarkPrograms()) {
+      SCOPED_TRACE(std::string(B.Name) + " under " + Domain);
+      SymbolTable Syms;
+      TermArena Arena;
+      std::unique_ptr<CompiledProgram> P =
+          compileOrDie(std::string(B.Source), Syms, Arena);
+      ASSERT_NE(P, nullptr);
+      std::optional<PredSig> Work = workPredicate(*P);
+      ASSERT_TRUE(Work);
+      const std::string WorkSpec =
+          Work->Name + "/" + std::to_string(Work->Arity);
+      AnalyzerOptions O;
+      O.DomainName = Domain;
+      AnalysisSession ColdWork(*P, O);
+      Result<AnalysisResult> RW = ColdWork.analyze(WorkSpec);
+      ASSERT_TRUE(RW) << RW.diag().str();
+
+      AnalysisSession S(*P, O);
+      Result<AnalysisResult> R0 = S.analyze(B.EntrySpec);
+      ASSERT_TRUE(R0) << R0.diag().str();
+      ASSERT_TRUE(S.analyze(WorkSpec));
+      Result<AnalysisResult> R1 = S.reanalyze({*Work}, WorkSpec);
+      ASSERT_TRUE(R1) << R1.diag().str();
+      EXPECT_EQ(fingerprint(*RW, Syms), fingerprint(*R1, Syms));
+      Result<AnalysisResult> R2 = S.analyze(B.EntrySpec);
+      ASSERT_TRUE(R2) << R2.diag().str();
+      EXPECT_EQ(fingerprint(*R0, Syms), fingerprint(*R2, Syms));
+      Replayed += S.store()->stats().ReplayedActivations;
+    }
+  }
+  EXPECT_GT(Replayed, 0u);
+}
+
+TEST(IncrementalTest, CorpusRequeryReplaysTheCleanFramesOfTheDriverRun) {
+  // drive/1 calls every predicate of a linked 1.2k-clause corpus, so its
+  // first run explores nearly all of them inline, lib0/1 among them. The
+  // service script's round: query drive/1 and lib0/1, touch-edit lib0/1
+  // (which re-queries it), re-query drive/1. drive's run entered lib0/1,
+  // so it executes, but its inline explorations that ran no lib0/1 code
+  // replay as frames. Two rounds in a row: the second replays the frames
+  // the first spliced into the journal it recorded.
+  testgen::CorpusOptions CO;
+  CO.Clauses = 1200;
+  const testgen::Corpus C = testgen::generateCorpus(1, CO);
+  SymbolTable Syms;
+  TermArena Arena;
+  Result<CompiledProgram> Lib = compileSource(C.Library, Syms, Arena);
+  ASSERT_TRUE(Lib) << Lib.diag().str();
+  Result<CompiledProgram> User = compileSource(C.User, Syms, Arena);
+  ASSERT_TRUE(User) << User.diag().str();
+  Result<LinkedProgram> L =
+      linkPrograms({{&*Lib, "library"}, {&*User, "user"}});
+  ASSERT_TRUE(L) << L.diag().str();
+  for (const char *Domain : {"modes", "det"}) {
+    SCOPED_TRACE(Domain);
+    AnalyzerOptions O;
+    O.DomainName = Domain;
+    AnalysisSession Cold(L->Program, O);
+    Result<AnalysisResult> RC = Cold.analyze("drive/1");
+    ASSERT_TRUE(RC) << RC.diag().str();
+    AnalysisSession ColdWork(L->Program, O);
+    Result<AnalysisResult> RCW = ColdWork.analyze("lib0/1");
+    ASSERT_TRUE(RCW) << RCW.diag().str();
+
+    AnalysisSession S(L->Program, O);
+    ASSERT_TRUE(S.analyze("drive/1"));
+    ASSERT_TRUE(S.analyze("lib0/1"));
+    const AnalysisStore::Stats &St = S.store()->stats();
+    for (int Round = 1; Round <= 2; ++Round) {
+      SCOPED_TRACE("round " + std::to_string(Round));
+      Result<AnalysisResult> RW = S.reanalyze({PredSig{"lib0", 1}}, "lib0/1");
+      ASSERT_TRUE(RW) << RW.diag().str();
+      EXPECT_EQ(fingerprint(*RW, Syms), fingerprint(*RCW, Syms));
+      const uint64_t Executed0 = St.ExecutedActivations;
+      Result<AnalysisResult> R = S.analyze("drive/1");
+      ASSERT_TRUE(R) << R.diag().str();
+      EXPECT_EQ(fingerprint(*R, Syms), fingerprint(*RC, Syms));
+      // Cold, the query explores hundreds of clause lists.
+      EXPECT_GT(R->Counters.ActivationRuns, 400u);
+      EXPECT_LE(St.ExecutedActivations - Executed0, 40u);
+    }
+  }
+}
+
+TEST(IncrementalTest, FrameThatReadAChangedSummaryExecutes) {
+  // main's run enters e/1, so an edit of e/1 leaves it to execute; f/1's
+  // frame inside it only memo-reads e/1 and stays banked. When the edit
+  // keeps e's summary, the frame replays (with g/2's inside it); when the
+  // edit changes it, validation sees the summary f's frame read and the
+  // frame executes, exploring g/2 at a calling pattern the old run never
+  // had. Both re-queries are the cold report of their program.
+  SymbolTable Syms;
+  TermArena A0, A1, A2;
+  const std::string Src = "main :- e(_), f(_).\n"
+                          "f(Y) :- e(Z), g(Z, Y).\n"
+                          "g(Z, Z).\n";
+  std::unique_ptr<CompiledProgram> P0 =
+      compileOrDie(Src + "e(a).\n", Syms, A0);
+  std::unique_ptr<CompiledProgram> Same =
+      compileOrDie(Src + "e(a).\ne(a).\n", Syms, A1);
+  std::unique_ptr<CompiledProgram> Changed =
+      compileOrDie(Src + "e(1).\n", Syms, A2);
+  ASSERT_NE(P0, nullptr);
+  ASSERT_NE(Same, nullptr);
+  ASSERT_NE(Changed, nullptr);
+
+  for (const CompiledProgram *Edited : {Same.get(), Changed.get()}) {
+    const bool Keeps = Edited == Same.get();
+    SCOPED_TRACE(Keeps ? "e's summary kept" : "e's summary changed");
+    AnalysisSession S(*P0);
+    ASSERT_TRUE(S.analyze("main"));
+    Result<AnalysisResult> RInc = S.reanalyze(*Edited);
+    ASSERT_TRUE(RInc) << RInc.diag().str();
+    AnalysisSession Scratch(*Edited);
+    Result<AnalysisResult> RScr = Scratch.analyze("main");
+    ASSERT_TRUE(RScr) << RScr.diag().str();
+    EXPECT_EQ(fingerprint(*RScr, Syms), fingerprint(*RInc, Syms));
+
+    // main, e, f and g each explore once; f and g replay only when the
+    // summary f's frame read still holds.
+    ASSERT_EQ(RInc->Counters.ActivationRuns, 4u);
+    const AnalysisStore::Stats &St = S.store()->stats();
+    EXPECT_EQ(St.WarmQueries, 1u);
+    EXPECT_EQ(St.ReplayedRuns, 0u);
+    EXPECT_EQ(St.ReplayedActivations, Keeps ? 2u : 0u);
+    EXPECT_EQ(St.ExecutedActivations, Keeps ? 2u : 4u);
+  }
 }
 
 TEST(IncrementalTest, ChainedTouchEditsKeepStoreBytesFlat) {

@@ -129,7 +129,8 @@ protected:
   }
 
   /// Writes \p Value over the little-endian u32 at \p At of the library's
-  /// bundle bytes and expects the result rejected with \p Why (see
+  /// bundle bytes, seals them again (so the checksum does not catch the
+  /// change first) and expects the result rejected with \p Why (see
   /// expectBytesRejected).
   void expectU32Rejected(size_t (*At)(std::string_view), uint32_t Value,
                          std::string_view Why) {
@@ -141,6 +142,7 @@ protected:
     ASSERT_LE(Pos + 4, Bytes.size());
     for (int I = 0; I != 4; ++I)
       Bytes[Pos + I] = static_cast<char>((Value >> (8 * I)) & 0xff);
+    SummaryBundle::seal(Bytes);
     expectBytesRejected(Lib, Syms, Bytes, Why);
   }
 
@@ -350,24 +352,69 @@ TEST_F(SummaryBundleTest, MissingCallingPatternRejected) {
 }
 
 TEST_F(SummaryBundleTest, StrayCallingPatternRejected) {
-  // Exit and Grow ops have no callee, so a calling pattern on one is
-  // corrupt.
+  // A Grow op has no callee, so a calling pattern on one is corrupt. (An
+  // Exit's pattern fields hold its frame's step count.)
   SymbolTable Syms;
   TermArena Arena;
   CompiledProgram Lib = compile(kLibSource, Syms, Arena);
   SummaryBundle B = libBundle(Lib, Syms);
-  for (TraceOp::Kind K : {TraceOp::Exit, TraceOp::Grow}) {
-    SummaryBundle Op = B;
-    bool Added = false;
-    mutateTraces(Op, [&](RunTrace &T) {
-      for (TraceOp &O : T.Ops)
-        if (!Added && O.K == K) {
-          O.Call = T.Call;
-          Added = true;
-        }
-    });
-    ASSERT_TRUE(Added) << int(K);
-    expectRejected(Lib, Op, Syms, "exit or grow op with a calling pattern");
+  bool Added = false;
+  mutateTraces(B, [&](RunTrace &T) {
+    for (TraceOp &O : T.Ops)
+      if (!Added && O.K == TraceOp::Grow) {
+        O.Call = T.Call;
+        Added = true;
+      }
+  });
+  ASSERT_TRUE(Added);
+  expectRejected(Lib, B, Syms, "grow op with a calling pattern");
+}
+
+TEST_F(SummaryBundleTest, CyclicPatternRejected) {
+  // Two list nodes that are each other's element type: every index names
+  // a node, but printing the pattern would recurse without bound.
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  SummaryBundle B = libBundle(Lib, Syms);
+  Pattern Cyclic;
+  PatNode L;
+  L.K = PatKind::ListP;
+  L.ChildCount = 1;
+  Cyclic.Nodes = {L, L};
+  Cyclic.Nodes[1].ChildBegin = 1;
+  Cyclic.ChildStore = {1, 0};
+  Cyclic.Roots = {0, 1};
+  PatternId BadId = addPattern(B, Cyclic);
+  mutateTraces(B, [&](RunTrace &T) { T.Call = BadId; });
+  expectRejected(Lib, B, Syms, "truncated or corrupt");
+}
+
+TEST_F(SummaryBundleTest, ChildCountThatDoesNotFitTheKindRejected) {
+  // A list cell has two children, an alpha-list one and a leaf none;
+  // printing reads child(N, 0) and child(N, 1) unchecked.
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram Lib = compile(kLibSource, Syms, Arena);
+  PatNode Leaf;
+  Leaf.K = PatKind::AnyP;
+  for (auto [K, Children] : {std::pair{PatKind::ConsP, 0},
+                             std::pair{PatKind::ConsP, 1},
+                             std::pair{PatKind::ListP, 2},
+                             std::pair{PatKind::AnyP, 1}}) {
+    SummaryBundle B = libBundle(Lib, Syms);
+    Pattern Bad;
+    PatNode N;
+    N.K = K;
+    N.ChildCount = Children;
+    Bad.Nodes = {N, Leaf};
+    Bad.ChildStore.assign(static_cast<size_t>(Children), 1);
+    Bad.Roots = {0, 1};
+    PatternId BadId = addPattern(B, Bad);
+    mutateTraces(B, [&](RunTrace &T) { T.Call = BadId; });
+    SCOPED_TRACE("kind " + std::to_string(static_cast<int>(K)) + ", " +
+                 std::to_string(Children) + " children");
+    expectRejected(Lib, B, Syms, "truncated or corrupt");
   }
 }
 
@@ -385,7 +432,7 @@ size_t u32At(std::string_view B, size_t At) {
 
 /// Byte offset of the pattern table's count.
 size_t patternCountAt(std::string_view B) {
-  size_t At = 8;          // magic, version
+  size_t At = 16;         // magic, version, checksum
   At += 4 + u32At(B, At); // domain name
   At += 4;                // depth limit
   size_t NumPreds = u32At(B, At);
@@ -435,11 +482,13 @@ size_t firstTraceAt(std::string_view B) {
 }
 
 /// Byte offsets of the first trace's calling pattern and of its first op's
-/// summary (root pid, call, pre-success, steps, activations, op count;
-/// then kind, created flag, pred, call).
-size_t firstTraceCallAt(std::string_view B) { return firstTraceAt(B) + 4; }
+/// summary (kind, root pid, call, pre-success, steps, op count; then kind,
+/// created flag, pred, call).
+size_t firstTraceCallAt(std::string_view B) {
+  return firstTraceAt(B) + 1 + 4;
+}
 size_t firstOpSummaryAt(std::string_view B) {
-  return firstTraceAt(B) + 4 * 3 + 8 * 2 + 4 + 1 + 1 + 4 + 4;
+  return firstTraceAt(B) + 1 + 4 * 3 + 8 + 4 + 1 + 1 + 4 + 4;
 }
 
 TEST_F(SummaryBundleTest, HugeNodeCountRejected) {
@@ -492,10 +541,47 @@ TEST_F(SummaryBundleTest, Version1BytesRejected) {
   TermArena Arena;
   CompiledProgram Lib = compile(kLibSource, Syms, Arena);
   expectBytesRejected(Lib, Syms, V1,
-                      "unsupported format version 1 (expected 2)");
-  // Today's layout under the old version number is refused the same way.
-  expectU32Rejected([](std::string_view) { return size_t(4); }, 1,
-                    "unsupported format version 1 (expected 2)");
+                      "unsupported format version 1 (expected 3)");
+  // Today's layout under an old version number is refused the same way:
+  // a version-2 reader would take an Exit's step count for two pattern
+  // indexes and a frame trace for a run.
+  for (uint32_t Old : {1u, 2u})
+    expectU32Rejected([](std::string_view) { return size_t(4); }, Old,
+                      "unsupported format version " + std::to_string(Old) +
+                          " (expected 3)");
+}
+
+TEST_F(SummaryBundleTest, EveryFlippedByteIsRefused) {
+  // One byte changed anywhere — magic, version, checksum or payload — and
+  // the bundle no longer imports: 1,000 seeded positions of qsort's
+  // bundle, each flipped by a nonzero mask.
+  const BenchmarkProgram *Q = findBenchmark("qsort");
+  ASSERT_NE(Q, nullptr);
+  SymbolTable Syms;
+  TermArena Arena;
+  CompiledProgram P = compile(Q->Source, Syms, Arena);
+  AnalyzerOptions O;
+  AnalysisSession S(P, O);
+  ASSERT_TRUE(S.analyze("main"));
+  Result<std::string> Bytes = S.exportSummaries();
+  ASSERT_TRUE(Bytes) << Bytes.diag().str();
+  ASSERT_TRUE(SummaryBundle::deserialize(*Bytes, Syms));
+  const std::string Dump = S.store()->canonicalDump(Syms);
+  testgen::SplitMix64 Rng(23);
+  int Refused = 0;
+  for (int I = 0; I != 1000; ++I) {
+    std::string Copy = *Bytes;
+    size_t At = Rng.next() % Copy.size();
+    Copy[At] = static_cast<char>(Copy[At] ^ (1 + Rng.next() % 255));
+    bool Parsed = static_cast<bool>(SummaryBundle::deserialize(Copy, Syms));
+    bool Imported = static_cast<bool>(S.importSummaries(Copy));
+    EXPECT_FALSE(Parsed) << "flip at byte " << At;
+    EXPECT_FALSE(Imported) << "flip at byte " << At;
+    Refused += !Parsed && !Imported;
+  }
+  EXPECT_EQ(Refused, 1000);
+  EXPECT_EQ(S.store()->canonicalDump(Syms), Dump);
+  EXPECT_EQ(S.store()->stats().BundlesImported, 0u);
 }
 
 TEST_F(SummaryBundleTest, ExportWritesEachUsedPatternOnce) {
@@ -531,10 +617,11 @@ TEST_F(SummaryBundleTest, ExportWritesEachUsedPatternOnce) {
     for (const std::shared_ptr<const RunTrace> &T : B->Traces) {
       Use(T->Call);
       Use(T->PreSuccess);
-      for (const TraceOp &Op : T->Ops) {
-        Use(Op.Call);
-        Use(Op.Summary);
-      }
+      for (const TraceOp &Op : T->Ops)
+        if (Op.namesPatterns()) {
+          Use(Op.Call);
+          Use(Op.Summary);
+        }
     }
     EXPECT_EQ(std::count(Used.begin(), Used.end(), 1),
               static_cast<std::ptrdiff_t>(NumPatterns));
@@ -803,49 +890,49 @@ struct BundleGolden {
 
 constexpr BundleGolden kTable1Bundles[] = {
     {"log10",
-     0x73fe252e2787a7ecull,
-     0x72922a198fb45226ull,
-     0xda39fff0b59ee9a5ull},
+     0x8f79b0baf26fe06full,
+     0xd8ea5d5304456cafull,
+     0x57c40968a6a84095ull},
     {"ops8",
-     0x16ee33da1e2a417eull,
-     0xfad4df6865c8df4full,
-     0x569e1a29315bcec3ull},
+     0xb70599f2f207ba01ull,
+     0x2cc320c8a8b0b58dull,
+     0xdb9dcc4aec47275aull},
     {"times10",
-     0xb79f097ece976fa8ull,
-     0x7fc8f867d0a19396ull,
-     0xb3377ec0ffcf12edull},
+     0xbac28ba27b139cbeull,
+     0xf9223149024d05e7ull,
+     0xb2aef27e46e85028ull},
     {"divide10",
-     0xabd2f48400d0595cull,
-     0x7b0bba44604e15a5ull,
-     0x9fc4194ecaef09ffull},
+     0xe6ca7f8a47138f13ull,
+     0x7dff6e6ee59b2343ull,
+     0x829bfaeebe67e2daull},
     {"tak",
-     0x924788339d8a6182ull,
-     0xeefe805ed403a6f2ull,
-     0xcb822dfae9e396b7ull},
+     0xa963a065a543f531ull,
+     0xa112430f286ae4b3ull,
+     0x9ef48e5c851525e7ull},
     {"nreverse",
-     0xa76eedcf496e3739ull,
-     0xc5d84126a130873full,
-     0x8ab970317f1b26ecull},
+     0x1893769cfdf3bb5cull,
+     0x3e6ccc5d91b35c15ull,
+     0xe9c435c41d564c77ull},
     {"qsort",
-     0x8a241bb13d17cc78ull,
-     0x5977bd949611d352ull,
-     0xbcc20398c141e1bfull},
+     0xdd4babf8dd6b06deull,
+     0x29073743403981d2ull,
+     0x947e81d1ed00446bull},
     {"query",
-     0xae32a5576b1bd4b8ull,
-     0x2946c27f67ea7bbdull,
-     0x1c3477023ddcf201ull},
+     0x25025b03ff81d665ull,
+     0x377598cdbbb533full,
+     0x4ce0f4e97e2cde3ull},
     {"zebra",
-     0x2123b73967f11d67ull,
-     0x74ce53e8ff22264eull,
-     0x9e16602bdc1cc742ull},
+     0xf510e441075dfd81ull,
+     0x3f92440c1b9e8502ull,
+     0xdc06e8f285ec88bull},
     {"serialise",
-     0x792f2fc8f6fc9b8full,
-     0x9226adbe3db032c7ull,
-     0xef49741a4b55d094ull},
+     0xe073e511db22ac76ull,
+     0xc1dc35a18ade3ad0ull,
+     0x2dbb6f128a2d19e9ull},
     {"queens_8",
-     0xf02134f40c58ae35ull,
-     0xdec17e7292718e8eull,
-     0x3f9390a6bf3b6d08ull},
+     0xb93a9db4f3ba960eull,
+     0xdbf83aae275ed7d9ull,
+     0x7718ab2d57fc4a14ull},
 };
 
 TEST(SummaryBundleGolden, Table1Programs) {
@@ -895,8 +982,8 @@ TEST(SummaryBundleGolden, LinkedCorpusAndReexport) {
   ASSERT_TRUE(Cold.analyze("drive/1"));
   Result<std::string> Bytes = Cold.exportSummaries();
   ASSERT_TRUE(Bytes) << Bytes.diag().str();
-  EXPECT_EQ(Bytes->size(), 681323u);
-  EXPECT_EQ(hashBytes(*Bytes), 0x52c214561c729016ull)
+  EXPECT_EQ(Bytes->size(), 677215u);
+  EXPECT_EQ(hashBytes(*Bytes), 0xb566d617a9a5ba97ull)
       << "export = 0x" << std::hex << hashBytes(*Bytes);
 
   AnalysisSession Warm(L->Program, O);
@@ -904,7 +991,7 @@ TEST(SummaryBundleGolden, LinkedCorpusAndReexport) {
   ASSERT_TRUE(Warm.analyze("drive/1"));
   Result<std::string> Again = Warm.exportSummaries();
   ASSERT_TRUE(Again) << Again.diag().str();
-  EXPECT_EQ(hashBytes(*Again), 0x52c214561c729016ull)
+  EXPECT_EQ(hashBytes(*Again), 0xb566d617a9a5ba97ull)
       << "re-export = 0x" << std::hex << hashBytes(*Again);
 }
 
