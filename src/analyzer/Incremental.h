@@ -95,8 +95,9 @@ struct CompiledProgram;
 /// removals. Both modules should share one SymbolTable; with distinct
 /// tables the comparison is meaningless (Symbols and hence patterns are
 /// incomparable), so every predicate of both programs is reported and the
-/// AnalysisStore invalidates everything. Used by the store's cone
-/// invalidation on a recompiled program.
+/// AnalysisStore invalidates everything. Used by the store's invalidation
+/// on a recompiled program: a root dies when its projection names one of
+/// these predicates.
 std::vector<PredSig> diffPrograms(const CompiledProgram &Old,
                                   const CompiledProgram &New);
 

@@ -92,35 +92,6 @@ void SchedulerCore::noteChanged(int32_t Idx, uint32_t SuccessVersion) {
   }
 }
 
-std::vector<char>
-SchedulerCore::reverseClosure(const std::vector<int32_t> &Seeds) const {
-  std::vector<char> Mark(Readers.size(), 0);
-  std::vector<int32_t> Work;
-  for (int32_t Seed : Seeds)
-    if (static_cast<size_t>(Seed) < Mark.size() && !Mark[Seed]) {
-      Mark[Seed] = 1;
-      Work.push_back(Seed);
-    }
-  while (!Work.empty()) {
-    int32_t Dep = Work.back();
-    Work.pop_back();
-    for (const Edge &Ed : Readers[Dep])
-      if (!Mark[Ed.Reader]) {
-        Mark[Ed.Reader] = 1;
-        Work.push_back(Ed.Reader);
-      }
-  }
-  return Mark;
-}
-
-std::vector<std::pair<int32_t, int32_t>> SchedulerCore::edgePairs() const {
-  std::vector<std::pair<int32_t, int32_t>> Out;
-  for (size_t Dep = 0; Dep != Readers.size(); ++Dep)
-    for (const Edge &Ed : Readers[Dep])
-      Out.emplace_back(static_cast<int32_t>(Dep), Ed.Reader);
-  return Out;
-}
-
 void SchedulerCore::Overlay::reset() {
   Added.clear();
   if (++Epoch == 0) { // stamps wrapped: forget them for real

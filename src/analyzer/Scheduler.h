@@ -56,9 +56,11 @@
 /// exploration's frame the same way (replayFrame). Every behavioural
 /// decision (inline re-exploration, dirty targeting, edge retirement) is
 /// a core method, so replayed and executed runs share one definition of
-/// the schedule. The
-/// loop's one caller is AnalysisStore::query (analyzer/Store.h): every
-/// worklist analysis is a store query.
+/// the schedule. The loop's one caller is AnalysisStore::query
+/// (analyzer/Store.h): every worklist analysis is a store query. The core
+/// lives and dies with its drain: no store reads its edges, since the
+/// store invalidates roots by their projections (the entries their drains
+/// reached), not by dependency.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -130,20 +132,6 @@ public:
   /// stale, targeting the current sweep only for readers the naive DFS
   /// would still reach after the update.
   void noteChanged(int32_t Idx, uint32_t SuccessVersion);
-
-  /// Transitive reverse closure over the recorded reader edges: marks
-  /// every entry that (transitively) read a seed entry's summary, seeds
-  /// included. Conservative — edges of superseded runs still count, since
-  /// such a reader re-reads everything when it next runs anyway. This is
-  /// the AnalysisStore's invalidation cone (analyzer/Store.h): the
-  /// entries whose recorded inputs could reach an edited predicate.
-  std::vector<char> reverseClosure(const std::vector<int32_t> &Seeds) const;
-
-  /// All recorded reader edges, as (Dep, Reader) pairs in no particular
-  /// order. Superseded runs' edges are included, matching reverseClosure's
-  /// conservative semantics — this is what the persistent AnalysisStore
-  /// merges into its long-lived dependency graph after each query drain.
-  std::vector<std::pair<int32_t, int32_t>> edgePairs() const;
 
   uint64_t currentSweep() const { return CurSweep; }
   void setCurrentSweep(uint64_t S) { CurSweep = S; }
@@ -275,14 +263,6 @@ public:
   Status run(ETEntry &Root, int MaxSweeps);
 
   const Stats &stats() const { return Core.stats(); }
-
-  /// The core after the drain — the dependency edges the AnalysisStore
-  /// merges into its invalidation graph.
-  const SchedulerCore &core() const { return Core; }
-
-  /// Moves the core out after the drain (the store adopts it whole when
-  /// it merges into an empty table); the scheduler must not run again.
-  SchedulerCore takeCore() { return std::move(Core); }
 
   // --- DependencySink (called by the machine during activation runs) ---
   bool shouldReexplore(const ETEntry &E) override {

@@ -796,7 +796,7 @@ void AnalysisServer::doStats(ClientState &CS, Response &R) {
       "replayed, %llu executed\n"
       "store: %llu roots, %llu entries (%llu new, %llu shared)\n"
       "reanalyses: %llu (roots invalidated %llu, entries "
-      "invalidated %llu, last cone %llu)\n"
+      "invalidated %llu)\n"
       "journals: %llu compactions, %llu trace handles dropped\n",
       (unsigned long long)SS.Queries, (unsigned long long)SS.CacheHits,
       (unsigned long long)SS.ColdQueries, (unsigned long long)SS.WarmQueries,
@@ -807,7 +807,6 @@ void AnalysisServer::doStats(ClientState &CS, Response &R) {
       (unsigned long long)SS.NewEntries, (unsigned long long)SS.SharedEntries,
       (unsigned long long)SS.Reanalyses, (unsigned long long)SS.InvalidatedRoots,
       (unsigned long long)SS.InvalidatedEntries,
-      (unsigned long long)SS.LastConeEntries,
       (unsigned long long)SS.Compactions,
       (unsigned long long)SS.CompactedTraces);
   R.Out += Deep;

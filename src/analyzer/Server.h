@@ -79,7 +79,8 @@
 /// response cache) while keeping the compiled program — a later touch
 /// re-warms from a cold store with identical response bytes. Long-lived
 /// stores additionally compact their journal banks
-/// (AnalysisStore::compactJournals).
+/// (AnalysisStore::compactJournals); as no bank holds a trace handle
+/// twice, only a store with more than two banks is ever checked.
 ///
 //===----------------------------------------------------------------------===//
 

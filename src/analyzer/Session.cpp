@@ -168,7 +168,7 @@ Result<AnalysisResult> AnalysisSession::analyzeNaive(int32_t Pid,
 /// Edit signatures are user input (--edit flags, server edit verbs): one
 /// naming a predicate the program never mentions — or an existing name at
 /// the wrong arity — is a typo, and silently analyzing with an empty edit
-/// cone would just echo the old result. Returns the near-miss diagnostic,
+/// set would just echo the old result. Returns the near-miss diagnostic,
 /// or the empty string when every signature resolves. (The recompiled-
 /// program overload reanalyze(CompiledProgram) stays lenient on purpose:
 /// its diff legitimately names removed predicates.)

@@ -59,9 +59,10 @@ public:
 
   /// Re-analyzes the session's program from the last analyze() entry goal
   /// after the clauses of \p EditedPreds changed. Runs on the session's
-  /// store: the edit invalidates its reverse-dependency cone there, and
-  /// the re-query replays every recorded trace that ran no edited code
-  /// (see analyzer/Store.h). The result — table, counters, formatted
+  /// store: the edit invalidates there every root whose projection (the
+  /// table entries its drain reached) names an edited predicate, and the
+  /// re-query replays every recorded trace that ran no edited code (see
+  /// analyzer/Store.h). The result — table, counters, formatted
   /// report — is byte-identical to a fresh analyze() of the edited
   /// program. Requires a prior analyze() and the worklist driver. Chains:
   /// each reanalyze records for the next.

@@ -4,6 +4,7 @@
 
 #include "analyzer/AbstractMachine.h"
 #include "analyzer/Domain.h"
+#include "analyzer/Scheduler.h"
 
 #include <algorithm>
 #include <cassert>
@@ -12,17 +13,6 @@
 using namespace awam;
 
 namespace {
-
-/// Adds the edge (\p Dep, \p Reader) to the edge set \p Seen; false when
-/// it was already there.
-bool addEdgeKey(detail::FlatMap64 &Seen, int32_t Dep, int32_t Reader) {
-  uint64_t Key = (static_cast<uint64_t>(static_cast<uint32_t>(Dep)) << 32) |
-                 static_cast<uint32_t>(Reader);
-  if (Seen.lookup(Key) != detail::FlatMap64::kEmpty)
-    return false;
-  Seen.insert(Key, 0);
-  return true;
-}
 
 /// \p Op with its predicate id mapped through \p MapPid and its pattern
 /// ids through \p MapPat (both total on the ids \p Op uses; an Exit's
@@ -72,7 +62,7 @@ AnalysisStore::AnalysisStore(const CompiledProgram &Program,
                              AnalyzerOptions Options)
     : Program(&Program), Options(Options) {
   // The store's reuse machinery — interned multi-root table, journal
-  // replay, dependency cone — is defined in worklist-over-interner terms.
+  // replay — is defined in worklist-over-interner terms.
   // AnalysisSession refuses other configurations with a descriptive error;
   // normalize here so a directly constructed store is well-formed too.
   this->Options.Driver = DriverKind::Worklist;
@@ -89,8 +79,6 @@ void AnalysisStore::resetState() {
   Interner = std::make_shared<PatternInterner>(Options.DepthLimit, Dom);
   Table = std::make_unique<ExtensionTable>(Options.TableImpl,
                                            Interner.get());
-  Core = SchedulerCore();
-  EdgeSeen = detail::FlatMap64();
   Roots.clear();
   Imported.reset();
   St.ImportedTraces = 0;
@@ -203,21 +191,23 @@ Result<AnalysisResult> AnalysisStore::query(std::string_view Name,
   // partial answer for *this* query but not a reusable memo.
   if (R.Converged) {
     OutJournal->finishRecording();
-    int Slot = mergeQuery(Name, Pid, CallId, QTable, Sched.takeCore(),
-                          std::move(OutJournal), std::move(R));
+    int Slot = mergeQuery(Name, Pid, CallId, QTable, std::move(OutJournal),
+                          std::move(R));
     // Bank hygiene: a warm drain re-banks every replayed trace as a shared
     // handle, so a long query chain accumulates one handle per (root,
     // trace) pair while the distinct traces stay near-constant. Compact
     // once the duplication factor crosses kCompactionFactor — past that
     // point most of the bank is re-validation of already-applied traces.
-    // A lone journal holds no duplicate handles, so the pool is walked
-    // only once a second bank exists.
+    // No bank holds a handle twice (a drain consumes each pooled trace at
+    // most once; import, keepUnedited and compactJournals add each trace
+    // once), so B banks hold at most B handles per distinct trace and the
+    // factor can be crossed only with more than kCompactionFactor banks.
     constexpr size_t kCompactionMinHandles = 64;
     constexpr size_t kCompactionFactor = 2;
     size_t Banks = Imported ? 1 : 0;
     for (const RootInfo &RI : Roots)
       Banks += RI.Journal != nullptr;
-    if (Banks > 1) {
+    if (Banks > kCompactionFactor) {
       size_t Handles = 0;
       size_t Distinct = pool(&Handles).size();
       if (Handles > kCompactionMinHandles &&
@@ -440,7 +430,6 @@ AnalysisStore::importSummaries(std::string_view Bytes) {
 
 int AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
                               PatternId CallId, ExtensionTable &QTable,
-                              SchedulerCore QCore,
                               std::unique_ptr<RunJournal> Journal,
                               AnalysisResult R) {
   int Slot = findRootSlot(Name, CallId);
@@ -455,18 +444,12 @@ int AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
   RI.EntryIdxs.clear();
 
   if (Table->size() == 0) {
-    // First merge into an empty store: the query table and its core
-    // become the store's as they are, Idx for Idx — the entries and edges
-    // the general path below would install, without re-hashing the
-    // entries' keys or re-recording the edges into a fresh core, which
-    // would about double what a cold query costs beyond its drain
-    // (measured in DESIGN.md §12).
-    // The adopted core keeps a drain's repeated reads of one
-    // (dep, reader) pair, which reverseClosure treats as one edge; its
-    // edges are indexed for dedup by the next general merge.
+    // First merge into an empty store: the query table becomes the
+    // store's as it is, Idx for Idx — the entries the general path below
+    // would install, without re-hashing their keys, which would add much
+    // of what a cold query costs beyond its drain (measured in DESIGN.md
+    // §12).
     *Table = std::move(QTable);
-    Core = std::move(QCore);
-    EdgeSeen = detail::FlatMap64();
     RI.EntryIdxs.resize(Table->size());
     std::iota(RI.EntryIdxs.begin(), RI.EntryIdxs.end(), 0);
     St.NewEntries += Table->size();
@@ -475,8 +458,6 @@ int AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
     // share has one summary: both are the least fixpoint at (pred, calling
     // pattern), which depends on the program alone — not on which entry
     // goal reached it.
-    std::vector<int32_t> IdxMap;
-    IdxMap.reserve(QTable.size());
     for (const ETEntry &E : QTable.entries()) {
       bool Created = false;
       ETEntry &SE = Table->findOrCreate(E.PredId, E.CallId, Created);
@@ -491,23 +472,7 @@ int AnalysisStore::mergeQuery(std::string_view Name, int32_t Pid,
                "converged summaries of a shared key must agree");
         ++St.SharedEntries;
       }
-      IdxMap.push_back(SE.Idx);
       RI.EntryIdxs.push_back(SE.Idx);
-    }
-
-    // Accumulate the drain's dependency edges (remapped to store indices)
-    // — reverseClosure over the union graph is the invalidation cone. An
-    // empty index over a non-empty core means the core was adopted and
-    // its edges are not indexed yet.
-    if (EdgeSeen.size() == 0)
-      for (const auto &[Dep, Reader] : Core.edgePairs())
-        addEdgeKey(EdgeSeen, Dep, Reader);
-    Core.ensure(Table->size());
-    for (const auto &[Dep, Reader] : QCore.edgePairs()) {
-      int32_t SD = IdxMap[static_cast<size_t>(Dep)];
-      int32_t SR = IdxMap[static_cast<size_t>(Reader)];
-      if (addEdgeKey(EdgeSeen, SD, SR))
-        Core.noteRead(SR, SD, 0);
     }
   }
 
@@ -631,14 +596,11 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
   if (&MOld.symbols() != &MNew.symbols()) {
     St.InvalidatedRoots += numRoots();
     St.InvalidatedEntries += Table->size();
-    St.LastConeEntries = Table->size();
     resetState();
     Program = &NewP;
     return;
   }
 
-  // The cone: reverse closure of the edited predicates' entries over the
-  // accumulated dependency graph.
   std::vector<char> IsEdited(static_cast<size_t>(MOld.numPredicates()), 0);
   for (const PredSig &Sig : Edited) {
     Symbol Sym = MOld.symbols().lookup(Sig.Name);
@@ -646,15 +608,6 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
     if (Pid >= 0)
       IsEdited[Pid] = 1;
   }
-  std::vector<int32_t> Seeds;
-  for (const ETEntry &E : Table->entries())
-    if (static_cast<size_t>(E.PredId) < IsEdited.size() &&
-        IsEdited[E.PredId])
-      Seeds.push_back(E.Idx);
-  std::vector<char> Mark = Core.reverseClosure(Seeds);
-  Mark.resize(Table->size(), 0);
-  St.LastConeEntries = static_cast<uint64_t>(
-      std::count(Mark.begin(), Mark.end(), char(1)));
 
   // Ids may shift on recompilation (first-reference order); re-resolve by
   // name/arity, which the shared symbol table makes directly comparable.
@@ -667,23 +620,23 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
     return PidMap[static_cast<size_t>(Old)];
   };
 
-  // A root survives iff its projection misses the cone entirely (an edit
-  // it could have observed implies an edge into the cone: a memo read of
-  // a changed summary records an edge, and entering edited code marks the
-  // entry itself) and everything it references still resolves. A dead
-  // root loses its cached answer and projection but keeps its journal,
-  // filtered below like every other bank.
+  // A root survives iff no entry of its projection (its own entry, the
+  // first, among them) is of a predicate that was edited or no longer
+  // resolves. The machine reaches clause code only through doCall (no
+  // builtin calls a predicate), and every call, replayed frame and memo
+  // read of the root's drain lands in its query table, which the
+  // projection keeps; so a surviving root runs the same clauses against
+  // the same table answers on the edited program. A dead root loses its
+  // cached answer and projection but keeps its journal, filtered below
+  // like every other bank.
   for (RootInfo &RI : Roots) {
     if (!RI.Valid)
       continue;
-    bool Dead = MapOldPid(RI.Pid) < 0;
-    for (int32_t Idx : RI.EntryIdxs) {
-      if (Mark[static_cast<size_t>(Idx)] ||
-          MapOldPid(Table->entryAt(static_cast<size_t>(Idx)).PredId) < 0) {
-        Dead = true;
-        break;
-      }
-    }
+    bool Dead = std::any_of(
+        RI.EntryIdxs.begin(), RI.EntryIdxs.end(), [&](int32_t Idx) {
+          int32_t Pid = Table->entryAt(static_cast<size_t>(Idx)).PredId;
+          return MapOldPid(Pid) < 0 || IsEdited[static_cast<size_t>(Pid)];
+        });
     if (Dead) {
       RI.Valid = false;
       RI.EntryIdxs.clear();
@@ -691,15 +644,12 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
     }
   }
 
-  // Rebuild the physical table and graph from the survivors. The table's
-  // lookup index embeds PredId, so shifted ids force re-insertion anyway;
-  // rebuilding also drops every dead entry and edge in one pass.
+  // Rebuild the physical table from the survivors. Its lookup index
+  // embeds PredId, so shifted ids force re-insertion anyway; rebuilding
+  // also drops every dead entry in one pass.
   uint64_t OldEntries = Table->size();
   auto NewTable =
       std::make_unique<ExtensionTable>(Options.TableImpl, Interner.get());
-  SchedulerCore NewCore;
-  detail::FlatMap64 NewEdgeSeen;
-  std::vector<int32_t> OldToNew(Table->size(), -1);
   for (RootInfo &RI : Roots) {
     if (!RI.Valid)
       continue;
@@ -716,29 +666,16 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
         NE.EverExplored = Old.EverExplored;
         NE.SuccessVersion = Old.SuccessVersion;
       }
-      OldToNew[static_cast<size_t>(Idx)] = NE.Idx;
       Idx = NE.Idx;
     }
-  }
-  NewCore.ensure(static_cast<int32_t>(NewTable->size()));
-  for (const auto &[Dep, Reader] : Core.edgePairs()) {
-    if (static_cast<size_t>(Dep) >= OldToNew.size() ||
-        static_cast<size_t>(Reader) >= OldToNew.size())
-      continue;
-    int32_t ND = OldToNew[static_cast<size_t>(Dep)];
-    int32_t NR = OldToNew[static_cast<size_t>(Reader)];
-    if (ND < 0 || NR < 0)
-      continue;
-    if (addEdgeKey(NewEdgeSeen, ND, NR))
-      NewCore.noteRead(NR, ND, 0);
   }
 
   // Every bank — each root's journal, valid or not, and the imported one —
   // keeps the traces that ran no edited code, and the clean frames of
   // those that did, re-keyed to the new module. A surviving root's traces
-  // all pass (any that ran edited code would have put the root in the
-  // cone); a dead root keeps the runs and frames the edit could not have
-  // changed, so its re-query replays them.
+  // all pass (each predicate a trace of its drain names is in its
+  // projection); a dead root keeps the runs and frames the edit could not
+  // have changed, so its re-query replays them.
   for (RootInfo &RI : Roots)
     if (RI.Journal)
       RI.Journal = keepUnedited(*RI.Journal, PidMap, IsEdited);
@@ -748,8 +685,6 @@ void AnalysisStore::invalidate(const CompiledProgram &NewP,
 
   St.InvalidatedEntries += OldEntries - NewTable->size();
   Table = std::move(NewTable);
-  Core = std::move(NewCore);
-  EdgeSeen = std::move(NewEdgeSeen);
   Program = &NewP;
   assert(projectionsCoverTable());
 }

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The long-lived half of the analyzer: an AnalysisStore owns one
-/// PatternInterner, one multi-root ExtensionTable and one accumulated
-/// SchedulerCore dependency-edge set that survive across entry queries of
-/// the same compiled module. The extension table is monotone — every
+/// PatternInterner and one multi-root ExtensionTable that survive across
+/// entry queries of the same compiled module, with each root's projection
+/// and run journal. The extension table is monotone — every
 /// (pred, calling-pattern) summary a converged query derives is the least
 /// fixpoint at that key and therefore a sound, reusable memo for any later
 /// query — which is what makes a shared store consistent at all.
@@ -38,13 +38,13 @@
 ///  3. Merge: only a *converged* query merges. Each query-table entry is
 ///     installed into the store table under its interned key (or found —
 ///     converged summaries of a shared key are equal, both being the least
-///     fixpoint at that key) and listed in the root's projection, and the
-///     query core's dependency edges join the store's accumulated graph.
-///     The projections are the one record of which roots reached an
-///     entry; every table entry lies in some valid root's. The first merge
-///     into an empty table adopts the query's table and core whole, Idx
-///     for Idx, instead of re-hashing them. Failing queries — unknown
-///     entry, machine error, budget hit — leave the store untouched by
+///     fixpoint at that key) and listed in the root's projection. The
+///     projections are the one record of which roots reached an entry;
+///     every table entry lies in some valid root's. The drain's dependency
+///     edges are not kept: they serve its own scheduling only. The first
+///     merge into an empty table adopts the query's table whole, Idx for
+///     Idx, instead of re-hashing it. Failing queries — unknown entry,
+///     machine error, budget hit — leave the store untouched by
 ///     construction: nothing is written until the merge (the strong
 ///     guarantee).
 ///
@@ -57,12 +57,16 @@
 /// of the whole store (sorted entries with sorted root tags), which *is*
 /// permutation-invariant.
 ///
-/// reanalyze() confines an edit to its reverse-dependency cone: roots
-/// whose projection intersects the cone lose cache and projection;
-/// everything else survives warm (their drains, by the cone argument,
-/// cannot observe the edit). Every journal — an invalidated root's too —
-/// keeps the traces that ran no edited code, and the clean frames of those
-/// that did (frame traces, analyzer/RunJournal.h), so the re-query of an
+/// reanalyze() invalidates roots by their projections: a root whose
+/// projection holds an entry of an edited (or no longer resolving)
+/// predicate loses cache and projection; every other root survives warm.
+/// The machine reaches clause code only through calls (no builtin calls a
+/// predicate), and every call, replayed frame and memo read of a drain
+/// lands in its query table, so a root whose projection names no edited
+/// predicate runs the same clauses against the same table answers on the
+/// edited program. Every journal — an invalidated root's too — keeps the
+/// traces that ran no edited code, and the clean frames of those that did
+/// (frame traces, analyzer/RunJournal.h), so the re-query of an
 /// invalidated root replays whatever the edit left valid: whole runs at
 /// queue pops, and inside the runs that must execute, every inline
 /// exploration that ran no edited code. This is the only incremental path:
@@ -75,7 +79,6 @@
 
 #include "analyzer/Analyzer.h"
 #include "analyzer/Incremental.h"
-#include "analyzer/Scheduler.h"
 #include "analyzer/SummaryBundle.h"
 
 #include <memory>
@@ -104,9 +107,8 @@ public:
     uint64_t NewEntries = 0;    ///< merged entries new to the store
     uint64_t SharedEntries = 0; ///< merged entries another root already owned
     uint64_t Reanalyses = 0;
-    uint64_t InvalidatedRoots = 0;
-    uint64_t InvalidatedEntries = 0;
-    uint64_t LastConeEntries = 0; ///< invalidation cone of the last reanalyze
+    uint64_t InvalidatedRoots = 0;   ///< roots an edit invalidated
+    uint64_t InvalidatedEntries = 0; ///< entries no surviving root held
     // Journal-bank hygiene (long-lived stores; see compactJournals).
     uint64_t Compactions = 0;      ///< compaction passes run
     uint64_t CompactedTraces = 0;  ///< trace handles dropped by compaction
@@ -143,9 +145,9 @@ public:
   Result<AnalysisResult> query(std::string_view EntrySpec);
 
   /// The clauses of \p EditedPreds changed (in place — the module object
-  /// is unchanged): invalidates exactly the cone of the edit inside the
-  /// store, then answers (\p Name, \p Entry) warm. On an empty store
-  /// nothing is invalidated and the query runs cold.
+  /// is unchanged): invalidates the roots whose projection names an
+  /// edited predicate, then answers (\p Name, \p Entry) warm. On an empty
+  /// store nothing is invalidated and the query runs cold.
   Result<AnalysisResult> reanalyze(const std::vector<PredSig> &EditedPreds,
                                    std::string_view Name,
                                    const Pattern &Entry);
@@ -265,16 +267,18 @@ private:
   /// handle count before deduplication.
   TraceBank pool(size_t *Handles = nullptr) const;
   /// Merges a converged query: its table \p QTable (moved from when the
-  /// store's table is empty, which then adopts it whole), its drain's
-  /// core \p QCore, its journal and its item-less result \p R, under the
-  /// root (\p Name, \p CallId). Returns the root's slot.
+  /// store's table is empty, which then adopts it whole), its journal and
+  /// its item-less result \p R, under the root (\p Name, \p CallId).
+  /// Returns the root's slot.
   int mergeQuery(std::string_view Name, int32_t Pid, PatternId CallId,
-                 ExtensionTable &QTable, SchedulerCore QCore,
-                 std::unique_ptr<RunJournal> Journal, AnalysisResult R);
-  /// Cone invalidation + rebuild of the physical table/graph from the
-  /// surviving roots, with predicate ids re-resolved against \p NewP's
-  /// module; every bank keeps its traces that ran no edited code and the
-  /// clean frames of the others. Installs \p NewP as the store's program.
+                 ExtensionTable &QTable, std::unique_ptr<RunJournal> Journal,
+                 AnalysisResult R);
+  /// Invalidates every valid root whose own predicate or any projection
+  /// entry's predicate is in \p Edited or no longer resolves in \p NewP's
+  /// module, and rebuilds the physical table from the survivors with
+  /// predicate ids re-resolved there; every bank keeps its traces that ran
+  /// no edited code and the clean frames of the others. Installs \p NewP
+  /// as the store's program.
   void invalidate(const CompiledProgram &NewP,
                   const std::vector<PredSig> &Edited);
   void resetState();
@@ -289,11 +293,6 @@ private:
   /// this interner's. Shared with the bundles exportBundle() returns.
   std::shared_ptr<PatternInterner> Interner;
   std::unique_ptr<ExtensionTable> Table;
-  /// Accumulated dependency edges of every merged query, on store entry
-  /// indices — reverseClosure over it is the invalidation cone.
-  SchedulerCore Core;
-  /// (dep, reader) pairs present in Core, for deduplicating merged edges.
-  detail::FlatMap64 EdgeSeen;
   std::vector<RootInfo> Roots;
   /// Foreign traces banked by importBundle, pooled into every query's
   /// replay source alongside the roots' own journals. Pure warmth: replay

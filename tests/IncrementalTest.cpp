@@ -6,10 +6,11 @@
 // while the session's store replays (not executes) the activations the
 // edit did not disturb. This suite pins that identity on all Table 1
 // benchmarks, on chained edits, and on randomized clause-level edit
-// sequences, plus the replay-savings acceptance bar (strictly fewer
-// executed activations than scratch on most benchmarks), the frame replay
-// that lets a run which enters edited code replay its clean inline
-// explorations, and the store's flat footprint under a long edit chain.
+// sequences, plus which of many roots survive an edit, the replay-savings
+// acceptance bar (strictly fewer executed activations than scratch on
+// most benchmarks), the frame replay that lets a run which enters edited
+// code replay its clean inline explorations, and the store's flat
+// footprint under a long edit chain.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
@@ -168,7 +170,8 @@ TEST(IncrementalTest, UneditedRecompileExecutesNothing) {
   const AnalysisStore::Stats &St = S.store()->stats();
   EXPECT_EQ(St.ExecutedRuns, 0u);
   EXPECT_EQ(St.CacheHits, 1u);
-  EXPECT_EQ(St.LastConeEntries, 0u);
+  EXPECT_EQ(St.InvalidatedRoots, 0u);
+  EXPECT_EQ(St.InvalidatedEntries, 0u);
 }
 
 TEST(IncrementalTest, ChainedEditsMatchScratchEachStep) {
@@ -300,7 +303,8 @@ TEST(IncrementalTest, RandomEditSequencesMatchScratch) {
   // >= 30 random clause-level edit sequences: generate a program, chain
   // three mutations through one store-backed session, and require
   // byte-identity with a scratch session at every step. Reuse shows up as
-  // result-cache hits (an edit outside the entry's cone) or replayed runs.
+  // result-cache hits (an edit the entry's projection does not name) or
+  // replayed runs.
   int Sequences = 0;
   uint64_t TotalReused = 0;
   for (unsigned Seed = 0; Seed != 12; ++Seed) {
@@ -360,6 +364,81 @@ TEST(IncrementalTest, RandomEditSequencesMatchScratch) {
   }
   EXPECT_GE(Sequences, 30);
   EXPECT_GT(TotalReused, 0u);
+}
+
+TEST(IncrementalTest, RootsSurviveTheEditsTheirProjectionsDoNotName) {
+  // Every defined predicate of a random program is a root of one store,
+  // and three chained edits decide for all of them at once which survive.
+  // After each edit every root must read what a scratch session of the
+  // edited program reads, so a root kept although its drain called an
+  // edited predicate shows as a stale cached answer; and some roots must
+  // survive, answered from the store's result cache.
+  int Roots = 0;
+  uint64_t SurvivorHits = 0;
+  for (unsigned Seed = 0; Seed != 12; ++Seed) {
+    SymbolTable Syms;
+    std::vector<std::unique_ptr<TermArena>> Arenas;
+    std::vector<std::unique_ptr<CompiledProgram>> Programs;
+    auto compileKeep = [&](const std::string &Src) -> CompiledProgram * {
+      Arenas.push_back(std::make_unique<TermArena>());
+      std::unique_ptr<CompiledProgram> P =
+          compileOrDie(Src, Syms, *Arenas.back());
+      if (!P)
+        return nullptr;
+      Programs.push_back(std::move(P));
+      return Programs.back().get();
+    };
+
+    std::string Src = testgen::generateProgram(Seed);
+    CompiledProgram *P = compileKeep(Src);
+    ASSERT_NE(P, nullptr) << "seed " << Seed;
+    std::vector<std::string> Specs;
+    for (int32_t I = 0; I != P->Module->numPredicates(); ++I) {
+      const PredicateInfo &PI = P->Module->predicate(I);
+      if (!PI.Clauses.empty())
+        Specs.push_back(std::string(Syms.name(PI.Name)) + "/" +
+                        std::to_string(PI.Arity));
+    }
+    AnalysisSession S(*P);
+    for (const std::string &Spec : Specs)
+      ASSERT_TRUE(S.analyze(Spec)) << "seed " << Seed << " " << Spec;
+    ASSERT_NE(S.store(), nullptr);
+    const AnalysisStore::Stats &St = S.store()->stats();
+
+    for (unsigned Step = 0; Step != 3; ++Step) {
+      testgen::ProgramMutation Mut =
+          testgen::mutateProgram(Src, Seed * 31 + Step + 1);
+      Src = Mut.Source;
+      P = compileKeep(Src);
+      ASSERT_NE(P, nullptr) << "seed " << Seed << " step " << Step;
+      const uint64_t Hits0 = St.CacheHits;
+      // Re-answers the last root queried, Specs.back().
+      Result<AnalysisResult> RInc = S.reanalyze(*P);
+      ASSERT_TRUE(RInc) << "seed " << Seed << " step " << Step << ": "
+                        << RInc.diag().str();
+      AnalysisSession Scratch(*P);
+      for (const std::string &Spec : Specs) {
+        SCOPED_TRACE("seed " + std::to_string(Seed) + " step " +
+                     std::to_string(Step) + " (edit " + Mut.Pred + "/" +
+                     std::to_string(Mut.Arity) + ") root " + Spec);
+        Result<AnalysisResult> R = S.analyze(Spec);
+        ASSERT_TRUE(R) << R.diag().str();
+        Result<AnalysisResult> RScr = Scratch.analyze(Spec);
+        ASSERT_TRUE(RScr) << RScr.diag().str();
+        EXPECT_EQ(fingerprint(*RScr, Syms), fingerprint(*R, Syms))
+            << "--- source ---\n"
+            << Src;
+        ++Roots;
+      }
+      // Less the loop's re-query of the root reanalyze() just answered,
+      // which hits the cache whether that root survived or not.
+      SurvivorHits += St.CacheHits - Hits0 - 1;
+    }
+  }
+  EXPECT_GE(Roots, 100);
+  EXPECT_GT(SurvivorHits, 0u);
+  std::printf("%d roots checked, %llu survivors answered from the cache\n",
+              Roots, static_cast<unsigned long long>(SurvivorHits));
 }
 
 /// The first predicate of \p P other than main/0 that has clauses, by
