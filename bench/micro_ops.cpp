@@ -9,7 +9,8 @@
 // The Corpus benchmarks time each front-end stage on its own (lex,
 // intern, parse, compile, link) over the ladder's 8k rung,
 // generateCorpus(1, 8000), and report clauses per second (and tokens per
-// second for the lexer):
+// second for the lexer); BM_CorpusFormat renders that corpus's drive/1
+// report and reports bytes (and rows) per second:
 //
 //   micro_ops --benchmark_filter=Corpus
 //
@@ -281,6 +282,28 @@ void BM_CorpusLink(benchmark::State &State) {
   State.counters["clauses"] = perSecond(C.Clauses);
 }
 BENCHMARK(BM_CorpusLink)->Unit(benchmark::kMillisecond);
+
+void BM_CorpusFormat(benchmark::State &State) {
+  const Corpus8k &C = corpus8k();
+  SymbolTable Syms;
+  TermArena Arena;
+  std::vector<CompiledProgram> Units;
+  for (std::string_view Src : C.Units)
+    Units.push_back(compileSource(Src, Syms, Arena).take());
+  LinkedProgram L =
+      linkPrograms({{&Units[0], "library"}, {&Units[1], "user"}}).take();
+  AnalysisResult R = AnalysisSession(L.Program).analyze("drive/1").take();
+  double Bytes = 0;
+  for (auto _ : State) {
+    std::string Report = formatReport(R, L.Program, /*Modes=*/false);
+    Bytes = static_cast<double>(Report.size());
+    benchmark::DoNotOptimize(Report.data());
+    benchmark::ClobberMemory();
+  }
+  State.counters["bytes"] = perSecond(Bytes);
+  State.counters["rows"] = perSecond(static_cast<double>(R.Items.size()));
+}
+BENCHMARK(BM_CorpusFormat)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

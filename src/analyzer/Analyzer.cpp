@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
-#include <set>
 #include <tuple>
 
 using namespace awam;
@@ -239,29 +238,38 @@ std::optional<PredSig> awam::parsePredSig(std::string_view Text) {
                  static_cast<int32_t>(Arity)};
 }
 
-std::string awam::formatAnalysis(const AnalysisResult &R,
-                                 const SymbolTable &Syms) {
-  // Pattern text routes through the result's domain; the default domain's
-  // formatPattern is Pattern::str, so default-domain reports are
-  // byte-identical to the pre-domain formatter (and to the null-domain
-  // fallback used by trace/baseline results).
-  auto Fmt = [&](const Pattern &P) {
-    return R.Dom ? R.Dom->formatPattern(P, Syms) : P.str(Syms);
-  };
+namespace {
+
+/// Appends the pattern table and its statistics line. Pattern text routes
+/// through the result's domain; a result without one prints what the
+/// default domain does.
+void appendAnalysis(std::string &Out, const AnalysisResult &R,
+                    const SymbolTable &Syms, PatternPrinter &Pr) {
+  const Domain &D = R.Dom ? *R.Dom : defaultDomain();
   TextTable T({"predicate", "calling pattern", "success pattern"});
-  for (const AnalysisResult::Item &I : R.Items)
-    T.addRow({I.PredLabel, Fmt(I.Call),
-              I.Success ? Fmt(*I.Success) : "(fails)"});
-  std::string Out = T.str();
-  Out += "iterations: " + std::to_string(R.Iterations) +
-         (R.Converged ? " (fixpoint)" : " (budget hit)") +
-         ", abstract instructions: " +
-         std::to_string(R.Counters.Instructions) +
-         "\n";
-  return Out;
+  T.reserveRows(R.Items.size());
+  for (const AnalysisResult::Item &I : R.Items) {
+    T.addCell(I.PredLabel);
+    D.appendPattern(T.text(), I.Call, Syms, Pr);
+    T.endCell();
+    if (I.Success)
+      D.appendPattern(T.text(), *I.Success, Syms, Pr);
+    else
+      T.text().append("(fails)");
+    T.endCell();
+    T.endRow();
+  }
+  // The table, then a statistics line of well under 100 bytes.
+  Out.reserve(Out.size() + T.renderedSize() + 100);
+  T.appendTo(Out);
+  Out.append("iterations: ");
+  appendInt(Out, R.Iterations);
+  Out.append(R.Converged ? " (fixpoint)" : " (budget hit)");
+  Out.append(", abstract instructions: ");
+  appendInt(Out, R.Counters.Instructions);
+  Out.push_back('\n');
 }
 
-namespace {
 /// True if every term described by node \p Id is ground.
 bool isGroundNode(const Pattern &P, int32_t Id, int Fuel = 64) {
   if (Fuel <= 0)
@@ -291,7 +299,7 @@ bool isGroundNode(const Pattern &P, int32_t Id, int Fuel = 64) {
 }
 
 /// Classifies one root node of a calling pattern as an input mode.
-std::string modeOf(const Pattern &P, int32_t Root) {
+std::string_view modeOf(const Pattern &P, int32_t Root) {
   if (isGroundNode(P, Root))
     return "++";
   switch (P.Nodes[Root].K) {
@@ -304,72 +312,101 @@ std::string modeOf(const Pattern &P, int32_t Root) {
   }
 }
 
-/// Renders one root of a pattern in isolation.
-std::string rootText(const Pattern &P, size_t ArgIdx,
-                     const SymbolTable &Syms) {
-  // Reuse Pattern::str by printing the whole tuple and splitting is
-  // fragile; print a single-root sub-pattern instead.
-  Pattern Sub;
-  Sub.Nodes = P.Nodes;
-  Sub.ChildStore = P.ChildStore;
-  Sub.Roots = {P.Roots[ArgIdx]};
-  std::string S = Sub.str(Syms);
-  // Strip the surrounding "( ... )".
-  return S.substr(1, S.size() - 2);
-}
-} // namespace
-
-std::string awam::formatModes(const AnalysisResult &R,
-                              const SymbolTable &Syms) {
+/// Appends the mode table: one row per argument of each calling pattern,
+/// its types printed as Pattern::str prints them (not through the domain).
+void appendModes(std::string &Out, const AnalysisResult &R,
+                 const SymbolTable &Syms, PatternPrinter &Pr) {
   TextTable T({"predicate", "arg", "mode", "call type", "success type"});
   for (const AnalysisResult::Item &I : R.Items) {
     for (size_t A = 0; A != I.Call.Roots.size(); ++A) {
-      T.addRow({A == 0 ? I.PredLabel : "", std::to_string(A + 1),
-                modeOf(I.Call, I.Call.Roots[A]), rootText(I.Call, A, Syms),
-                I.Success ? rootText(*I.Success, A, Syms) : "(fails)"});
+      T.addCell(A == 0 ? std::string_view(I.PredLabel) : std::string_view());
+      appendInt(T.text(), A + 1);
+      T.endCell();
+      T.addCell(modeOf(I.Call, I.Call.Roots[A]));
+      Pr.appendArg(T.text(), I.Call, A, Syms);
+      T.endCell();
+      if (I.Success)
+        Pr.appendArg(T.text(), *I.Success, A, Syms);
+      else
+        T.text().append("(fails)");
+      T.endCell();
+      T.endRow();
     }
-    if (I.Call.Roots.empty())
-      T.addRow({I.PredLabel, "-", "", "",
-                I.Success ? "succeeds" : "(fails)"});
+    if (I.Call.Roots.empty()) {
+      T.addCell(I.PredLabel);
+      T.addCell("-");
+      T.addCell("");
+      T.addCell("");
+      T.addCell(I.Success ? "succeeds" : "(fails)");
+      T.endRow();
+    }
   }
-  return T.str();
+  T.appendTo(Out);
+}
+
+} // namespace
+
+std::string awam::formatAnalysis(const AnalysisResult &R,
+                                 const SymbolTable &Syms) {
+  std::string Out;
+  PatternPrinter Pr;
+  appendAnalysis(Out, R, Syms, Pr);
+  return Out;
+}
+
+std::string awam::formatModes(const AnalysisResult &R,
+                              const SymbolTable &Syms) {
+  std::string Out;
+  PatternPrinter Pr;
+  appendModes(Out, R, Syms, Pr);
+  return Out;
 }
 
 std::string awam::formatReport(const AnalysisResult &R,
                                const CompiledProgram &Program, bool Modes) {
   const SymbolTable &Syms = Program.Module->symbols();
-  std::string Out = Modes ? formatModes(R, Syms) : formatAnalysis(R, Syms);
+  std::string Out;
+  PatternPrinter Pr;
+  if (Modes)
+    appendModes(Out, R, Syms, Pr);
+  else
+    appendAnalysis(Out, R, Syms, Pr);
   if (R.Dom)
-    Out += R.Dom->formatFacts(R, Program);
+    R.Dom->appendFacts(Out, R, Program, Pr);
   return Out;
 }
 
 std::string awam::formatReachability(const AnalysisResult &R,
                                      const CompiledProgram &Program) {
   const CodeModule &M = *Program.Module;
-  std::set<int32_t> Reached;
-  std::vector<std::string> NeverSucceeds;
-  for (const AnalysisResult::Item &I : R.Items) {
-    Reached.insert(I.PredId);
-    if (!I.Success)
-      NeverSucceeds.push_back(I.PredLabel + " " +
-                              I.Call.str(M.symbols()));
-  }
-  std::string Out;
-  Out += "Reachability from the analyzed entry goal:\n";
+  std::vector<uint8_t> Reached(M.numPredicates(), 0);
+  for (const AnalysisResult::Item &I : R.Items)
+    if (I.PredId >= 0 && I.PredId < M.numPredicates())
+      Reached[I.PredId] = 1;
+  std::string Out = "Reachability from the analyzed entry goal:\n";
   bool AnyDead = false;
   for (int32_t Pid = 0; Pid != M.numPredicates(); ++Pid) {
     if (M.predicate(Pid).Clauses.empty())
       continue; // undefined predicates are reported by the compiler
-    if (!Reached.count(Pid)) {
-      Out += "  unreachable: " + M.predicateLabel(Pid) + "\n";
+    if (!Reached[Pid]) {
+      Out.append("  unreachable: ");
+      Out.append(M.predicateLabel(Pid));
+      Out.push_back('\n');
       AnyDead = true;
     }
   }
   if (!AnyDead)
-    Out += "  every defined predicate is reachable\n";
-  for (const std::string &S : NeverSucceeds)
-    Out += "  never succeeds: " + S + "\n";
+    Out.append("  every defined predicate is reachable\n");
+  PatternPrinter Pr;
+  for (const AnalysisResult::Item &I : R.Items) {
+    if (I.Success)
+      continue;
+    Out.append("  never succeeds: ");
+    Out.append(I.PredLabel);
+    Out.push_back(' ');
+    Pr.append(Out, I.Call, M.symbols());
+    Out.push_back('\n');
+  }
   return Out;
 }
 

@@ -35,17 +35,23 @@ public:
     return "determinism facts (det/semidet/nondet) over the default domain";
   }
 
-  std::string formatFacts(const AnalysisResult &R,
-                          const CompiledProgram &Program) const override {
+  void appendFacts(std::string &Out, const AnalysisResult &R,
+                   const CompiledProgram &Program,
+                   PatternPrinter &Pr) const override {
     std::vector<DetItemFacts> Facts = computeDetFacts(R, Program);
     if (Facts.empty())
-      return "";
+      return;
     const SymbolTable &Syms = Program.Module->symbols();
-    std::string Out = "determinism facts:\n";
-    for (size_t I = 0; I != Facts.size(); ++I)
-      Out += "  " + R.Items[I].PredLabel + " " + R.Items[I].Call.str(Syms) +
-             ": " + detItemClassName(Facts[I].Class) + "\n";
-    return Out;
+    Out.append("determinism facts:\n");
+    for (size_t I = 0; I != Facts.size(); ++I) {
+      Out.append("  ");
+      Out.append(R.Items[I].PredLabel);
+      Out.push_back(' ');
+      Pr.append(Out, R.Items[I].Call, Syms);
+      Out.append(": ");
+      Out.append(detItemClassName(Facts[I].Class));
+      Out.push_back('\n');
+    }
   }
 };
 

@@ -8,7 +8,7 @@
 /// The determinism machinery behind the "det" domain, exposed as a
 /// reusable computation: per table item (predicate x calling pattern), a
 /// determinism class plus the set of clauses the first-argument test
-/// admits. The det domain's formatFacts renders these; the specializer
+/// admits. The det domain's appendFacts renders these; the specializer
 /// adapter (analyzer/Specialize.h) consumes them to license rewrites.
 ///
 /// Classes over-approximate (see DetDomain.cpp's header comment): "det"

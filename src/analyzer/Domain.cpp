@@ -74,14 +74,29 @@ std::unique_ptr<DomainRunState> Domain::makeRunState() const {
   return nullptr;
 }
 
-std::string Domain::formatPattern(const Pattern &P,
-                                  const SymbolTable &Syms) const {
-  return P.str(Syms);
+void Domain::appendPattern(std::string &Out, const PatternRef &P,
+                           const SymbolTable &Syms,
+                           PatternPrinter &Pr) const {
+  Pr.append(Out, P, Syms);
 }
 
-std::string Domain::formatFacts(const AnalysisResult &,
-                                const CompiledProgram &) const {
-  return std::string();
+std::string Domain::formatPattern(const PatternRef &P,
+                                  const SymbolTable &Syms) const {
+  std::string Out;
+  PatternPrinter Pr;
+  appendPattern(Out, P, Syms, Pr);
+  return Out;
+}
+
+void Domain::appendFacts(std::string &, const AnalysisResult &,
+                         const CompiledProgram &, PatternPrinter &) const {}
+
+std::string Domain::formatFacts(const AnalysisResult &R,
+                                const CompiledProgram &Program) const {
+  std::string Out;
+  PatternPrinter Pr;
+  appendFacts(Out, R, Program, Pr);
+  return Out;
 }
 
 void Domain::samplePatterns(std::vector<Pattern> &Out,

@@ -20,8 +20,10 @@
 ///    normalization of hand-built entry patterns (normalizeEntry);
 ///  * **transfer of summaries** — how a memoized success pattern is
 ///    applied back to a call site's argument cells (applySuccess);
-///  * **presentation** — formatPattern for the report table and
-///    formatFacts for derived per-predicate facts (e.g. determinism).
+///  * **presentation** — appendPattern for the report tables and
+///    appendFacts for derived per-predicate facts (e.g. determinism),
+///    both appending to the report's one buffer through the caller's
+///    PatternPrinter.
 ///
 /// The default implementation (name "modes") is the paper's mode/type/
 /// aliasing domain: its hook bodies are exactly the code the engine ran
@@ -154,16 +156,28 @@ public:
 
   // --- Presentation ----------------------------------------------------
 
-  /// Renders a pattern for the report table. Default: Pattern::str — the
-  /// byte-identity contract for the default domain.
-  virtual std::string formatPattern(const Pattern &P,
-                                    const SymbolTable &Syms) const;
+  /// Appends the report-table text of \p P to \p Out, printing through
+  /// \p Pr, whose scratch the caller reuses for a whole report. Default:
+  /// Pr.append, the text of Pattern::str — the byte-identity contract for
+  /// the default domain.
+  virtual void appendPattern(std::string &Out, const PatternRef &P,
+                             const SymbolTable &Syms,
+                             PatternPrinter &Pr) const;
 
-  /// Derived per-predicate facts appended after the pattern table (the
-  /// determinism domain's det/semidet/nondet listing). Default: empty —
-  /// nothing is printed.
-  virtual std::string formatFacts(const AnalysisResult &R,
-                                  const CompiledProgram &Program) const;
+  /// appendPattern into a fresh string.
+  std::string formatPattern(const PatternRef &P,
+                            const SymbolTable &Syms) const;
+
+  /// Appends the derived per-predicate facts printed after the pattern
+  /// table (the determinism domain's det/semidet/nondet listing) to
+  /// \p Out. Default: nothing.
+  virtual void appendFacts(std::string &Out, const AnalysisResult &R,
+                           const CompiledProgram &Program,
+                           PatternPrinter &Pr) const;
+
+  /// appendFacts into a fresh string.
+  std::string formatFacts(const AnalysisResult &R,
+                          const CompiledProgram &Program) const;
 
   /// Sample patterns (all of one arity) exercising this domain's lattice,
   /// for the domain-parametric lattice-law tests. Encodings must be

@@ -5,7 +5,6 @@
 #include "absdom/AbsOps.h"
 #include "support/StringUtil.h"
 
-#include <map>
 
 using namespace awam;
 
@@ -372,98 +371,109 @@ bool awam::patternLeq(const Pattern &A, const Pattern &B, int DepthLimit) {
 }
 
 std::string Pattern::str(const SymbolTable &Syms) const {
-  std::string Out = "(";
-  std::vector<int> Visits(Nodes.size(), 0);
-  // First pass: count references so only truly shared nodes get markers.
-  std::vector<int> RefCount(Nodes.size(), 0);
-  for (int32_t R : Roots)
-    ++RefCount[R];
-  for (const PatNode &N : Nodes)
+  std::string Out;
+  PatternPrinter().append(Out, *this, Syms);
+  return Out;
+}
+
+void PatternPrinter::countChildren(const PatternRef &P) {
+  RefCount.assign(P.NumNodes, 0);
+  Visited.assign(P.NumNodes, 0);
+  for (size_t I = 0; I != P.NumNodes; ++I) {
+    const PatNode &N = P.Nodes[I];
     for (int32_t C = 0; C != N.ChildCount; ++C)
-      ++RefCount[child(N, C)];
-
-  struct Printer {
-    const Pattern &P;
-    const SymbolTable &Syms;
-    std::vector<int> &Visits;
-    std::vector<int> &RefCount;
-
-    void print(int32_t Id, std::string &Out) {
-      const PatNode &N = P.Nodes[Id];
-      bool Shared = RefCount[Id] > 1 && N.K != PatKind::ConP &&
-                    N.K != PatKind::IntP;
-      if (Shared && Visits[Id]++) {
-        Out += "_S" + std::to_string(Id);
-        return;
-      }
-      std::string Marker = Shared ? "_S" + std::to_string(Id) + "=" : "";
-      Out += Marker;
-      switch (N.K) {
-      case PatKind::VarP: Out += "var"; return;
-      case PatKind::AnyP: Out += "any"; return;
-      case PatKind::NVP: Out += "nv"; return;
-      case PatKind::GroundP: Out += "g"; return;
-      case PatKind::ConstP: Out += "const"; return;
-      case PatKind::AtomTP: Out += "atom"; return;
-      case PatKind::IntTP: Out += "int"; return;
-      case PatKind::ConP:
-        Out += quoteAtom(Syms.name(N.Sym));
-        return;
-      case PatKind::IntP:
-        Out += std::to_string(N.Num);
-        return;
-      case PatKind::ListP: {
-        const PatNode &E = P.Nodes[P.child(N, 0)];
-        // "glist" style for simple element types, "(...)list" otherwise.
-        std::string Elem;
-        print(P.child(N, 0), Elem);
-        if (E.ChildCount == 0 && Elem.find('=') == std::string::npos)
-          Out += Elem + "list";
-        else
-          Out += "(" + Elem + ")list";
-        return;
-      }
-      case PatKind::ConsP: {
-        Out += "[";
-        print(P.child(N, 0), Out);
-        int32_t Tail = P.child(N, 1);
-        for (;;) {
-          const PatNode &T = P.Nodes[Tail];
-          if (T.K == PatKind::ConP && T.Sym == SymbolTable::SymNil) {
-            Out += "]";
-            return;
-          }
-          if (T.K == PatKind::ConsP && RefCount[Tail] <= 1) {
-            Out += ",";
-            print(P.child(T, 0), Out);
-            Tail = P.child(T, 1);
-            continue;
-          }
-          Out += "|";
-          print(Tail, Out);
-          Out += "]";
-          return;
-        }
-      }
-      case PatKind::StrP: {
-        Out += quoteAtom(Syms.name(N.Sym));
-        Out += "(";
-        for (int32_t I = 0; I != N.ChildCount; ++I) {
-          if (I)
-            Out += ",";
-          print(P.child(N, I), Out);
-        }
-        Out += ")";
-        return;
-      }
-      }
-    }
-  } Pr{*this, Syms, Visits, RefCount};
-
-  for (size_t I = 0; I != Roots.size(); ++I) {
-    if (I)
-      Out += ", ";
-    Pr.print(Roots[I], Out);
+      ++RefCount[P.child(N, C)];
   }
-  return Out + ")";
+}
+
+void PatternPrinter::append(std::string &Out, const PatternRef &P,
+                            const SymbolTable &Syms) {
+  countChildren(P);
+  for (size_t I = 0; I != P.NumRoots; ++I)
+    ++RefCount[P.Roots[I]];
+  Out.push_back('(');
+  for (size_t I = 0; I != P.NumRoots; ++I) {
+    if (I)
+      Out.append(", ");
+    print(Out, P, P.Roots[I], Syms);
+  }
+  Out.push_back(')');
+}
+
+void PatternPrinter::appendArg(std::string &Out, const PatternRef &P,
+                               size_t Arg, const SymbolTable &Syms) {
+  countChildren(P);
+  ++RefCount[P.Roots[Arg]];
+  print(Out, P, P.Roots[Arg], Syms);
+}
+
+void PatternPrinter::print(std::string &Out, const PatternRef &P,
+                           int32_t Id, const SymbolTable &Syms) {
+  const PatNode &N = P.Nodes[Id];
+  if (RefCount[Id] > 1 && N.K != PatKind::ConP && N.K != PatKind::IntP) {
+    Out.append("_S");
+    appendInt(Out, Id);
+    if (Visited[Id])
+      return;
+    Visited[Id] = 1;
+    Out.push_back('=');
+  }
+  switch (N.K) {
+  case PatKind::VarP: Out.append("var"); return;
+  case PatKind::AnyP: Out.append("any"); return;
+  case PatKind::NVP: Out.append("nv"); return;
+  case PatKind::GroundP: Out.push_back('g'); return;
+  case PatKind::ConstP: Out.append("const"); return;
+  case PatKind::AtomTP: Out.append("atom"); return;
+  case PatKind::IntTP: Out.append("int"); return;
+  case PatKind::ConP: appendAtom(Out, Syms.name(N.Sym)); return;
+  case PatKind::IntP: appendInt(Out, N.Num); return;
+  case PatKind::ListP: {
+    // "glist" for a leaf element, "(...)list" otherwise: the element is
+    // printed in place and parenthesized after the fact.
+    int32_t Elem = P.child(N, 0);
+    size_t Begin = Out.size();
+    print(Out, P, Elem, Syms);
+    if (P.Nodes[Elem].ChildCount == 0 &&
+        Out.find('=', Begin) == std::string::npos) {
+      Out.append("list");
+      return;
+    }
+    Out.insert(Begin, 1, '(');
+    Out.append(")list");
+    return;
+  }
+  case PatKind::ConsP: {
+    Out.push_back('[');
+    print(Out, P, P.child(N, 0), Syms);
+    int32_t Tail = P.child(N, 1);
+    for (;;) {
+      const PatNode &T = P.Nodes[Tail];
+      if (T.K == PatKind::ConP && T.Sym == SymbolTable::SymNil) {
+        Out.push_back(']');
+        return;
+      }
+      if (T.K == PatKind::ConsP && RefCount[Tail] <= 1) {
+        Out.push_back(',');
+        print(Out, P, P.child(T, 0), Syms);
+        Tail = P.child(T, 1);
+        continue;
+      }
+      Out.push_back('|');
+      print(Out, P, Tail, Syms);
+      Out.push_back(']');
+      return;
+    }
+  }
+  case PatKind::StrP:
+    appendAtom(Out, Syms.name(N.Sym));
+    Out.push_back('(');
+    for (int32_t I = 0; I != N.ChildCount; ++I) {
+      if (I)
+        Out.push_back(',');
+      print(Out, P, P.child(N, I), Syms);
+    }
+    Out.push_back(')');
+    return;
+  }
 }

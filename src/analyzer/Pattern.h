@@ -89,7 +89,8 @@ struct Pattern {
   size_t hash() const;
 
   /// Renders like the paper: "(atom, glist)" with aliased nodes shown as
-  /// "_S<n>" markers on repeated visits.
+  /// "_S<n>" markers on repeated visits (PatternPrinter::append into a
+  /// fresh string).
   std::string str(const SymbolTable &Syms) const;
 };
 
@@ -184,6 +185,40 @@ inline Pattern &Pattern::operator=(const PatternRef &R) {
   Roots.assign(R.Roots, R.Roots + R.NumRoots);
   return *this;
 }
+
+/// The one pattern printer: every report table, Pattern::str and the
+/// domains' presentation hooks append pattern text through it. It writes
+/// straight into the caller's buffer and keeps its per-node scratch
+/// (reference counts, visit marks) between calls, so a report printed
+/// with one printer allocates only as its largest pattern grows.
+///
+/// A node reached more than once (aliasing; specific constants excepted)
+/// prints as "_S<id>=" followed by its text on the first visit and as
+/// "_S<id>" on later ones. An alpha-list prints as "<elem>list" when its
+/// element is a leaf whose text has no '=', else as "(<elem>)list"; a
+/// list cell spine prints as "[a,b|T]".
+class PatternPrinter {
+public:
+  /// Appends the whole tuple, "(a1, ..., an)".
+  void append(std::string &Out, const PatternRef &P,
+              const SymbolTable &Syms);
+
+  /// Appends argument \p Arg alone, without parentheses: the text of the
+  /// one-root pattern over all of \p P's nodes whose root is P's root
+  /// \p Arg (the mode report's per-argument columns).
+  void appendArg(std::string &Out, const PatternRef &P, size_t Arg,
+                 const SymbolTable &Syms);
+
+private:
+  /// Counts the child references of every node and clears the visit
+  /// marks; callers add their roots.
+  void countChildren(const PatternRef &P);
+  void print(std::string &Out, const PatternRef &P, int32_t Id,
+             const SymbolTable &Syms);
+
+  std::vector<int32_t> RefCount;
+  std::vector<uint8_t> Visited;
+};
 
 /// Default term-depth restriction (the paper and Taylor's analyzer use 4).
 inline constexpr int kDefaultDepthLimit = 4;

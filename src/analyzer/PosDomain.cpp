@@ -21,6 +21,7 @@
 #include "analyzer/PosDomain.h"
 
 #include "absdom/AbsOps.h"
+#include "support/StringUtil.h"
 
 #include <algorithm>
 #include <bit>
@@ -173,68 +174,62 @@ void pushTT(Pattern &Out, uint64_t TT) {
   Out.Nodes.push_back(M);
 }
 
-/// Renders the minimal groundness implications of \p TT: for each
+/// Appends the minimal groundness implications of \p TT: for each
 /// not-unconditionally-ground argument j, the minimal antecedent sets S
 /// with "every achievable valuation grounding S grounds j" — e.g.
-/// "x3<-x1&x2". Implications the root tuple already states (j marked g)
-/// are suppressed.
-std::string implicationText(const Pattern &P, size_t N, uint64_t TT) {
-  std::string Out;
+/// "x3<-x1&x2", comma-separated. Implications the root tuple already
+/// states (j marked g) are suppressed. Candidate sets are tried by size,
+/// then in increasing order, so each is minimal when found.
+void appendImplications(std::string &Out, const PatternRef &P, size_t N,
+                        uint64_t TT) {
+  const uint32_t All = (1u << N) - 1;
+  bool First = true;
   for (size_t J = 0; J != N; ++J) {
     if (P.Nodes[P.Roots[J]].K == PatKind::GroundP)
       continue;
-    uint32_t Others = ((1u << N) - 1) & ~(1u << J);
-    std::vector<uint32_t> Subs;
-    for (uint32_t S = 0; S != (1u << N); ++S)
-      if ((S & ~Others) == 0)
-        Subs.push_back(S);
-    std::stable_sort(Subs.begin(), Subs.end(),
-                     [](uint32_t A, uint32_t B) {
-                       return std::popcount(A) < std::popcount(B);
-                     });
-    std::vector<uint32_t> Found;
-    for (uint32_t S : Subs) {
-      bool Dominated = false;
-      for (uint32_t F : Found)
-        if ((S & F) == F) {
-          Dominated = true;
-          break;
-        }
-      if (Dominated)
-        continue;
-      bool Any = false, Forced = true;
-      for (uint32_t W = 0; W != (1u << N); ++W) {
-        if (!((TT >> W) & 1))
+    const uint32_t Others = All & ~(1u << J);
+    uint32_t Found[64];
+    size_t NumFound = 0;
+    for (int Size = 0; Size <= static_cast<int>(N); ++Size)
+      for (uint32_t S = 0; S <= All; ++S) {
+        if (std::popcount(S) != Size || (S & ~Others) != 0)
           continue;
-        if ((W & S) != S)
+        bool Dominated = false;
+        for (size_t F = 0; F != NumFound && !Dominated; ++F)
+          Dominated = (S & Found[F]) == Found[F];
+        if (Dominated)
           continue;
-        Any = true;
-        if (!((W >> J) & 1)) {
-          Forced = false;
-          break;
+        bool Any = false, Forced = true;
+        for (uint32_t W = 0; W <= All && Forced; ++W) {
+          if (!((TT >> W) & 1) || (W & S) != S)
+            continue;
+          Any = true;
+          Forced = (W >> J) & 1;
         }
-      }
-      if (!Any || !Forced)
-        continue;
-      Found.push_back(S);
-      if (!Out.empty())
-        Out += ", ";
-      Out += "x" + std::to_string(J + 1) + "<-";
-      if (S == 0) {
-        Out += "true";
-        continue;
-      }
-      bool First = true;
-      for (size_t I = 0; I != N; ++I)
-        if ((S >> I) & 1) {
-          if (!First)
-            Out += "&";
-          First = false;
-          Out += "x" + std::to_string(I + 1);
+        if (!Any || !Forced)
+          continue;
+        Found[NumFound++] = S;
+        if (!First)
+          Out.append(", ");
+        First = false;
+        Out.push_back('x');
+        appendInt(Out, J + 1);
+        Out.append("<-");
+        if (S == 0) {
+          Out.append("true");
+          continue;
         }
-    }
+        bool FirstVar = true;
+        for (size_t I = 0; I != N; ++I)
+          if ((S >> I) & 1) {
+            if (!FirstVar)
+              Out.push_back('&');
+            FirstVar = false;
+            Out.push_back('x');
+            appendInt(Out, I + 1);
+          }
+      }
   }
-  return Out;
 }
 
 class PosDomain final : public Domain {
@@ -366,28 +361,34 @@ public:
     return std::make_unique<PosRunState>();
   }
 
-  std::string formatPattern(const Pattern &P,
-                            const SymbolTable &Syms) const override {
-    size_t N = P.Roots.size();
+  void appendPattern(std::string &Out, const PatternRef &P,
+                     const SymbolTable &Syms,
+                     PatternPrinter &Pr) const override {
+    const size_t N = P.NumRoots;
     for (size_t I = 0; I != N; ++I) {
       PatKind K = P.Nodes[P.Roots[I]].K;
-      if (K != PatKind::GroundP && K != PatKind::AnyP)
-        return P.str(Syms); // not a pos encoding (e.g. trace fallback)
+      if (K != PatKind::GroundP && K != PatKind::AnyP) {
+        Pr.append(Out, P, Syms); // not a pos encoding (e.g. trace fallback)
+        return;
+      }
     }
-    std::string Out = "(";
+    Out.push_back('(');
     for (size_t I = 0; I != N; ++I) {
       if (I)
-        Out += ", ";
-      Out += P.Nodes[P.Roots[I]].K == PatKind::GroundP ? "g" : "any";
+        Out.append(", ");
+      Out.append(P.Nodes[P.Roots[I]].K == PatKind::GroundP ? "g" : "any");
     }
-    Out += ")";
-    PatternRef R(P);
-    if (posPatternHasTT(R)) {
-      std::string Imp = implicationText(P, N, posPatternTT(R));
-      if (!Imp.empty())
-        Out += " [" + Imp + "]";
-    }
-    return Out;
+    Out.push_back(')');
+    if (!posPatternHasTT(P) || N > static_cast<size_t>(kPosMaxTTArity))
+      return;
+    const size_t Bracket = Out.size();
+    Out.append(" [");
+    const size_t Text = Out.size();
+    appendImplications(Out, P, N, posPatternTT(P));
+    if (Out.size() == Text)
+      Out.resize(Bracket);
+    else
+      Out.push_back(']');
   }
 
   void samplePatterns(std::vector<Pattern> &Out,

@@ -2,6 +2,7 @@
 
 #include "support/StringUtil.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -54,16 +55,23 @@ bool awam::isUnquotedAtom(std::string_view Name) {
 }
 
 std::string awam::quoteAtom(std::string_view Name) {
-  if (isUnquotedAtom(Name))
-    return std::string(Name);
-  std::string Out = "'";
+  std::string Out;
+  appendAtom(Out, Name);
+  return Out;
+}
+
+void awam::appendAtom(std::string &Out, std::string_view Name) {
+  if (isUnquotedAtom(Name)) {
+    Out.append(Name);
+    return;
+  }
+  Out.push_back('\'');
   for (char C : Name) {
     if (C == '\'' || C == '\\')
       Out.push_back('\\');
     Out.push_back(C);
   }
   Out.push_back('\'');
-  return Out;
 }
 
 bool awam::parseIntArg(const char *Text, int Min, int &Out) {
@@ -77,42 +85,87 @@ bool awam::parseIntArg(const char *Text, int Min, int &Out) {
   return true;
 }
 
-TextTable::TextTable(std::vector<std::string> Headers)
-    : Headers(std::move(Headers)) {}
-
-void TextTable::addRow(std::vector<std::string> Cells) {
-  Rows.push_back(std::move(Cells));
+TextTable::TextTable(std::initializer_list<std::string_view> Headers)
+    : Widths(Headers.size(), 0) {
+  for (std::string_view H : Headers)
+    addCell(H);
+  endRow();
 }
 
-void TextTable::addSeparator() { Rows.push_back({}); }
+TextTable::TextTable(const std::vector<std::string> &Headers)
+    : Widths(Headers.size(), 0) {
+  for (const std::string &H : Headers)
+    addCell(H);
+  endRow();
+}
+
+void TextTable::endCell() {
+  size_t Col = CellEnds.size() - (RowEnds.empty() ? 0 : RowEnds.back());
+  if (Col < Widths.size())
+    Widths[Col] =
+        std::max(Widths[Col], Text.size() - cellBegin(CellEnds.size()));
+  CellEnds.push_back(Text.size());
+}
+
+void TextTable::addRow(const std::vector<std::string> &Cells) {
+  for (const std::string &C : Cells)
+    addCell(C);
+  endRow();
+}
+
+void TextTable::reserveRows(size_t Rows) {
+  CellEnds.reserve(CellEnds.size() + Rows * Widths.size());
+  RowEnds.reserve(RowEnds.size() + Rows);
+}
 
 std::string TextTable::str() const {
-  std::vector<size_t> Widths(Headers.size());
-  for (size_t I = 0; I != Headers.size(); ++I)
-    Widths[I] = Headers[I].size();
-  for (const auto &Row : Rows)
-    for (size_t I = 0; I != Row.size(); ++I)
-      if (Row[I].size() > Widths[I])
-        Widths[I] = Row[I].size();
-
-  auto renderRow = [&](const std::vector<std::string> &Cells) {
-    std::string Line = "|";
-    for (size_t I = 0; I != Headers.size(); ++I) {
-      std::string_view Cell = I < Cells.size() ? Cells[I] : std::string_view();
-      Line += " " + padLeft(Cell, Widths[I]) + " |";
-    }
-    return Line + "\n";
-  };
-  auto renderSep = [&]() {
-    std::string Line = "|";
-    for (size_t W : Widths)
-      Line += std::string(W + 2, '-') + "|";
-    return Line + "\n";
-  };
-
-  std::string Out = renderRow(Headers);
-  Out += renderSep();
-  for (const auto &Row : Rows)
-    Out += Row.empty() ? renderSep() : renderRow(Row);
+  std::string Out;
+  appendTo(Out);
   return Out;
+}
+
+size_t TextTable::renderedSize() const {
+  // Every line, separators included, is "|" + (" " cell " |") per column
+  // + "\n": one length for all, and the header row is followed by a
+  // separator.
+  size_t Line = 2;
+  for (size_t W : Widths)
+    Line += W + 3;
+  return Line * (RowEnds.size() + 1);
+}
+
+void TextTable::appendTo(std::string &Out) const {
+  Out.reserve(Out.size() + renderedSize());
+  auto Separator = [&] {
+    Out.push_back('|');
+    for (size_t W : Widths) {
+      Out.append(W + 2, '-');
+      Out.push_back('|');
+    }
+    Out.push_back('\n');
+  };
+  size_t Cell = 0;
+  for (size_t Row = 0; Row != RowEnds.size(); ++Row) {
+    size_t End = RowEnds[Row];
+    if (Cell == End && Row != 0) {
+      Separator();
+      continue;
+    }
+    Out.push_back('|');
+    for (size_t Col = 0; Col != Widths.size(); ++Col) {
+      std::string_view S;
+      if (Cell != End) {
+        S = std::string_view(Text).substr(cellBegin(Cell),
+                                          CellEnds[Cell] - cellBegin(Cell));
+        ++Cell;
+      }
+      Out.append(Widths[Col] - S.size() + 1, ' ');
+      Out.append(S);
+      Out.append(" |");
+    }
+    Cell = End; // cells past the last header are not printed
+    Out.push_back('\n');
+    if (Row == 0)
+      Separator();
+  }
 }

@@ -70,10 +70,11 @@ bool Machine::backtrack() {
 }
 
 bool Machine::unify(Cell A, Cell B_) {
-  std::vector<std::pair<Cell, Cell>> Work;
+  std::vector<std::pair<Cell, Cell>> &Work = UnifyWork;
   // Compound pairs already scheduled: revisiting one means a cyclic
   // (rational) term; it unifies coinductively instead of looping.
-  std::vector<std::pair<int64_t, int64_t>> Seen;
+  UnifySeen.clear();
+  Work.clear();
   Work.emplace_back(A, B_);
   while (!Work.empty()) {
     auto [CA, CB] = Work.back();
@@ -104,16 +105,9 @@ bool Machine::unify(Cell A, Cell B_) {
     }
     if (DA.C.T != DB.C.T)
       return false;
-    if (DA.C.T == Tag::Lis || DA.C.T == Tag::Str) {
-      bool Cycle = false;
-      for (auto [X, Y] : Seen)
-        if ((X == DA.Addr && Y == DB.Addr) ||
-            (X == DB.Addr && Y == DA.Addr))
-          Cycle = true;
-      if (Cycle)
-        continue;
-      Seen.emplace_back(DA.Addr, DB.Addr);
-    }
+    if ((DA.C.T == Tag::Lis || DA.C.T == Tag::Str) &&
+        !UnifySeen.insert(DA.Addr, DB.Addr))
+      continue;
     switch (DA.C.T) {
     case Tag::Con:
     case Tag::Int:

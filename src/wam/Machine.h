@@ -64,6 +64,70 @@ struct MachineStats {
   size_t MaxStackSlots = 0;
 };
 
+/// The compound pairs one Machine::unify call has already scheduled, for
+/// the coinductive rule on cyclic (rational) terms: an open-addressing set
+/// of unordered address pairs. Each slot carries the epoch of the call
+/// that wrote it, so clear() is one increment however large an earlier
+/// call grew the table, and a lookup is O(1) expected.
+class UnifyPairSet {
+public:
+  /// Forgets every pair.
+  void clear() {
+    Live = 0;
+    if (++Epoch == 0) { // wrapped: no stale slot may read as current
+      for (Slot &S : Slots)
+        S.Epoch = 0;
+      Epoch = 1;
+    }
+  }
+
+  /// Adds the unordered pair {A, B}; false if it is already present.
+  bool insert(int64_t A, int64_t B) {
+    if (A > B)
+      std::swap(A, B);
+    if (10 * (Live + 1) >= 7 * Slots.size())
+      grow();
+    return place(A, B);
+  }
+
+private:
+  struct Slot {
+    int64_t A = 0, B = 0;
+    uint32_t Epoch = 0; ///< 0 never matches: Epoch starts at 1
+  };
+
+  bool place(int64_t A, int64_t B) {
+    uint64_t H = static_cast<uint64_t>(A) * 0x9e3779b97f4a7c15ull ^
+                 static_cast<uint64_t>(B);
+    H = (H ^ (H >> 31)) * 0xbf58476d1ce4e5b9ull;
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = (H ^ (H >> 29)) & Mask;; I = (I + 1) & Mask) {
+      Slot &S = Slots[I];
+      if (S.Epoch != Epoch) {
+        S = {A, B, Epoch};
+        ++Live;
+        return true;
+      }
+      if (S.A == A && S.B == B)
+        return false;
+    }
+  }
+
+  /// Doubles the table, keeping this call's pairs.
+  void grow() {
+    std::vector<Slot> Old = std::move(Slots);
+    Slots.assign(Old.empty() ? 16 : 2 * Old.size(), Slot{});
+    Live = 0;
+    for (const Slot &S : Old)
+      if (S.Epoch == Epoch)
+        place(S.A, S.B);
+  }
+
+  std::vector<Slot> Slots;
+  size_t Live = 0;
+  uint32_t Epoch = 1;
+};
+
 /// The concrete WAM interpreter.
 ///
 /// Usage: construct over a compiled program, then solve() a goal term.
@@ -141,6 +205,11 @@ private:
   std::string Out;
   std::string ErrorMsg;
   bool HasError = false;
+
+  // unify()'s scratch, kept across calls: the pairs still to unify and the
+  // compound pairs already scheduled.
+  std::vector<std::pair<Cell, Cell>> UnifyWork;
+  UnifyPairSet UnifySeen;
 };
 
 } // namespace awam

@@ -7,7 +7,7 @@
 //     case per fact, in key order, each entering its own clause;
 //   * parsing, compiling and linking a generated two-unit corpus makes at
 //     most 3 heap allocations per clause, counted by the operator new
-//     this executable defines.
+//     AllocCounter.cpp defines for this executable.
 //
 // Times are this thread's CPU time. The timing and allocation bounds are
 // asserted only in builds without sanitizers, which slow each size by
@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "AllocCounter.h"
 #include "RandomProgramGen.h"
 
 #include "compiler/ModuleLink.h"
@@ -23,58 +24,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <ctime>
-#include <new>
 
 #ifdef __GLIBC__
 #include <malloc.h>
 #endif
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define AWAM_SCALE_TEST_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define AWAM_SCALE_TEST_SANITIZED 1
-#endif
-#endif
-
-namespace {
-
-#ifdef AWAM_SCALE_TEST_SANITIZED
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-
-/// Heap allocations made through operator new while counting is on.
-std::atomic<bool> Counting{false};
-std::atomic<uint64_t> NumAllocs{0};
-
-} // namespace
-
-#ifndef AWAM_SCALE_TEST_SANITIZED
-// These replace the global operators, so free() does get what malloc()
-// returned; GCC cannot see that.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void *operator new(std::size_t N) {
-  if (Counting.load(std::memory_order_relaxed))
-    NumAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(N ? N : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t N) { return ::operator new(N); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-#pragma GCC diagnostic pop
-#endif
-
 using namespace awam;
+using testalloc::Counting;
+using testalloc::NumAllocs;
+using testenv::kSanitized;
 
 namespace {
 

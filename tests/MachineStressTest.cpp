@@ -6,11 +6,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SanitizerBuild.h"
+
 #include "analyzer/Session.h"
 #include "term/TermWriter.h"
 #include "wam/Machine.h"
 
 #include <gtest/gtest.h>
+
+#include <chrono>
 
 using namespace awam;
 
@@ -174,6 +178,37 @@ TEST_F(MachineStressTest, LongListUnification) {
                      "main :- mk(5000, A), mk(5000, B), eq(A, B).";
   compile(Long);
   EXPECT_EQ(run("main"), RunStatus::Success);
+}
+
+TEST_F(MachineStressTest, TwoLongListsUnifyInLinearTime) {
+  // Unification checks each compound pair against the pairs already
+  // scheduled in O(1) expected time, so two 200k-element lists unify in
+  // under 2 s (a linear scan of the scheduled pairs took about 32 s). The
+  // bound is asserted only in builds without sanitizers.
+  compile("mk(0, []) :- !.\n"
+          "mk(N, [N|T]) :- N1 is N - 1, mk(N1, T).\n"
+          "main :- mk(200000, A), mk(200000, B), A = B.");
+  auto T0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(run("main"), RunStatus::Success);
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - T0)
+                       .count();
+  if (!testenv::kSanitized) {
+    EXPECT_LT(Seconds, 2.0);
+  }
+}
+
+TEST_F(MachineStressTest, CyclicTermsUnifyCoinductively) {
+  // No occurs check: X = f(X) builds a rational term, and unifying two
+  // such terms assumes a pair already being unified is equal.
+  compile("s :- X = f(X), Y = f(Y), X = Y.\n"
+          "l :- L = [a|L], M = [a|M], L = M.\n"
+          "d :- X = f(X, a), Y = f(Y, b), X = Y.\n"
+          "n :- L = [a|L], M = [a, a|M], L = M.\n");
+  EXPECT_EQ(run("s"), RunStatus::Success);
+  EXPECT_EQ(run("l"), RunStatus::Success);
+  EXPECT_EQ(run("d"), RunStatus::Failure);
+  EXPECT_EQ(run("n"), RunStatus::Success);
 }
 
 TEST_F(MachineStressTest, BacktrackingRestoresArgumentRegisters) {

@@ -253,10 +253,41 @@ TEST(StringUtilTest, QuoteAtom) {
 }
 
 TEST(StringUtilTest, TextTableAligns) {
+  // Cells right-align to the widest cell or header of their column.
   TextTable T({"a", "long"});
   T.addRow({"xx", "1"});
-  std::string Out = T.str();
-  EXPECT_NE(Out.find("| xx | "), std::string::npos) << Out;
+  // A cell appended in pieces, an empty one, a separator and a row short
+  // of cells.
+  T.text() += "ab";
+  appendInt(T.text(), -7);
+  T.endCell();
+  T.addCell("");
+  T.endRow();
+  T.addSeparator();
+  T.addCell("z");
+  T.endRow();
+  const std::string Want = "|    a | long |\n"
+                           "|------|------|\n"
+                           "|   xx |    1 |\n"
+                           "| ab-7 |      |\n"
+                           "|------|------|\n"
+                           "|    z |      |\n";
+  EXPECT_EQ(T.str(), Want);
+  std::string Out = "before\n";
+  T.appendTo(Out);
+  EXPECT_EQ(Out, "before\n" + Want);
+  // Headers alone set the widths of an empty table.
+  EXPECT_EQ(TextTable({"k", "v"}).str(), "| k | v |\n|---|---|\n");
+}
+
+TEST(StringUtilTest, AppendAtomAndInt) {
+  std::string Out;
+  appendAtom(Out, "foo");
+  appendAtom(Out, "it's");
+  appendAtom(Out, "=");
+  appendInt(Out, -9223372036854775807LL - 1);
+  appendInt(Out, 18446744073709551615ULL);
+  EXPECT_EQ(Out, "foo'it\\'s'=-922337203685477580818446744073709551615");
 }
 
 // ---- Store -----------------------------------------------------------------
